@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import sys
 from typing import Iterable, Sequence
 
@@ -79,6 +80,13 @@ def _emit(rows: Iterable[Sequence[object]], fmt: str, out) -> None:
         )
 
 
+def _number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"{what} must be a number, got {text.strip()!r}") from None
+
+
 def _parse_kv(text: str, what: str) -> dict[str, str]:
     out: dict[str, str] = {}
     depth = 0
@@ -117,8 +125,8 @@ def _parse_profile(text: str) -> ConstantTailProfile:
         raise UsageError("profile prefix must look like prefix=[a, b, ...]")
     inner = raw[1:-1].strip()
     if inner:
-        prefix = tuple(float(v) for v in inner.split(","))
-    return ConstantTailProfile(prefix, float(fields["tail"]))
+        prefix = tuple(_number(v, "profile prefix entry") for v in inner.split(","))
+    return ConstantTailProfile(prefix, _number(fields["tail"], "profile tail"))
 
 
 def _parse_rule(text: str) -> RewardRule:
@@ -126,7 +134,7 @@ def _parse_rule(text: str) -> RewardRule:
     if "kind" not in fields:
         raise UsageError("rule needs a kind (kind=...)")
     kind = fields.pop("kind")
-    params = {k: float(v) for k, v in fields.items()}
+    params = {k: _number(v, f"rule parameter {k}") for k, v in fields.items()}
     return rule_from_config(kind, params)
 
 
@@ -152,8 +160,8 @@ def _section(cfg: configparser.ConfigParser, name: str, allowed: set[str]) -> di
 def _resolve_rate(args, cfg) -> SuccessRate:
     section = _section(cfg, "rate", _RATE_KEYS)
     family = args.rate or section.get("family", "sqrt_ratio").strip('"')
-    epsilon = args.epsilon if args.epsilon is not None else float(section.get("epsilon", 0.0))
-    cap = float(section.get("domain_cap", 1e6))
+    epsilon = args.epsilon if args.epsilon is not None else _number(section.get("epsilon", "0"), "epsilon")
+    cap = _number(section.get("domain_cap", "1e6"), "domain_cap")
     rate = rate_from_config(family, epsilon, domain_cap=cap)
     if not args.no_validate:
         report = validate(rate, points=128)
@@ -188,16 +196,23 @@ def _resolve_rule(args, cfg) -> RewardRule:
     raise UsageError("no rule given (use --rule or a [rule] section)")
 
 
-def _open_output(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Stdout for ``None`` or ``-``, else the file at ``path``, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+        return
+    try:
+        out = open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path!r}: {exc.strerror}") from None
+    with out:
+        yield out
 
 
 def _cmd_optima(args, cfg) -> int:
     sr = _resolve_rate(args, cfg)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         rows: list[tuple[object, ...]] = [("quantity", "value", "detail")]
         rows.append(("c_fb", first_best_investment(sr), "first-best constant"))
         failures = 0
@@ -218,9 +233,6 @@ def _cmd_optima(args, cfg) -> int:
             )
         _emit(rows, args.format, out)
         return 1 if failures else 0
-    finally:
-        if close:
-            out.close()
 
 
 def _cmd_verify(args, cfg) -> int:
@@ -229,8 +241,7 @@ def _cmd_verify(args, cfg) -> int:
     profile = _resolve_profile(args, cfg)
     mode = Mode.SELF_FINANCED if args.self_financed else Mode.UNCONSTRAINED
     report = verify_equilibrium(sr, rule, profile, mode=mode, tol=args.tol_eq)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         rows: list[tuple[object, ...]] = [
             ("verdict", report.verdict, ""),
             ("mode", mode.value, ""),
@@ -251,16 +262,12 @@ def _cmd_verify(args, cfg) -> int:
             rows.append(("failure", failure, ""))
         _emit(rows, args.format, out)
         return 0 if report.supported else 1
-    finally:
-        if close:
-            out.close()
 
 
 def _cmd_synthesize(args, cfg) -> int:
     sr = _resolve_rate(args, cfg)
     feas = near_constant_feasibility(sr, args.x0, args.c, args.gamma)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         rows: list[tuple[object, ...]] = [
             ("verdict", feas.verdict, ""),
             ("initiator_return", feas.ratio, ""),
@@ -278,9 +285,6 @@ def _cmd_synthesize(args, cfg) -> int:
         rows.append(("verified", report.verdict, f"max_residual={report.max_residual:.3g}"))
         _emit(rows, args.format, out)
         return 0 if report.supported else 1
-    finally:
-        if close:
-            out.close()
 
 
 def _cmd_dynamics(args, cfg) -> int:
@@ -295,8 +299,7 @@ def _cmd_dynamics(args, cfg) -> int:
         sweeps=args.sweeps,
         damping=args.damping,
     )
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         rows: list[tuple[object, ...]] = [
             ("converged", "yes" if result.converged else "no", f"sweeps={result.sweeps}"),
             ("max_change", result.max_change, ""),
@@ -306,9 +309,6 @@ def _cmd_dynamics(args, cfg) -> int:
             rows.append((f"x_{i}", float(result.profile.at(i)), ""))
         _emit(rows, args.format, out)
         return 0 if result.converged else 1
-    finally:
-        if close:
-            out.close()
 
 
 def _cmd_region(args, cfg) -> int:
@@ -339,13 +339,9 @@ def _cmd_region(args, cfg) -> int:
                 "" if row.upper is None else float(row.upper),
             )
         )
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         _emit(rows, args.format, out)
         return 0
-    finally:
-        if close:
-            out.close()
 
 
 def _cmd_simulate(args, cfg) -> int:
@@ -360,8 +356,7 @@ def _cmd_simulate(args, cfg) -> int:
         payoff_horizon=args.payoff_horizon,
     )
     summary = summarize(sr, profile, rule, config)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         rows: list[tuple[object, ...]] = [
             ("episodes", str(summary.episodes), ""),
             ("discarded", str(summary.discarded), ""),
@@ -383,21 +378,14 @@ def _cmd_simulate(args, cfg) -> int:
                 rows.append((f"chain_length_{k}", str(count), ""))
         _emit(rows, args.format, out)
         return 0
-    finally:
-        if close:
-            out.close()
 
 
 def _cmd_rule_print(args, cfg) -> int:
     rule = _resolve_rule(args, cfg)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         rows = [tuple(float(v) for v in rule.row(k)) for k in range(args.rows)]
         _emit(rows, args.format if args.format != "table" else "tsv", out)
         return 0
-    finally:
-        if close:
-            out.close()
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -485,9 +473,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config)
         return args.handler(args, cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SeqInvestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

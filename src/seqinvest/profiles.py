@@ -103,15 +103,6 @@ class FunctionalValues:
     incentive_cost: float
 
 
-def _tail_probability(sr: SuccessRate, x: ConstantTailProfile) -> float:
-    pc = sr.probability(x.tail)
-    if pc >= 1.0:
-        raise DivergenceError(
-            f"tail success probability {pc:g} >= 1; series diverges"
-        )
-    return pc
-
-
 def reach_probability(sr: SuccessRate, x: ConstantTailProfile, j: int) -> float:
     """Probability that agent ``j`` is reached: product of p over agents < j."""
     if j < 0:
@@ -127,16 +118,33 @@ def reach_probability(sr: SuccessRate, x: ConstantTailProfile, j: int) -> float:
     return out
 
 
-def _series(sr, x: ConstantTailProfile, term) -> float:
-    # sum_j reach(j) * term(x_j), with the geometric closure over the tail
-    pc = _tail_probability(sr, x)
+def _reach_series(
+    sr: SuccessRate, x: ConstantTailProfile, start: int, stop: int, term, stops: bool = False
+) -> tuple[float, float, float]:
+    """The one reach-weighted loop: ``(explicit sum, reach at stop, p_tail)``.
+
+    Sums ``reach * term(j)`` over agents ``start <= j < stop``, ``reach``
+    being the chance that agents ``start .. j - 1`` all succeed; ``stops``
+    weights each term by ``1 - p(x_j)``, as ``reach * (1 - p) * term``.
+    Callers add their own closure over the constant tail.
+    """
+    pc = sr.probability(x.tail)
+    if pc >= 1.0:
+        raise DivergenceError(f"tail success probability {pc:g} >= 1; series diverges")
     total = 0.0
     reach = 1.0
-    for xj in x.prefix:
-        total += reach * term(xj)
-        reach *= sr.probability(xj)
+    for j in range(start, stop):
+        pj = sr.probability(x.at(j))
+        total += (reach * (1.0 - pj) if stops else reach) * term(j)
+        reach *= pj
         if reach == 0.0:
-            return total
+            break
+    return total, reach, pc
+
+
+def _series(sr: SuccessRate, x: ConstantTailProfile, term) -> float:
+    # sum_j reach(j) * term(x_j), with the geometric closure over the tail
+    total, reach, pc = _reach_series(sr, x, 0, x.prefix_len, lambda j: term(x.at(j)))
     return total + reach * term(x.tail) / (1.0 - pc)
 
 

@@ -22,8 +22,13 @@ the solvers fits, including finite perturbations and convex mixtures of
 other rules.
 
 Construction validates balance and non-negativity exactly on a leading
-block of rows (and structurally beyond, since the representation pins
-the tails); violations raise :class:`RuleConstructionError` with the
+block of rows and structurally beyond it.  For a stationary rule the
+block ends at row ``K + 1`` with ``K = max(leading tail starts,
+len(leading) + len(repeating entries))``: from row ``K`` on every column
+is in tail form, so each row sum is affine in the row index, and two
+exact rows ``K`` and ``K + 1`` pin it to ``k + 1`` on all later rows.
+Non-negative tail values and slopes then keep every later entry
+non-negative.  Violations raise :class:`RuleConstructionError` with the
 offending row.
 """
 
@@ -33,11 +38,9 @@ import abc
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import DivergenceError, DomainError, RuleConstructionError
-from .profiles import ConstantTailProfile, incentive_cost
+from .errors import DomainError, RuleConstructionError
+from .profiles import ConstantTailProfile, _reach_series, incentive_cost
 from .rates import SuccessRate
-
-ROW_CHECK_DEFAULT = 64
 
 
 @dataclass(frozen=True)
@@ -122,28 +125,33 @@ class RewardRule(abc.ABC):
         return f"<{type(self).__name__} {self.label}>"
 
 
-def validate_rule(rule: RewardRule, rows: int = ROW_CHECK_DEFAULT, tol: float = 1e-9) -> None:
+def validate_rule(rule: RewardRule, rows: int, tol: float = 1e-9) -> None:
     """Exact balance and non-negativity on rows ``0..rows``.
 
-    Also rejects structurally negative tails (a negative tail value or
-    slope would eventually produce a negative entry far beyond the
-    checked block).
+    Also rejects negative tail values and slopes.  Callers pass a bound
+    past which balance is structural: a :class:`StationaryColumnRule`
+    passes ``K + 1`` with ``K = max(leading tail starts, len(leading) +
+    len(repeating entries))``, since from row ``K`` on each row sum is
+    affine in ``k`` and rows ``K`` and ``K + 1`` pin it to ``k + 1``; a
+    :class:`Perturbed` rule passes one past the last tail start of its
+    columns up to the last one it touches, beyond which its rows are base
+    rows plus tail deltas that cancel.
     """
+    cols = [rule.column(i) for i in range(rows + 1)]
     for k in range(rows + 1):
-        row = rule.row(k)
+        row = [col.value(k) for col in cols[: k + 1]]
         low = min(row)
         if low < -tol:
             raise RuleConstructionError(
                 f"{rule.label}: negative entry {low:g} in row {k}"
             )
         imbalance = sum(row) - (k + 1)
-        if abs(imbalance) > tol:
+        if not abs(imbalance) <= tol:  # also rejects a NaN entry anywhere in the row
             raise RuleConstructionError(
                 f"{rule.label}: row {k} sums to {k + 1 + imbalance:g}, "
                 f"expected {k + 1}"
             )
-    for i in range(rows + 1):
-        col = rule.column(i)
+    for i, col in enumerate(cols):
         if col.slope < -tol or col.tail < -tol:
             raise RuleConstructionError(
                 f"{rule.label}: column {i} tail eventually negative"
@@ -173,14 +181,11 @@ class StationaryColumnRule(RewardRule):
                 )
         if not self.repeating_entries:
             raise RuleConstructionError("repeating pattern needs a diagonal entry")
-        rows = max(
-            ROW_CHECK_DEFAULT,
-            max((c.tail_start for c in self.leading), default=0)
-            + len(self.leading)
-            + len(self.repeating_entries)
-            + 2,
+        k = max(
+            max((c.tail_start for c in self.leading), default=0),
+            len(self.leading) + len(self.repeating_entries),
         )
-        validate_rule(self, rows)
+        validate_rule(self, k + 1)
 
     def column(self, i: int) -> Column:
         if i < len(self.leading):
@@ -309,12 +314,8 @@ class Perturbed(RewardRule):
             )
         if not self.label:
             object.__setattr__(self, "label", f"perturbed({self.base.label})")
-        rows = max(
-            ROW_CHECK_DEFAULT,
-            max((k for (_, k), _ in entries), default=0) + 2,
-            max((k0 for _, (k0, _) in tails), default=0) + 2,
-        )
-        validate_rule(self, rows)
+        cols = range(self._max_touched + 1)
+        validate_rule(self, max((self.column(i).tail_start for i in cols), default=0) + 1)
 
     def _deltas_for(self, i: int) -> tuple[tuple[tuple[int, int], float], ...]:
         return tuple(e for e in self.entries if e[0][0] == i)
@@ -472,20 +473,9 @@ def continuation_reward(
     if i < 0:
         raise DomainError(f"agent index must be >= 0, got {i}")
     col = rule.column(i)
-    pc = sr.probability(x.tail)
-    if pc >= 1.0:
-        raise DivergenceError("tail success probability >= 1; reward diverges")
     k_stable = max(col.tail_start, x.prefix_len, i + 1)
-    total = 0.0
-    reach = 1.0
-    for k in range(i + 1, k_stable):
-        pk = sr.probability(x.at(k))
-        total += reach * (1.0 - pk) * col.value(k)
-        reach *= pk
-        if reach == 0.0:
-            return total
-    base = col.value(k_stable)
-    return total + reach * (base + col.slope * pc / (1.0 - pc))
+    total, reach, pc = _reach_series(sr, x, i + 1, k_stable, col.value, stops=True)
+    return total + reach * (col.value(k_stable) + col.slope * pc / (1.0 - pc))
 
 
 def expected_payoff(
@@ -506,18 +496,9 @@ def implied_value(sr: SuccessRate, rule: RewardRule, x: ConstantTailProfile) -> 
     floors and incentives together account for exactly the value
     created); away from equilibrium the two can differ either way.
     """
-    pc = sr.probability(x.tail)
-    if pc >= 1.0:
-        raise DivergenceError("tail success probability >= 1; series diverges")
     j0 = max(rule.diagonal_stationary_from, x.prefix_len, 1)
-    total = rule.value(0, 0)
-    reach = 1.0
-    for j in range(1, j0):
-        reach *= sr.probability(x.at(j - 1))
-        total += reach * rule.value(j, j)
-    reach *= sr.probability(x.at(j0 - 1))
-    total += reach * rule.value(j0, j0) / (1.0 - pc)
-    return total + incentive_cost(sr, x)
+    total, reach, pc = _reach_series(sr, x, 0, j0, rule.diagonal)
+    return total + reach * rule.diagonal(j0) / (1.0 - pc) + incentive_cost(sr, x)
 
 
 def rule_from_config(kind: str, params: Mapping[str, float] | None = None) -> RewardRule:

@@ -219,6 +219,58 @@ class TestConfigFile:
         assert "error:" in err
 
 
+class TestMalformedInput:
+    """Malformed numbers and unwritable output are usage errors: exit 2, no traceback."""
+
+    def assert_usage_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_non_numeric_rule_parameter(self, capsys):
+        self.assert_usage_error(
+            capsys, "verify", "--rule", "kind=fixed_fraction,alpha=abc", "--profile", "tail=0.1"
+        )
+
+    def test_nan_rule_parameter(self, capsys):
+        self.assert_usage_error(
+            capsys, "verify", "--rule", "kind=next_step_bonus,beta=nan,gamma=0.1", "--profile", "tail=0.1"
+        )
+
+    def test_non_numeric_profile_tail(self, capsys):
+        self.assert_usage_error(
+            capsys, "verify", "--rule", "kind=equal_split", "--profile", "tail=zz"
+        )
+
+    def test_non_numeric_profile_prefix_entry(self, capsys):
+        self.assert_usage_error(
+            capsys, "verify", "--rule", "kind=equal_split", "--profile", "prefix=[0.1, x],tail=0.1"
+        )
+
+    def test_non_numeric_config_epsilon(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[rate]\nepsilon = half\n")
+        self.assert_usage_error(capsys, "optima", "--config", str(cfg))
+
+    def test_non_numeric_config_domain_cap(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[rate]\ndomain_cap = big\n")
+        self.assert_usage_error(capsys, "optima", "--config", str(cfg))
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        self.assert_usage_error(capsys, "optima", "--output", str(tmp_path / "missing" / "x"))
+
+    def test_output_file_receives_the_table(self, capsys, tmp_path):
+        path = tmp_path / "rows.tsv"
+        code, out, _ = run(
+            capsys, "rule", "print", "--rule", "kind=jackpot", "--rows", "3", "--output", str(path)
+        )
+        assert code == 0
+        assert out == ""
+        assert path.read_text() == "1.0\n2.0\t0.0\n1.0\t2.0\t0.0\n"
+
+
 class TestValidationPrintout:
     def test_advisory_line_on_stderr(self, capsys):
         code = main(["optima"])

@@ -1,0 +1,275 @@
+"""Property tests for rule validation and the reach-weighted series.
+
+Rule construction checks balance on a bounded block of rows and proves
+the rest structurally.  Here a brute-force scan of the first 256 rows
+decides the same question entry by entry, on random named rules, random
+balanced transfers, and copies corrupted at a random row up to 200: both
+must accept the clean rules and reject every corrupted one.
+
+The closed-form series (payoff functionals, continuation reward,
+implied value) are compared with explicit 2000-term truncated sums on
+random constant-tail profiles.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from seqinvest import (
+    ConstantTailProfile,
+    Mixture,
+    Perturbed,
+    RuleConstructionError,
+    continuation_reward,
+    equal_split,
+    fixed_fraction,
+    fixed_fraction_floor,
+    flat_continuation,
+    functionals,
+    implied_value,
+    jackpot,
+    next_step_bonus,
+    next_step_bonus_zero_initiator,
+    scaled_sqrt_ratio,
+    sqrt_ratio,
+)
+from seqinvest.rules import Column, StationaryColumnRule
+from conftest import three_tier_rule
+
+SCAN_ROWS = 256
+CORRUPT_ROWS = 200
+TERMS = 2000
+TOL = 1e-9
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+unit = st.floats(0.0, 1.0)
+stationary_rules = st.one_of(
+    st.just(equal_split()),
+    st.just(three_tier_rule()),
+    st.builds(fixed_fraction, unit),
+    st.builds(fixed_fraction_floor, unit, st.floats(0.0, 2.0)),
+    st.tuples(unit, unit).map(lambda ag: flat_continuation(ag[0], ag[0] * ag[1])),
+    st.builds(next_step_bonus, unit, unit),
+    st.builds(next_step_bonus_zero_initiator, unit, unit),
+)
+base_rules = st.one_of(
+    stationary_rules,
+    st.just(jackpot()),
+    st.builds(Mixture, unit, stationary_rules, st.one_of(stationary_rules, st.just(jackpot()))),
+)
+magnitudes = st.floats(1e-3, 1.0)
+
+
+def scan_ok(value) -> bool:
+    """Brute force: every entry ``value(i, k)`` of rows ``0..SCAN_ROWS``."""
+    for k in range(SCAN_ROWS + 1):
+        row = [value(i, k) for i in range(k + 1)]
+        if min(row) < -TOL or abs(sum(row) - (k + 1)) > TOL:
+            return False
+    return True
+
+
+def constructs(build) -> bool:
+    try:
+        build()
+    except RuleConstructionError:
+        return False
+    return True
+
+
+def column_value(column):
+    """``value(i, k)`` over the first columns of ``column(i)``, built once."""
+    cols = [column(i) for i in range(SCAN_ROWS + 1)]
+    return lambda i, k: cols[i].value(k)
+
+
+def spec_value(leading, entries, tail):
+    return column_value(lambda i: leading[i] if i < len(leading) else Column(i, entries, tail))
+
+
+def corrupt(rule: StationaryColumnRule, row: int, cells: dict[int, float], ramp: int | None = None):
+    """Structural spec of ``rule`` with ``cells[i]`` added to ``f(i, row)``;
+    with ``ramp`` given, column ``ramp`` also gains ``slope * (k - row)`` on
+    every row ``k >= row`` (the slope is ``cells[ramp]``, not a one-row change).
+
+    Every column up to the last touched one becomes an explicit leading
+    column; touched columns list their entries up to ``row`` and keep
+    their original tail beyond it.
+    """
+    leading = [rule.column(c) for c in range(max(len(rule.leading), max(cells) + 1))]
+    for c, delta in cells.items():
+        col = leading[c]
+
+        def change(k):
+            if c == ramp:
+                return delta * max(k - row, 0)
+            return delta if k == row else 0.0
+
+        # a ramp's tail starts at the row itself, where it is still exact
+        n = max(row + (c != ramp) - c, len(col.entries), 1)
+        values = tuple(col.value(c + t) + change(c + t) for t in range(n))
+        slope = col.slope + (delta if c == ramp else 0.0)
+        leading[c] = Column(c, values, col.value(c + n) + change(c + n), slope)
+    return tuple(leading), rule.repeating_entries, rule.repeating_tail
+
+
+@st.composite
+def row_corruptions(draw, rule):
+    """Arguments of :func:`corrupt`: an unbalanced change of one entry, a
+    balanced move that drives one entry negative, or a slope error that
+    starts at the row (zero there, off by the slope one row later)."""
+    row = draw(st.integers(0, CORRUPT_ROWS))
+    i = draw(st.integers(0, row))
+    signed = draw(magnitudes) * draw(st.sampled_from((-1.0, 1.0)))
+    kind = draw(st.sampled_from(("cell", "negative", "slope")))
+    if kind == "slope":
+        return row, {i: signed}, i
+    if kind == "cell" or row == 0:
+        return row, {i: signed}, None
+    j = draw(st.integers(0, row).filter(lambda j: j != i))
+    move = rule.value(i, row) + draw(magnitudes)
+    return row, {i: -move, j: move}, None
+
+
+class TestStructuralBalance:
+    @PROPERTY
+    @given(stationary_rules)
+    def test_named_rules_pass_both_checks(self, rule):
+        spec = rule.leading, rule.repeating_entries, rule.repeating_tail
+        assert scan_ok(spec_value(*spec))
+        assert constructs(lambda: StationaryColumnRule("copy", *spec))
+
+    @PROPERTY
+    @given(st.data())
+    def test_corrupted_rules_fail_both_checks(self, data):
+        rule = data.draw(stationary_rules)
+        spec = corrupt(rule, *data.draw(row_corruptions(rule)))
+        assert not scan_ok(spec_value(*spec))
+        assert not constructs(lambda: StationaryColumnRule("corrupt", *spec))
+
+    @PROPERTY
+    @given(st.data())
+    def test_clean_restatement_passes_both_checks(self, data):
+        # the same rewriting as a corruption, with a zero change: a rule
+        # with up to 200 explicit leading columns still validates
+        rule = data.draw(stationary_rules)
+        row = data.draw(st.integers(0, CORRUPT_ROWS))
+        spec = corrupt(rule, row, {data.draw(st.integers(0, row)): 0.0})
+        assert scan_ok(spec_value(*spec))
+        assert constructs(lambda: StationaryColumnRule("restated", *spec))
+
+
+def perturbed_value(base, entries, tails):
+    """Entry of ``Perturbed(base, entries, tails)`` summed from its parts."""
+    base_value = column_value(base.column)
+    cells = dict(entries)
+    shifts = dict(tails)
+
+    def value(i, k):
+        v = base_value(i, k) + cells.get((i, k), 0.0)
+        if i in shifts and k >= shifts[i][0]:
+            v += shifts[i][1]
+        return v
+
+    return value
+
+
+@st.composite
+def transfers(draw):
+    """A base rule with a balanced tail move between two columns and a
+    balanced entry move on one row, both sized to keep entries >= 0."""
+    base = draw(base_rules)
+    k0 = draw(st.integers(2, CORRUPT_ROWS))
+    c, d = draw(st.lists(st.integers(0, k0 - 1), min_size=2, max_size=2, unique=True))
+    col = base.column(c)
+    room = min(col.value(k) for k in range(k0, max(k0, col.tail_start) + 1))
+    shift = draw(unit) * room
+    tails = ((c, (k0, -shift)), (d, (k0, shift)))
+    row = draw(st.integers(1, CORRUPT_ROWS))
+    a, b = draw(st.lists(st.integers(0, row), min_size=2, max_size=2, unique=True))
+    move = draw(unit) * perturbed_value(base, (), tails)(a, row)
+    entries = (((a, row), -move), ((b, row), move))
+    return base, entries, tails
+
+
+class TestPerturbedBalance:
+    @PROPERTY
+    @given(transfers())
+    def test_balanced_transfers_pass_both_checks(self, spec):
+        base, entries, tails = spec
+        assert scan_ok(perturbed_value(*spec))
+        assert scan_ok(column_value(Perturbed(base, entries, tails).column))
+
+    @PROPERTY
+    @given(transfers(), magnitudes, st.sampled_from(("unbalanced", "negative", "tail")))
+    def test_corrupted_transfers_fail_both_checks(self, spec, excess, kind):
+        base, entries, tails = spec
+        ((a, row), _), ((b, _), _) = entries
+        if kind == "unbalanced":
+            entries = entries[:1] + (((b, row), entries[1][1] + excess),)
+        elif kind == "negative":
+            move = perturbed_value(base, (), tails)(a, row) + excess
+            entries = (((a, row), -move), ((b, row), move))
+        else:
+            (c, (k0, shift)), far = tails
+            tails = ((c, (k0, shift - excess)), far)
+        assert not scan_ok(perturbed_value(base, entries, tails))
+        assert not constructs(lambda: Perturbed(base, entries, tails))
+
+
+rates = st.sampled_from(
+    (sqrt_ratio(), scaled_sqrt_ratio(0.5), scaled_sqrt_ratio(0.7071067811865476))
+)
+investments = st.floats(0.0, 2.0)
+profiles = st.builds(ConstantTailProfile, st.lists(investments, max_size=5).map(tuple), investments)
+series_rules = st.one_of(
+    base_rules,
+    st.builds(
+        lambda rule, beta: Perturbed(
+            rule,
+            entries=(((0, 2), -beta * rule.value(0, 2)), ((1, 2), beta * rule.value(0, 2))),
+        ),
+        stationary_rules,
+        unit,
+    ),
+)
+
+
+def truncated(sr, x, start, weight):
+    """``sum_{j < start + TERMS} reach(start .. j - 1) * weight(j, p_j)``."""
+    total, reach = 0.0, 1.0
+    for j in range(start, start + TERMS):
+        pj = sr.probability(x.at(j))
+        total += reach * weight(j, pj)
+        reach *= pj
+    return total
+
+
+def close(a, b):
+    return a == pytest.approx(b, rel=1e-10, abs=1e-12)
+
+
+class TestSeriesKernel:
+    @PROPERTY
+    @given(rates, profiles)
+    def test_functionals_match_truncated_sums(self, sr, x):
+        got = functionals(sr, x)
+        value = truncated(sr, x, 0, lambda j, p: 1.0)
+        investment = truncated(sr, x, 0, lambda j, p: x.at(j))
+        assert close(got.value, value)
+        assert close(got.investment, investment)
+        assert close(got.welfare, value - investment)
+        cost = truncated(sr, x, 0, lambda j, p: sr.incentive_prize(x.at(j)))
+        assert close(got.incentive_cost, cost)
+
+    @PROPERTY
+    @given(rates, series_rules, profiles, st.integers(0, 6))
+    def test_continuation_reward_matches_truncated_sum(self, sr, rule, x, i):
+        expected = truncated(sr, x, i + 1, lambda k, p: (1.0 - p) * rule.value(i, k))
+        assert close(continuation_reward(sr, rule, x, i), expected)
+
+    @PROPERTY
+    @given(rates, series_rules, profiles)
+    def test_implied_value_matches_truncated_sum(self, sr, rule, x):
+        expected = truncated(sr, x, 0, lambda j, p: rule.value(j, j) + sr.incentive_prize(x.at(j)))
+        assert close(implied_value(sr, rule, x), expected)

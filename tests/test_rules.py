@@ -148,6 +148,13 @@ class TestConstruction:
                 entries=(((0, 2), 1.5), ((1, 2), -1.5)),  # drives f(1,2) below 0
             )
 
+    def test_nan_entries_rejected(self):
+        nan = float("nan")
+        with pytest.raises(RuleConstructionError):
+            flat_continuation(nan, 0.1)
+        with pytest.raises(RuleConstructionError):
+            Perturbed(equal_split(), entries=(((0, 2), nan), ((1, 2), -nan)))
+
     def test_tail_deltas_must_cancel(self):
         with pytest.raises(RuleConstructionError):
             Perturbed(equal_split(), column_tails=((0, (2, 0.25)),))
