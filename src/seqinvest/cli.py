@@ -451,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--max-chain-length", type=int, default=10_000, dest="max_chain_length")
+    p.add_argument("--max-chain-length", type=int, default=10_000, dest="max_chain_length",
+                   help="thinning steps before the exact geometric closure")
     p.add_argument("--payoff-horizon", type=int, default=8, dest="payoff_horizon")
     p.add_argument("--histogram", action="store_true")
     p.set_defaults(handler=_cmd_simulate)

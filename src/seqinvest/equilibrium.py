@@ -149,6 +149,13 @@ class EquilibriumReport:
         return tuple((c.agent, c.payoff) for c in self.checks)
 
 
+def _check_tol(tol: float) -> None:
+    # every residual comparison against a NaN tolerance is false, which
+    # would pass any profile
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
 def _column_floor_gap(rule: RewardRule, i: int) -> float:
     """min_j f(i, j) - f(i, i) over the structural column; negative means
     some continuation entry pays less than the stay-put payment."""
@@ -173,7 +180,9 @@ def check_agent(
     Interior agents must satisfy the first-order condition; zero
     investments need a non-positive net return; in self-financed mode an
     investment at the budget ``f(i, i)`` may leave excess return.
+    Raises :class:`DomainError` for a non-finite or negative ``tol``.
     """
+    _check_tol(tol)
     xi = x.at(i)
     fii = rule.value(i, i)
     t = continuation_reward(sr, rule, x, i) - fii
@@ -204,8 +213,10 @@ def verify_equilibrium(
     plus a representative tail agent and one further tail agent (the two
     must agree by stationarity; checking both asserts it).  In
     self-financed mode additionally enforces the budget ``x_i <= f(i,i)``
-    and the structural condition ``f(i, i) <= f(i, j)``.
+    and the structural condition ``f(i, i) <= f(i, j)``.  Raises
+    :class:`DomainError` for a non-finite or negative ``tol``.
     """
+    _check_tol(tol)
     stationary = rule.stationary_from
     if stationary is None:
         raise TailShapeError(

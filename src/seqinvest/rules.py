@@ -314,45 +314,48 @@ class Perturbed(RewardRule):
             )
         if not self.label:
             object.__setattr__(self, "label", f"perturbed({self.base.label})")
+        object.__setattr__(self, "_columns", self._touched_columns())
         cols = range(self._max_touched + 1)
         validate_rule(self, max((self.column(i).tail_start for i in cols), default=0) + 1)
 
-    def _deltas_for(self, i: int) -> tuple[tuple[tuple[int, int], float], ...]:
-        return tuple(e for e in self.entries if e[0][0] == i)
-
-    def _tail_for(self, i: int) -> tuple[int, float] | None:
-        for j, t in self.column_tails:
-            if j == i:
-                return t
-        return None
+    def _touched_columns(self) -> dict[int, Column]:
+        """Each column with a delta, built once: base entries plus deltas."""
+        deltas: dict[int, list[tuple[int, float]]] = {}
+        for (i, k), v in self.entries:
+            deltas.setdefault(i, []).append((k, v))
+        tails: dict[int, tuple[int, float]] = {}
+        for i, t in self.column_tails:
+            tails.setdefault(i, t)  # a column's first tail delta applies
+            deltas.setdefault(i, [])
+        columns = {}
+        for i, column_deltas in deltas.items():
+            base = self.base.column(i)
+            tail = tails.get(i)
+            far = max(
+                base.tail_start,
+                max((k for k, _ in column_deltas), default=0) + 1,
+                tail[0] + 1 if tail else 0,
+            )
+            n = far - i
+            values = [base.value(i + t) for t in range(n)]
+            for k, v in column_deltas:
+                values[k - i] += v
+            tail_delta = 0.0
+            if tail is not None:
+                k0, v = tail
+                tail_delta = v
+                for t in range(k0 - i, n):
+                    values[t] += v
+            columns[i] = Column(i, tuple(values), base.value(i + n) + tail_delta, base.slope)
+        return columns
 
     def column(self, i: int) -> Column:
-        base = self.base.column(i)
-        deltas = self._deltas_for(i)
-        tail = self._tail_for(i)
-        if not deltas and tail is None:
-            return base
-        far = max(
-            base.tail_start,
-            max((k for (_, k), _ in deltas), default=0) + 1,
-            tail[0] + 1 if tail else 0,
-        )
-        n = far - i
-        values = [base.value(i + t) for t in range(n)]
-        for (_, k), v in deltas:
-            values[k - i] += v
-        tail_delta = 0.0
-        if tail is not None:
-            k0, v = tail
-            tail_delta = v
-            for t in range(k0 - i, n):
-                values[t] += v
-        return Column(i, tuple(values), base.value(i + n) + tail_delta, base.slope)
+        col = self._columns.get(i)
+        return self.base.column(i) if col is None else col
 
     @property
     def _max_touched(self) -> int:
-        cols = [i for (i, _), _ in self.entries] + [i for i, _ in self.column_tails]
-        return max(cols, default=-1)
+        return max(self._columns, default=-1)
 
     @property
     def stationary_from(self) -> int | None:

@@ -5,9 +5,20 @@ Each episode walks the chain: agent ``j`` succeeds with probability
 ``k + 1`` is split by the rule's row ``k``, and every reached agent has
 sunk their investment.  Because the profile and rule are deterministic,
 every per-episode statistic is a function of the terminal index alone,
-so the engine simulates in vectorized "waves" (one uniform draw per
-still-active episode per step) and aggregates exactly from the
-terminal-index histogram.
+so the engine samples only the terminal-index histogram and aggregates
+exactly from it.
+
+The histogram is sampled by binomial thinning: of the ``n`` episodes
+still running at agent ``j``, ``Binomial(n, p(x_j))`` succeed and the
+rest stop at ``j``.  That is the law of ``n`` independent walks, at the
+cost of one draw per step whatever the episode count.  Thinning runs for
+``max(max_chain_length, prefix length)`` steps at most.  Every survivor
+is then inside the constant tail, where its remaining length is an
+independent geometric variable with success probability ``p_tail``, so
+one geometric draw per survivor closes the histogram exactly: no episode
+is discarded or truncated, and ``discarded`` is always 0.  Only a tail
+that never fails (``p_tail == 1``) or chains too long to tabulate raise
+:class:`ChainCapError`.
 
 Randomness comes from counter-based Philox streams.  Shards draw from
 generators spawned off one seed sequence (``SeedSequence(seed).spawn``),
@@ -15,10 +26,6 @@ so they are independent by construction without communication, and the
 merge -- summing histograms -- is associative and deterministic given
 the shard plan.  Identical seed and configuration reproduce summaries
 bit for bit.
-
-Episodes that outlive the safety cap are discarded (with the count
-reported), never truncated, since truncation would bias the means; under
-a capped rate the discard probability is at most ``(1 - eps)**cap``.
 """
 
 from __future__ import annotations
@@ -33,10 +40,20 @@ from .profiles import ConstantTailProfile
 from .rates import SuccessRate
 from .rules import RewardRule
 
+# Longest terminal index the histogram may hold (a dense int64 array).
+_HISTOGRAM_LIMIT = 1 << 22
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Engine parameters; the profile and rule are passed alongside."""
+    """Engine parameters; the profile and rule are passed alongside.
+
+    ``max_chain_length`` is the number of binomial thinning steps before
+    the exact geometric closure takes over (raised to the profile's
+    prefix length when shorter); it bounds the work per shard, not the
+    simulated chains.  ``payoff_horizon`` is the last agent whose payoff
+    is reported.
+    """
 
     episodes: int = 1_000_000
     seed: int = 0
@@ -102,8 +119,7 @@ def run_episode(
     """One chain realization: terminal index and payoffs of agents ``<= k``.
 
     Agent ``j`` succeeds iff the next uniform draw is below ``p(x_j)``.
-    Raises :class:`ChainCapError` past the safety cap so callers can
-    discard (the engine reports the discard count instead of truncating).
+    Raises :class:`ChainCapError` past the safety cap.
     """
     j = 0
     while True:
@@ -116,6 +132,13 @@ def run_episode(
     return j, payoffs
 
 
+def _probability(sr: SuccessRate, x: float) -> float:
+    p = sr.probability(x)
+    if not 0.0 <= p <= 1.0:  # also rejects NaN
+        raise DomainError(f"{sr.name}: p({x:g}) = {p!r} is not a probability")
+    return p
+
+
 def _shard_histogram(
     sr: SuccessRate,
     profile: ConstantTailProfile,
@@ -123,17 +146,34 @@ def _shard_histogram(
     rng: np.random.Generator,
     max_chain_length: int,
 ) -> tuple[np.ndarray, int]:
-    """Counts of episodes by terminal index, plus the discard count."""
+    """Counts of episodes by terminal index, plus the discard count (0)."""
+    p_tail = _probability(sr, profile.tail)
+    steps = max(max_chain_length, profile.prefix_len)
     counts: list[int] = []
     remaining = episodes
     step = 0
-    while remaining > 0 and step < max_chain_length:
-        u = rng.random(remaining)
-        successes = int(np.count_nonzero(u < sr.probability(profile.at(step))))
+    while remaining > 0 and step < steps:
+        p = _probability(sr, profile.prefix[step]) if step < profile.prefix_len else p_tail
+        successes = int(rng.binomial(remaining, p))
         counts.append(remaining - successes)
         remaining = successes
         step += 1
-    return np.asarray(counts, dtype=np.int64), remaining
+    hist = np.asarray(counts, dtype=np.int64)
+    if remaining == 0:
+        return hist, 0
+    if p_tail == 1.0:
+        raise ChainCapError(
+            f"{remaining} chains outlive {steps} steps and the tail never fails"
+        )
+    # agents tried until the first failure, the failing one included
+    tries = rng.geometric(1.0 - p_tail, remaining)
+    longest = steps - 1 + int(tries.max())
+    if longest >= _HISTOGRAM_LIMIT:
+        raise ChainCapError(
+            f"a chain ends at agent {longest}, past the histogram limit "
+            f"{_HISTOGRAM_LIMIT} (tail success probability {p_tail!r})"
+        )
+    return np.concatenate([hist, np.bincount(tries - 1)]), 0
 
 
 def _rngs(config: SimulationConfig) -> list[np.random.Generator]:
@@ -150,7 +190,7 @@ def _shard_sizes(episodes: int, shards: int) -> list[int]:
 def terminal_histogram(
     sr: SuccessRate, profile: ConstantTailProfile, config: SimulationConfig
 ) -> tuple[np.ndarray, int]:
-    """Merged terminal-index histogram over all shards, plus discards."""
+    """Merged terminal-index histogram over all shards, plus discards (0)."""
     sizes = _shard_sizes(config.episodes, config.shards)
     merged = np.zeros(0, dtype=np.int64)
     discarded = 0
@@ -172,7 +212,7 @@ def terminal_histogram(
 def terminal_samples(
     sr: SuccessRate, profile: ConstantTailProfile, config: SimulationConfig
 ) -> np.ndarray:
-    """Terminal indices of the kept episodes, expanded from the histogram."""
+    """Terminal indices of all episodes, expanded from the histogram."""
     hist, _ = terminal_histogram(sr, profile, config)
     return np.repeat(np.arange(hist.size), hist)
 
@@ -196,10 +236,13 @@ def summarize(
 ) -> SimulationSummary:
     """Simulate and aggregate; deterministic given the configuration."""
     hist, discarded = terminal_histogram(sr, profile, config)
-    kept = int(hist.sum())
+    episodes = int(hist.sum())
     kmax = hist.size - 1
     ks = np.arange(hist.size, dtype=np.float64)
-    investments = np.cumsum([profile.at(j) for j in range(hist.size)])
+    head = profile.prefix[: hist.size]
+    investments = np.cumsum(
+        np.concatenate([head, np.full(hist.size - len(head), profile.tail)])
+    )
 
     terminal = _stat(hist, ks)
     value = Stat(terminal.mean + 1.0, terminal.se)
@@ -209,19 +252,21 @@ def summarize(
     payoffs = []
     for i in range(min(config.payoff_horizon, kmax) + 1):
         sub = hist[i:]
-        rewards = np.array(
-            [rule.value(i, k) for k in range(i, hist.size)], dtype=np.float64
-        )
+        # rule.value(i, k) for k >= i: the column's entries, then its tail
+        col = rule.column(i)
+        entries = col.entries[: sub.size]
+        extra = np.arange(sub.size - len(entries), dtype=np.float64)
+        rewards = np.concatenate([entries, col.tail + col.slope * extra])
         stat = _stat(sub, rewards - profile.at(i))
         payoffs.append(PayoffStat(i, int(sub.sum()), stat.mean, stat.se))
 
     return SimulationSummary(
-        episodes=kept,
+        episodes=episodes,
         discarded=discarded,
         terminal_index=terminal,
         total_value=value,
         total_investment=investment,
         welfare=welfare,
         payoffs=tuple(payoffs),
-        histogram=tuple(int(n) for n in hist),
+        histogram=tuple(hist.tolist()),
     )

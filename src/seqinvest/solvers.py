@@ -4,16 +4,25 @@ Every scalar solve in the library goes through these derivative-free
 routines.  The functions being solved are monotone crossings or
 single-peaked maxima, for which bracketing is robust even next to the
 steep-at-zero boundary of the success rate.
+
+A NaN from ``f`` raises :class:`DomainError`: every comparison with it
+is false, so read as a sign it would silently steer the bracket.  An
+infinite value keeps its sign meaning.  The NaN tests sit in the branch
+a NaN falls into, not in front of every evaluation.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .errors import BracketError
+from .errors import BracketError, DomainError
 
 _INV_PHI = 0.6180339887498949  # (sqrt(5) - 1) / 2
 _INV_PHI2 = 0.3819660112501051  # (3 - sqrt(5)) / 2
+
+
+def _nan_error(x: float) -> DomainError:
+    return DomainError(f"f({x!r}) is NaN")
 
 
 def expand_bracket(
@@ -27,7 +36,8 @@ def expand_bracket(
 ) -> tuple[float, float]:
     """Grow ``hi`` geometrically until ``f`` changes sign on ``[lo, hi]``.
 
-    Raises :class:`BracketError` if no sign change is found before ``limit``.
+    Raises :class:`BracketError` if no sign change is found before ``limit``
+    and :class:`DomainError` if ``f`` returns NaN.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -42,6 +52,8 @@ def expand_bracket(
         hi = min(hi * grow, limit)
         fhi = f(hi)
         steps += 1
+    if flo != flo or fhi != fhi:  # a NaN ends the loop above like a sign change
+        raise _nan_error(lo if flo != flo else hi)
     return lo, hi
 
 
@@ -60,17 +72,21 @@ def bisect(
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    if not flo * fhi <= 0.0:
+        if flo != flo or fhi != fhi:
+            raise _nan_error(lo if flo != flo else hi)
         raise BracketError(f"f({lo:g}) and f({hi:g}) have the same sign")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
-        if fmid == 0.0:
-            return mid
         if flo * fmid < 0.0:
             hi = mid
-        else:
+        elif fmid == 0.0:
+            return mid
+        elif fmid == fmid:
             lo, flo = mid, fmid
+        else:
+            raise _nan_error(mid)
         if hi - lo <= xtol:
             break
     return 0.5 * (lo + hi)
@@ -86,7 +102,8 @@ def golden_max(
     """Maximizer of a single-peaked ``f`` on ``[lo, hi]``.
 
     Returns ``(x, f(x), bracket_width)``; only valid when ``f`` rises then
-    falls at most once on the interval.
+    falls at most once on the interval.  Raises :class:`DomainError` if
+    ``f`` returns NaN.
     """
     a, b = lo, hi
     c = a + _INV_PHI2 * (b - a)
@@ -98,9 +115,14 @@ def golden_max(
             b, d, fd = d, c, fc
             c = a + _INV_PHI2 * (b - a)
             fc = f(c)
-        else:
+        elif fc <= fd:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = f(d)
+        else:
+            raise _nan_error(c if fc != fc else d)
     x = 0.5 * (a + b)
-    return x, f(x), b - a
+    fx = f(x)
+    if fx != fx:
+        raise _nan_error(x)
+    return x, fx, b - a

@@ -160,6 +160,22 @@ class TestSimulate:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    def test_capped_chains_closed_without_discards(self, capsys):
+        # p(1e5) ~ 0.9968: most chains outlive 50 thinning steps
+        code, out, _ = run(
+            capsys,
+            "simulate",
+            "--rule", "kind=equal_split",
+            "--profile", "tail=1e5",
+            "--max-chain-length", "50",
+            "--episodes", "1000",
+            "--seed", "3",
+        )
+        assert code == 0
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines() if line.strip()}
+        assert rows["discarded"] == ["0"]
+        assert rows["episodes"] == ["1000"]
+
     def test_histogram_flag(self, capsys, oracle):
         code, out, _ = run(
             capsys,
@@ -257,6 +273,12 @@ class TestMalformedInput:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[rate]\ndomain_cap = big\n")
         self.assert_usage_error(capsys, "optima", "--config", str(cfg))
+
+    def test_nan_tolerance(self, capsys):
+        # a NaN tolerance used to pass every residual check: verdict Supported
+        self.assert_usage_error(
+            capsys, "verify", "--rule", "kind=equal_split", "--profile", "tail=0.01", "--tol-eq", "nan"
+        )
 
     def test_unwritable_output(self, capsys, tmp_path):
         self.assert_usage_error(capsys, "optima", "--output", str(tmp_path / "missing" / "x"))

@@ -1,5 +1,7 @@
 """Best responses, verification, bounds, dynamics, and rule synthesis."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from seqinvest import (
     UnboundedRatioError,
     best_response,
     best_response_dynamics,
+    check_agent,
     constant_profile,
     constant_support_check,
     continuation_reward,
+    custom_rate,
     equal_split,
     expected_value,
     fixed_fraction,
@@ -56,6 +60,16 @@ class TestInvestmentForReturn:
     def test_unattainable_target(self, sr):
         with pytest.raises(UnboundedRatioError):
             investment_for_return(sr, sr.required_return(sr.domain_cap) * 1.01)
+
+    def test_nan_marginal_raises(self, sr):
+        # p' is NaN above 0.3: the bisection used to read NaN as "same
+        # sign" and drift to the bracket end, returning about 1.0
+        def p_prime(x):
+            return math.nan if x > 0.3 else sr.marginal(x)
+
+        rate = custom_rate("nan_above", sr.probability, p_prime)
+        with pytest.raises(DomainError):
+            investment_for_return(rate, 1.0)
 
 
 class TestBestResponse:
@@ -115,6 +129,16 @@ class TestVerify:
     def test_jackpot_tail_never_stabilizes(self, sr):
         with pytest.raises(TailShapeError):
             verify_equilibrium(sr, jackpot(), constant_profile(0.1))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+    def test_bad_tolerance_rejected(self, sr, tol):
+        # every residual comparison against a NaN tolerance is false, so
+        # verification used to call a far-off profile Supported
+        x = constant_profile(0.01)
+        with pytest.raises(DomainError):
+            verify_equilibrium(sr, equal_split(), x, tol=tol)
+        with pytest.raises(DomainError):
+            check_agent(sr, equal_split(), x, 1, tol=tol)
 
     def test_payoffs_reported(self, sr, oracle):
         report = verify_equilibrium(sr, equal_split(), constant_profile(oracle.c_star))

@@ -1,24 +1,33 @@
 """Monte Carlo engine: distribution, consistency with closed forms,
-reproducibility, and shard independence."""
+exact closure past the thinning cap, reproducibility, and shard
+independence."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from seqinvest import (
     ChainCapError,
+    ConstantTailProfile,
+    DomainError,
     SimulationConfig,
     constant_profile,
+    custom_rate,
     equal_split,
     expected_investment,
     expected_payoff,
     expected_value,
     expected_welfare,
+    fixed_fraction,
     run_episode,
     summarize,
     terminal_histogram,
     terminal_samples,
 )
+from seqinvest.simulate import _stat
 
 
 class TestRunEpisode:
@@ -133,19 +142,111 @@ class TestSharding:
 
 
 class TestDiscards:
-    def test_long_chains_discarded_and_counted(self, sr):
-        # p(10) ~ 0.76: with a cap of 3 steps many episodes outlive it
+    def test_long_chains_closed_without_discards(self, sr):
+        # p(10) ~ 0.76: with 3 thinning steps many episodes outlive them,
+        # and the geometric closure places them exactly
         config = SimulationConfig(episodes=5_000, seed=11, max_chain_length=3)
         profile = constant_profile(10.0)
         summary = summarize(sr, profile, equal_split(), config)
-        assert summary.discarded > 0
-        assert summary.episodes + summary.discarded == config.episodes
-        assert len(summary.histogram) <= 3
+        assert summary.discarded == 0
+        assert summary.episodes == config.episodes
+        assert len(summary.histogram) > 3
+        hist = np.asarray(summary.histogram)
+        p = sr.probability(10.0)
+        n = hist.sum()
+        # every bin up to the cut, the rest of the histogram in one bin
+        cut = 15
+        observed = np.concatenate([hist[:cut], [hist[cut:].sum()]])
+        expected = np.array([n * (1 - p) * p**j for j in range(cut)] + [n * p**cut])
+        assert stats.chisquare(observed, expected).pvalue > 0.001
+
+    def test_capped_long_chains_match_closed_forms(self, sr):
+        # p(1e5) ~ 0.9968, mean chain ~317: 50 thinning steps leave most
+        # episodes to the closure, which must not bias any mean
+        config = SimulationConfig(episodes=100_000, seed=50, max_chain_length=50)
+        profile = constant_profile(1e5)
+        rule = equal_split()
+        summary = summarize(sr, profile, rule, config)
+        assert summary.discarded == 0
+        checks = [
+            (summary.total_value, expected_value(sr, profile)),
+            (summary.total_investment, expected_investment(sr, profile)),
+            (summary.welfare, expected_welfare(sr, profile)),
+        ] + [(summary.payoffs[i], expected_payoff(sr, rule, profile, i)) for i in (0, 1, 2)]
+        for stat, truth in checks:
+            assert abs(stat.mean - truth) <= 4.0 * stat.se
 
     def test_histogram_counts_match_episode_count(self, sr, ex5_rule, ex5_profile):
         config = SimulationConfig(episodes=20_000, seed=13)
         summary = summarize(sr, ex5_profile, ex5_rule, config)
         assert sum(summary.histogram) == summary.episodes
+
+
+class TestAggregation:
+    @pytest.mark.parametrize("case", ["three_tier", "affine_tail"])
+    def test_matches_scalar_reaggregation(self, sr, ex5_rule, ex5_profile, case):
+        # the vectorized sums equal a re-aggregation through rule.value
+        if case == "three_tier":
+            rule, profile = ex5_rule, ex5_profile
+        else:
+            rule, profile = fixed_fraction(0.7), ConstantTailProfile((0.0994,), 0.0264)
+        config = SimulationConfig(episodes=30_000, seed=23, payoff_horizon=6)
+        summary = summarize(sr, profile, rule, config)
+        hist = np.asarray(summary.histogram)
+        investments = np.cumsum([profile.at(j) for j in range(hist.size)])
+        assert summary.total_investment == _stat(hist, investments)
+        assert len(summary.payoffs) == min(7, hist.size)
+        for pay in summary.payoffs:
+            i = pay.agent
+            rewards = np.array([rule.value(i, k) for k in range(i, hist.size)])
+            stat = _stat(hist[i:], rewards - profile.at(i))
+            assert pay.reached == hist[i:].sum()
+            # exact equality, NaN standard errors (one episode) included
+            np.testing.assert_equal((pay.mean, pay.se), (stat.mean, stat.se))
+
+
+class TestBadRates:
+    @pytest.mark.parametrize("p_tail", [1.0, 1.0 - 1e-12])
+    def test_tail_that_never_fails(self, p_tail):
+        # p_tail == 1 has no geometric closure; 1 - 1e-12 would need a
+        # histogram of ~1e12 rows
+        rate = custom_rate("sticky", lambda x: p_tail if x > 0.0 else 0.0, lambda x: 0.0)
+        config = SimulationConfig(episodes=100, seed=1, max_chain_length=5)
+        with pytest.raises(ChainCapError):
+            summarize(rate, constant_profile(1.0), equal_split(), config)
+
+    @pytest.mark.parametrize("p", [math.nan, 1.5, -0.25])
+    def test_probability_outside_unit_interval(self, sr, p):
+        bad = custom_rate("bad", lambda x: p if x > 0.5 else sr.probability(x), sr.marginal)
+        config = SimulationConfig(episodes=100, seed=1)
+        with pytest.raises(DomainError):
+            summarize(bad, ConstantTailProfile((1.0,), 0.1), equal_split(), config)
+        with pytest.raises(DomainError):
+            summarize(bad, constant_profile(1.0), equal_split(), config)
+
+
+class TestEngineProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        episodes=st.integers(1, 5_000),
+        shards=st.integers(1, 4),
+        cap=st.integers(1, 20),
+        prefix=st.lists(st.floats(0.0, 50.0), min_size=0, max_size=3),
+        tail=st.floats(0.0, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_episode_counted_and_reproducible(
+        self, sr, episodes, shards, cap, prefix, tail, seed
+    ):
+        profile = ConstantTailProfile(tuple(prefix), tail)
+        config = SimulationConfig(
+            episodes=episodes, seed=seed, max_chain_length=cap, shards=shards
+        )
+        summary = summarize(sr, profile, equal_split(), config)
+        assert sum(summary.histogram) == episodes
+        assert summary.episodes == episodes
+        assert summary.discarded == 0
+        assert summarize(sr, profile, equal_split(), config) == summary
 
 
 class TestPayoffConditioning:

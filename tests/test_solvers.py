@@ -1,0 +1,58 @@
+"""Bracketing solvers: NaN from the objective fails loudly, infinities keep their sign."""
+
+import math
+
+import pytest
+
+from seqinvest import BracketError, DomainError
+from seqinvest.solvers import bisect, expand_bracket, golden_max
+
+
+def nan_above(limit, f):
+    return lambda x: math.nan if x > limit else f(x)
+
+
+class TestBisect:
+    def test_nan_endpoint(self):
+        with pytest.raises(DomainError):
+            bisect(nan_above(0.9, lambda x: x - 0.5), 0.0, 1.0)
+        with pytest.raises(DomainError):
+            bisect(lambda x: math.nan if x == 0.0 else x - 0.5, 0.0, 1.0)
+
+    def test_nan_inside_the_bracket(self):
+        f = lambda x: math.nan if 0.3 < x < 0.9 else x - 0.95
+        with pytest.raises(DomainError):
+            bisect(f, 0.0, 1.0)
+
+    def test_infinite_value_keeps_its_sign(self):
+        f = lambda x: -math.inf if x == 0.0 else x - 0.25
+        assert bisect(f, 0.0, 1.0) == pytest.approx(0.25, abs=1e-12)
+
+    def test_same_sign_is_still_a_bracket_error(self):
+        with pytest.raises(BracketError):
+            bisect(lambda x: x + 1.0, 0.0, 1.0)
+
+
+class TestExpandBracket:
+    def test_nan_on_growth(self):
+        with pytest.raises(DomainError):
+            expand_bracket(nan_above(3.0, lambda x: x - 10.0), 0.0, 1.0, limit=100.0)
+
+    def test_nan_at_the_low_end(self):
+        with pytest.raises(DomainError):
+            expand_bracket(lambda x: math.nan if x == 0.0 else x - 0.5, 0.0, 1.0, limit=100.0)
+
+    def test_infinite_value_keeps_its_sign(self):
+        f = lambda x: -math.inf if x == 0.0 else x - 3.0
+        assert expand_bracket(f, 0.0, 1.0, limit=100.0) == (0.0, 4.0)
+
+
+class TestGoldenMax:
+    def test_nan_in_the_loop(self):
+        with pytest.raises(DomainError):
+            golden_max(nan_above(0.7, lambda x: -(x - 0.6) ** 2), 0.0, 1.0)
+
+    def test_infinite_value_keeps_its_meaning(self):
+        x, fx, _ = golden_max(lambda x: -math.inf if x > 0.8 else -(x - 0.3) ** 2, 0.0, 1.0)
+        assert x == pytest.approx(0.3, abs=1e-8)
+        assert fx == pytest.approx(0.0, abs=1e-12)
