@@ -9,7 +9,8 @@ order condition is
 with the corner ``x_i = 0`` optimal whenever ``R_i <= f(i, i)``.  Since
 ``required_return`` is strictly increasing, a best response is the
 inverse image of the net return, which is what
-:func:`investment_for_return` computes by bracketing.
+:func:`investment_for_return` computes: in closed form for the built-in
+rate families, by bracketing for custom rates.
 
 A rule *supports* a profile when every agent's investment is a best
 response; :func:`verify_equilibrium` checks the condition for every
@@ -69,7 +70,9 @@ class Mode(enum.Enum):
 def investment_for_return(sr: SuccessRate, t: float) -> float:
     """The investment whose required return equals ``t`` (0 for ``t <= 0``).
 
-    Bracket-doubles from ``[0, 1]`` and bisects to ``1e-12``; raises
+    Uses the rate's closed-form inverse when it has one (the built-in
+    families), clipped to the domain cap against rounding; otherwise
+    bracket-doubles from ``[0, 1]`` and bisects to ``1e-12``.  Raises
     :class:`UnboundedRatioError` when ``t`` exceeds the ratio at the
     rate's domain cap.
     """
@@ -82,6 +85,8 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
         raise UnboundedRatioError(
             f"no investment below {sr.domain_cap:g} attains return {t:g}"
         )
+    if sr._return_inverse is not None:
+        return min(sr._return_inverse(t), sr.domain_cap)
 
     def gap(x: float) -> float:
         return sr.required_return(x) - t

@@ -23,12 +23,15 @@ incentive cost:
   Supported by a fixed-fraction-with-floor rule whose floor equals the
   tail investment.
 
-Every solve uses bracketing only (bisection on a monotone crossing or a
-sign-changing derivative inside a golden-section bracket); the searched
-functions are single-peaked, which is established by the same curvature
-argument for all of them (``(1 - h) / (1 - p)`` with ``h`` convex rises
-then falls at most once).  The self-financed reduced objective has no
-such guarantee, so its golden-section stage is seeded with a grid scan.
+Every solve uses bracketing (bisection on a monotone crossing or a
+sign-changing derivative inside a golden-section bracket), apart from
+inverting the required return, which the built-in rate families do in
+closed form (see :func:`seqinvest.equilibrium.investment_for_return`).
+The searched functions are single-peaked, which is established by the
+same curvature argument for all of them (``(1 - h) / (1 - p)`` with
+``h`` convex rises then falls at most once).  The self-financed reduced
+objective has no such guarantee, so its golden-section stage is seeded
+with a grid scan.
 """
 
 from __future__ import annotations
@@ -99,7 +102,9 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
 
     Welfare over constants rises through the whole supportable band
     ``[0, c_star]`` (the first best lies beyond it), so the boundary
-    point is the optimum, and the equal split supports it.
+    point is the optimum, and the equal split supports it.  For ``p > 0``
+    the prize ``p / p'`` equals ``p`` exactly where ``p' = 1``, so
+    ``c_star`` is the investment with required return 1.
     """
     c_fb = first_best_investment(sr)
 
@@ -111,7 +116,7 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
             "prize >= probability arbitrarily close to zero; the rate "
             "violates the steep-at-zero assumption"
         )
-    c_star = bisect(gap, _EDGE, c_fb)
+    c_star = investment_for_return(sr, 1.0)
     profile = constant_profile(c_star)
     rule = equal_split()
     report = verify_equilibrium(sr, rule, profile)
@@ -236,7 +241,7 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
 
     def slope(c: float) -> float:
         # chain rule through the active constraint; exact up to the
-        # bracketing tolerance of the inner inversion
+        # tolerance of the inner inversion
         x0 = x0_of(c)
         dx0 = _self_financed_ratio_slope(sr, c) / _return_ratio_slope(sr, x0)
         pc = sr.probability(c)

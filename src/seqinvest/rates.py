@@ -25,6 +25,14 @@ Built-in families:
 * custom rates: user-supplied ``p`` and ``p'``; the prize is derived and
   its slope falls back to a central finite difference.
 
+Both built-in families also invert the required return in closed form:
+``required_return(x) = 2 s (1 + s)^2 / (1 - eps)`` with ``s = sqrt(x)``,
+so the investment for a return ``t`` is the square of the one real root
+of ``s (1 + s)^2 = t (1 - eps) / 2`` (Cardano, then one Newton step).
+Custom rates invert by bracketing and bisection.  Like the closed-form
+prize, the inverse is trusted in place of ``p'``, so it must stay
+consistent with ``_p_prime``.
+
 Rates are immutable after construction and safe to share across workers.
 Validation (:func:`validate`) is advisory: solvers accept unvalidated
 rates, and a rate that violates the assumptions is reported, not
@@ -64,6 +72,28 @@ def _sqrt_prize_slope(x: float) -> float:
     return 2.0 + 3.0 * math.sqrt(x)
 
 
+def _sqrt_investment(k: float) -> float:
+    """``x = s^2`` where ``s (1 + s)^2 = k``, for ``k > 0``.
+
+    With ``u = 1 + s`` this is the cubic ``u^3 - u^2 - k = 0``, whose one
+    real root Cardano gives as ``1/3 + a + 1 / (9 a)``.  That form cancels
+    for small ``k``, where ``s = k`` is already a close start instead;
+    one Newton step then brings either start to rounding level.
+    """
+    if k < 1e-8:
+        s = k
+    else:
+        root_disc = math.sqrt(k) * math.sqrt(1.0 / 27.0 + 0.25 * k)
+        a = (1.0 / 27.0 + 0.5 * k + root_disc) ** (1.0 / 3.0)
+        s = a + 1.0 / (9.0 * a) - 2.0 / 3.0
+    s -= (s * (1.0 + s) ** 2 - k) / ((1.0 + s) * (1.0 + 3.0 * s))
+    return s * s
+
+
+def _sqrt_return_inverse(t: float) -> float:
+    return _sqrt_investment(0.5 * t)
+
+
 @dataclass(frozen=True)
 class SuccessRate:
     """An investment-to-success-probability map with its derived quantities.
@@ -81,6 +111,7 @@ class SuccessRate:
     _p_prime: Callable[[float], float] = field(repr=False)
     _prize: Callable[[float], float] | None = field(default=None, repr=False)
     _prize_slope: Callable[[float], float] | None = field(default=None, repr=False)
+    _return_inverse: Callable[[float], float] | None = field(default=None, repr=False)
 
     def _check(self, x: float, *, positive: bool = False) -> float:
         x = float(x)
@@ -147,7 +178,7 @@ def sqrt_ratio(domain_cap: float = DEFAULT_DOMAIN_CAP) -> SuccessRate:
     """The reference family ``p(x) = sqrt(x) / (1 + sqrt(x))`` (cap 0)."""
     return SuccessRate(
         "sqrt_ratio", 0.0, domain_cap,
-        _sqrt_p, _sqrt_p_prime, _sqrt_prize, _sqrt_prize_slope,
+        _sqrt_p, _sqrt_p_prime, _sqrt_prize, _sqrt_prize_slope, _sqrt_return_inverse,
     )
 
 
@@ -165,9 +196,12 @@ def scaled_sqrt_ratio(
     def p_prime(x: float) -> float:
         return scale * _sqrt_p_prime(x)
 
+    def return_inverse(t: float) -> float:
+        return _sqrt_investment(0.5 * scale * t)
+
     return SuccessRate(
         f"scaled_sqrt_ratio(eps={epsilon:g})", epsilon, domain_cap,
-        p, p_prime, _sqrt_prize, _sqrt_prize_slope,
+        p, p_prime, _sqrt_prize, _sqrt_prize_slope, return_inverse,
     )
 
 
@@ -250,7 +284,8 @@ class ValidationReport:
             status = "pass" if c.passed else "FAIL"
             extra = ""
             if not c.passed and c.worst_x is not None:
-                extra = f"  worst at x={c.worst_x:.6g} ({c.worst_value:.6g})"
+                value = "n/a" if c.worst_value is None else f"{c.worst_value:.6g}"
+                extra = f"  worst at x={c.worst_x:.6g} ({value})"
             out.append(f"{status}  {c.name}{extra}")
         return out
 
@@ -290,7 +325,7 @@ def validate(
     try:
         p0 = sr.probability(0.0)
         checks.append(
-            CheckResult("starts_at_zero", abs(p0) <= 1e-12, 0.0, p0)
+            CheckResult("starts_at_zero", bool(abs(p0) <= 1e-12), 0.0, p0)
         )
     except Exception as exc:  # pragma: no cover - defensive
         checks.append(CheckResult("starts_at_zero", False, 0.0, None, str(exc)))
@@ -301,45 +336,37 @@ def validate(
     else:
         checks.append(CheckResult("evaluable", True))
 
-    def worst_index(arr: np.ndarray, highest: bool) -> int:
-        if arr.size == 0 or np.isnan(arr).all():
-            return 0
-        return int(np.nanargmax(arr) if highest else np.nanargmin(arr))
+    def grid_check(
+        name: str, values: np.ndarray, ok: np.ndarray, source: np.ndarray, *,
+        highest: bool = False, shift: int = 0,
+    ) -> CheckResult:
+        # ``values[j]`` belongs to grid point ``j + shift``; ``ok`` is the
+        # elementwise verdict.  When only NaN values fail, the check is
+        # blamed on the first grid point where ``source`` (the evaluations
+        # the values derive from) is not finite.
+        nan = np.isnan(values)
+        if nan.any() and (ok | nan).all():
+            bad = ~np.isfinite(source)
+            j = int(bad.argmax()) if bad.any() else int(nan.argmax()) + shift
+            return CheckResult(name, False, float(grid[j]), math.nan)
+        if values.size == 0:
+            return CheckResult(name, True)
+        j = int(np.nanargmax(values) if highest else np.nanargmin(values))
+        return CheckResult(name, bool(ok.all()), float(grid[j + shift]), float(values[j]))
 
     diffs = np.diff(pv)
-    ok = bool(np.all(diffs > 0.0)) and not np.isnan(diffs).any()
-    worst = worst_index(diffs, highest=False)
-    checks.append(
-        CheckResult("increasing", ok, float(grid[worst]), float(diffs[worst]))
-    )
-
-    slopes = diffs / np.diff(grid)
-    dslopes = np.diff(slopes)
-    ok = bool(np.all(dslopes < 0.0)) and not np.isnan(dslopes).any()
-    worst = worst_index(dslopes, highest=True)
-    checks.append(
-        CheckResult("concave", ok, float(grid[worst + 1]), float(dslopes[worst]))
-    )
-
+    dslopes = np.diff(diffs / np.diff(grid))
     margin = gv - grid
-    ok = bool(np.all(margin > 0.0)) and not np.isnan(margin).any()
-    worst = worst_index(margin, highest=False)
-    checks.append(
-        CheckResult(
-            "prize_exceeds_investment", ok, float(grid[worst]), float(margin[worst])
-        )
-    )
-
-    gslopes = np.diff(gv) / np.diff(grid)
-    curv = np.diff(gslopes)
-    ok = bool(np.all(curv >= -tol_convex)) and not np.isnan(curv).any()
-    worst = worst_index(curv, highest=False)
-    checks.append(
-        CheckResult("prize_convex", ok, float(grid[worst + 1]), float(curv[worst]))
-    )
+    curv = np.diff(np.diff(gv) / np.diff(grid))
+    checks += [
+        grid_check("increasing", diffs, diffs > 0.0, pv),
+        grid_check("concave", dslopes, dslopes < 0.0, pv, highest=True, shift=1),
+        grid_check("prize_exceeds_investment", margin, margin > 0.0, gv),
+        grid_check("prize_convex", curv, curv >= -tol_convex, gv, shift=1),
+    ]
 
     g_small = gv[0]
-    ok = bool(np.isfinite(g_small)) and abs(g_small) <= tol_limit
+    ok = bool(np.isfinite(g_small) and abs(g_small) <= tol_limit)
     checks.append(
         CheckResult("prize_vanishes_at_zero", ok, float(grid[0]), float(g_small))
     )

@@ -1,0 +1,93 @@
+"""Recompute the rate-only ORACLE constants of ``conftest.py`` at 50 digits.
+
+Each constant is solved from its defining equation with mpmath, written
+from the formulas of the square-root family and sharing no code with
+``seqinvest``.  Run from the repository root::
+
+    PYTHONPATH=src python tests/oracle.py
+
+to print every constant beside its frozen value and their relative
+difference; ``tests/test_oracle.py`` makes the same comparison.  The
+``ex5_*``, initiator-optimum and self-financed-optimum constants need
+the rule and optimum programs and are not recomputed here.
+"""
+
+from __future__ import annotations
+
+import mpmath as mp
+
+DIGITS = 50
+
+
+class Rate:
+    """``p(x) = (1 - eps) sqrt(x) / (1 + sqrt(x))`` in 50-digit arithmetic."""
+
+    def __init__(self, eps=0):
+        self.eps = mp.mpf(eps)
+        self.scale = 1 - self.eps
+
+    def p(self, x):
+        s = mp.sqrt(x)
+        return self.scale * s / (1 + s)
+
+    def p_prime(self, x):
+        s = mp.sqrt(x)
+        return self.scale / (2 * s * (1 + s) ** 2)
+
+    def prize(self, x):
+        return self.p(x) / self.p_prime(x)
+
+    def required_return(self, x):
+        return 1 / self.p_prime(x)
+
+
+def root(f, lo, hi):
+    """The sign change of ``f`` in ``[lo, hi]``, to working precision."""
+    lo, hi = mp.mpf(lo), mp.mpf(hi)
+    if f(lo) * f(hi) > 0:
+        raise ValueError("no sign change in the bracket")
+    return mp.findroot(f, (lo, hi), solver="anderson")
+
+
+def first_best(r: Rate):
+    return root(lambda c: (1 - c) / (1 - r.p(c)) - r.required_return(c), "1e-6", 1)
+
+
+def constants() -> dict[str, mp.mpf]:
+    with mp.workdps(DIGITS):
+        # the frozen scaled-family constants use the exact cap sqrt(2)/2; at
+        # its float, 0.7071067811865476, they move by about 3e-16 relative
+        sr, scaled = Rate(), Rate(mp.sqrt(2) / 2)
+        c_fb = first_best(sr)
+        p_01777 = sr.p(mp.mpf(0.1777))
+        return {
+            "c_star": root(lambda c: sr.prize(c) - sr.p(c), "1e-6", c_fb),
+            "c_fb": c_fb,
+            "welfare_fb": (1 - c_fb) / (1 - sr.p(c_fb)),
+            "prize_one_level": root(lambda d: sr.prize(d) - 1, "1e-6", 1),
+            "c_max_sf": root(lambda c: 1 - c - sr.prize(c), "1e-6", 1),
+            "c_fb_scaled": first_best(scaled),
+            "bound0_scaled": root(
+                lambda x: scaled.required_return(x) - (1 + 1 / scaled.eps), "1e-6", 10
+            ),
+            "bound5_scaled": root(
+                lambda x: scaled.required_return(x) - (6 + 1 / scaled.eps), "1e-6", 10
+            ),
+            "p_01777": p_01777,
+            "ratio_00131": sr.required_return(mp.mpf(0.0131)),
+            "fixed_point_t": root(lambda x: sr.required_return(x) - (2 - p_01777), "1e-6", 1),
+        }
+
+
+def main() -> None:
+    from conftest import ORACLE
+
+    for name, value in constants().items():
+        frozen = getattr(ORACLE, name)
+        with mp.workdps(DIGITS):
+            rel = abs(mp.mpf(frozen) - value) / abs(value)
+        print(f"{name:16s} {mp.nstr(value, 20):>24s}  frozen {frozen!r:24s} rel {mp.nstr(rel, 3)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -31,6 +31,7 @@ from seqinvest import (
     jackpot,
     near_constant_feasibility,
     near_constant_profile,
+    scaled_sqrt_ratio,
     synthesize_rule,
     verify_equilibrium,
 )
@@ -56,6 +57,18 @@ class TestInvestmentForReturn:
             assert sr.required_return(investment_for_return(sr, t)) == pytest.approx(
                 t, rel=1e-9
             )
+
+    def test_tiny_target_keeps_relative_accuracy(self, sr):
+        # s (1 + s)^2 = 5e-31 gives s = 5e-31 (1 - 1e-30) to double precision
+        x = investment_for_return(sr, 1e-30)
+        assert x == pytest.approx(2.5e-61, rel=1e-15, abs=0.0)
+        assert sr.required_return(x) == pytest.approx(1e-30, rel=4e-15, abs=0.0)
+
+    def test_return_at_the_cap_stays_inside_the_domain(self):
+        rate = scaled_sqrt_ratio(1.0 - 1e-6)
+        x = investment_for_return(rate, rate.required_return(rate.domain_cap))
+        assert x <= rate.domain_cap
+        assert 0.0 < rate.probability(x) < 1e-6
 
     def test_unattainable_target(self, sr):
         with pytest.raises(UnboundedRatioError):

@@ -159,6 +159,50 @@ class TestValidation:
         assert {c.name for c in report.failures()} >= {"evaluable", "increasing"}
 
 
+class TestValidationNaN:
+    """A rate that is NaN on ``(0.5, 2)`` and the square-root family elsewhere."""
+
+    @pytest.fixture
+    def holed(self, sr):
+        def hole(fn):
+            return lambda x: math.nan if 0.5 < x < 2.0 else fn(x)
+
+        return custom_rate("holed", hole(sr.probability), hole(sr.marginal))
+
+    def test_nan_failures_name_the_first_nan_point(self, holed):
+        report = validate(holed)
+        grid = np.geomspace(1e-9, holed.domain_cap, 512)
+        first_nan = float(grid[(grid > 0.5) & (grid < 2.0)][0])
+        failed = {c.name: c for c in report.failures()}
+        assert set(failed) == {
+            "evaluable", "increasing", "concave", "prize_exceeds_investment", "prize_convex",
+        }
+        for c in failed.values():
+            assert c.worst_x == first_nan, c
+
+    def test_finite_failure_still_named_beside_nan(self):
+        # prize x (so margin 0 at every grid point) and NaN above 0.5: the
+        # margin check fails on finite points and names one of those
+        rate = custom_rate(
+            "flat_prize",
+            lambda x: math.nan if x > 0.5 else x,
+            lambda x: math.nan if x > 0.5 else 1.0,
+        )
+        check = {c.name: c for c in validate(rate).checks}["prize_exceeds_investment"]
+        assert not check.passed
+        assert check.worst_x <= 0.5 and check.worst_value == 0.0
+
+    def test_lines_render_missing_values(self, holed):
+        lines = validate(holed).lines()
+        assert "FAIL  evaluable  worst at x=0.522636 (n/a)" in lines
+
+    def test_passed_is_a_python_bool(self, sr, holed):
+        for rate in (sr, holed):
+            report = validate(rate)
+            assert all(type(c.passed) is bool for c in report.checks)
+            assert type(report.passed) is bool
+
+
 class TestRegistry:
     def test_config_round_trip(self):
         assert rate_from_config("sqrt_ratio").name == "sqrt_ratio"
