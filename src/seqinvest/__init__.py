@@ -50,6 +50,7 @@ from .optima import (
     region_sweep,
     self_financed_optimal,
     socially_optimal,
+    tail_limit,
     zero_initiator_improvement,
 )
 from .profiles import (
@@ -99,7 +100,6 @@ from .simulate import (
     SimulationConfig,
     SimulationSummary,
     Stat,
-    run_episode,
     summarize,
     terminal_histogram,
     terminal_samples,

@@ -17,10 +17,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import math
 import sys
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import __version__
 from .equilibrium import (
@@ -38,6 +37,7 @@ from .optima import (
     region_sweep,
     self_financed_optimal,
     socially_optimal,
+    tail_limit,
 )
 from .profiles import ConstantTailProfile
 from .rates import SuccessRate, rate_from_config, validate
@@ -312,33 +312,19 @@ def _cmd_dynamics(args, cfg) -> int:
 
 
 def _cmd_region(args, cfg) -> int:
-    sr = _resolve_rate(args, cfg)
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
+    if args.c_max is not None and not 0.0 < args.c_max < math.inf:
+        raise UsageError(f"--c-max must be finite and > 0, got {args.c_max!r}")
+    sr = _resolve_rate(args, cfg)
     mode = Mode(args.mode)
-    if args.c_max is not None:
-        c_max = args.c_max
-    else:
-        # largest feasible tail for the mode: prize (+ tail floor) reaches 1
-        from .solvers import bisect, expand_bracket
-
-        def headroom(c: float) -> float:
-            gamma = c if mode is Mode.SELF_FINANCED else 0.0
-            return 1.0 - sr.incentive_prize(c) - gamma
-
-        lo, hi = expand_bracket(headroom, 1e-12, 1.0, limit=sr.domain_cap)
-        c_max = bisect(headroom, lo, hi)
-    grid = np.linspace(c_max / (args.points + 1), c_max, args.points, endpoint=False)
+    c_max = tail_limit(sr, mode) if args.c_max is None else args.c_max
+    step = c_max / (args.points + 1)
+    grid = [step * (j + 1) for j in range(args.points)]
     rows: list[tuple[object, ...]] = [("c", "diagonal", "lower", "upper")]
     for row in region_sweep(sr, grid, mode):
-        rows.append(
-            (
-                float(row.c),
-                float(row.diagonal),
-                "" if row.lower is None else float(row.lower),
-                "" if row.upper is None else float(row.upper),
-            )
-        )
+        bounds = ("" if v is None else v for v in (row.lower, row.upper))
+        rows.append((row.c, row.diagonal, *bounds))
     with _output(args.output) as out:
         _emit(rows, args.format, out)
         return 0
@@ -381,6 +367,8 @@ def _cmd_simulate(args, cfg) -> int:
 
 
 def _cmd_rule_print(args, cfg) -> int:
+    if args.rows < 1:
+        raise UsageError(f"--rows must be >= 1, got {args.rows}")
     rule = _resolve_rule(args, cfg)
     with _output(args.output) as out:
         rows = [tuple(float(v) for v in rule.row(k)) for k in range(args.rows)]

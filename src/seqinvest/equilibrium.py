@@ -54,7 +54,7 @@ from .rules import (
     next_step_bonus,
     next_step_bonus_zero_initiator,
 )
-from .solvers import bisect, expand_bracket
+from .solvers import bisect
 
 TOL_EQ = 1e-8
 _ROOT_XTOL = 1e-12
@@ -91,8 +91,7 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
     def gap(x: float) -> float:
         return sr.required_return(x) - t
 
-    lo, hi = expand_bracket(gap, 0.0, min(1.0, sr.domain_cap), limit=sr.domain_cap)
-    return bisect(gap, lo, hi, xtol=_ROOT_XTOL)
+    return bisect(gap, 0.0, min(1.0, sr.domain_cap), limit=sr.domain_cap, xtol=_ROOT_XTOL)
 
 
 def best_response(

@@ -10,8 +10,8 @@ incentive cost:
   ``(1 - c) / (1 - p(c)) = required_return(c)``.  It is never
   supportable (the prize strictly exceeds the probability there).
 * *socially optimal*: the welfare-maximizing supportable profile; the
-  constant level where prize and probability meet, supported by the
-  equal split.
+  constant level where prize and probability meet, one inversion of the
+  required return, supported by the equal split.
 * *initiator optimal*: the supportable profile maximizing the
   initiator's payoff; near-constant, with the tail maximizing
   ``(1 - prize(c)) / (1 - p(c))`` and the initiator saturating the upper
@@ -22,6 +22,10 @@ incentive cost:
   ``required_return(x0) = (1 - c - prize(c)) / (1 - p(c))`` active.
   Supported by a fixed-fraction-with-floor rule whose floor equals the
   tail investment.
+
+The initiator and self-financed searches and the region curves end at
+one boundary, :func:`tail_limit`: the largest tail at which the prize
+(plus the floor ``c`` when self-financed) reaches 1.
 
 Every solve uses bracketing (bisection on a monotone crossing or a
 sign-changing derivative inside a golden-section bracket), apart from
@@ -54,7 +58,7 @@ from .profiles import (
 )
 from .rates import SuccessRate
 from .rules import RewardRule, equal_split, fixed_fraction, fixed_fraction_floor
-from .solvers import bisect, expand_bracket, golden_max
+from .solvers import bisect, golden_max
 
 _GRID_POINTS = 256
 _EDGE = 1e-12
@@ -69,7 +73,6 @@ class OptimumResult:
     rule: RewardRule
     objective: float
     residuals: tuple[tuple[str, float], ...]
-    bracket: tuple[float, float]
     report: EquilibriumReport
     mode: Mode = Mode.UNCONSTRAINED
 
@@ -93,8 +96,7 @@ def first_best_investment(sr: SuccessRate) -> float:
     def gap(c: float) -> float:
         return _constant_welfare(sr, c) - sr.required_return(c)
 
-    lo, hi = expand_bracket(gap, _EDGE, 1.0, limit=1.0)
-    return bisect(gap, lo, hi)
+    return bisect(gap, _EDGE, 1.0)
 
 
 def socially_optimal(sr: SuccessRate) -> OptimumResult:
@@ -104,9 +106,9 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
     ``[0, c_star]`` (the first best lies beyond it), so the boundary
     point is the optimum, and the equal split supports it.  For ``p > 0``
     the prize ``p / p'`` equals ``p`` exactly where ``p' = 1``, so
-    ``c_star`` is the investment with required return 1.
+    ``c_star`` is one inversion of the required return, at 1; no other
+    solve is needed.
     """
-    c_fb = first_best_investment(sr)
 
     def gap(c: float) -> float:
         return sr.incentive_prize(c) - sr.probability(c)
@@ -126,19 +128,22 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
         rule=rule,
         objective=expected_welfare(sr, profile),
         residuals=(("prize_minus_probability", abs(gap(c_star))),),
-        bracket=(_EDGE, c_fb),
         report=report,
     )
 
 
-def _prize_level(sr: SuccessRate, level: float) -> float:
-    """Investment where the incentive prize reaches ``level``."""
+def tail_limit(sr: SuccessRate, mode: Mode = Mode.UNCONSTRAINED) -> float:
+    """Largest tail with a non-negative upper support bound, to ``1e-15``.
 
-    def gap(c: float) -> float:
-        return sr.incentive_prize(c) - level
+    The root of ``1 - prize(c) - gamma``, with the floor ``gamma = c`` in
+    self-financed mode and 0 otherwise.
+    """
 
-    lo, hi = expand_bracket(gap, _EDGE, 1.0, limit=sr.domain_cap)
-    return bisect(gap, lo, hi)
+    def headroom(c: float) -> float:
+        gamma = c if mode is Mode.SELF_FINANCED else 0.0
+        return 1.0 - sr.incentive_prize(c) - gamma
+
+    return bisect(headroom, _EDGE, 1.0, limit=sr.domain_cap, xtol=1e-15)
 
 
 def initiator_optimal(sr: SuccessRate) -> OptimumResult:
@@ -155,7 +160,7 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
     ``required_return(x0) = q(c)``, and the fixed-fraction rule at the
     tail's required return supports the profile.
     """
-    d = _prize_level(sr, 1.0)
+    d = tail_limit(sr)
 
     def q(c: float) -> float:
         return (1.0 - sr.incentive_prize(c)) / (1.0 - sr.probability(c))
@@ -187,7 +192,6 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
         rule=rule,
         objective=objective,
         residuals=residuals,
-        bracket=(lo, hi),
         report=report,
     )
 
@@ -223,12 +227,7 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     supporting rule pays fraction ``required_return(c) + c`` with floor
     ``c``, verified in self-financed mode.
     """
-
-    def prize_gap(c: float) -> float:
-        return 1.0 - c - sr.incentive_prize(c)
-
-    lo, hi = expand_bracket(prize_gap, _EDGE, 1.0, limit=sr.domain_cap)
-    c_max = bisect(prize_gap, lo, hi)
+    c_max = tail_limit(sr, Mode.SELF_FINANCED)
     if c_max <= _EDGE:
         raise InfeasibleError("the self-financed feasible set is empty for this rate")
 
@@ -280,7 +279,6 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
         rule=rule,
         objective=expected_welfare(sr, profile),
         residuals=residuals,
-        bracket=(glo, ghi),
         report=report,
         mode=Mode.SELF_FINANCED,
     )
@@ -336,12 +334,11 @@ def region_curve_intersection(sr: SuccessRate) -> float:
         lower, upper = near_constant_bounds(sr, c, 0.0)
         return lower - upper
 
-    d = _prize_level(sr, 1.0)
+    d = tail_limit(sr)
     hi = d * (1.0 - 1e-9)
     if gap(hi) <= 0.0:
         raise BracketError("support band does not close below the prize-1 level")
-    lo, hi = expand_bracket(gap, _EDGE, d / 4.0, limit=hi)
-    return bisect(gap, lo, hi)
+    return bisect(gap, _EDGE, d / 4.0, limit=hi)
 
 
 def zero_initiator_improvement(sr: SuccessRate) -> tuple[ConstantTailProfile, RewardRule, float]:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import DivergenceError, DomainError, InfeasibleError
 from .rates import SuccessRate
-from .solvers import bisect, expand_bracket
+from .solvers import bisect
 
 _FLATTEN_XTOL = 1e-12
 _FLATTEN_VTOL = 1e-10
@@ -200,8 +200,8 @@ def flatten_tail(sr: SuccessRate, x: ConstantTailProfile, k: int) -> ConstantTai
     if gap(0.0) >= 0.0:
         flat = ConstantTailProfile(head, 0.0)
     else:
-        lo, hi = expand_bracket(gap, 0.0, 1.0, limit=sr.domain_cap)
-        flat = ConstantTailProfile(head, bisect(gap, lo, hi, xtol=_FLATTEN_XTOL))
+        c = bisect(gap, 0.0, 1.0, limit=sr.domain_cap, xtol=_FLATTEN_XTOL)
+        flat = ConstantTailProfile(head, c)
     if abs(expected_value(sr, flat) - target) > _FLATTEN_VTOL * max(1.0, target):
         raise InfeasibleError("flattening failed to match the expected value")
     return flat

@@ -109,29 +109,6 @@ class SimulationSummary:
     histogram: tuple[int, ...]
 
 
-def run_episode(
-    sr: SuccessRate,
-    profile: ConstantTailProfile,
-    rule: RewardRule,
-    rng: np.random.Generator,
-    max_chain_length: int = 10_000,
-) -> tuple[int, tuple[float, ...]]:
-    """One chain realization: terminal index and payoffs of agents ``<= k``.
-
-    Agent ``j`` succeeds iff the next uniform draw is below ``p(x_j)``.
-    Raises :class:`ChainCapError` past the safety cap.
-    """
-    j = 0
-    while True:
-        if j >= max_chain_length:
-            raise ChainCapError(f"chain exceeded {max_chain_length} agents")
-        if rng.random() >= sr.probability(profile.at(j)):
-            break
-        j += 1
-    payoffs = tuple(rule.value(i, j) - profile.at(i) for i in range(j + 1))
-    return j, payoffs
-
-
 def _probability(sr: SuccessRate, x: float) -> float:
     p = sr.probability(x)
     if not 0.0 <= p <= 1.0:  # also rejects NaN

@@ -1,9 +1,11 @@
-"""Bracketing scalar solvers: bisection and golden-section search.
+"""Bracketing scalar solvers: one root finder and golden-section search.
 
 Every scalar solve in the library goes through these derivative-free
-routines.  The functions being solved are monotone crossings or
-single-peaked maxima, for which bracketing is robust even next to the
-steep-at-zero boundary of the success rate.
+routines: :func:`bisect` finds every root, growing its bracket first
+when the caller gives a ``limit``, and :func:`golden_max` every maximum.
+The functions being solved are monotone crossings or single-peaked
+maxima, for which bracketing is robust even next to the steep-at-zero
+boundary of the success rate.
 
 A NaN from ``f`` raises :class:`DomainError`: every comparison with it
 is false, so read as a sign it would silently steer the bracket.  An
@@ -19,42 +21,11 @@ from .errors import BracketError, DomainError
 
 _INV_PHI = 0.6180339887498949  # (sqrt(5) - 1) / 2
 _INV_PHI2 = 0.3819660112501051  # (3 - sqrt(5)) / 2
+_MAX_DOUBLINGS = 200
 
 
 def _nan_error(x: float) -> DomainError:
     return DomainError(f"f({x!r}) is NaN")
-
-
-def expand_bracket(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    limit: float,
-    grow: float = 2.0,
-    max_steps: int = 200,
-) -> tuple[float, float]:
-    """Grow ``hi`` geometrically until ``f`` changes sign on ``[lo, hi]``.
-
-    Raises :class:`BracketError` if no sign change is found before ``limit``
-    and :class:`DomainError` if ``f`` returns NaN.
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo, lo
-    steps = 0
-    while flo * fhi > 0.0:
-        if hi >= limit or steps >= max_steps:
-            raise BracketError(
-                f"no sign change on [{lo:g}, {hi:g}] up to limit {limit:g}"
-            )
-        hi = min(hi * grow, limit)
-        fhi = f(hi)
-        steps += 1
-    if flo != flo or fhi != fhi:  # a NaN ends the loop above like a sign change
-        raise _nan_error(lo if flo != flo else hi)
-    return lo, hi
 
 
 def bisect(
@@ -62,14 +33,31 @@ def bisect(
     lo: float,
     hi: float,
     *,
+    limit: float | None = None,
     xtol: float = 1e-12,
     max_iter: int = 200,
 ) -> float:
-    """Root of ``f`` on a sign-changing interval, to absolute ``xtol``."""
+    """Root of ``f`` on a sign-changing interval, to absolute ``xtol``.
+
+    With ``limit`` set, ``hi`` first doubles, capped at ``limit``, until
+    ``f`` changes sign on ``[lo, hi]``.  Raises :class:`BracketError`
+    without a sign change (by ``limit`` or within 200 doublings) and
+    :class:`DomainError` if ``f`` returns NaN.
+    """
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
         return lo
+    if limit is not None:
+        steps = 0
+        while flo * fhi > 0.0:
+            if hi >= limit or steps >= _MAX_DOUBLINGS:
+                raise BracketError(
+                    f"no sign change on [{lo:g}, {hi:g}] up to limit {limit:g}"
+                )
+            hi = min(hi * 2.0, limit)
+            fhi = f(hi)
+            steps += 1
     if fhi == 0.0:
         return hi
     if not flo * fhi <= 0.0:

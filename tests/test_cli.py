@@ -145,6 +145,22 @@ class TestRegion:
         assert code == 0
         assert len(out.strip().splitlines()) == 9
 
+    def test_default_grid_ends_at_the_tail_limit(self, capsys, oracle):
+        # the grid is c_max / 17 * j for j = 1..16, with c_max = 1/4 to 1e-15
+        code, out, _ = run(
+            capsys, "region", "--mode", "self_financed", "--points", "16", "--format", "csv"
+        )
+        assert code == 0
+        first = float(out.splitlines()[1].split(",")[0])
+        assert first == pytest.approx(oracle.c_max_sf / 17, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("c_max", ["nan", "inf", "0", "-1"])
+    def test_bad_c_max_exit_two(self, capsys, c_max):
+        code, out, err = run(capsys, "region", "--c-max", c_max)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --c-max must be finite and > 0")
+
 
 class TestSimulate:
     def test_deterministic_output(self, capsys, oracle):
@@ -196,6 +212,13 @@ class TestRulePrint:
         assert code == 0
         rows = [line.split("\t") for line in out.strip().splitlines()]
         assert rows[3] == ["1.0", "0.0", "3.0", "0.0"]
+
+    @pytest.mark.parametrize("rows", ["0", "-1"])
+    def test_bad_rows_exit_two(self, capsys, rows):
+        code, out, err = run(capsys, "rule", "print", "--rule", "kind=jackpot", "--rows", rows)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --rows must be >= 1")
 
 
 class TestConfigFile:

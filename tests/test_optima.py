@@ -1,5 +1,6 @@
 """The four optimum programs, their supporting rules, and region curves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from seqinvest import (
     Mode,
     constant_profile,
     constant_support_check,
+    custom_rate,
     expected_welfare,
     first_best_investment,
     initiator_optimal,
@@ -21,6 +23,8 @@ from seqinvest import (
     scaled_sqrt_ratio,
     self_financed_optimal,
     socially_optimal,
+    sqrt_ratio,
+    tail_limit,
     verify_equilibrium,
     zero_initiator_improvement,
 )
@@ -65,6 +69,18 @@ class TestSociallyOptimal:
         assert res.rule.label == "equal_split"
         assert res.report.supported
         assert res.max_residual <= 1e-9
+
+    def test_no_first_best_solve(self, sr):
+        # c* is one inversion of the required return; a first-best solve
+        # alongside it would take about 44 more p' evaluations
+        calls = []
+
+        def marginal(x):
+            calls.append(x)
+            return sr.marginal(x)
+
+        socially_optimal(dataclasses.replace(sr, _p_prime=marginal))
+        assert len(calls) <= 4
 
     def test_perturbations_do_not_improve(self, sr, oracle):
         # supportable constants are exactly c <= c*; nearby feasible
@@ -198,6 +214,27 @@ class TestZeroInitiatorImprovement:
         # stationarity: marginal success probability 1 at the optimum
         assert sr.marginal(profile.prefix[0]) == pytest.approx(1.0, rel=1e-9)
         assert verify_equilibrium(sr, rule, profile).supported
+
+
+class TestTailLimit:
+    RATES = {
+        "sqrt_ratio": sqrt_ratio,
+        # same prize as sqrt_ratio, so the same limits
+        "scaled_half": lambda: scaled_sqrt_ratio(0.5),
+        "custom_sqrt": lambda: custom_rate(
+            "custom_sqrt", sqrt_ratio().probability, sqrt_ratio().marginal
+        ),
+    }
+
+    @pytest.mark.parametrize("name", RATES)
+    def test_prize_reaches_one(self, name, oracle):
+        c = tail_limit(self.RATES[name]())
+        assert c == pytest.approx(oracle.prize_one_level, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("name", RATES)
+    def test_self_financed_floor(self, name, oracle):
+        c = tail_limit(self.RATES[name](), Mode.SELF_FINANCED)
+        assert c == pytest.approx(oracle.c_max_sf, rel=1e-15, abs=0.0)
 
 
 class TestRegion:

@@ -13,6 +13,7 @@ from seqinvest import (
     ChainCapError,
     ConstantTailProfile,
     DomainError,
+    PayoffStat,
     SimulationConfig,
     constant_profile,
     custom_rate,
@@ -22,7 +23,6 @@ from seqinvest import (
     expected_value,
     expected_welfare,
     fixed_fraction,
-    run_episode,
     summarize,
     terminal_histogram,
     terminal_samples,
@@ -30,27 +30,23 @@ from seqinvest import (
 from seqinvest.simulate import _stat
 
 
-class TestRunEpisode:
+class TestEpisodeOutcomes:
     def test_zero_profile_stops_immediately(self, sr):
-        rng = np.random.default_rng(0)
-        k, payoffs = run_episode(sr, constant_profile(0.0), equal_split(), rng)
-        assert k == 0
-        assert payoffs == (1.0,)
+        # p(0) = 0: every chain ends at agent 0, who keeps the unit value
+        config = SimulationConfig(episodes=1_000, seed=0)
+        summary = summarize(sr, constant_profile(0.0), equal_split(), config)
+        assert summary.histogram == (1_000,)
+        assert summary.payoffs == (PayoffStat(0, 1_000, 1.0, 0.0),)
 
     def test_row_balance_realized(self, sr, ex5_rule, ex5_profile):
-        # realized payouts sum to the created value minus sunk investments
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            k, payoffs = run_episode(sr, ex5_profile, ex5_rule, rng)
-            sunk = sum(ex5_profile.at(i) for i in range(k + 1))
-            assert sum(payoffs) == pytest.approx(k + 1 - sunk, abs=1e-9)
-
-    def test_cap_raises(self, sr):
-        rng = np.random.default_rng(2)
-        with pytest.raises(ChainCapError):
-            # success probability ~0.999: the first steps almost surely
-            # succeed, so a tiny cap trips
-            run_episode(sr, constant_profile(1e6), equal_split(), rng, max_chain_length=1)
+        # realized payouts sum to the created value minus sunk
+        # investments, so the reach-weighted payoff means add up to the
+        # welfare of all episodes
+        config = SimulationConfig(episodes=20_000, seed=1, payoff_horizon=10_000)
+        summary = summarize(sr, ex5_profile, ex5_rule, config)
+        assert len(summary.payoffs) == len(summary.histogram)
+        paid = sum(pay.reached * pay.mean for pay in summary.payoffs)
+        assert paid == pytest.approx(summary.episodes * summary.welfare.mean, rel=1e-12)
 
 
 class TestGeometricLaw:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from seqinvest import BracketError, DomainError
-from seqinvest.solvers import bisect, expand_bracket, golden_max
+from seqinvest.solvers import bisect, golden_max
 
 
 def nan_above(limit, f):
@@ -33,18 +33,36 @@ class TestBisect:
             bisect(lambda x: x + 1.0, 0.0, 1.0)
 
 
-class TestExpandBracket:
+class TestBisectGrowth:
+    """``bisect(..., limit=...)`` doubles ``hi`` until the sign changes."""
+
     def test_nan_on_growth(self):
         with pytest.raises(DomainError):
-            expand_bracket(nan_above(3.0, lambda x: x - 10.0), 0.0, 1.0, limit=100.0)
+            bisect(nan_above(3.0, lambda x: x - 10.0), 0.0, 1.0, limit=100.0)
 
     def test_nan_at_the_low_end(self):
         with pytest.raises(DomainError):
-            expand_bracket(lambda x: math.nan if x == 0.0 else x - 0.5, 0.0, 1.0, limit=100.0)
+            bisect(lambda x: math.nan if x == 0.0 else x - 0.5, 0.0, 1.0, limit=100.0)
 
     def test_infinite_value_keeps_its_sign(self):
         f = lambda x: -math.inf if x == 0.0 else x - 3.0
-        assert expand_bracket(f, 0.0, 1.0, limit=100.0) == (0.0, 4.0)
+        assert bisect(f, 0.0, 1.0, limit=100.0) == pytest.approx(3.0, abs=1e-12)
+
+    def test_no_sign_change_by_the_limit(self):
+        with pytest.raises(BracketError, match="up to limit 100"):
+            bisect(lambda x: x - 500.0, 0.0, 1.0, limit=100.0)
+
+    def test_endpoint_values_are_not_recomputed(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 3.0
+
+        bisect(f, 0.0, 1.0, limit=100.0, xtol=1.0)
+        # 0 and 1, the doublings 2 and 4, then the midpoints of [0, 4]
+        # and [2, 4]: the final bracket's ends 0 and 4 are evaluated once
+        assert calls == [0.0, 1.0, 2.0, 4.0, 2.0, 3.0]
 
 
 class TestGoldenMax:
