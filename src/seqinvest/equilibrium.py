@@ -47,8 +47,8 @@ from .rates import SuccessRate
 from .rules import (
     Mixture,
     RewardRule,
+    _payoff,
     continuation_reward,
-    expected_payoff,
     fixed_fraction_floor,
     flat_continuation,
     next_step_bonus,
@@ -189,8 +189,9 @@ def check_agent(
     _check_tol(tol)
     xi = x.at(i)
     fii = rule.value(i, i)
-    t = continuation_reward(sr, rule, x, i) - fii
-    payoff = expected_payoff(sr, rule, x, i)
+    reward = continuation_reward(sr, rule, x, i)
+    t = reward - fii
+    payoff = _payoff(sr, xi, fii, reward)
     if xi <= _ZERO_INVESTMENT:
         return AgentCheck(i, xi, t, max(t, 0.0), payoff, corner="zero")
     residual = abs(t - sr.required_return(xi))
@@ -458,6 +459,21 @@ def _initiator_return(sr: SuccessRate, rule: RewardRule, c: float) -> float:
     return continuation_reward(sr, rule, probe, 0) - rule.value(0, 0)
 
 
+def _endpoint_rules(sr: SuccessRate, c: float, gamma: float) -> tuple[RewardRule, RewardRule]:
+    # the rules paying the initiator the upper and the lower support
+    # bound against a constant-c tail with floor gamma: a fixed fraction
+    # with floor and a flat continuation while the tail's required return
+    # plus the floor stays below 1, the next-step bonus pair beyond
+    tail_ratio = sr.required_return(c)
+    if tail_ratio + gamma <= 1.0:
+        return (
+            fixed_fraction_floor(tail_ratio + gamma, gamma),
+            flat_continuation(tail_ratio + gamma, gamma),
+        )
+    beta = tail_ratio - near_constant_bounds(sr, c, gamma)[1]
+    return next_step_bonus(beta, gamma), next_step_bonus_zero_initiator(beta, gamma)
+
+
 def synthesize_rule(
     sr: SuccessRate,
     x0: float,
@@ -481,14 +497,7 @@ def synthesize_rule(
             f"initiator return {feas.ratio:.6g} outside "
             f"[{max(feas.lower, 0.0):.6g}, {feas.upper:.6g}]"
         )
-    tail_ratio = sr.required_return(c)
-    if tail_ratio + gamma <= 1.0:
-        high: RewardRule = fixed_fraction_floor(tail_ratio + gamma, gamma)
-        low: RewardRule = flat_continuation(tail_ratio + gamma, gamma)
-    else:
-        beta = tail_ratio - feas.upper
-        high = next_step_bonus(beta, gamma)
-        low = next_step_bonus_zero_initiator(beta, gamma)
+    high, low = _endpoint_rules(sr, c, gamma)
     v_high = _initiator_return(sr, high, c)
     v_low = _initiator_return(sr, low, c)
     target = feas.ratio

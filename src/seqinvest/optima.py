@@ -27,15 +27,17 @@ The initiator and self-financed searches and the region curves end at
 one boundary, :func:`tail_limit`: the largest tail at which the prize
 (plus the floor ``c`` when self-financed) reaches 1.
 
-Every solve uses bracketing (bisection on a monotone crossing or a
-sign-changing derivative inside a golden-section bracket), apart from
-inverting the required return, which the built-in rate families do in
-closed form (see :func:`seqinvest.equilibrium.investment_for_return`).
-The searched functions are single-peaked, which is established by the
-same curvature argument for all of them (``(1 - h) / (1 - p)`` with
-``h`` convex rises then falls at most once).  The self-financed reduced
-objective has no such guarantee, so its golden-section stage is seeded
-with a grid scan.
+Every solve is one bisection: of a monotone crossing, or of the
+derivative of a maximized function on a bracket fixed before the call.
+The exception is inverting the required return, which the built-in rate
+families do in closed form (see
+:func:`seqinvest.equilibrium.investment_for_return`).  The maximized
+functions are single-peaked, which is established by the same curvature
+argument for all of them (``(1 - h) / (1 - p)`` with ``h`` convex rises
+then falls at most once), so the derivative changes sign once between
+the zero tail and :func:`tail_limit`.  The self-financed reduced
+objective has no such guarantee, so a grid scan picks the cell pair
+around its best point, and the slope is bisected there.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 from .equilibrium import (
     EquilibriumReport,
     Mode,
+    _endpoint_rules,
     investment_for_return,
     near_constant_bounds,
     verify_equilibrium,
@@ -57,8 +60,8 @@ from .profiles import (
     near_constant_profile,
 )
 from .rates import SuccessRate
-from .rules import RewardRule, equal_split, fixed_fraction, fixed_fraction_floor
-from .solvers import bisect, golden_max
+from .rules import RewardRule, equal_split, fixed_fraction
+from .solvers import bisect
 
 _GRID_POINTS = 256
 _EDGE = 1e-12
@@ -155,8 +158,9 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
 
         ``p'(c) (1 - prize(c)) = prize'(c) (1 - p(c))``
 
-    and the bisection on its sign refines the golden-section bracket.
-    The initiator then saturates the upper support bound
+    whose left side minus its right has the sign of ``q'``: positive
+    next to 0 and negative at ``d``, so one bisection on ``[0, d]``
+    finds the peak.  The initiator then saturates the upper support bound
     ``required_return(x0) = q(c)``, and the fixed-fraction rule at the
     tail's required return supports the profile.
     """
@@ -170,13 +174,7 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
             c
         ) * (1.0 - sr.probability(c))
 
-    c_seed, _, _ = golden_max(q, _EDGE, d, xtol=1e-6)
-    lo, hi = c_seed, c_seed
-    while stationarity(lo) <= 0.0 and lo > _EDGE:
-        lo = max(_EDGE, lo / 2.0)
-    while stationarity(hi) >= 0.0 and hi < d:
-        hi = min(d, hi * 1.5)
-    c_circ = bisect(stationarity, lo, hi, xtol=1e-14)
+    c_circ = bisect(stationarity, _EDGE, d, xtol=1e-14)
     x0_circ = investment_for_return(sr, q(c_circ))
     profile = near_constant_profile(x0_circ, c_circ)
     rule = fixed_fraction(sr.required_return(c_circ))
@@ -222,10 +220,13 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     ``required_return(x0) = (1 - c - prize(c)) / (1 - p(c))`` (welfare is
     non-decreasing in ``x0`` up to that point), leaving a reduced
     one-dimensional objective.  Nothing guarantees the reduced objective
-    is unimodal, so a 256-point grid scan seeds the golden section, and a
-    sign bisection on the chain-rule slope sharpens the argmax.  The
-    supporting rule pays fraction ``required_return(c) + c`` with floor
-    ``c``, verified in self-financed mode.
+    is unimodal, so a 256-point grid scan picks the best point, and one
+    bisection of the chain-rule slope on the grid cells around it finds
+    the argmax.  The initiator then sits on the upper support bound, so
+    the supporting rule is the synthesizer's upper endpoint with floor
+    ``c``: fraction ``required_return(c) + c`` with floor ``c`` while that
+    fraction is at most 1, the next-step bonus beyond.  It is verified in
+    self-financed mode.
     """
     c_max = tail_limit(sr, Mode.SELF_FINANCED)
     if c_max <= _EDGE:
@@ -254,17 +255,10 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     best = max(range(len(grid)), key=values.__getitem__)
     glo = grid[best - 1] if best > 0 else _EDGE
     ghi = grid[best + 1] if best + 1 < len(grid) else c_max - _EDGE
-    c_seed, _, _ = golden_max(reduced_welfare, glo, ghi, xtol=1e-8)
-
-    lo, hi = c_seed, c_seed
-    while slope(lo) <= 0.0 and lo > glo:
-        lo = max(glo, lo - 1e-5)
-    while slope(hi) >= 0.0 and hi < ghi:
-        hi = min(ghi, hi + 1e-5)
-    c_s = bisect(slope, lo, hi, xtol=1e-13) if lo < hi else c_seed
+    c_s = bisect(slope, glo, ghi, xtol=1e-13)
     x0_s = x0_of(c_s)
     profile = near_constant_profile(x0_s, c_s)
-    rule = fixed_fraction_floor(sr.required_return(c_s) + c_s, c_s)
+    rule, _ = _endpoint_rules(sr, c_s, c_s)
     report = verify_equilibrium(sr, rule, profile, mode=Mode.SELF_FINANCED)
     residuals = (
         (
@@ -338,7 +332,7 @@ def region_curve_intersection(sr: SuccessRate) -> float:
     hi = d * (1.0 - 1e-9)
     if gap(hi) <= 0.0:
         raise BracketError("support band does not close below the prize-1 level")
-    return bisect(gap, _EDGE, d / 4.0, limit=hi)
+    return bisect(gap, _EDGE, hi)
 
 
 def zero_initiator_improvement(sr: SuccessRate) -> tuple[ConstantTailProfile, RewardRule, float]:

@@ -487,9 +487,13 @@ def expected_payoff(
     """Expected payoff of agent ``i``: stay-put payment if failing, the
     continuation reward if succeeding, minus the sunk investment."""
     xi = x.at(i)
+    return _payoff(sr, xi, rule.value(i, i), continuation_reward(sr, rule, x, i))
+
+
+def _payoff(sr: SuccessRate, xi: float, fii: float, reward: float) -> float:
+    # stay-put payment fii on failure, continuation reward on success
     pi = sr.probability(xi)
-    fii = rule.value(i, i)
-    return (1.0 - pi) * fii + pi * continuation_reward(sr, rule, x, i) - xi
+    return (1.0 - pi) * fii + pi * reward - xi
 
 
 def implied_value(sr: SuccessRate, rule: RewardRule, x: ConstantTailProfile) -> float:

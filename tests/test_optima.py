@@ -276,3 +276,14 @@ class TestScaledRatePrograms:
             assert math.isfinite(res.objective)
             assert res.report.supported, solve.__name__
             assert res.max_residual <= 1e-8
+
+    def test_self_financed_near_a_unit_cap(self):
+        # r(c) + c > 1 at the optimum's tail: no fixed fraction with floor
+        # is a valid rule there, and the next-step bonus supports it
+        sr = scaled_sqrt_ratio(0.99995)
+        res = self_financed_optimal(sr)
+        c = res.profile.tail
+        assert sr.required_return(c) + c > 1.0
+        assert res.rule.label.startswith("next_step_bonus")
+        assert res.report.supported
+        assert res.max_residual <= 1e-8

@@ -77,7 +77,9 @@ class TestReachProbability:
         direct = 1.0
         for j in range(7):
             direct *= sr.probability(ex5_profile.at(j))
-        assert reach_probability(sr, ex5_profile, 7) == pytest.approx(direct, rel=1e-14)
+        assert reach_probability(sr, ex5_profile, 7) == pytest.approx(
+            direct, rel=1e-14, abs=0.0
+        )
 
 
 class TestExpectedValue:

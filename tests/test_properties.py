@@ -13,7 +13,8 @@ random constant-tail profiles.
 The closed-form inverse of the required return is checked by round trip
 and against the bracketing inverse of a custom rate with the same
 formula, over caps from 0 to ``1 - 1e-6`` and returns log-uniform from
-``1e-150`` up to the return at the domain cap.
+``1e-150`` up to the return at the domain cap.  Over the same caps the
+initiator and self-financed optima either verify or fail loudly.
 """
 
 import math
@@ -26,6 +27,7 @@ from seqinvest import (
     Mixture,
     Perturbed,
     RuleConstructionError,
+    SeqInvestError,
     continuation_reward,
     custom_rate,
     equal_split,
@@ -34,11 +36,13 @@ from seqinvest import (
     flat_continuation,
     functionals,
     implied_value,
+    initiator_optimal,
     investment_for_return,
     jackpot,
     next_step_bonus,
     next_step_bonus_zero_initiator,
     scaled_sqrt_ratio,
+    self_financed_optimal,
     sqrt_ratio,
 )
 from seqinvest.rules import Column, StationaryColumnRule
@@ -331,3 +335,14 @@ class TestReturnInverse:
         t = log_uniform_return(sr, u)
         x = investment_for_return(sr, t)
         assert abs(x - investment_for_return(bracketing, t)) <= 2e-12 + 1e-9 * x
+
+
+class TestOptimaOverCaps:
+    @PROPERTY
+    @given(caps, st.sampled_from([initiator_optimal, self_financed_optimal]))
+    def test_verified_or_loud(self, eps, solve):
+        try:
+            res = solve(with_cap(eps))
+        except SeqInvestError:
+            return
+        assert res.report.supported, (eps, res.report.failures)

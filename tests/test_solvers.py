@@ -1,11 +1,11 @@
-"""Bracketing solvers: NaN from the objective fails loudly, infinities keep their sign."""
+"""The bracketing root finder: NaN from the objective fails loudly, infinities keep their sign."""
 
 import math
 
 import pytest
 
 from seqinvest import BracketError, DomainError
-from seqinvest.solvers import bisect, golden_max
+from seqinvest.solvers import bisect
 
 
 def nan_above(limit, f):
@@ -31,6 +31,12 @@ class TestBisect:
     def test_same_sign_is_still_a_bracket_error(self):
         with pytest.raises(BracketError):
             bisect(lambda x: x + 1.0, 0.0, 1.0)
+
+    def test_zero_tolerance_terminates(self):
+        # the halving cap ends the loop once the bracket stops shrinking
+        assert bisect(lambda x: x - 0.3, 0.0, 1.0, xtol=0.0) == pytest.approx(
+            0.3, rel=0.0, abs=1e-15
+        )
 
 
 class TestBisectGrowth:
@@ -60,17 +66,6 @@ class TestBisectGrowth:
             return x - 3.0
 
         bisect(f, 0.0, 1.0, limit=100.0, xtol=1.0)
-        # 0 and 1, the doublings 2 and 4, then the midpoints of [0, 4]
-        # and [2, 4]: the final bracket's ends 0 and 4 are evaluated once
-        assert calls == [0.0, 1.0, 2.0, 4.0, 2.0, 3.0]
-
-
-class TestGoldenMax:
-    def test_nan_in_the_loop(self):
-        with pytest.raises(DomainError):
-            golden_max(nan_above(0.7, lambda x: -(x - 0.6) ** 2), 0.0, 1.0)
-
-    def test_infinite_value_keeps_its_meaning(self):
-        x, fx, _ = golden_max(lambda x: -math.inf if x > 0.8 else -(x - 0.3) ** 2, 0.0, 1.0)
-        assert x == pytest.approx(0.3, abs=1e-8)
-        assert fx == pytest.approx(0.0, abs=1e-12)
+        # 0 and 1, the doublings 2 and 4 (each same-sign end becomes the
+        # low end), then the midpoint of [2, 4]: no point is evaluated twice
+        assert calls == [0.0, 1.0, 2.0, 4.0, 3.0]
