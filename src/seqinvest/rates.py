@@ -34,18 +34,16 @@ prize, the inverse is trusted in place of ``p'``, so it must stay
 consistent with ``_p_prime``.
 
 Rates are immutable after construction and safe to share across workers.
-Validation (:func:`validate`) is advisory: solvers accept unvalidated
-rates, and a rate that violates the assumptions is reported, not
-rejected, so pathological rates can still be diagnosed.
+Validation (:func:`validate`) is advisory and plain Python on a grid of
+floats, so it needs no numpy: solvers accept unvalidated rates, and a rate
+that violates the assumptions is reported, not rejected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Iterable
 
 from .errors import DomainError
 
@@ -290,14 +288,19 @@ class ValidationReport:
         return out
 
 
-def _safe_eval(fn: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    out = np.empty(xs.shape)
-    for i, x in enumerate(xs):
-        try:
-            out[i] = fn(float(x))
-        except Exception:
-            out[i] = np.nan
-    return out
+def _safe_eval(fn: Callable[[float], float], x: float) -> float:
+    try:
+        return float(fn(x))
+    except Exception:
+        return math.nan
+
+
+def _diff(xs: list[float]) -> list[float]:
+    return [b - a for a, b in zip(xs, xs[1:])]
+
+
+def _first(flags: Iterable[bool]) -> int | None:
+    return next((i for i, flag in enumerate(flags) if flag), None)
 
 
 def validate(
@@ -309,66 +312,68 @@ def validate(
 ) -> ValidationReport:
     """Check the modelling assumptions on a logarithmic grid.
 
-    The grid spans ``(1e-9, domain_cap]``.  Checks: ``p(0) = 0``; ``p``
-    strictly increasing; ``p`` concave (divided differences strictly
-    decreasing); prize above investment (``p/p' > x`` for ``x > 0``);
-    prize convex (second divided differences above ``-tol_convex``); and
-    prize vanishing at zero (value at the smallest grid point below
-    ``tol_limit``).  Never raises -- pathological rates are reported so
-    they can be diagnosed.
+    The grid is ``points`` floats from ``1e-9`` to ``domain_cap``, spaced
+    as by ``numpy.geomspace`` but computed in plain Python.  Checks:
+    ``p(0) = 0``; ``p`` evaluable, strictly increasing and concave (divided
+    differences strictly decreasing); prize above investment (``p/p' > x``
+    for ``x > 0``); prize convex (second divided differences above
+    ``-tol_convex``); prize vanishing at zero (value at the smallest grid
+    point below ``tol_limit``).  Raises :class:`DomainError` only when
+    there is no grid of 3 distinct points; pathological rates are reported,
+    never raised, so they can be diagnosed.
     """
-    grid = np.geomspace(1e-9, sr.domain_cap, points)
-    pv = _safe_eval(sr.probability, grid)
-    gv = _safe_eval(sr.incentive_prize, grid)
+    if points < 3 or not sr.domain_cap > 1e-9:
+        raise DomainError(f"validate: points {points} < 3 or domain_cap {sr.domain_cap!r} <= 1e-9")
+    step = (math.log10(sr.domain_cap) + 9.0) / (points - 1)
+    grid = [1e-9, *(10.0 ** (i * step - 9.0) for i in range(1, points - 1)), float(sr.domain_cap)]
+    widths = _diff(grid)
+    if 0.0 in widths:  # a cap within rounding of 1e-9 repeats grid points
+        raise DomainError(f"domain_cap {sr.domain_cap!r} is too close to 1e-9 for {points} points")
+    pv = [_safe_eval(sr.probability, x) for x in grid]
+    gv = [_safe_eval(sr.incentive_prize, x) for x in grid]
     checks: list[CheckResult] = []
 
     try:
         p0 = sr.probability(0.0)
-        checks.append(
-            CheckResult("starts_at_zero", bool(abs(p0) <= 1e-12), 0.0, p0)
-        )
+        checks.append(CheckResult("starts_at_zero", bool(abs(p0) <= 1e-12), 0.0, p0))
     except Exception as exc:  # pragma: no cover - defensive
         checks.append(CheckResult("starts_at_zero", False, 0.0, None, str(exc)))
 
-    if np.isnan(pv).any():
-        bad = float(grid[int(np.isnan(pv).argmax())])
-        checks.append(CheckResult("evaluable", False, bad, None, "p not evaluable"))
-    else:
+    j = _first(math.isnan(v) for v in pv)
+    if j is None:
         checks.append(CheckResult("evaluable", True))
+    else:
+        checks.append(CheckResult("evaluable", False, grid[j], None, "p not evaluable"))
 
-    def grid_check(
-        name: str, values: np.ndarray, ok: np.ndarray, source: np.ndarray, *,
-        highest: bool = False, shift: int = 0,
-    ) -> CheckResult:
-        # ``values[j]`` belongs to grid point ``j + shift``; ``ok`` is the
-        # elementwise verdict.  When only NaN values fail, the check is
-        # blamed on the first grid point where ``source`` (the evaluations
-        # the values derive from) is not finite.
-        nan = np.isnan(values)
-        if nan.any() and (ok | nan).all():
-            bad = ~np.isfinite(source)
-            j = int(bad.argmax()) if bad.any() else int(nan.argmax()) + shift
-            return CheckResult(name, False, float(grid[j]), math.nan)
-        if values.size == 0:
-            return CheckResult(name, True)
-        j = int(np.nanargmax(values) if highest else np.nanargmin(values))
-        return CheckResult(name, bool(ok.all()), float(grid[j + shift]), float(values[j]))
+    def grid_check(name: str, values: list[float], ok: Callable[[float], bool],
+                   source: list[float], *, highest: bool = False, shift: int = 0) -> CheckResult:
+        # ``values[j]`` belongs to grid point ``j + shift``; ``ok`` is a
+        # threshold, so every value passes iff the worst one (the highest or
+        # the lowest) does.  NaN values fail: when they are the only
+        # failures, the check is blamed on the first grid point where
+        # ``source`` (the evaluations the values derive from) is not finite;
+        # otherwise the worst finite value fails and is reported.
+        kept = [j for j, v in enumerate(values) if not math.isnan(v)]
+        j = (max if highest else min)(kept, key=values.__getitem__, default=None)
+        if len(kept) < len(values) and (j is None or ok(values[j])):
+            bad = _first(not math.isfinite(v) for v in source)
+            if bad is None:
+                bad = _first(math.isnan(v) for v in values) + shift
+            return CheckResult(name, False, grid[bad], math.nan)
+        return CheckResult(name, ok(values[j]), grid[j + shift], values[j])
 
-    diffs = np.diff(pv)
-    dslopes = np.diff(diffs / np.diff(grid))
-    margin = gv - grid
-    curv = np.diff(np.diff(gv) / np.diff(grid))
+    diffs = _diff(pv)
+    dslopes = _diff([d / w for d, w in zip(diffs, widths)])
+    margin = [g - x for g, x in zip(gv, grid)]
+    curv = _diff([d / w for d, w in zip(_diff(gv), widths)])
     checks += [
-        grid_check("increasing", diffs, diffs > 0.0, pv),
-        grid_check("concave", dslopes, dslopes < 0.0, pv, highest=True, shift=1),
-        grid_check("prize_exceeds_investment", margin, margin > 0.0, gv),
-        grid_check("prize_convex", curv, curv >= -tol_convex, gv, shift=1),
+        grid_check("increasing", diffs, lambda v: v > 0.0, pv),
+        grid_check("concave", dslopes, lambda v: v < 0.0, pv, highest=True, shift=1),
+        grid_check("prize_exceeds_investment", margin, lambda v: v > 0.0, gv),
+        grid_check("prize_convex", curv, lambda v: v >= -tol_convex, gv, shift=1),
     ]
 
-    g_small = gv[0]
-    ok = bool(np.isfinite(g_small) and abs(g_small) <= tol_limit)
-    checks.append(
-        CheckResult("prize_vanishes_at_zero", ok, float(grid[0]), float(g_small))
-    )
+    ok = math.isfinite(gv[0]) and abs(gv[0]) <= tol_limit
+    checks.append(CheckResult("prize_vanishes_at_zero", ok, grid[0], gv[0]))
 
     return ValidationReport(sr.name, tuple(checks))

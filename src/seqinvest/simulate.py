@@ -26,19 +26,25 @@ so they are independent by construction without communication, and the
 merge -- summing histograms -- is associative and deterministic given
 the shard plan.  Identical seed and configuration reproduce summaries
 bit for bit.
+
+numpy is imported on first use, inside the functions that draw or
+aggregate, so importing this module, as the package and the CLI do,
+does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ChainCapError, DomainError
 from .profiles import ConstantTailProfile
 from .rates import SuccessRate
 from .rules import RewardRule
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Longest terminal index the histogram may hold (a dense int64 array).
 _HISTOGRAM_LIMIT = 1 << 22
@@ -124,6 +130,8 @@ def _shard_histogram(
     max_chain_length: int,
 ) -> tuple[np.ndarray, int]:
     """Counts of episodes by terminal index, plus the discard count (0)."""
+    import numpy as np
+
     p_tail = _probability(sr, profile.tail)
     steps = max(max_chain_length, profile.prefix_len)
     counts: list[int] = []
@@ -154,6 +162,8 @@ def _shard_histogram(
 
 
 def _rngs(config: SimulationConfig) -> list[np.random.Generator]:
+    import numpy as np
+
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(config.shards) if config.shards > 1 else [root]
     return [np.random.Generator(np.random.Philox(child)) for child in children]
@@ -168,6 +178,8 @@ def terminal_histogram(
     sr: SuccessRate, profile: ConstantTailProfile, config: SimulationConfig
 ) -> tuple[np.ndarray, int]:
     """Merged terminal-index histogram over all shards, plus discards (0)."""
+    import numpy as np
+
     sizes = _shard_sizes(config.episodes, config.shards)
     merged = np.zeros(0, dtype=np.int64)
     discarded = 0
@@ -190,6 +202,8 @@ def terminal_samples(
     sr: SuccessRate, profile: ConstantTailProfile, config: SimulationConfig
 ) -> np.ndarray:
     """Terminal indices of all episodes, expanded from the histogram."""
+    import numpy as np
+
     hist, _ = terminal_histogram(sr, profile, config)
     return np.repeat(np.arange(hist.size), hist)
 
@@ -212,6 +226,8 @@ def summarize(
     config: SimulationConfig,
 ) -> SimulationSummary:
     """Simulate and aggregate; deterministic given the configuration."""
+    import numpy as np
+
     hist, discarded = terminal_histogram(sr, profile, config)
     episodes = int(hist.sum())
     kmax = hist.size - 1

@@ -1,7 +1,14 @@
 """Exit statuses, output formats, and config handling of the CLI."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import seqinvest
 from seqinvest.cli import main
 
 
@@ -322,3 +329,76 @@ class TestValidationPrintout:
         captured = capsys.readouterr()
         assert code == 0
         assert "validation passed" in captured.err
+
+
+README_COMMANDS = {
+    "optima": ["optima"],
+    "verify": ["verify", "--rule", "kind=equal_split", "--profile", "tail=0.0883",
+               "--tol-eq", "1e-4"],
+    "verify_self_financed": [
+        "verify", "--rule", "kind=fixed_fraction_floor,alpha=0.9377,gamma=0.0723",
+        "--profile", "prefix=[0.0816],tail=0.0723", "--self-financed", "--tol-eq", "1e-3",
+    ],
+    "synthesize": ["synthesize", "--x0", "0.06", "--c", "0.12", "--gamma", "0"],
+    "dynamics": ["dynamics", "--rule", "kind=jackpot", "--rate", "scaled_sqrt_ratio",
+                 "--epsilon", "0.7071", "--horizon", "12"],
+    "region": ["region", "--mode", "self_financed", "--points", "256", "--format", "csv"],
+    "rule_print": ["rule", "print", "--rule", "kind=jackpot", "--rows", "8"],
+}
+
+
+SIMULATE = ["simulate", "--rule", "kind=equal_split", "--profile", "tail=0.0883",
+            "--episodes", "10", "--no-validate"]
+
+# Runs each argv of ``sys.argv[1]`` through ``main`` in a process where any
+# ``import numpy`` fails, and prints the exit codes and stdouts as JSON.
+_BLOCKED_RUNNER = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from seqinvest.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except ImportError:
+            code = "ImportError"
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _python(*args: str) -> str:
+    src = str(Path(seqinvest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+@pytest.fixture(scope="module")
+def numpy_blocked_runs():
+    argvs = [*README_COMMANDS.values(), SIMULATE]
+    runs = json.loads(_python("-c", _BLOCKED_RUNNER, json.dumps(argvs)))
+    return dict(zip([*README_COMMANDS, "simulate"], map(tuple, runs)))
+
+
+class TestNumpyFreeStartup:
+    """Only ``simulate`` needs numpy; every other command runs without it."""
+
+    def test_import_leaves_numpy_unloaded(self):
+        out = _python("-c", "import sys, seqinvest.cli; "
+                      "print('numpy' in sys.modules, 'seqinvest.simulate' in sys.modules)")
+        # the simulate module itself is still imported, only numpy is deferred
+        assert out.split() == ["False", "True"]
+
+    @pytest.mark.parametrize("name", README_COMMANDS)
+    def test_commands_run_with_numpy_blocked(self, capsys, numpy_blocked_runs, name):
+        code = main(README_COMMANDS[name])
+        assert numpy_blocked_runs[name] == (code, capsys.readouterr().out)
+        assert code in (0, 1) and numpy_blocked_runs[name][1]
+
+    def test_simulate_still_needs_numpy(self, numpy_blocked_runs):
+        # the control for the test above: the block does reach the engine
+        assert numpy_blocked_runs["simulate"] == ("ImportError", "")

@@ -11,8 +11,10 @@ from seqinvest import (
     rate_from_config,
     register_rate,
     scaled_sqrt_ratio,
+    sqrt_ratio,
     validate,
 )
+from seqinvest.rates import CheckResult, ValidationReport
 
 GRID = np.geomspace(1e-6, 1e3, 160)
 
@@ -201,6 +203,125 @@ class TestValidationNaN:
             report = validate(rate)
             assert all(type(c.passed) is bool for c in report.checks)
             assert type(report.passed) is bool
+
+
+def _numpy_validate(sr, points=512, *, tol_convex=1e-8, tol_limit=1e-6):
+    """The numpy implementation ``validate`` replaced, kept as its reference."""
+
+    def safe_eval(fn, xs):
+        out = np.empty(xs.shape)
+        for i, x in enumerate(xs):
+            try:
+                out[i] = fn(float(x))
+            except Exception:
+                out[i] = np.nan
+        return out
+
+    grid = np.geomspace(1e-9, sr.domain_cap, points)
+    pv = safe_eval(sr.probability, grid)
+    gv = safe_eval(sr.incentive_prize, grid)
+    p0 = sr.probability(0.0)
+    checks = [CheckResult("starts_at_zero", bool(abs(p0) <= 1e-12), 0.0, p0)]
+    if np.isnan(pv).any():
+        bad = float(grid[int(np.isnan(pv).argmax())])
+        checks.append(CheckResult("evaluable", False, bad, None, "p not evaluable"))
+    else:
+        checks.append(CheckResult("evaluable", True))
+
+    def grid_check(name, values, ok, source, *, highest=False, shift=0):
+        nan = np.isnan(values)
+        if nan.any() and (ok | nan).all():
+            bad = ~np.isfinite(source)
+            j = int(bad.argmax()) if bad.any() else int(nan.argmax()) + shift
+            return CheckResult(name, False, float(grid[j]), math.nan)
+        j = int(np.nanargmax(values) if highest else np.nanargmin(values))
+        return CheckResult(name, bool(ok.all()), float(grid[j + shift]), float(values[j]))
+
+    diffs = np.diff(pv)
+    dslopes = np.diff(diffs / np.diff(grid))
+    margin = gv - grid
+    curv = np.diff(np.diff(gv) / np.diff(grid))
+    checks += [
+        grid_check("increasing", diffs, diffs > 0.0, pv),
+        grid_check("concave", dslopes, dslopes < 0.0, pv, highest=True, shift=1),
+        grid_check("prize_exceeds_investment", margin, margin > 0.0, gv),
+        grid_check("prize_convex", curv, curv >= -tol_convex, gv, shift=1),
+    ]
+    g_small = gv[0]
+    ok = bool(np.isfinite(g_small) and abs(g_small) <= tol_limit)
+    checks.append(CheckResult("prize_vanishes_at_zero", ok, float(grid[0]), float(g_small)))
+    return ValidationReport(sr.name, tuple(checks))
+
+
+def _hole(fn, lo, hi, fill):
+    def holed(x):
+        if lo < x < hi:
+            return fill()
+        return fn(x)
+
+    return holed
+
+
+def _raise():
+    raise ArithmeticError("no value here")
+
+
+def _reference_rates():
+    sr = sqrt_ratio()
+    return [
+        sr,
+        sqrt_ratio(domain_cap=10.0),
+        scaled_sqrt_ratio(0.5),
+        scaled_sqrt_ratio(0.05, domain_cap=1e3),
+        custom_rate(
+            "nan_hole",
+            _hole(sr.probability, 0.5, 2.0, lambda: math.nan),
+            _hole(sr.marginal, 0.5, 2.0, lambda: math.nan),
+        ),
+        custom_rate("raises", _hole(sr.probability, 1e-3, 1e-2, _raise), sr.marginal),
+        custom_rate(
+            "capped_square",
+            lambda x: min(x * x, 0.99),
+            lambda x: 2.0 * x if x * x < 0.99 else 0.0,
+            epsilon=0.01,
+        ),
+        custom_rate("exponential", lambda x: 1.0 - math.exp(-x), lambda x: math.exp(-x)),
+    ]
+
+
+class TestValidationMatchesNumpy:
+    """The plain-Python grid reproduces the numpy verdicts."""
+
+    @pytest.mark.parametrize("points", [3, 32, 128, 512])
+    @pytest.mark.parametrize("rate", _reference_rates(), ids=lambda r: r.name)
+    def test_same_verdicts(self, rate, points):
+        got, want = validate(rate, points), _numpy_validate(rate, points)
+        assert [c.name for c in got.checks] == [c.name for c in want.checks]
+        assert [c.passed for c in got.checks] == [c.passed for c in want.checks]
+        assert got.lines() == want.lines()
+        for g, w in zip(got.checks, want.checks):
+            if w.worst_x is None:
+                assert g.worst_x is None
+            else:
+                assert g.worst_x == pytest.approx(w.worst_x, rel=1e-14, abs=0.0), g.name
+
+    def test_failing_rates_fail(self):
+        # the comparison above is not vacuous: these rates break assumptions
+        failing = {r.name for r in _reference_rates() if not validate(r, 128).passed}
+        assert failing == {"nan_hole", "raises", "capped_square", "exponential"}
+
+    @pytest.mark.parametrize("points", [0, 1, 2])
+    def test_too_few_points_rejected(self, sr, points):
+        # with fewer than 3 points there are no second differences, so the
+        # concavity and convexity checks would pass vacuously
+        with pytest.raises(DomainError, match=f"points {points} < 3"):
+            validate(sr, points=points)
+
+    @pytest.mark.parametrize("cap", [1e-9, 1e-12, 0.0, -1.0, math.nan, 1e-9 * (1 + 1e-12)])
+    def test_degenerate_domain_rejected(self, cap):
+        # the last cap exceeds 1e-9, but rounding repeats points of its grid
+        with pytest.raises(DomainError, match="domain_cap"):
+            validate(sqrt_ratio(domain_cap=cap))
 
 
 class TestRegistry:
