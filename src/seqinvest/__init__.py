@@ -78,7 +78,6 @@ from .rates import (
 )
 from .rules import (
     Column,
-    JackpotRule,
     Mixture,
     Perturbed,
     RewardRule,

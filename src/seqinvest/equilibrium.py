@@ -146,9 +146,6 @@ class EquilibriumReport:
     def max_residual(self) -> float:
         return max((c.residual for c in self.checks), default=0.0)
 
-    def residuals(self) -> tuple[tuple[int, float], ...]:
-        return tuple((c.agent, c.residual) for c in self.checks)
-
     def payoffs(self) -> tuple[tuple[int, float], ...]:
         return tuple((c.agent, c.payoff) for c in self.checks)
 

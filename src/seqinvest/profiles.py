@@ -76,10 +76,6 @@ class ConstantTailProfile:
             raise DomainError(f"agent index must be >= 0, got {j}")
         return self.prefix[j] if j < len(self.prefix) else self.tail
 
-    def values(self, n: int) -> tuple[float, ...]:
-        """The first ``n`` investments, materialized."""
-        return tuple(self.at(j) for j in range(n))
-
     def describe(self) -> str:
         inner = ", ".join(f"{v:g}" for v in self.prefix)
         return f"({inner}{', ' if inner else ''}{self.tail:g}, {self.tail:g}, ...)"

@@ -12,30 +12,33 @@ split.  For the canonical equal split, for example::
     2  1  1  0
     ...
 
-Rules are represented structurally rather than as raw matrices: each
-column is a finite list of leading entries followed by a tail that is
-constant or affine in the row index, and beyond finitely many leading
-columns every column is a shifted copy of one repeating pattern.  This
-is what makes balance on infinitely many rows checkable and the
-continuation-reward series summable in closed form.  Every rule used by
-the solvers fits, including finite perturbations and convex mixtures of
-other rules.
+Every rule has one form, :class:`StationaryColumnRule`: finitely many
+explicit leading columns, each a list of entries followed by a tail that
+is constant or affine in the row index, then one repeating pattern
+shifted to start at each later column's diagonal.  A pattern entry may
+drift, growing linearly in the column index (jackpot pays agent ``i``
+the amount ``i + 1`` one step after its turn: entry 1, drift 1).
+Mixtures and finite perturbations build this form once, at
+construction, so there is one ``column`` and one balance bound.  The
+form makes balance on infinitely many rows checkable and the
+continuation-reward series summable in closed form.
 
-Construction validates balance and non-negativity exactly on a leading
-block of rows and structurally beyond it.  For a stationary rule the
-block ends at row ``K + 1`` with ``K = max(leading tail starts,
-len(leading) + len(repeating entries))``: from row ``K`` on every column
-is in tail form, so each row sum is affine in the row index, and two
-exact rows ``K`` and ``K + 1`` pin it to ``k + 1`` on all later rows.
-Non-negative tail values and slopes then keep every later entry
-non-negative.  Violations raise :class:`RuleConstructionError` with the
-offending row.
+Construction checks balance and non-negativity exactly on rows
+``0..K + 1`` with ``K = max(leading tail starts, len(leading) +
+len(pattern))``.  From row ``K`` on, every leading column is in its
+affine tail and every later column is in its constant tail or at a
+pattern entry affine in its column index, hence in ``k``; so each row
+sum is affine in ``k`` and rows ``K`` and ``K + 1`` pin it to ``k + 1``
+on all later rows.  Non-negative tails, slopes and drifts keep every
+later entry non-negative, and the diagonal may not drift, so stay-put
+payments are constant from the first pattern column on.  Violations
+raise :class:`RuleConstructionError` with the offending row.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import DomainError, RuleConstructionError
@@ -89,7 +92,8 @@ def _combine_columns(w: float, a: Column, b: Column) -> Column:
 
 
 class RewardRule(abc.ABC):
-    """Interface shared by every rule family; subclasses carry a ``label``."""
+    """Interface shared by every rule; the one implementation is
+    :class:`StationaryColumnRule`, which carries a ``label``."""
 
     @abc.abstractmethod
     def column(self, i: int) -> Column:
@@ -100,11 +104,6 @@ class RewardRule(abc.ABC):
     def stationary_from(self) -> int | None:
         """Column index from which all columns are shifted copies of one
         pattern, or ``None`` when they never stabilize (jackpot-style)."""
-
-    @property
-    @abc.abstractmethod
-    def diagonal_stationary_from(self) -> int:
-        """Index from which the stay-put payments ``f(i, i)`` are constant."""
 
     def value(self, i: int, k: int) -> float:
         """Matrix entry ``f(i, k)``; requires ``0 <= i <= k``."""
@@ -128,14 +127,8 @@ class RewardRule(abc.ABC):
 def validate_rule(rule: RewardRule, rows: int, tol: float = 1e-9) -> None:
     """Exact balance and non-negativity on rows ``0..rows``.
 
-    Also rejects negative tail values and slopes.  Callers pass a bound
-    past which balance is structural: a :class:`StationaryColumnRule`
-    passes ``K + 1`` with ``K = max(leading tail starts, len(leading) +
-    len(repeating entries))``, since from row ``K`` on each row sum is
-    affine in ``k`` and rows ``K`` and ``K + 1`` pin it to ``k + 1``; a
-    :class:`Perturbed` rule passes one past the last tail start of its
-    columns up to the last one it touches, beyond which its rows are base
-    rows plus tail deltas that cancel.
+    Also rejects negative tail values and slopes.  Construction passes
+    ``K + 1``, past which balance is structural (module docstring).
     """
     cols = [rule.column(i) for i in range(rows + 1)]
     for k in range(rows + 1):
@@ -162,16 +155,19 @@ def validate_rule(rule: RewardRule, rows: int, tol: float = 1e-9) -> None:
 class StationaryColumnRule(RewardRule):
     """Finitely many explicit leading columns plus one repeating pattern.
 
-    Columns ``i >= len(leading)`` all equal the repeating pattern shifted
-    to start at their own diagonal.  All the named families below are
-    instances; the class is also the escape hatch for one-off rules whose
-    columns eventually become constant.
+    Column ``i >= len(leading)`` starts at its own diagonal; its entry
+    ``t`` is ``repeating_entries[t] + repeating_drift[t] * i`` and every
+    later entry is ``repeating_tail``.  An empty ``repeating_drift`` (the
+    case for every rule but jackpot) means no drift, and an all-zero one
+    is stored empty.  The named families below are instances; the class
+    is also the escape hatch for one-off rules.
     """
 
     label: str
     leading: tuple[Column, ...]
     repeating_entries: tuple[float, ...]
     repeating_tail: float
+    repeating_drift: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         for i, col in enumerate(self.leading):
@@ -181,6 +177,16 @@ class StationaryColumnRule(RewardRule):
                 )
         if not self.repeating_entries:
             raise RuleConstructionError("repeating pattern needs a diagonal entry")
+        drift = self.repeating_drift
+        if drift:
+            if len(drift) != len(self.repeating_entries):
+                raise RuleConstructionError(f"{self.label}: one drift per pattern entry")
+            if drift[0] != 0.0:
+                raise RuleConstructionError(f"{self.label}: the diagonal entry cannot drift")
+            if not all(d >= 0.0 for d in drift):
+                raise RuleConstructionError(f"{self.label}: negative drift")
+            if not any(drift):
+                object.__setattr__(self, "repeating_drift", ())
         k = max(
             max((c.tail_start for c in self.leading), default=0),
             len(self.leading) + len(self.repeating_entries),
@@ -188,185 +194,140 @@ class StationaryColumnRule(RewardRule):
         validate_rule(self, k + 1)
 
     def column(self, i: int) -> Column:
-        if i < len(self.leading):
-            return self.leading[i]
-        return Column(i, self.repeating_entries, self.repeating_tail, 0.0)
-
-    @property
-    def stationary_from(self) -> int | None:
-        return len(self.leading)
-
-    @property
-    def diagonal_stationary_from(self) -> int:
-        return max(len(self.leading), 1)
-
-
-@dataclass(frozen=True, eq=False)
-class JackpotRule(RewardRule):
-    """Growing prize to the last successful agent.
-
-    Row ``k >= 2`` pays 1 to the initiator, ``k`` to agent ``k - 1`` and
-    nothing to anyone else, so columns never become copies of each other
-    and no constant-tail profile can be verified against this rule; it is
-    still usable in best-response dynamics, where only finitely many
-    agents are evaluated.
-    """
-
-    label: str = "jackpot"
-
-    def column(self, i: int) -> Column:
         if i < 0:
             raise DomainError(f"column index must be >= 0, got {i}")
-        if i == 0:
-            return Column(0, (1.0, 2.0), 1.0)
-        return Column(i, (0.0, float(i + 1)), 0.0)
+        if i < len(self.leading):
+            return self.leading[i]
+        entries = self.repeating_entries
+        if self.repeating_drift:
+            entries = tuple([e + d * i for e, d in zip(entries, self.repeating_drift)])
+        return Column(i, entries, self.repeating_tail, 0.0)
 
     @property
     def stationary_from(self) -> int | None:
-        return None
-
-    @property
-    def diagonal_stationary_from(self) -> int:
-        return 1
+        # a drifting pattern never repeats exactly
+        return None if self.repeating_drift else len(self.leading)
 
 
-@dataclass(frozen=True, eq=False)
-class Mixture(RewardRule):
+class Mixture(StationaryColumnRule):
     """Convex combination ``weight * left + (1 - weight) * right``.
 
-    Balance is preserved automatically; mixing is how intermediate
-    near-constant profiles are supported from two endpoint rules.
+    Mixing is how intermediate near-constant profiles are supported from
+    two endpoint rules.  Leading columns, pattern and drift are combined
+    once; a convex combination of balanced rules is balanced, so no row
+    is checked again.
     """
 
-    weight: float
-    left: RewardRule
-    right: RewardRule
-    label: str = field(default="", repr=False)
+    def __init__(
+        self,
+        weight: float,
+        left: StationaryColumnRule,
+        right: StationaryColumnRule,
+        label: str = "",
+    ) -> None:
+        if not 0.0 <= weight <= 1.0:
+            raise RuleConstructionError(f"mixture weight must be in [0, 1], got {weight!r}")
+        n = max(len(left.leading), len(right.leading))
+        m = max(len(left.repeating_entries), len(right.repeating_entries))
+        leading = tuple(_combine_columns(weight, left.column(i), right.column(i)) for i in range(n))
+        v = 1.0 - weight
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.weight <= 1.0:
-            raise RuleConstructionError(
-                f"mixture weight must be in [0, 1], got {self.weight!r}"
-            )
-        if not self.label:
-            object.__setattr__(
-                self,
-                "label",
-                f"mix({self.weight:.6g}*{self.left.label} + "
-                f"{1.0 - self.weight:.6g}*{self.right.label})",
-            )
+        def mix(a, b, a_fill, b_fill):
+            # past a part's own pattern entries: its tail, and no drift
+            a, b = a + (a_fill,) * (m - len(a)), b + (b_fill,) * (m - len(b))
+            return tuple([weight * x + v * y for x, y in zip(a, b)])
 
-    def column(self, i: int) -> Column:
-        return _combine_columns(self.weight, self.left.column(i), self.right.column(i))
-
-    @property
-    def stationary_from(self) -> int | None:
-        a = self.left.stationary_from
-        b = self.right.stationary_from
-        if a is None or b is None:
-            return None
-        return max(a, b)
-
-    @property
-    def diagonal_stationary_from(self) -> int:
-        return max(
-            self.left.diagonal_stationary_from, self.right.diagonal_stationary_from
+        drift = mix(left.repeating_drift, right.repeating_drift, 0.0, 0.0)
+        # the form is computed here and stored on the frozen instance directly
+        vars(self).update(
+            weight=weight,
+            left=left,
+            right=right,
+            label=label or f"mix({weight:.6g}*{left.label} + {v:.6g}*{right.label})",
+            leading=leading,
+            repeating_entries=mix(
+                left.repeating_entries, right.repeating_entries,
+                left.repeating_tail, right.repeating_tail,
+            ),
+            repeating_tail=weight * left.repeating_tail + v * right.repeating_tail,
+            repeating_drift=drift if any(drift) else (),
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Perturbed(RewardRule):
+def _perturb_column(
+    col: Column, cells: list[tuple[int, float]], shifts: list[tuple[int, float]]
+) -> Column:
+    """``col`` plus ``v`` at each row ``k`` of ``cells`` and plus ``v`` on
+    every row from ``k0`` on for each ``(k0, v)`` of ``shifts``."""
+    i = col.start
+    n = max([col.tail_start] + [k + 1 for k, _ in cells] + [k0 + 1 for k0, _ in shifts]) - i
+    values = [col.value(i + t) for t in range(n)]
+    for k, v in cells:
+        values[k - i] += v
+    tail = col.value(i + n)
+    for k0, v in shifts:
+        for t in range(k0 - i, n):
+            values[t] += v
+        tail += v
+    return Column(i, tuple(values), tail, col.slope)
+
+
+class Perturbed(StationaryColumnRule):
     """A base rule plus per-column adjustments on finitely many columns.
 
     ``entries`` maps ``(i, k)`` to an additive change; ``column_tails``
     maps a column to ``(k_from, delta)`` meaning every entry of column
-    ``i`` from row ``k_from`` on shifts by ``delta``.  Row sums must be
+    ``i`` from row ``k_from`` on shifts by ``delta``.  Every listed change
+    applies, so changes at the same place add up.  Row sums must be
     unchanged: explicit entries must cancel within each row and the tail
     deltas must cancel across columns, otherwise construction fails with
-    the offending row.
+    the offending row.  The touched columns become explicit leading
+    columns; the base's pattern carries on past them.
     """
 
-    base: RewardRule
-    entries: tuple[tuple[tuple[int, int], float], ...] = ()
-    column_tails: tuple[tuple[int, tuple[int, float]], ...] = ()
-    label: str = field(default="", repr=False)
-
-    def __post_init__(self) -> None:
-        entries = tuple(((int(i), int(k)), float(v)) for (i, k), v in self.entries)
-        tails = tuple(
-            (int(i), (int(k0), float(v))) for i, (k0, v) in self.column_tails
-        )
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "column_tails", tails)
-        for (i, k), _ in entries:
+    def __init__(
+        self,
+        base: StationaryColumnRule,
+        entries: tuple[tuple[tuple[int, int], float], ...] = (),
+        column_tails: tuple[tuple[int, tuple[int, float]], ...] = (),
+        label: str = "",
+    ) -> None:
+        entries = tuple(((int(i), int(k)), float(v)) for (i, k), v in entries)
+        tails = tuple((int(i), (int(k0), float(v))) for i, (k0, v) in column_tails)
+        cells: dict[int, list[tuple[int, float]]] = {}
+        shifts: dict[int, list[tuple[int, float]]] = {}
+        for (i, k), v in entries:
             if i < 0 or k < i:
                 raise RuleConstructionError(f"delta entry at invalid cell ({i}, {k})")
-        for i, (k0, _) in tails:
+            cells.setdefault(i, []).append((k, v))
+        for i, (k0, v) in tails:
             if i < 0 or k0 <= i:
                 raise RuleConstructionError(
                     f"column {i} tail delta must start after the diagonal"
                 )
+            shifts.setdefault(i, []).append((k0, v))
         tail_sum = sum(v for _, (_, v) in tails)
         if abs(tail_sum) > 1e-9:
             raise RuleConstructionError(
                 f"column tail deltas sum to {tail_sum:g}; rows beyond the "
                 "explicit block would be unbalanced"
             )
-        if not self.label:
-            object.__setattr__(self, "label", f"perturbed({self.base.label})")
-        object.__setattr__(self, "_columns", self._touched_columns())
-        cols = range(self._max_touched + 1)
-        validate_rule(self, max((self.column(i).tail_start for i in cols), default=0) + 1)
-
-    def _touched_columns(self) -> dict[int, Column]:
-        """Each column with a delta, built once: base entries plus deltas."""
-        deltas: dict[int, list[tuple[int, float]]] = {}
-        for (i, k), v in self.entries:
-            deltas.setdefault(i, []).append((k, v))
-        tails: dict[int, tuple[int, float]] = {}
-        for i, t in self.column_tails:
-            tails.setdefault(i, t)  # a column's first tail delta applies
-            deltas.setdefault(i, [])
-        columns = {}
-        for i, column_deltas in deltas.items():
-            base = self.base.column(i)
-            tail = tails.get(i)
-            far = max(
-                base.tail_start,
-                max((k for k, _ in column_deltas), default=0) + 1,
-                tail[0] + 1 if tail else 0,
-            )
-            n = far - i
-            values = [base.value(i + t) for t in range(n)]
-            for k, v in column_deltas:
-                values[k - i] += v
-            tail_delta = 0.0
-            if tail is not None:
-                k0, v = tail
-                tail_delta = v
-                for t in range(k0 - i, n):
-                    values[t] += v
-            columns[i] = Column(i, tuple(values), base.value(i + n) + tail_delta, base.slope)
-        return columns
-
-    def column(self, i: int) -> Column:
-        col = self._columns.get(i)
-        return self.base.column(i) if col is None else col
-
-    @property
-    def _max_touched(self) -> int:
-        return max(self._columns, default=-1)
-
-    @property
-    def stationary_from(self) -> int | None:
-        s = self.base.stationary_from
-        if s is None:
-            return None
-        return max(s, self._max_touched + 1)
-
-    @property
-    def diagonal_stationary_from(self) -> int:
-        return max(self.base.diagonal_stationary_from, self._max_touched + 1)
+        touched = cells.keys() | shifts.keys()
+        n = max(len(base.leading), max(touched, default=-1) + 1)
+        leading = [base.column(i) for i in range(n)]
+        for i in touched:
+            leading[i] = _perturb_column(leading[i], cells.get(i, []), shifts.get(i, []))
+        vars(self).update(
+            base=base,
+            entries=entries,
+            column_tails=tails,
+            label=label or f"perturbed({base.label})",
+            leading=tuple(leading),
+            repeating_entries=base.repeating_entries,
+            repeating_tail=base.repeating_tail,
+            repeating_drift=base.repeating_drift,
+        )
+        self.__post_init__()  # the structural checks and the one balance bound
 
 
 def equal_split() -> StationaryColumnRule:
@@ -407,8 +368,23 @@ def fixed_fraction_floor(alpha: float, gamma: float) -> StationaryColumnRule:
     )
 
 
-def jackpot() -> JackpotRule:
-    return JackpotRule()
+def jackpot() -> StationaryColumnRule:
+    """Growing prize to the last successful agent.
+
+    Row ``k >= 2`` pays 1 to the initiator, ``k`` to agent ``k - 1`` and
+    nothing to anyone else: column ``i >= 1`` is ``(0, i + 1)`` then 0,
+    pattern entries ``(0, 1)`` with drift ``(0, 1)``.  The columns never
+    become copies of each other, so no constant-tail profile can be
+    verified against this rule; it is still usable in best-response
+    dynamics, where only finitely many agents are evaluated.
+    """
+    return StationaryColumnRule(
+        "jackpot",
+        leading=(Column(0, (1.0, 2.0), 1.0),),
+        repeating_entries=(0.0, 1.0),
+        repeating_tail=0.0,
+        repeating_drift=(0.0, 1.0),
+    )
 
 
 def flat_continuation(alpha: float, gamma: float) -> StationaryColumnRule:
@@ -496,14 +472,15 @@ def _payoff(sr: SuccessRate, xi: float, fii: float, reward: float) -> float:
     return (1.0 - pi) * fii + pi * reward - xi
 
 
-def implied_value(sr: SuccessRate, rule: RewardRule, x: ConstantTailProfile) -> float:
+def implied_value(sr: SuccessRate, rule: StationaryColumnRule, x: ConstantTailProfile) -> float:
     """Stay-put payments plus incentive cost, reach-weighted.
 
     At any supported profile this equals ``expected_value`` (the rule's
     floors and incentives together account for exactly the value
-    created); away from equilibrium the two can differ either way.
+    created); away from equilibrium the two can differ either way.  The
+    stay-put payments are constant from the first pattern column on.
     """
-    j0 = max(rule.diagonal_stationary_from, x.prefix_len, 1)
+    j0 = max(len(rule.leading), x.prefix_len, 1)
     total, reach, pc = _reach_series(sr, x, 0, j0, rule.diagonal)
     return total + reach * rule.diagonal(j0) / (1.0 - pc) + incentive_cost(sr, x)
 

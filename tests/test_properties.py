@@ -4,7 +4,9 @@ Rule construction checks balance on a bounded block of rows and proves
 the rest structurally.  Here a brute-force scan of the first 256 rows
 decides the same question entry by entry, on random named rules, random
 balanced transfers, and copies corrupted at a random row up to 200: both
-must accept the clean rules and reject every corrupted one.
+must accept the clean rules and reject every corrupted one.  Mixtures
+(jackpot included) and transfers, built once into the one rule form, are
+read back over the same rows against their definitions.
 
 The closed-form series (payoff functionals, continuation reward,
 implied value) are compared with explicit 2000-term truncated sums on
@@ -173,15 +175,16 @@ class TestStructuralBalance:
 
 
 def perturbed_value(base, entries, tails):
-    """Entry of ``Perturbed(base, entries, tails)`` summed from its parts."""
+    """Entry of ``Perturbed(base, entries, tails)`` summed from its parts:
+    the base entry, its entry delta, then every tail delta that has begun."""
     base_value = column_value(base.column)
     cells = dict(entries)
-    shifts = dict(tails)
 
     def value(i, k):
         v = base_value(i, k) + cells.get((i, k), 0.0)
-        if i in shifts and k >= shifts[i][0]:
-            v += shifts[i][1]
+        for c, (k0, shift) in tails:
+            if c == i and k >= k0:
+                v += shift
         return v
 
     return value
@@ -189,8 +192,10 @@ def perturbed_value(base, entries, tails):
 
 @st.composite
 def transfers(draw):
-    """A base rule with a balanced tail move between two columns and a
-    balanced entry move on one row, both sized to keep entries >= 0."""
+    """A base rule with a balanced tail move between two columns, maybe a
+    partial move back from a later row (two tail deltas on each of the two
+    columns), and a balanced entry move on one row, all sized to keep
+    entries >= 0."""
     base = draw(base_rules)
     k0 = draw(st.integers(2, CORRUPT_ROWS))
     c, d = draw(st.lists(st.integers(0, k0 - 1), min_size=2, max_size=2, unique=True))
@@ -198,6 +203,9 @@ def transfers(draw):
     room = min(col.value(k) for k in range(k0, max(k0, col.tail_start) + 1))
     shift = draw(unit) * room
     tails = ((c, (k0, -shift)), (d, (k0, shift)))
+    if draw(st.booleans()):
+        k1, back = k0 + draw(st.integers(0, 8)), draw(unit) * shift
+        tails += ((c, (k1, back)), (d, (k1, -back)))
     row = draw(st.integers(1, CORRUPT_ROWS))
     a, b = draw(st.lists(st.integers(0, row), min_size=2, max_size=2, unique=True))
     move = draw(unit) * perturbed_value(base, (), tails)(a, row)
@@ -224,10 +232,74 @@ class TestPerturbedBalance:
             move = perturbed_value(base, (), tails)(a, row) + excess
             entries = (((a, row), -move), ((b, row), move))
         else:
-            (c, (k0, shift)), far = tails
-            tails = ((c, (k0, shift - excess)), far)
+            (c, (k0, shift)), *rest = tails
+            tails = ((c, (k0, shift - excess)), *rest)
         assert not scan_ok(perturbed_value(base, entries, tails))
         assert not constructs(lambda: Perturbed(base, entries, tails))
+
+
+ULPS = 4
+
+
+def assert_agrees(got, want, scale, exact):
+    """``got == want``; only where a slope or a drift is rounded in another
+    order than the definition, within ``ULPS`` ulps of ``scale``."""
+    if exact:
+        assert got == want
+    else:
+        assert all(abs(g - x) <= ULPS * math.ulp(s) for g, x, s in zip(got, want, scale))
+
+
+class TestOneForm:
+    """Mixtures and transfers are built into leading columns plus one
+    pattern at construction; read back, rows ``0..SCAN_ROWS`` equal their
+    definitions entry by entry."""
+
+    @PROPERTY
+    @given(unit, stationary_rules, st.one_of(stationary_rules, st.just(jackpot())))
+    def test_mixture_matches_definition(self, w, left, right):
+        rule = Mixture(w, left, right)
+        for i in range(SCAN_ROWS + 1):
+            col, a, b = rule.column(i), left.column(i), right.column(i)
+            rows = range(i, SCAN_ROWS + 1)
+            assert_agrees(
+                [col.value(k) for k in rows],
+                [w * a.value(k) + (1.0 - w) * b.value(k) for k in rows],
+                [max(a.value(k), b.value(k)) for k in rows],
+                exact=not rule.repeating_drift and a.slope == b.slope == 0.0,
+            )
+        if right.stationary_from is None:  # jackpot: the mixture drifts unless w = 1
+            expected = None if w < 1.0 else max(left.stationary_from, len(right.leading))
+        else:
+            expected = max(left.stationary_from, right.stationary_from)
+        assert rule.stationary_from == expected
+
+    def test_jackpot_rows(self):
+        rule = jackpot()
+        assert rule.row(0) == [1.0]
+        assert rule.row(1) == [2.0, 0.0]
+        for k in range(2, SCAN_ROWS + 1):
+            assert rule.row(k) == [1.0] + [0.0] * (k - 2) + [float(k), 0.0]
+
+    @PROPERTY
+    @given(transfers())
+    def test_transfer_matches_definition(self, spec):
+        base, entries, tails = spec
+        rule = Perturbed(base, entries, tails)
+        want = perturbed_value(*spec)
+        for i in range(SCAN_ROWS + 1):
+            col, b = rule.column(i), base.column(i)
+            rows = range(i, SCAN_ROWS + 1)
+            expected = [want(i, k) for k in rows]
+            assert_agrees(
+                [col.value(k) for k in rows],
+                expected,
+                [max(b.value(k), abs(x)) for k, x in zip(rows, expected)],
+                exact=b.slope == 0.0,
+            )
+        touched = max(i for i, _ in tails + tuple((i, k) for (i, k), _ in entries))
+        s = base.stationary_from
+        assert rule.stationary_from == (None if s is None else max(s, touched + 1))
 
 
 rates = st.sampled_from(

@@ -30,6 +30,7 @@ from seqinvest import (
     next_step_bonus_zero_initiator,
     rule_from_config,
 )
+from seqinvest.rules import Column, StationaryColumnRule
 from conftest import three_tier_rule
 
 
@@ -118,6 +119,20 @@ class TestMatrices:
         with pytest.raises(DomainError):
             equal_split().value(-1, 0)
 
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            equal_split(),
+            Mixture(0.5, equal_split(), fixed_fraction(0.3)),
+            Perturbed(equal_split(), column_tails=((0, (3, 0.5)), (1, (3, -0.5)))),
+        ],
+        ids=lambda r: r.label,
+    )
+    def test_negative_column_index(self, rule):
+        # -1 must not wrap around to the last leading column
+        with pytest.raises(DomainError):
+            rule.column(-1)
+
 
 class TestConstruction:
     @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.label)
@@ -164,6 +179,53 @@ class TestConstruction:
             Mixture(1.5, equal_split(), jackpot())
 
 
+def drifting(drift, entries=(0.0, 1.0)):
+    return StationaryColumnRule(
+        "drifting",
+        leading=(Column(0, (1.0, 2.0), 1.0),),
+        repeating_entries=entries,
+        repeating_tail=0.0,
+        repeating_drift=drift,
+    )
+
+
+class TestDrift:
+    def test_jackpot_is_a_drifting_pattern(self):
+        rule = jackpot()
+        assert isinstance(rule, StationaryColumnRule)
+        assert (rule.repeating_entries, rule.repeating_drift) == ((0.0, 1.0), (0.0, 1.0))
+        assert rule.column(5) == Column(5, (0.0, 6.0), 0.0)
+        assert rule.stationary_from is None
+
+    def test_diagonal_drift_rejected(self):
+        # a growing stay-put payment would leave implied_value's series open
+        with pytest.raises(RuleConstructionError, match="diagonal"):
+            drifting((0.5, 1.0))
+
+    def test_negative_drift_rejected(self):
+        with pytest.raises(RuleConstructionError, match="negative drift"):
+            drifting((0.0, -1.0), entries=(0.0, 100.0))
+
+    def test_drift_length_must_match_pattern(self):
+        with pytest.raises(RuleConstructionError):
+            drifting((0.0,))
+
+    def test_zero_drift_is_stationary(self):
+        rule = StationaryColumnRule(
+            "equal_split",
+            leading=(Column(0, (1.0,), 2.0),),
+            repeating_entries=(0.0, 1.0),
+            repeating_tail=1.0,
+            repeating_drift=(0.0, 0.0),
+        )
+        assert rule.repeating_drift == ()
+        assert rule.stationary_from == 1
+
+    def test_mixture_drifts_while_jackpot_weighs(self):
+        assert Mixture(0.5, equal_split(), jackpot()).repeating_drift == (0.0, 0.5)
+        assert Mixture(1.0, equal_split(), jackpot()).stationary_from == 1
+
+
 def transfer_rule(p_tail, beta):
     """Equal split with value shifted between agents 0 and 1 across rows.
 
@@ -193,6 +255,16 @@ class TestPerturbed:
         p = sr.probability(oracle.c_star)
         with pytest.raises(RuleConstructionError):
             transfer_rule(p, 1.5)
+
+    def test_every_tail_delta_applies(self):
+        # two tail deltas per column: from row 5 a second pair moves 0.25 more
+        rule = Perturbed(
+            equal_split(),
+            column_tails=((0, (3, 0.5)), (1, (3, -0.5)), (0, (5, 0.25)), (1, (5, -0.25))),
+        )
+        assert rule.row(4) == [2.5, 0.5, 1.0, 1.0, 0.0]
+        assert rule.row(5) == [2.75, 0.25, 1.0, 1.0, 1.0, 0.0]
+        assert rule.row(9)[:2] == [2.75, 0.25]
 
     def test_untouched_columns_pass_through(self, sr, oracle):
         rule = transfer_rule(sr.probability(oracle.c_star), 0.5)
