@@ -71,7 +71,6 @@ from .rates import (
     ValidationReport,
     custom_rate,
     rate_from_config,
-    register_rate,
     scaled_sqrt_ratio,
     sqrt_ratio,
     validate,

@@ -107,8 +107,10 @@ def _parse_kv(text: str, what: str) -> dict[str, str]:
     for item in parts:
         if "=" not in item:
             raise UsageError(f"malformed {what} item {item.strip()!r}; expected key=value")
-        key, value = item.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (side.strip() for side in item.split("=", 1))
+        if key in out:
+            raise UsageError(f"repeated {what} key {key!r}")
+        out[key] = value
     return out
 
 
@@ -141,7 +143,10 @@ def _parse_rule(text: str) -> RewardRule:
 def _load_config(path: str | None) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     if path:
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:  # a repeated key or section, a line without one
+            raise UsageError(f"malformed config file: {' '.join(str(exc).split())}") from None
         if not read:
             raise UsageError(f"cannot read config file {path!r}")
     return parser
@@ -376,13 +381,18 @@ def _cmd_rule_print(args, cfg) -> int:
         return 0
 
 
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", default=None, help="config file (flags override it)")
+    p.add_argument("--format", choices=["table", "csv", "tsv"], default="table")
+    p.add_argument("--output", default=None, help="output path (default stdout)")
+
+
+# every command that resolves a rate: the output flags plus the rate flags
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rate", choices=["sqrt_ratio", "scaled_sqrt_ratio"], default=None,
                    help="success-rate family (default sqrt_ratio)")
     p.add_argument("--epsilon", type=float, default=None, help="cap parameter")
-    p.add_argument("--config", default=None, help="config file (flags override it)")
-    p.add_argument("--format", choices=["table", "csv", "tsv"], default="table")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
+    _add_output(p)
     p.add_argument("--no-validate", action="store_true",
                    help="skip the advisory rate validation printout")
 
@@ -448,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rule", help="inspect reward rules")
     rule_sub = p.add_subparsers(dest="rule_command", required=True)
     q = rule_sub.add_parser("print", help="emit the first K rows of a rule")
-    _add_common(q)
+    _add_output(q)
     q.add_argument("--rule", required=False)
     q.add_argument("--rows", type=int, default=8)
     q.set_defaults(handler=_cmd_rule_print)

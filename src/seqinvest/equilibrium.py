@@ -32,7 +32,10 @@ supportable if and only if
 
 where ``r`` is the required-return ratio.  The synthesizer builds the
 two endpoint rules attaining the bounds and mixes them with the weight
-that lands the initiator's net return exactly on ``r(x0)``.
+that lands the initiator's net return exactly on ``r(x0)``.  Both
+bounds, and the constant-profile condition ``p(c) >= prize(c)``, are
+checked with one slack, ``_SUPPORT_TOL``; a return within it of an
+endpoint gets the endpoint rule itself.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ TOL_EQ = 1e-8
 _ROOT_XTOL = 1e-12
 _ZERO_INVESTMENT = 1e-12
 _TAIL_EXTRA_AGENT = 5
+_DYNAMICS_TOL = 1e-10  # a sweep that moves no investment by more has converged
+_SUPPORT_TOL = 1e-9  # slack on the support bounds of constant and near-constant profiles
 
 
 class Mode(enum.Enum):
@@ -94,24 +99,10 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
     return bisect(gap, 0.0, min(1.0, sr.domain_cap), limit=sr.domain_cap, xtol=_ROOT_XTOL)
 
 
-def best_response(
-    sr: SuccessRate,
-    rule: RewardRule,
-    x: ConstantTailProfile,
-    i: int,
-    *,
-    budget: float | None = None,
-) -> float:
-    """Agent ``i``'s optimal investment against the others' profile.
-
-    With ``budget`` set (self-financed play), the unconstrained response
-    is clipped at the budget.
-    """
+def best_response(sr: SuccessRate, rule: RewardRule, x: ConstantTailProfile, i: int) -> float:
+    """Agent ``i``'s unconstrained optimal investment against the others' profile."""
     t = continuation_reward(sr, rule, x, i) - rule.value(i, i)
-    r = investment_for_return(sr, t)
-    if budget is not None:
-        r = min(r, budget)
-    return r
+    return investment_for_return(sr, t)
 
 
 @dataclass(frozen=True)
@@ -178,9 +169,11 @@ def check_agent(
 ) -> AgentCheck:
     """Best-response residual of a single agent at the profile.
 
-    Interior agents must satisfy the first-order condition; zero
-    investments need a non-positive net return; in self-financed mode an
-    investment at the budget ``f(i, i)`` may leave excess return.
+    Interior agents must satisfy the first-order condition; an investment
+    of at most ``_ZERO_INVESTMENT`` is at the zero corner, where the net
+    return, floored at 0, must match its required return (0 for an
+    investment of 0); in self-financed mode an investment at the budget
+    ``f(i, i)`` may leave excess return.
     Raises :class:`DomainError` for a non-finite or negative ``tol``.
     """
     _check_tol(tol)
@@ -190,7 +183,11 @@ def check_agent(
     t = reward - fii
     payoff = _payoff(sr, xi, fii, reward)
     if xi <= _ZERO_INVESTMENT:
-        return AgentCheck(i, xi, t, max(t, 0.0), payoff, corner="zero")
+        # the best response to a non-positive return is 0; a positive
+        # investment this small still has a required return (up to about
+        # 2e-6 for a rate as steep at zero as ``sqrt_ratio``)
+        residual = abs(max(t, 0.0) - sr.required_return(xi))
+        return AgentCheck(i, xi, t, residual, payoff, corner="zero")
     residual = abs(t - sr.required_return(xi))
     if (
         mode is Mode.SELF_FINANCED
@@ -259,6 +256,7 @@ def verify_equilibrium(
 class BoundSchedule:
     """Per-agent caps on equilibrium investments for a capped rate.
 
+    ``epsilon`` is the rate's own cap, so ``p <= 1 - epsilon``.
     ``bound(i)`` solves ``required_return(B_i) = i + 1 + 1 / epsilon``:
     no equilibrium investment of agent ``i`` can exceed it, because the
     continuation reward is at most the value already created (``i + 1``)
@@ -278,20 +276,18 @@ class BoundSchedule:
         return investment_for_return(self.rate, self.target(i))
 
 
-def investment_bounds(sr: SuccessRate, epsilon: float | None = None) -> BoundSchedule:
-    """Bound schedule for the rate; requires a positive cap parameter.
+def investment_bounds(sr: SuccessRate) -> BoundSchedule:
+    """Bound schedule at the rate's own cap, which must be positive.
 
-    ``epsilon`` defaults to the rate's own cap.  A cap of zero (the
-    unscaled square-root family) leaves the bound undefined and is
-    rejected.
+    A cap of zero (the unscaled square-root family) leaves the bound
+    undefined and is rejected.
     """
-    eps = sr.epsilon if epsilon is None else float(epsilon)
-    if not eps > 0.0:
+    if not sr.epsilon > 0.0:
         raise DomainError(
             "bounds need a positive cap parameter; this rate's success "
             "probability is not bounded away from 1"
         )
-    return BoundSchedule(sr, eps)
+    return BoundSchedule(sr, sr.epsilon)
 
 
 @dataclass(frozen=True)
@@ -318,7 +314,6 @@ def best_response_dynamics(
     *,
     sweeps: int = 200,
     damping: float = 1.0,
-    tol: float = 1e-10,
 ) -> DynamicsResult:
     """Backward best-response sweeps over agents ``horizon-1 .. 0``.
 
@@ -326,8 +321,10 @@ def best_response_dynamics(
     values.  Backward order matters: continuation rewards depend only on
     successors, so one sweep already propagates the tail fixed point
     forward.  ``damping`` in ``(0, 1]`` blends old and new responses for
-    rules whose responses interlock.  Non-convergence is reported, never
-    raised; the residuals cover exactly the swept agents.
+    rules whose responses interlock.  A sweep that moves no investment by
+    more than ``_DYNAMICS_TOL`` ends the run as converged; non-convergence
+    is reported, never raised.  The residuals cover exactly the swept
+    agents.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
@@ -350,7 +347,7 @@ def best_response_dynamics(
             max_change = max(max_change, abs(new - values[i]))
             values[i] = new
         history.append(tuple(values))
-        if max_change <= tol:
+        if max_change <= _DYNAMICS_TOL:
             converged = True
             break
     final = ConstantTailProfile(tuple(values), tail)
@@ -381,8 +378,9 @@ class ConstantSupport:
         return "Supported" if self.supported else "NotSupported"
 
 
-def constant_support_check(sr: SuccessRate, c: float, tol: float = 1e-9) -> ConstantSupport:
-    """A constant profile is supportable iff ``p(c) >= prize(c)``.
+def constant_support_check(sr: SuccessRate, c: float) -> ConstantSupport:
+    """A constant profile is supportable iff ``p(c) >= prize(c)``, up to
+    ``_SUPPORT_TOL``.
 
     The witness sets the fraction to 1 and the floor to
     ``1 - prize(c)/p(c)``, which makes every agent's net return exactly
@@ -394,7 +392,7 @@ def constant_support_check(sr: SuccessRate, c: float, tol: float = 1e-9) -> Cons
     prize = sr.incentive_prize(c)
     prob = sr.probability(c)
     gap = prize - prob
-    if gap > tol:
+    if gap > _SUPPORT_TOL:
         return ConstantSupport(False, c, gap, None)
     ratio = sr.required_return(c)  # prize / p, with the 0-at-0 convention
     witness = fixed_fraction_floor(1.0, max(0.0, 1.0 - ratio))
@@ -438,15 +436,13 @@ def near_constant_bounds(
 
 
 def near_constant_feasibility(
-    sr: SuccessRate,
-    x0: float,
-    c: float,
-    gamma: float = 0.0,
-    tol: float = 1e-9,
+    sr: SuccessRate, x0: float, c: float, gamma: float = 0.0
 ) -> NearConstantFeasibility:
+    """Both bounds, with the initiator's return allowed ``_SUPPORT_TOL``
+    outside them."""
     lower, upper = near_constant_bounds(sr, c, gamma)
     ratio = sr.required_return(x0)
-    feasible = max(lower, 0.0) <= ratio + tol and ratio <= upper + tol
+    feasible = max(lower, 0.0) <= ratio + _SUPPORT_TOL and ratio <= upper + _SUPPORT_TOL
     return NearConstantFeasibility(feasible, x0, c, gamma, ratio, lower, upper)
 
 
@@ -471,13 +467,7 @@ def _endpoint_rules(sr: SuccessRate, c: float, gamma: float) -> tuple[RewardRule
     return next_step_bonus(beta, gamma), next_step_bonus_zero_initiator(beta, gamma)
 
 
-def synthesize_rule(
-    sr: SuccessRate,
-    x0: float,
-    c: float,
-    gamma: float = 0.0,
-    tol: float = 1e-9,
-) -> RewardRule:
+def synthesize_rule(sr: SuccessRate, x0: float, c: float, gamma: float = 0.0) -> RewardRule:
     """A rule supporting ``(x0, c, c, ...)`` with floors ``f(i,i) >= gamma``.
 
     Builds the endpoint rules for the feasibility interval -- the pair
@@ -485,9 +475,11 @@ def synthesize_rule(
     below 1 -- and mixes them with the weight that places the initiator's
     net return exactly at ``required_return(x0)``.  Tail agents face the
     same net return under both endpoints, so any mixture keeps them at
-    ``c``.  Raises :class:`InfeasibleError` outside the feasible band.
+    ``c``.  A target within ``_SUPPORT_TOL`` of an endpoint's return, the
+    slack feasibility allows, gets that endpoint rule itself.  Raises
+    :class:`InfeasibleError` outside the feasible band.
     """
-    feas = near_constant_feasibility(sr, x0, c, gamma, tol)
+    feas = near_constant_feasibility(sr, x0, c, gamma)
     if not feas.feasible:
         raise InfeasibleError(
             f"(x0={x0:g}, c={c:g}, gamma={gamma:g}) is not supportable: "
@@ -498,12 +490,8 @@ def synthesize_rule(
     v_high = _initiator_return(sr, high, c)
     v_low = _initiator_return(sr, low, c)
     target = feas.ratio
-    if v_high - v_low <= 1e-15 or target >= v_high:
+    if target >= v_high - _SUPPORT_TOL:
         return high
-    weight = (target - v_low) / (v_high - v_low)
-    weight = min(1.0, max(0.0, weight))
-    if weight >= 1.0 - 1e-13:
-        return high
-    if weight <= 1e-13:
+    if target <= v_low + _SUPPORT_TOL:
         return low
-    return Mixture(weight, high, low)
+    return Mixture((target - v_low) / (v_high - v_low), high, low)

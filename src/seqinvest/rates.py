@@ -22,8 +22,10 @@ Built-in families:
 * ``scaled_sqrt_ratio``: ``p(x) = (1 - eps) sqrt(x) / (1 + sqrt(x))``
   with cap ``eps in (0, 1)``.  The prize and its slope coincide with
   ``sqrt_ratio`` (the scale cancels in ``p / p'``).
-* custom rates: user-supplied ``p`` and ``p'``; the prize is derived and
-  its slope falls back to a central finite difference.
+* custom rates (:func:`custom_rate`): user-supplied ``p`` and ``p'``;
+  the prize is derived and its slope falls back to a central finite
+  difference.  They have no configuration form: callers pass the object
+  itself, and :func:`rate_from_config` builds only the built-in families.
 
 Both built-in families also invert the required return in closed form:
 ``required_return(x) = 2 s (1 + s)^2 / (1 - eps)`` with ``s = sqrt(x)``,
@@ -48,6 +50,8 @@ from typing import Callable, Iterable
 from .errors import DomainError
 
 DEFAULT_DOMAIN_CAP = 1e6
+_TOL_CONVEX = 1e-8  # validate: rounding allowance on the prize's second differences
+_TOL_LIMIT = 1e-6  # validate: largest prize at the smallest grid point
 
 
 def _sqrt_p(x: float) -> float:
@@ -221,35 +225,18 @@ def custom_rate(
     return SuccessRate(name, epsilon, domain_cap, p, p_prime)
 
 
-_REGISTRY: dict[str, SuccessRate] = {}
-
-
-def register_rate(name: str, rate: SuccessRate) -> None:
-    """Register a custom rate for lookup by name (library API only)."""
-    _REGISTRY[name] = rate
-
-
 def rate_from_config(
-    family: str,
-    epsilon: float = 0.0,
-    *,
-    name: str | None = None,
-    domain_cap: float = DEFAULT_DOMAIN_CAP,
+    family: str, epsilon: float = 0.0, *, domain_cap: float = DEFAULT_DOMAIN_CAP
 ) -> SuccessRate:
-    """Build a rate from its configuration fields.
+    """Build a built-in rate from its configuration fields.
 
-    ``family`` is one of ``sqrt_ratio``, ``scaled_sqrt_ratio`` or
-    ``custom``; custom rates must have been registered beforehand via
-    :func:`register_rate` and are resolved through ``name``.
+    ``family`` is ``sqrt_ratio`` or ``scaled_sqrt_ratio``; a custom rate
+    has no configuration form, so pass the :func:`custom_rate` object.
     """
     if family == "sqrt_ratio":
         return sqrt_ratio(domain_cap)
     if family == "scaled_sqrt_ratio":
         return scaled_sqrt_ratio(epsilon, domain_cap)
-    if family == "custom":
-        if name is None or name not in _REGISTRY:
-            raise DomainError(f"unknown custom rate {name!r}; register it first")
-        return _REGISTRY[name]
     raise DomainError(f"unknown rate family {family!r}")
 
 
@@ -303,22 +290,16 @@ def _first(flags: Iterable[bool]) -> int | None:
     return next((i for i, flag in enumerate(flags) if flag), None)
 
 
-def validate(
-    sr: SuccessRate,
-    points: int = 512,
-    *,
-    tol_convex: float = 1e-8,
-    tol_limit: float = 1e-6,
-) -> ValidationReport:
+def validate(sr: SuccessRate, points: int = 512) -> ValidationReport:
     """Check the modelling assumptions on a logarithmic grid.
 
     The grid is ``points`` floats from ``1e-9`` to ``domain_cap``, spaced
     as by ``numpy.geomspace`` but computed in plain Python.  Checks:
     ``p(0) = 0``; ``p`` evaluable, strictly increasing and concave (divided
     differences strictly decreasing); prize above investment (``p/p' > x``
-    for ``x > 0``); prize convex (second divided differences above
-    ``-tol_convex``); prize vanishing at zero (value at the smallest grid
-    point below ``tol_limit``).  Raises :class:`DomainError` only when
+    for ``x > 0``); prize convex (second divided differences at least
+    ``-_TOL_CONVEX``); prize vanishing at zero (value at the smallest grid
+    point at most ``_TOL_LIMIT``).  Raises :class:`DomainError` only when
     there is no grid of 3 distinct points; pathological rates are reported,
     never raised, so they can be diagnosed.
     """
@@ -370,10 +351,10 @@ def validate(
         grid_check("increasing", diffs, lambda v: v > 0.0, pv),
         grid_check("concave", dslopes, lambda v: v < 0.0, pv, highest=True, shift=1),
         grid_check("prize_exceeds_investment", margin, lambda v: v > 0.0, gv),
-        grid_check("prize_convex", curv, lambda v: v >= -tol_convex, gv, shift=1),
+        grid_check("prize_convex", curv, lambda v: v >= -_TOL_CONVEX, gv, shift=1),
     ]
 
-    ok = math.isfinite(gv[0]) and abs(gv[0]) <= tol_limit
+    ok = math.isfinite(gv[0]) and abs(gv[0]) <= _TOL_LIMIT
     checks.append(CheckResult("prize_vanishes_at_zero", ok, grid[0], gv[0]))
 
     return ValidationReport(sr.name, tuple(checks))

@@ -223,7 +223,6 @@ class Mixture(StationaryColumnRule):
         weight: float,
         left: StationaryColumnRule,
         right: StationaryColumnRule,
-        label: str = "",
     ) -> None:
         if not 0.0 <= weight <= 1.0:
             raise RuleConstructionError(f"mixture weight must be in [0, 1], got {weight!r}")
@@ -243,7 +242,7 @@ class Mixture(StationaryColumnRule):
             weight=weight,
             left=left,
             right=right,
-            label=label or f"mix({weight:.6g}*{left.label} + {v:.6g}*{right.label})",
+            label=f"mix({weight:.6g}*{left.label} + {v:.6g}*{right.label})",
             leading=leading,
             repeating_entries=mix(
                 left.repeating_entries, right.repeating_entries,
@@ -290,7 +289,6 @@ class Perturbed(StationaryColumnRule):
         base: StationaryColumnRule,
         entries: tuple[tuple[tuple[int, int], float], ...] = (),
         column_tails: tuple[tuple[int, tuple[int, float]], ...] = (),
-        label: str = "",
     ) -> None:
         entries = tuple(((int(i), int(k)), float(v)) for (i, k), v in entries)
         tails = tuple((int(i), (int(k0), float(v))) for i, (k0, v) in column_tails)
@@ -321,7 +319,7 @@ class Perturbed(StationaryColumnRule):
             base=base,
             entries=entries,
             column_tails=tails,
-            label=label or f"perturbed({base.label})",
+            label=f"perturbed({base.label})",
             leading=tuple(leading),
             repeating_entries=base.repeating_entries,
             repeating_tail=base.repeating_tail,
@@ -485,33 +483,25 @@ def implied_value(sr: SuccessRate, rule: StationaryColumnRule, x: ConstantTailPr
     return total + reach * rule.diagonal(j0) / (1.0 - pc) + incentive_cost(sr, x)
 
 
+_RULE_KINDS = {
+    "equal_split": (equal_split, ()),
+    "fixed_fraction": (fixed_fraction, ("alpha",)),
+    "fixed_fraction_floor": (fixed_fraction_floor, ("alpha", "gamma")),
+    "jackpot": (jackpot, ()),
+    "flat_continuation": (flat_continuation, ("alpha", "gamma")),
+    "next_step_bonus": (next_step_bonus, ("beta", "gamma")),
+    "next_step_bonus_zero_initiator": (next_step_bonus_zero_initiator, ("beta", "gamma")),
+}
+
+
 def rule_from_config(kind: str, params: Mapping[str, float] | None = None) -> RewardRule:
-    """Build a rule from its configuration fields (``kind`` + parameters)."""
-    params = dict(params or {})
-
-    def need(*names: str) -> list[float]:
-        missing = [n for n in names if n not in params]
-        if missing:
-            raise DomainError(f"rule kind {kind!r} needs parameter(s) {missing}")
-        return [float(params[n]) for n in names]
-
-    if kind == "equal_split":
-        return equal_split()
-    if kind == "fixed_fraction":
-        (alpha,) = need("alpha")
-        return fixed_fraction(alpha)
-    if kind == "fixed_fraction_floor":
-        alpha, gamma = need("alpha", "gamma")
-        return fixed_fraction_floor(alpha, gamma)
-    if kind == "jackpot":
-        return jackpot()
-    if kind == "flat_continuation":
-        alpha, gamma = need("alpha", "gamma")
-        return flat_continuation(alpha, gamma)
-    if kind == "next_step_bonus":
-        beta, gamma = need("beta", "gamma")
-        return next_step_bonus(beta, gamma)
-    if kind == "next_step_bonus_zero_initiator":
-        beta, gamma = need("beta", "gamma")
-        return next_step_bonus_zero_initiator(beta, gamma)
-    raise DomainError(f"unknown rule kind {kind!r}")
+    """Build a named rule from its ``kind`` and exactly that family's parameters."""
+    if kind not in _RULE_KINDS:
+        raise DomainError(f"unknown rule kind {kind!r}")
+    factory, names = _RULE_KINDS[kind]
+    params = params or {}
+    if set(params) != set(names):
+        raise DomainError(
+            f"rule kind {kind!r} takes parameter(s) {list(names)}, got {sorted(params)}"
+        )
+    return factory(*(float(params[n]) for n in names))

@@ -13,7 +13,9 @@ from seqinvest.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv) + ["--no-validate"])
+    # ``rule print`` resolves no rate, so it has no ``--no-validate`` flag
+    quiet = [] if argv[:2] == ("rule", "print") else ["--no-validate"]
+    code = main([*argv, *quiet])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -309,6 +311,52 @@ class TestMalformedInput:
         self.assert_usage_error(
             capsys, "verify", "--rule", "kind=equal_split", "--profile", "tail=0.01", "--tol-eq", "nan"
         )
+
+    def test_unknown_rule_parameter(self, capsys):
+        # used to verify the plain equal split: exit 0, Supported
+        self.assert_usage_error(
+            capsys, "verify", "--rule", "kind=equal_split,alpha=0.3,bogus=7",
+            "--profile", "tail=0.0883", "--tol-eq", "1e-4",
+        )
+
+    @pytest.mark.parametrize("rule, profile", [
+        ("kind=equal_split", "tail=0.0883,prefix=[0.1],prefix=[0.2]"),
+        ("kind=equal_split", "tail=0.0883,tail=0.1"),
+        ("kind=jackpot,kind=equal_split", "tail=0.0883"),
+    ])
+    def test_repeated_key(self, capsys, rule, profile):
+        # the last of two repeated keys used to win
+        self.assert_usage_error(capsys, "verify", "--rule", rule, "--profile", profile)
+
+    @pytest.mark.parametrize("text", [
+        "[rate]\nfamily = sqrt_ratio\nfamily = scaled_sqrt_ratio\n",
+        "[rule]\nkind = equal_split\n[rule]\nkind = jackpot\n",
+        "family = sqrt_ratio\n",
+    ])
+    def test_malformed_config_file(self, capsys, tmp_path, text):
+        # configparser's own errors used to escape as a traceback, exit 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "optima", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed config file") and err.count("\n") == 1
+
+    def test_custom_rate_family_in_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[rate]\nfamily = custom\n")
+        code, out, err = run(capsys, "optima", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown rate family 'custom'")
+
+    @pytest.mark.parametrize("flags", [
+        ["--rate", "scaled_sqrt_ratio"], ["--epsilon", "0.5"], ["--no-validate"],
+    ])
+    def test_rule_print_takes_no_rate_flags(self, capsys, flags):
+        # rule print resolves no rate; the flags used to be accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["rule", "print", "--rule", "kind=jackpot", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unwritable_output(self, capsys, tmp_path):
         self.assert_usage_error(capsys, "optima", "--output", str(tmp_path / "missing" / "x"))

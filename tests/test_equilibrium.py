@@ -105,11 +105,6 @@ class TestBestResponse:
             oracle.ex5_x0, abs=1e-10
         )
 
-    def test_budget_clips(self, sr, oracle):
-        x = constant_profile(oracle.c_star)
-        free = best_response(sr, equal_split(), x, 1)
-        assert best_response(sr, equal_split(), x, 1, budget=free / 2) == free / 2
-
 
 class TestVerify:
     def test_equal_split_supports_social_optimum(self, sr, oracle):
@@ -214,10 +209,6 @@ class TestBounds:
     def test_uncapped_rate_rejected(self, sr):
         with pytest.raises(DomainError):
             investment_bounds(sr)
-
-    def test_explicit_epsilon_override(self, sr):
-        sched = investment_bounds(sr, epsilon=0.5)
-        assert sched.target(0) == 3.0
 
 
 class TestDynamics:

@@ -17,12 +17,17 @@ and against the bracketing inverse of a custom rate with the same
 formula, over caps from 0 to ``1 - 1e-6`` and returns log-uniform from
 ``1e-150`` up to the return at the domain cap.  Over the same caps the
 initiator and self-financed optima either verify or fail loudly.
+
+Rules synthesized for near-constant profiles, with the initiator's
+return drawn inside the support band and at both of its edges, verify;
+they mix the two endpoint rules exactly when the return is more than the
+support slack away from both endpoints' returns.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from seqinvest import (
     ConstantTailProfile,
@@ -40,15 +45,19 @@ from seqinvest import (
     implied_value,
     initiator_optimal,
     investment_for_return,
+    near_constant_bounds,
     jackpot,
     next_step_bonus,
     next_step_bonus_zero_initiator,
     scaled_sqrt_ratio,
     self_financed_optimal,
     sqrt_ratio,
+    synthesize_rule,
+    verify_equilibrium,
 )
+from seqinvest.equilibrium import _SUPPORT_TOL, _endpoint_rules, _initiator_return
 from seqinvest.rules import Column, StationaryColumnRule
-from conftest import three_tier_rule
+from conftest import ORACLE, three_tier_rule
 
 SCAN_ROWS = 256
 CORRUPT_ROWS = 200
@@ -418,3 +427,38 @@ class TestOptimaOverCaps:
         except SeqInvestError:
             return
         assert res.report.supported, (eps, res.report.failures)
+
+
+SQRT_CUSTOM = custom_rate("sqrt_custom", sqrt_ratio().probability, sqrt_ratio().marginal)
+band_positions = st.one_of(st.just(0.0), st.just(1.0), unit)
+
+
+class TestSynthesizeThenVerify:
+    @PROPERTY
+    @given(
+        st.sampled_from((sqrt_ratio(), scaled_sqrt_ratio(0.5), SQRT_CUSTOM)),
+        st.floats(1e-4, 0.25),
+        st.floats(0.0, 0.1),
+        band_positions,
+    )
+    # the self-financed optimum sits on the upper edge; the custom rate's
+    # bracketing inverse lands it about 1e-12 inside
+    @example(SQRT_CUSTOM, ORACLE.c_s, ORACLE.c_s, 1.0)
+    # x0 about 2e-13, below the zero-investment threshold, with a required
+    # return near 1e-6 that the synthesized rule pays
+    @example(sqrt_ratio(), 0.125, 0.0, 1e-6)
+    def test_supported_and_mixed_only_inside(self, sr, c, gamma, u):
+        lower, upper = near_constant_bounds(sr, c, gamma)
+        lower = max(lower, 0.0)
+        assume(lower <= upper)
+        x0 = investment_for_return(sr, lower + u * (upper - lower))
+        rule = synthesize_rule(sr, x0, c, gamma)
+        assert verify_equilibrium(sr, rule, ConstantTailProfile((x0,), c)).supported
+        high, low = _endpoint_rules(sr, c, gamma)
+        target = sr.required_return(x0)
+        inside = (
+            _initiator_return(sr, low, c) + _SUPPORT_TOL
+            < target
+            < _initiator_return(sr, high, c) - _SUPPORT_TOL
+        )
+        assert isinstance(rule, Mixture) == inside, rule.describe()

@@ -9,7 +9,6 @@ from seqinvest import (
     DomainError,
     custom_rate,
     rate_from_config,
-    register_rate,
     scaled_sqrt_ratio,
     sqrt_ratio,
     validate,
@@ -329,12 +328,9 @@ class TestRegistry:
         assert rate_from_config("sqrt_ratio").name == "sqrt_ratio"
         assert rate_from_config("scaled_sqrt_ratio", 0.5).epsilon == 0.5
 
-    def test_custom_lookup(self, sr):
-        register_rate("mirror_rate", custom_rate("mirror_rate", sr.probability, sr.marginal))
-        assert rate_from_config("custom", name="mirror_rate").name == "mirror_rate"
-
     def test_unknown_rejected(self):
         with pytest.raises(DomainError):
             rate_from_config("cubic")
-        with pytest.raises(DomainError):
-            rate_from_config("custom", name="never_registered")
+        # custom rates have no configuration form: callers pass the object
+        with pytest.raises(DomainError, match="unknown rate family"):
+            rate_from_config("custom")

@@ -431,3 +431,14 @@ class TestConfigLookup:
             rule_from_config("fixed_fraction")
         with pytest.raises(DomainError):
             rule_from_config("no_such_rule")
+
+    @pytest.mark.parametrize("kind, params", [
+        ("equal_split", {"alpha": 0.3, "bogus": 7.0}),
+        ("jackpot", {"gamma": 0.0}),
+        ("fixed_fraction", {"alpha": 0.3, "gamma": 0.1}),
+        ("next_step_bonus", {"beta": 0.2, "gamma": 0.1, "alpha": 0.5}),
+    ])
+    def test_unknown_parameters_rejected(self, kind, params):
+        # a parameter the family does not take used to be ignored
+        with pytest.raises(DomainError, match="takes parameter"):
+            rule_from_config(kind, params)
