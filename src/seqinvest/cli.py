@@ -8,7 +8,11 @@ configuration errors.
 
 Values can come from a config file (flat key-value with sections, e.g.
 ``[rate] family = sqrt_ratio``) with command-line flags taking
-precedence.  Output is aligned text by default; ``--format csv|tsv``
+precedence.  A ``--rule`` or ``--profile`` flag is split into fields at
+its top-level commas; a config section is used as read, so a comma in a
+config value belongs to the value.  Handlers return rows and an exit
+status, and ``main`` alone writes them, so a failed command writes no
+output file.  Output is aligned text by default; ``--format csv|tsv``
 emits machine-readable rows whose floats round-trip exactly.
 """
 
@@ -46,6 +50,8 @@ from .simulate import SimulationConfig, summarize
 
 _RATE_KEYS = {"family", "epsilon", "domain_cap"}
 _PROFILE_KEYS = {"prefix", "tail"}
+
+Rows = list[tuple[object, ...]]
 
 
 class UsageError(SeqInvestError):
@@ -114,8 +120,7 @@ def _parse_kv(text: str, what: str) -> dict[str, str]:
     return out
 
 
-def _parse_profile(text: str) -> ConstantTailProfile:
-    fields = _parse_kv(text, "profile")
+def _parse_profile(fields: dict[str, str]) -> ConstantTailProfile:
     unknown = set(fields) - _PROFILE_KEYS
     if unknown:
         raise UsageError(f"unknown profile key {sorted(unknown)[0]!r}")
@@ -131,13 +136,11 @@ def _parse_profile(text: str) -> ConstantTailProfile:
     return ConstantTailProfile(prefix, _number(fields["tail"], "profile tail"))
 
 
-def _parse_rule(text: str) -> RewardRule:
-    fields = _parse_kv(text, "rule")
+def _parse_rule(fields: dict[str, str]) -> RewardRule:
     if "kind" not in fields:
         raise UsageError("rule needs a kind (kind=...)")
-    kind = fields.pop("kind")
-    params = {k: _number(v, f"rule parameter {k}") for k, v in fields.items()}
-    return rule_from_config(kind, params)
+    params = {k: _number(v, f"rule parameter {k}") for k, v in fields.items() if k != "kind"}
+    return rule_from_config(fields["kind"], params)
 
 
 def _load_config(path: str | None) -> configparser.ConfigParser:
@@ -152,18 +155,11 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     return parser
 
 
-def _section(cfg: configparser.ConfigParser, name: str, allowed: set[str]) -> dict[str, str]:
-    if not cfg.has_section(name):
-        return {}
-    fields = dict(cfg.items(name))
-    unknown = set(fields) - allowed
-    if unknown:
-        raise UsageError(f"unknown config key {sorted(unknown)[0]!r} in [{name}]")
-    return fields
-
-
 def _resolve_rate(args, cfg) -> SuccessRate:
-    section = _section(cfg, "rate", _RATE_KEYS)
+    section = dict(cfg.items("rate")) if cfg.has_section("rate") else {}
+    unknown = set(section) - _RATE_KEYS
+    if unknown:
+        raise UsageError(f"unknown config key {sorted(unknown)[0]!r} in [rate]")
     family = args.rate or section.get("family", "sqrt_ratio").strip('"')
     epsilon = args.epsilon if args.epsilon is not None else _number(section.get("epsilon", "0"), "epsilon")
     cap = _number(section.get("domain_cap", "1e6"), "domain_cap")
@@ -181,24 +177,14 @@ def _resolve_rate(args, cfg) -> SuccessRate:
     return rate
 
 
-def _resolve_profile(args, cfg) -> ConstantTailProfile:
-    if getattr(args, "profile", None):
-        return _parse_profile(args.profile)
-    section = _section(cfg, "profile", _PROFILE_KEYS)
-    if section:
-        text = ", ".join(f"{k}={v}" for k, v in section.items())
-        return _parse_profile(text)
-    raise UsageError("no profile given (use --profile or a [profile] section)")
-
-
-def _resolve_rule(args, cfg) -> RewardRule:
-    if getattr(args, "rule", None):
-        return _parse_rule(args.rule)
-    if cfg.has_section("rule"):
-        fields = dict(cfg.items("rule"))
-        text = ", ".join(f"{k}={v}" for k, v in fields.items())
-        return _parse_rule(text)
-    raise UsageError("no rule given (use --rule or a [rule] section)")
+def _fields(args, cfg, name: str) -> dict[str, str]:
+    """Fields of ``--<name>`` (``rule`` or ``profile``), else of the ``[<name>]`` section."""
+    text = getattr(args, name, None)
+    if text:
+        return _parse_kv(text, name)
+    if cfg.has_section(name):
+        return dict(cfg.items(name))
+    raise UsageError(f"no {name} given (use --{name} or a [{name}] section)")
 
 
 @contextlib.contextmanager
@@ -215,108 +201,91 @@ def _output(path: str | None):
         yield out
 
 
-def _cmd_optima(args, cfg) -> int:
+def _cmd_optima(args, cfg) -> tuple[Rows, int]:
     sr = _resolve_rate(args, cfg)
-    with _output(args.output) as out:
-        rows: list[tuple[object, ...]] = [("quantity", "value", "detail")]
-        rows.append(("c_fb", first_best_investment(sr), "first-best constant"))
-        failures = 0
-        for result in (socially_optimal(sr), initiator_optimal(sr), self_financed_optimal(sr)):
-            ok = result.report.supported
-            failures += 0 if ok else 1
-            head = result.profile.prefix[0] if result.profile.prefix else result.profile.tail
-            if result.profile.prefix:
-                rows.append((f"x0_{result.name}", float(head), result.rule.describe()))
-            rows.append(
-                (
-                    f"c_{result.name}",
-                    float(result.profile.tail),
-                    f"objective={_fmt(result.objective, False)}"
-                    f" residual={result.max_residual:.3g}"
-                    f" verified={'yes' if ok else 'NO'}",
-                )
+    rows: Rows = [("quantity", "value", "detail")]
+    rows.append(("c_fb", first_best_investment(sr), "first-best constant"))
+    failures = 0
+    for result in (socially_optimal(sr), initiator_optimal(sr), self_financed_optimal(sr)):
+        ok = result.report.supported
+        failures += 0 if ok else 1
+        if result.profile.prefix:
+            rows.append((f"x0_{result.name}", float(result.profile.prefix[0]), result.rule.describe()))
+        rows.append(
+            (
+                f"c_{result.name}",
+                float(result.profile.tail),
+                f"objective={_fmt(result.objective, False)}"
+                f" residual={result.max_residual:.3g}"
+                f" verified={'yes' if ok else 'NO'}",
             )
-        _emit(rows, args.format, out)
-        return 1 if failures else 0
+        )
+    return rows, 1 if failures else 0
 
 
-def _cmd_verify(args, cfg) -> int:
+def _cmd_verify(args, cfg) -> tuple[Rows, int]:
     sr = _resolve_rate(args, cfg)
-    rule = _resolve_rule(args, cfg)
-    profile = _resolve_profile(args, cfg)
+    rule = _parse_rule(_fields(args, cfg, "rule"))
+    profile = _parse_profile(_fields(args, cfg, "profile"))
     mode = Mode.SELF_FINANCED if args.self_financed else Mode.UNCONSTRAINED
     report = verify_equilibrium(sr, rule, profile, mode=mode, tol=args.tol_eq)
-    with _output(args.output) as out:
-        rows: list[tuple[object, ...]] = [
-            ("verdict", report.verdict, ""),
-            ("mode", mode.value, ""),
-            ("profile", profile.describe(), ""),
-            ("max_residual", report.max_residual, ""),
-        ]
-        for chk in report.checks:
-            rows.append(
-                (
-                    f"agent_{chk.agent}",
-                    chk.residual,
-                    f"investment={_fmt(chk.investment, False)}"
-                    f" payoff={_fmt(chk.payoff, False)}"
-                    + (f" corner={chk.corner}" if chk.corner else ""),
-                )
+    rows: Rows = [
+        ("verdict", report.verdict, ""),
+        ("mode", mode.value, ""),
+        ("profile", profile.describe(), ""),
+        ("max_residual", report.max_residual, ""),
+    ]
+    for chk in report.checks:
+        rows.append(
+            (
+                f"agent_{chk.agent}",
+                chk.residual,
+                f"investment={_fmt(chk.investment, False)}"
+                f" payoff={_fmt(chk.payoff, False)}"
+                + (f" corner={chk.corner}" if chk.corner else ""),
             )
-        for failure in report.failures:
-            rows.append(("failure", failure, ""))
-        _emit(rows, args.format, out)
-        return 0 if report.supported else 1
+        )
+    rows.extend(("failure", failure, "") for failure in report.failures)
+    return rows, 0 if report.supported else 1
 
 
-def _cmd_synthesize(args, cfg) -> int:
+def _cmd_synthesize(args, cfg) -> tuple[Rows, int]:
     sr = _resolve_rate(args, cfg)
     feas = near_constant_feasibility(sr, args.x0, args.c, args.gamma)
-    with _output(args.output) as out:
-        rows: list[tuple[object, ...]] = [
-            ("verdict", feas.verdict, ""),
-            ("initiator_return", feas.ratio, ""),
-            ("lower_bound", feas.lower, "binding at max(lower, 0)"),
-            ("upper_bound", feas.upper, ""),
-        ]
-        if not feas.feasible:
-            _emit(rows, args.format, out)
-            return 1
-        rule = synthesize_rule(sr, args.x0, args.c, args.gamma)
-        profile = ConstantTailProfile((args.x0,), args.c)
-        mode = Mode.SELF_FINANCED if args.self_financed else Mode.UNCONSTRAINED
-        report = verify_equilibrium(sr, rule, profile, mode=mode)
-        rows.append(("rule", rule.describe(), ""))
-        rows.append(("verified", report.verdict, f"max_residual={report.max_residual:.3g}"))
-        _emit(rows, args.format, out)
-        return 0 if report.supported else 1
+    rows: Rows = [
+        ("verdict", feas.verdict, ""),
+        ("initiator_return", feas.ratio, ""),
+        ("lower_bound", feas.lower, "binding at max(lower, 0)"),
+        ("upper_bound", feas.upper, ""),
+    ]
+    if not feas.feasible:
+        return rows, 1
+    rule = synthesize_rule(sr, args.x0, args.c, args.gamma)
+    profile = ConstantTailProfile((args.x0,), args.c)
+    mode = Mode.SELF_FINANCED if args.self_financed else Mode.UNCONSTRAINED
+    report = verify_equilibrium(sr, rule, profile, mode=mode)
+    rows.append(("rule", rule.describe(), ""))
+    rows.append(("verified", report.verdict, f"max_residual={report.max_residual:.3g}"))
+    return rows, 0 if report.supported else 1
 
 
-def _cmd_dynamics(args, cfg) -> int:
+def _cmd_dynamics(args, cfg) -> tuple[Rows, int]:
     sr = _resolve_rate(args, cfg)
-    rule = _resolve_rule(args, cfg)
-    init = _parse_profile(args.init) if args.init else None
+    rule = _parse_rule(_fields(args, cfg, "rule"))
+    init = _parse_profile(_parse_kv(args.init, "profile")) if args.init else None
     result = best_response_dynamics(
-        sr,
-        rule,
-        args.horizon,
-        init,
-        sweeps=args.sweeps,
-        damping=args.damping,
+        sr, rule, args.horizon, init, sweeps=args.sweeps, damping=args.damping
     )
-    with _output(args.output) as out:
-        rows: list[tuple[object, ...]] = [
-            ("converged", "yes" if result.converged else "no", f"sweeps={result.sweeps}"),
-            ("max_change", result.max_change, ""),
-            ("max_residual", result.max_residual, "over swept agents"),
-        ]
-        for i in range(args.horizon):
-            rows.append((f"x_{i}", float(result.profile.at(i)), ""))
-        _emit(rows, args.format, out)
-        return 0 if result.converged else 1
+    rows: Rows = [
+        ("converged", "yes" if result.converged else "no", f"sweeps={result.sweeps}"),
+        ("max_change", result.max_change, ""),
+        ("max_residual", result.max_residual, "over swept agents"),
+    ]
+    rows.extend((f"x_{i}", float(result.profile.at(i)), "") for i in range(args.horizon))
+    return rows, 0 if result.converged else 1
 
 
-def _cmd_region(args, cfg) -> int:
+def _cmd_region(args, cfg) -> tuple[Rows, int]:
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
     if args.c_max is not None and not 0.0 < args.c_max < math.inf:
@@ -326,19 +295,17 @@ def _cmd_region(args, cfg) -> int:
     c_max = tail_limit(sr, mode) if args.c_max is None else args.c_max
     step = c_max / (args.points + 1)
     grid = [step * (j + 1) for j in range(args.points)]
-    rows: list[tuple[object, ...]] = [("c", "diagonal", "lower", "upper")]
+    rows: Rows = [("c", "diagonal", "lower", "upper")]
     for row in region_sweep(sr, grid, mode):
         bounds = ("" if v is None else v for v in (row.lower, row.upper))
         rows.append((row.c, row.diagonal, *bounds))
-    with _output(args.output) as out:
-        _emit(rows, args.format, out)
-        return 0
+    return rows, 0
 
 
-def _cmd_simulate(args, cfg) -> int:
+def _cmd_simulate(args, cfg) -> tuple[Rows, int]:
     sr = _resolve_rate(args, cfg)
-    rule = _resolve_rule(args, cfg)
-    profile = _resolve_profile(args, cfg)
+    rule = _parse_rule(_fields(args, cfg, "rule"))
+    profile = _parse_profile(_fields(args, cfg, "profile"))
     config = SimulationConfig(
         episodes=args.episodes,
         seed=args.seed,
@@ -347,38 +314,30 @@ def _cmd_simulate(args, cfg) -> int:
         payoff_horizon=args.payoff_horizon,
     )
     summary = summarize(sr, profile, rule, config)
-    with _output(args.output) as out:
-        rows: list[tuple[object, ...]] = [
-            ("episodes", str(summary.episodes), ""),
-            ("discarded", str(summary.discarded), ""),
-            ("terminal_index", summary.terminal_index.mean, f"se={summary.terminal_index.se:.3g}"),
-            ("total_value", summary.total_value.mean, f"se={summary.total_value.se:.3g}"),
-            ("total_investment", summary.total_investment.mean, f"se={summary.total_investment.se:.3g}"),
-            ("welfare", summary.welfare.mean, f"se={summary.welfare.se:.3g}"),
-        ]
-        for pay in summary.payoffs:
-            rows.append(
-                (
-                    f"payoff_{pay.agent}",
-                    pay.mean,
-                    f"se={pay.se:.3g} reached={pay.reached}",
-                )
-            )
-        if args.histogram:
-            for k, count in enumerate(summary.histogram):
-                rows.append((f"chain_length_{k}", str(count), ""))
-        _emit(rows, args.format, out)
-        return 0
+    rows: Rows = [
+        ("episodes", str(summary.episodes), ""),
+        ("discarded", str(summary.discarded), ""),
+        ("terminal_index", summary.terminal_index.mean, f"se={summary.terminal_index.se:.3g}"),
+        ("total_value", summary.total_value.mean, f"se={summary.total_value.se:.3g}"),
+        ("total_investment", summary.total_investment.mean, f"se={summary.total_investment.se:.3g}"),
+        ("welfare", summary.welfare.mean, f"se={summary.welfare.se:.3g}"),
+    ]
+    rows.extend(
+        (f"payoff_{pay.agent}", pay.mean, f"se={pay.se:.3g} reached={pay.reached}")
+        for pay in summary.payoffs
+    )
+    if args.histogram:
+        rows.extend((f"chain_length_{k}", str(n), "") for k, n in enumerate(summary.histogram))
+    return rows, 0
 
 
-def _cmd_rule_print(args, cfg) -> int:
+def _cmd_rule_print(args, cfg) -> tuple[Rows, int]:
     if args.rows < 1:
         raise UsageError(f"--rows must be >= 1, got {args.rows}")
-    rule = _resolve_rule(args, cfg)
-    with _output(args.output) as out:
-        rows = [tuple(float(v) for v in rule.row(k)) for k in range(args.rows)]
-        _emit(rows, args.format if args.format != "table" else "tsv", out)
-        return 0
+    rule = _parse_rule(_fields(args, cfg, "rule"))
+    if args.format == "table":  # rows grow by one entry each: tab-separated, not aligned
+        args.format = "tsv"
+    return [tuple(float(v) for v in rule.row(k)) for k in range(args.rows)], 0
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -470,8 +429,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return args.handler(args, cfg)
+        rows, code = args.handler(args, _load_config(args.config))
+        with _output(args.output) as out:
+            _emit(rows, args.format, out)
+        return code
     except SeqInvestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -328,6 +328,8 @@ def best_response_dynamics(
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
+    if sweeps < 1:
+        raise DomainError(f"sweeps must be >= 1, got {sweeps}")
     if not 0.0 < damping <= 1.0:
         raise DomainError(f"damping must be in (0, 1], got {damping!r}")
     init = init if init is not None else ConstantTailProfile((), 0.0)
@@ -425,8 +427,8 @@ def near_constant_bounds(
     sr: SuccessRate, c: float, gamma: float = 0.0
 ) -> tuple[float, float]:
     """Unclamped lower and upper required-return bounds for the initiator."""
-    if gamma < 0.0:
-        raise DomainError(f"floor must be >= 0, got {gamma!r}")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError(f"floor must be finite and >= 0, got {gamma!r}")
     prize = sr.incentive_prize(c)
     prob = sr.probability(c)
     ratio = sr.required_return(c)

@@ -70,6 +70,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.episodes < 1:
             raise DomainError(f"episodes must be >= 1, got {self.episodes}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.max_chain_length < 1:
             raise DomainError(
                 f"max_chain_length must be >= 1, got {self.max_chain_length}"

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import seqinvest
+from seqinvest import BracketError
 from seqinvest.cli import main
 
 
@@ -129,6 +130,15 @@ class TestDynamics:
         )
         assert code == 1
         assert "converged     no" in out or "no" in out.splitlines()[0]
+
+    def test_initial_profile_flag(self, capsys, oracle):
+        code, out, _ = run(
+            capsys, "dynamics", "--rule", "kind=equal_split", "--horizon", "3",
+            "--init", "prefix=[0.2],tail=0.1",
+        )
+        assert code == 0
+        line = next(l for l in out.splitlines() if l.startswith("x_0"))
+        assert float(line.split()[1]) == pytest.approx(oracle.c_star, abs=1e-8)
 
 
 class TestRegion:
@@ -266,6 +276,23 @@ class TestConfigFile:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[profile]\ntail = 0.0883, prefix=[0.5]\n[rule]\nkind = equal_split\n",
+         "error: profile tail must be a number, got '0.0883, prefix=[0.5]'"),
+        ("[rule]\nkind = fixed_fraction, alpha=0.3\n[profile]\ntail = 0.0883\n",
+         "error: unknown rule kind 'fixed_fraction, alpha=0.3'"),
+        ("[profile]\ntail = 0.0883\ncolour = blue\n[rule]\nkind = equal_split\n",
+         "error: unknown profile key 'colour'"),
+    ])
+    def test_sections_read_as_fields(self, capsys, tmp_path, text, message):
+        # a section used to be joined into "k=v, k=v" text and split again,
+        # so a comma in a value smuggled in a second key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
+
 
 class TestMalformedInput:
     """Malformed numbers and unwritable output are usage errors: exit 2, no traceback."""
@@ -358,8 +385,38 @@ class TestMalformedInput:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["dynamics", "--rule", "kind=equal_split", "--sweeps", "0"],
+        ["dynamics", "--rule", "kind=equal_split", "--sweeps", "-1"],
+        ["synthesize", "--x0", "0.06", "--c", "0.12", "--gamma", "nan"],
+        ["synthesize", "--x0", "0.06", "--c", "0.12", "--gamma", "inf"],
+        ["simulate", "--rule", "kind=equal_split", "--profile", "tail=0.0883",
+         "--episodes", "10", "--seed", "-1"],
+    ])
+    def test_out_of_range_argument(self, capsys, argv):
+        # each used to give a negative verdict (exit 1), or numpy's ValueError
+        self.assert_usage_error(capsys, *argv)
+
     def test_unwritable_output(self, capsys, tmp_path):
         self.assert_usage_error(capsys, "optima", "--output", str(tmp_path / "missing" / "x"))
+
+    def test_failed_command_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        def fail(sr):
+            raise BracketError("no sign change")
+
+        monkeypatch.setattr("seqinvest.cli.socially_optimal", fail)
+        path = tmp_path / "rows.txt"
+        self.assert_usage_error(capsys, "optima", "--output", str(path))
+        assert not path.exists()
+
+    def test_negative_verdict_still_writes_its_rows(self, capsys, tmp_path):
+        path = tmp_path / "rows.txt"
+        code, out, _ = run(
+            capsys, "verify", "--rule", "kind=equal_split", "--profile", "tail=0.1111",
+            "--output", str(path),
+        )
+        assert (code, out) == (1, "")
+        assert path.read_text().startswith("verdict       NotSupported\n")
 
     def test_output_file_receives_the_table(self, capsys, tmp_path):
         path = tmp_path / "rows.tsv"

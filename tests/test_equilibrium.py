@@ -185,6 +185,16 @@ class TestSelfFinancedVerify:
         tail_checks = [c for c in constrained.checks if c.agent >= 1]
         assert all(c.corner == "budget" for c in tail_checks)
 
+    def test_continuation_below_stay_put_payment_fails(self, sr):
+        # a floor of 0.1 above a continuation fraction of 0.05
+        rule = fixed_fraction_floor(0.05, 0.1)
+        report = verify_equilibrium(sr, rule, ConstantTailProfile((), 0.05), mode=Mode.SELF_FINANCED)
+        assert not report.supported
+        assert (
+            "agent 1: some continuation entry is below the stay-put payment (gap -0.05)"
+            in report.failures
+        )
+
     def test_aggregate_inequality_at_sf_equilibrium(self, sr, oracle):
         rule = fixed_fraction_floor(
             sr.required_return(oracle.c_s) + oracle.c_s, oracle.c_s
@@ -275,6 +285,12 @@ class TestDynamics:
         with pytest.raises(DomainError):
             best_response_dynamics(sr, equal_split(), horizon=3, damping=0.0)
 
+    @pytest.mark.parametrize("sweeps", [0, -1])
+    def test_no_sweep_rejected(self, sr, sweeps):
+        # zero sweeps used to report converged=False, a negative verdict
+        with pytest.raises(DomainError, match="sweeps must be >= 1"):
+            best_response_dynamics(sr, equal_split(), horizon=3, sweeps=sweeps)
+
 
 class TestConstantSupport:
     def test_zero_trivially_supported(self, sr):
@@ -331,6 +347,12 @@ class TestNearConstantFeasibility:
             tight = near_constant_feasibility(sr, c, c, c)
             assert tight.lower >= free.lower
             assert tight.upper <= free.upper
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -0.1])
+    def test_floor_must_be_finite_and_non_negative(self, sr, gamma):
+        # a NaN or infinite floor used to give an Infeasible verdict with NaN bounds
+        with pytest.raises(DomainError, match="floor must be finite and >= 0"):
+            near_constant_feasibility(sr, 0.06, 0.12, gamma)
 
 
 class TestSynthesize:

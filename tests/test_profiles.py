@@ -199,6 +199,11 @@ class TestFlatten:
         flat = flatten_tail(sr, x, 2)
         assert flat.tail == 0.0
 
+    def test_zero_investment_at_the_position_flattens_to_zero(self, sr):
+        # position 1 is reached, but invests nothing: nothing after it adds value
+        x = ConstantTailProfile((0.1, 0.0, 0.3), 0.2)
+        assert flatten_tail(sr, x, 1) == ConstantTailProfile((0.1,), 0.0)
+
     def test_investment_reduction_spot(self, sr, ex5_profile, oracle):
         flat = flatten_tail(sr, ex5_profile, 1)
         assert expected_investment(sr, flat) == pytest.approx(

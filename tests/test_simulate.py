@@ -221,6 +221,16 @@ class TestBadRates:
             summarize(bad, constant_profile(1.0), equal_split(), config)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("episodes", 0), ("seed", -1), ("max_chain_length", 0), ("shards", 0), ("payoff_horizon", -1),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        # a negative seed used to reach numpy, which raised a plain ValueError
+        with pytest.raises(DomainError, match=f"{field} must be >= "):
+            SimulationConfig(**{field: value})
+
+
 class TestEngineProperties:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
