@@ -60,7 +60,7 @@ from .rules import (
 from .solvers import bisect
 
 TOL_EQ = 1e-8
-_ROOT_XTOL = 1e-12
+_ROOT_XTOL = 1e-12  # relative to the bracket
 _ZERO_INVESTMENT = 1e-12
 _TAIL_EXTRA_AGENT = 5
 _DYNAMICS_TOL = 1e-10  # a sweep that moves no investment by more has converged
@@ -77,7 +77,8 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
 
     Uses the rate's closed-form inverse when it has one (the built-in
     families), clipped to the domain cap against rounding; otherwise
-    bracket-doubles from ``[0, 1]`` and bisects to ``1e-12``.  Raises
+    bracket-doubles from ``[0, 1]`` and solves to ``1e-12`` relative to
+    the bracket, so a tiny target keeps its relative accuracy.  Raises
     :class:`UnboundedRatioError` when ``t`` exceeds the ratio at the
     rate's domain cap.
     """
@@ -86,7 +87,7 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
         raise DomainError(f"target return must be finite, got {t!r}")
     if t <= 0.0:
         return 0.0
-    if t > sr.required_return(sr.domain_cap):
+    if t > sr.max_return:
         raise UnboundedRatioError(
             f"no investment below {sr.domain_cap:g} attains return {t:g}"
         )

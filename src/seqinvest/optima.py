@@ -27,8 +27,10 @@ The initiator and self-financed searches and the region curves end at
 one boundary, :func:`tail_limit`: the largest tail at which the prize
 (plus the floor ``c`` when self-financed) reaches 1.
 
-Every solve is one bisection: of a monotone crossing, or of the
-derivative of a maximized function on a bracket fixed before the call.
+Every solve is one bracketed root solve (:func:`seqinvest.solvers.bisect`):
+of a monotone crossing, or of the derivative of a maximized function on
+a bracket fixed before the call, whose lower end may halve toward 0
+when the peak lies below it.
 The exception is inverting the required return, which the built-in rate
 families do in closed form (see
 :func:`seqinvest.equilibrium.investment_for_return`).  The maximized
@@ -37,7 +39,7 @@ argument for all of them (``(1 - h) / (1 - p)`` with ``h`` convex rises
 then falls at most once), so the derivative changes sign once between
 the zero tail and :func:`tail_limit`.  The self-financed reduced
 objective has no such guarantee, so a grid scan picks the cell pair
-around its best point, and the slope is bisected there.
+around its best point, and the slope's root is solved there.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def first_best_investment(sr: SuccessRate) -> float:
     def gap(c: float) -> float:
         return _constant_welfare(sr, c) - sr.required_return(c)
 
-    return bisect(gap, _EDGE, 1.0)
+    return bisect(gap, 0.0, 1.0)
 
 
 def socially_optimal(sr: SuccessRate) -> OptimumResult:
@@ -116,12 +118,15 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
     def gap(c: float) -> float:
         return sr.incentive_prize(c) - sr.probability(c)
 
-    if gap(_EDGE) >= 0.0:
+    c_star = investment_for_return(sr, 1.0)
+    residual = gap(c_star)
+    # without p' = 1 anywhere the inversion ends at the low end of its
+    # bracket, where the prize p / p' still exceeds p
+    if not residual <= 1e-9 * sr.probability(c_star):
         raise BracketError(
             "prize >= probability arbitrarily close to zero; the rate "
             "violates the steep-at-zero assumption"
         )
-    c_star = investment_for_return(sr, 1.0)
     profile = constant_profile(c_star)
     rule = equal_split()
     report = verify_equilibrium(sr, rule, profile)
@@ -130,7 +135,7 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
         profile=profile,
         rule=rule,
         objective=expected_welfare(sr, profile),
-        residuals=(("prize_minus_probability", abs(gap(c_star))),),
+        residuals=(("prize_minus_probability", abs(residual)),),
         report=report,
     )
 
@@ -159,8 +164,10 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
         ``p'(c) (1 - prize(c)) = prize'(c) (1 - p(c))``
 
     whose left side minus its right has the sign of ``q'``: positive
-    next to 0 and negative at ``d``, so one bisection on ``[0, d]``
-    finds the peak.  The initiator then saturates the upper support bound
+    next to 0 and negative at ``d``, so one solve on ``[d / 2, d]``, whose
+    lower end halves toward 0 until the sign changes, finds the peak
+    however close to 0 it lies (like ``(1 - eps)^2`` for a cap ``eps``).
+    The initiator then saturates the upper support bound
     ``required_return(x0) = q(c)``, and the fixed-fraction rule at the
     tail's required return supports the profile.
     """
@@ -174,7 +181,7 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
             c
         ) * (1.0 - sr.probability(c))
 
-    c_circ = bisect(stationarity, _EDGE, d, xtol=1e-14)
+    c_circ = bisect(stationarity, d, 0.5 * d, limit=0.0, xtol=1e-14)
     x0_circ = investment_for_return(sr, q(c_circ))
     profile = near_constant_profile(x0_circ, c_circ)
     rule = fixed_fraction(sr.required_return(c_circ))
@@ -220,13 +227,13 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     ``required_return(x0) = (1 - c - prize(c)) / (1 - p(c))`` (welfare is
     non-decreasing in ``x0`` up to that point), leaving a reduced
     one-dimensional objective.  Nothing guarantees the reduced objective
-    is unimodal, so a 256-point grid scan picks the best point, and one
-    bisection of the chain-rule slope on the grid cells around it finds
-    the argmax.  The initiator then sits on the upper support bound, so
-    the supporting rule is the synthesizer's upper endpoint with floor
-    ``c``: fraction ``required_return(c) + c`` with floor ``c`` while that
-    fraction is at most 1, the next-step bonus beyond.  It is verified in
-    self-financed mode.
+    is unimodal, so a 256-point grid scan of its gain over 1 picks the
+    best point, and one root solve of the chain-rule slope on the grid
+    cells around it finds the argmax.  The initiator then sits on the
+    upper support bound, so the supporting rule is the synthesizer's
+    upper endpoint with floor ``c``: fraction ``required_return(c) + c``
+    with floor ``c`` while that fraction is at most 1, the next-step bonus
+    beyond.  It is verified in self-financed mode.
     """
     c_max = tail_limit(sr, Mode.SELF_FINANCED)
     if c_max <= _EDGE:
@@ -235,9 +242,10 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     def x0_of(c: float) -> float:
         return investment_for_return(sr, _self_financed_ratio(sr, c))
 
-    def reduced_welfare(c: float) -> float:
+    def welfare_gain(c: float) -> float:
+        # reduced welfare minus 1, which would round away the gain at caps near 1
         x0 = x0_of(c)
-        return 1.0 - x0 + sr.probability(x0) * (1.0 - c) / (1.0 - sr.probability(c))
+        return sr.probability(x0) * (1.0 - c) / (1.0 - sr.probability(c)) - x0
 
     def slope(c: float) -> float:
         # chain rule through the active constraint; exact up to the
@@ -251,11 +259,13 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
 
     step = c_max / (_GRID_POINTS + 1)
     grid = [step * (j + 1) for j in range(_GRID_POINTS)]
-    values = [reduced_welfare(c) for c in grid]
+    values = [welfare_gain(c) for c in grid]
     best = max(range(len(grid)), key=values.__getitem__)
-    glo = grid[best - 1] if best > 0 else _EDGE
+    glo = grid[best - 1] if best > 0 else grid[0]
     ghi = grid[best + 1] if best + 1 < len(grid) else c_max - _EDGE
-    c_s = bisect(slope, glo, ghi, xtol=1e-13)
+    # a peak in the first cell may lie arbitrarily close to 0: the lower
+    # end then halves toward 0 until the slope changes sign
+    c_s = bisect(slope, ghi, glo, limit=None if best > 0 else 0.0, xtol=1e-13)
     x0_s = x0_of(c_s)
     profile = near_constant_profile(x0_s, c_s)
     rule, _ = _endpoint_rules(sr, c_s, c_s)
@@ -332,7 +342,7 @@ def region_curve_intersection(sr: SuccessRate) -> float:
     hi = d * (1.0 - 1e-9)
     if gap(hi) <= 0.0:
         raise BracketError("support band does not close below the prize-1 level")
-    return bisect(gap, _EDGE, hi)
+    return bisect(gap, 0.0, hi)
 
 
 def zero_initiator_improvement(sr: SuccessRate) -> tuple[ConstantTailProfile, RewardRule, float]:

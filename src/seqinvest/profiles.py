@@ -176,8 +176,8 @@ def flatten_tail(sr: SuccessRate, x: ConstantTailProfile, k: int) -> ConstantTai
 
     Keeps ``x_0 .. x_{k-1}`` and replaces everything after with the
     unique tail value matching ``expected_value``; the match is found by
-    bisection on the tail (the expected value is strictly increasing in
-    it whenever position ``k`` is reachable).
+    a bracketed solve on the tail (the expected value is strictly
+    increasing in it whenever position ``k`` is reachable).
     """
     if k < 0 or k > x.prefix_len:
         raise DomainError(

@@ -31,7 +31,7 @@ Both built-in families also invert the required return in closed form:
 ``required_return(x) = 2 s (1 + s)^2 / (1 - eps)`` with ``s = sqrt(x)``,
 so the investment for a return ``t`` is the square of the one real root
 of ``s (1 + s)^2 = t (1 - eps) / 2`` (Cardano, then one Newton step).
-Custom rates invert by bracketing and bisection.  Like the closed-form
+Custom rates invert by the bracketing solver.  Like the closed-form
 prize, the inverse is trusted in place of ``p'``, so it must stay
 consistent with ``_p_prime``.
 
@@ -103,7 +103,8 @@ class SuccessRate:
     ``epsilon`` is the cap parameter: ``p(x) <= 1 - epsilon`` everywhere.
     ``domain_cap`` is the largest investment the numeric evaluators are
     validated on; evaluations beyond it raise :class:`DomainError`, since
-    no quantity the solvers produce requires larger arguments.
+    no quantity the solvers produce requires larger arguments.  It must be
+    finite and positive, or construction raises :class:`DomainError`.
     """
 
     name: str
@@ -114,6 +115,23 @@ class SuccessRate:
     _prize: Callable[[float], float] | None = field(default=None, repr=False)
     _prize_slope: Callable[[float], float] | None = field(default=None, repr=False)
     _return_inverse: Callable[[float], float] | None = field(default=None, repr=False)
+    # set once by ``max_return``; a field, so that attribute reads on the
+    # rate stay as fast as before it is set (a ``cached_property`` would
+    # materialise the instance ``__dict__`` and slow every ``self._p`` read)
+    _max_return: float | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.domain_cap) and self.domain_cap > 0.0):
+            raise DomainError(
+                f"{self.name}: domain_cap must be finite and positive, got {self.domain_cap!r}"
+            )
+
+    @property
+    def max_return(self) -> float:
+        """``required_return(domain_cap)``: the largest return an investment attains."""
+        if self._max_return is None:
+            object.__setattr__(self, "_max_return", self.required_return(self.domain_cap))
+        return self._max_return
 
     def _check(self, x: float, *, positive: bool = False) -> float:
         x = float(x)
@@ -230,10 +248,13 @@ def rate_from_config(
 ) -> SuccessRate:
     """Build a built-in rate from its configuration fields.
 
-    ``family`` is ``sqrt_ratio`` or ``scaled_sqrt_ratio``; a custom rate
-    has no configuration form, so pass the :func:`custom_rate` object.
+    ``family`` is ``sqrt_ratio`` (cap 0, so ``epsilon`` must be 0) or
+    ``scaled_sqrt_ratio``; a custom rate has no configuration form, so
+    pass the :func:`custom_rate` object.
     """
     if family == "sqrt_ratio":
+        if epsilon != 0.0:  # NaN included
+            raise DomainError(f"sqrt_ratio has cap 0 and takes no epsilon, got {epsilon!r}")
         return sqrt_ratio(domain_cap)
     if family == "scaled_sqrt_ratio":
         return scaled_sqrt_ratio(epsilon, domain_cap)

@@ -368,6 +368,22 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err.startswith("error: malformed config file") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("epsilon", ["0.5", "nan", "1", "-0.5"])
+    def test_epsilon_with_sqrt_ratio(self, capsys, tmp_path, epsilon):
+        # sqrt_ratio has cap 0; an epsilon given with it used to be dropped,
+        # printing the uncapped optima with exit 0
+        self.assert_usage_error(capsys, "optima", "--epsilon", epsilon)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[rate]\nepsilon = {epsilon}\n")
+        self.assert_usage_error(capsys, "region", "--points", "4", "--config", str(cfg))
+
+    @pytest.mark.parametrize("cap", ["inf", "-inf", "nan"])
+    def test_non_finite_domain_cap(self, capsys, tmp_path, cap):
+        # an infinite cap used to pass into validation's grid and every inversion
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[rate]\ndomain_cap = {cap}\n")
+        self.assert_usage_error(capsys, "optima", "--config", str(cfg))
+
     def test_custom_rate_family_in_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[rate]\nfamily = custom\n")

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from seqinvest import (
+    BracketError,
+    ConstantTailProfile,
     Mode,
     constant_profile,
     constant_support_check,
@@ -28,6 +30,7 @@ from seqinvest import (
     verify_equilibrium,
     zero_initiator_improvement,
 )
+from seqinvest.equilibrium import _endpoint_rules
 
 
 class TestFirstBest:
@@ -266,6 +269,30 @@ class TestRegion:
         assert rows[0].upper == pytest.approx(oracle.x0_s, abs=1e-9)
 
 
+class TestCapsNearOne:
+    """Roots below any fixed absolute edge: they shrink like ``(1 - eps)^2``."""
+
+    @pytest.mark.parametrize("eps", [0.999999, 1.0 - 1e-9])
+    def test_first_best_social_and_crossing(self, eps):
+        sr = scaled_sqrt_ratio(eps)
+        c_fb = first_best_investment(sr)
+        assert c_fb < 1e-12
+        welfare = (1.0 - c_fb) / (1.0 - sr.probability(c_fb))
+        assert welfare == pytest.approx(sr.required_return(c_fb), rel=1e-9, abs=0.0)
+        res = socially_optimal(sr)
+        assert res.report.supported
+        assert sr.marginal(res.profile.tail) == pytest.approx(1.0, rel=1e-9, abs=0.0)
+        c = region_curve_intersection(sr)
+        crossing = 3.0 - 2.0 * sr.probability(c)
+        assert sr.required_return(c) == pytest.approx(crossing, rel=1e-9, abs=0.0)
+
+    def test_rate_not_steep_at_zero_rejected(self):
+        # p'(0) = 1/2: the prize exceeds the probability at every c > 0
+        flat = custom_rate("flat", lambda x: 0.5 * x / (1.0 + x), lambda x: 0.5 / (1.0 + x) ** 2)
+        with pytest.raises(BracketError, match="steep-at-zero"):
+            socially_optimal(flat)
+
+
 class TestScaledRatePrograms:
     def test_all_four_solve_and_verify(self):
         rate = scaled_sqrt_ratio(0.5)
@@ -278,12 +305,22 @@ class TestScaledRatePrograms:
             assert res.max_residual <= 1e-8
 
     def test_self_financed_near_a_unit_cap(self):
-        # r(c) + c > 1 at the optimum's tail: no fixed fraction with floor
-        # is a valid rule there, and the next-step bonus supports it
+        # the optimum's tail sits a relative 2.5e-9 below the crossing
+        # r(c) + c = 1, where the fraction with floor reaches 1 (a solve
+        # stopped at an absolute 1e-13 had put the 6.2e-10 tail past it).
+        # Past the crossing no fixed fraction with floor is a valid rule,
+        # and the next-step bonus supports the upper-bound profile instead
         sr = scaled_sqrt_ratio(0.99995)
         res = self_financed_optimal(sr)
         c = res.profile.tail
-        assert sr.required_return(c) + c > 1.0
-        assert res.rule.label.startswith("next_step_bonus")
+        assert sr.required_return(c) + c < 1.0
+        assert res.rule.label.startswith("fixed_fraction_floor")
         assert res.report.supported
         assert res.max_residual <= 1e-8
+        past = 1.01 * c
+        assert sr.required_return(past) + past > 1.0
+        rule, _ = _endpoint_rules(sr, past, past)
+        assert rule.label.startswith("next_step_bonus")
+        x0 = investment_for_return(sr, near_constant_bounds(sr, past, past)[1])
+        profile = ConstantTailProfile((x0,), past)
+        assert verify_equilibrium(sr, rule, profile, mode=Mode.SELF_FINANCED).supported

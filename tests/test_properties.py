@@ -15,8 +15,10 @@ random constant-tail profiles.
 The closed-form inverse of the required return is checked by round trip
 and against the bracketing inverse of a custom rate with the same
 formula, over caps from 0 to ``1 - 1e-6`` and returns log-uniform from
-``1e-150`` up to the return at the domain cap.  Over the same caps the
-initiator and self-financed optima either verify or fail loudly.
+``1e-150`` up to the return at the domain cap; a custom rate's inverse
+round-trips to 1e-9 relative for returns from ``1e-12`` to ``1e2``.  Over
+caps up to ``1 - 1e-9`` the initiator and self-financed optima either
+verify or fail with a named error other than :class:`BracketError`.
 
 Rules synthesized for near-constant profiles, with the initiator's
 return drawn inside the support band and at both of its edges, verify;
@@ -30,6 +32,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from seqinvest import (
+    BracketError,
     ConstantTailProfile,
     Mixture,
     Perturbed,
@@ -418,13 +421,34 @@ class TestReturnInverse:
         assert abs(x - investment_for_return(bracketing, t)) <= 2e-12 + 1e-9 * x
 
 
+    @PROPERTY
+    @given(st.floats(math.log(1e-12), math.log(1e2)))
+    def test_custom_rate_round_trip(self, log_t):
+        # the bracketing inverse stops on a width relative to its bracket,
+        # so tiny targets keep their accuracy too
+        t = math.exp(log_t)
+        x = investment_for_return(SQRT_CUSTOM, t)
+        assert x == pytest.approx(investment_for_return(sqrt_ratio(), t), rel=1e-9, abs=0.0)
+        assert SQRT_CUSTOM.required_return(x) == pytest.approx(t, rel=1e-9, abs=0.0)
+
+
 class TestOptimaOverCaps:
     @PROPERTY
-    @given(caps, st.sampled_from([initiator_optimal, self_financed_optimal]))
+    @given(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1.0 - 1e-9)),
+        st.sampled_from([initiator_optimal, self_financed_optimal]),
+    )
+    @example(0.999999, initiator_optimal)
+    @example(0.999999, self_financed_optimal)
+    @example(1.0 - 1e-9, initiator_optimal)
+    @example(1.0 - 1e-9, self_financed_optimal)
     def test_verified_or_loud(self, eps, solve):
+        # a tail however close to 0 is bracketed, so a BracketError is a bug
         try:
             res = solve(with_cap(eps))
-        except SeqInvestError:
+        except BracketError:
+            raise
+        except SeqInvestError:  # a named error that says why
             return
         assert res.report.supported, (eps, res.report.failures)
 

@@ -70,6 +70,19 @@ class TestDomain:
         with pytest.raises(DomainError):
             sr.incentive_prize_slope(0.0)
 
+    @pytest.mark.parametrize("cap", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_domain_cap_must_be_finite_and_positive(self, cap):
+        for build in (sqrt_ratio, lambda cap: scaled_sqrt_ratio(0.5, cap),
+                      lambda cap: custom_rate("c", math.sqrt, math.sqrt, domain_cap=cap)):
+            with pytest.raises(DomainError, match="domain_cap"):
+                build(cap)
+
+    def test_sqrt_ratio_takes_no_epsilon(self):
+        assert rate_from_config("sqrt_ratio", 0.0).epsilon == 0.0
+        for eps in (0.5, math.nan, 1.0, -0.5):
+            with pytest.raises(DomainError, match="epsilon"):
+                rate_from_config("sqrt_ratio", eps)
+
     def test_scaled_epsilon_range(self):
         with pytest.raises(DomainError):
             scaled_sqrt_ratio(0.0)
