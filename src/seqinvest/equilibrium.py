@@ -335,6 +335,8 @@ def best_response_dynamics(
         raise DomainError(f"damping must be in (0, 1], got {damping!r}")
     init = init if init is not None else ConstantTailProfile((), 0.0)
     values = [init.at(i) for i in range(horizon)]
+    # agents past the horizon keep their initial values, then the tail
+    frozen = init.prefix[horizon:]
     tail = init.tail
     history: list[tuple[float, ...]] = []
     converged = False
@@ -344,7 +346,7 @@ def best_response_dynamics(
         sweeps_used = sweep
         max_change = 0.0
         for i in reversed(range(horizon)):
-            current = ConstantTailProfile(tuple(values), tail)
+            current = ConstantTailProfile(tuple(values) + frozen, tail)
             response = best_response(sr, rule, current, i)
             new = (1.0 - damping) * values[i] + damping * response
             max_change = max(max_change, abs(new - values[i]))
@@ -353,7 +355,7 @@ def best_response_dynamics(
         if max_change <= _DYNAMICS_TOL:
             converged = True
             break
-    final = ConstantTailProfile(tuple(values), tail)
+    final = ConstantTailProfile(tuple(values) + frozen, tail)
     residuals = tuple(
         (i, check_agent(sr, rule, final, i).residual) for i in range(horizon)
     )

@@ -20,6 +20,15 @@ is discarded or truncated, and ``discarded`` is always 0.  Only a tail
 that never fails (``p_tail == 1``) or chains too long to tabulate raise
 :class:`ChainCapError`.
 
+Aggregation is a few weighted sums over the histogram.  The number of
+episodes reaching agent ``i`` is the suffix sum of the histogram from
+``i``, all taken from one reverse cumulative sum.  Agent ``i``'s payoff
+row is ``rule.value(i, k)`` for ``k >= i``; from ``rule.stationary_from``
+on every column has the same rewards by offset, so that row is built
+once and each later agent uses a prefix of it (a drifting rule builds
+every column).  Each sum is the same dot product over the same values
+as the per-agent definition, so summaries equal it exactly.
+
 Randomness comes from counter-based Philox streams.  Shards draw from
 generators spawned off one seed sequence (``SeedSequence(seed).spawn``),
 so they are independent by construction without communication, and the
@@ -138,13 +147,19 @@ def _shard_histogram(
     steps = max(max_chain_length, profile.prefix_len)
     counts: list[int] = []
     remaining = episodes
-    step = 0
-    while remaining > 0 and step < steps:
-        p = _probability(sr, profile.prefix[step]) if step < profile.prefix_len else p_tail
-        successes = int(rng.binomial(remaining, p))
+    for x in profile.prefix:
+        if remaining == 0:
+            break
+        successes = int(rng.binomial(remaining, _probability(sr, x)))
         counts.append(remaining - successes)
         remaining = successes
-        step += 1
+    binomial, append = rng.binomial, counts.append
+    for _ in range(steps - len(counts)):
+        if remaining == 0:
+            break
+        successes = int(binomial(remaining, p_tail))
+        append(remaining - successes)
+        remaining = successes
     hist = np.asarray(counts, dtype=np.int64)
     if remaining == 0:
         return hist, 0
@@ -210,8 +225,9 @@ def terminal_samples(
     return np.repeat(np.arange(hist.size), hist)
 
 
-def _stat(hist: np.ndarray, values: np.ndarray) -> Stat:
-    n = int(hist.sum())
+def _stat(hist: np.ndarray, values: np.ndarray, n: int) -> Stat:
+    """Mean and standard error of ``values`` weighted by ``hist``, whose
+    total is ``n``."""
     if n == 0:
         return Stat(math.nan, math.nan)
     mean = float(hist @ values) / n
@@ -231,7 +247,9 @@ def summarize(
     import numpy as np
 
     hist, discarded = terminal_histogram(sr, profile, config)
-    episodes = int(hist.sum())
+    # reached[i]: episodes ending at agent i or later
+    reached = np.cumsum(hist[::-1])[::-1]
+    episodes = int(reached[0])
     kmax = hist.size - 1
     ks = np.arange(hist.size, dtype=np.float64)
     head = profile.prefix[: hist.size]
@@ -239,21 +257,27 @@ def summarize(
         np.concatenate([head, np.full(hist.size - len(head), profile.tail)])
     )
 
-    terminal = _stat(hist, ks)
+    terminal = _stat(hist, ks, episodes)
     value = Stat(terminal.mean + 1.0, terminal.se)
-    investment = _stat(hist, investments)
-    welfare = _stat(hist, ks + 1.0 - investments)
+    investment = _stat(hist, investments, episodes)
+    welfare = _stat(hist, ks + 1.0 - investments, episodes)
 
+    start = rule.stationary_from
     payoffs = []
     for i in range(min(config.payoff_horizon, kmax) + 1):
         sub = hist[i:]
-        # rule.value(i, k) for k >= i: the column's entries, then its tail
-        col = rule.column(i)
-        entries = col.entries[: sub.size]
-        extra = np.arange(sub.size - len(entries), dtype=np.float64)
-        rewards = np.concatenate([entries, col.tail + col.slope * extra])
-        stat = _stat(sub, rewards - profile.at(i))
-        payoffs.append(PayoffStat(i, int(sub.sum()), stat.mean, stat.se))
+        if start is None or i <= start:
+            # rule.value(i, k) for k >= i: the column's entries, then its tail
+            col = rule.column(i)
+            entries = col.entries[: sub.size]
+            extra = np.arange(sub.size - len(entries), dtype=np.float64)
+            rewards = np.concatenate([entries, col.tail + col.slope * extra])
+        else:
+            # a shifted copy of column i - 1: the same rewards by offset
+            rewards = rewards[: sub.size]
+        n = int(reached[i])
+        stat = _stat(sub, rewards - profile.at(i), n)
+        payoffs.append(PayoffStat(i, n, stat.mean, stat.se))
 
     return SimulationSummary(
         episodes=episodes,

@@ -1,16 +1,19 @@
 """Exit statuses, output formats, and config handling of the CLI."""
 
+import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import seqinvest
-from seqinvest import BracketError
-from seqinvest.cli import main
+from seqinvest import BracketError, Mode, region_sweep, tail_limit
+from seqinvest.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -140,17 +143,45 @@ class TestDynamics:
         line = next(l for l in out.splitlines() if l.startswith("x_0"))
         assert float(line.split()[1]) == pytest.approx(oracle.c_star, abs=1e-8)
 
+    def test_init_past_horizon_stays_frozen(self, capsys):
+        code, out, _ = run(
+            capsys, "dynamics", "--rule", "kind=fixed_fraction,alpha=0.4", "--horizon", "1",
+            "--init", "prefix=[0.01,0.3,0.4],tail=0.05",
+        )
+        assert code == 0
+        line = next(l for l in out.splitlines() if l.startswith("x_0"))
+        # best response to the successors (0.3, 0.4, 0.05, ...), not to the tail
+        assert float(line.split()[1]) == pytest.approx(0.1272200199, abs=1e-9)
+
+
+class TestMachineFormats:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+        fmt=st.sampled_from(["csv", "tsv"]),
+    )
+    @example(values=[-0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308], fmt="csv")
+    def test_floats_parse_back_to_the_same_bits(self, values, fmt):
+        out = io.StringIO()
+        _emit([("name", *values)], fmt, out)
+        name, *cells = out.getvalue().rstrip("\n").split({"csv": ",", "tsv": "\t"}[fmt])
+        assert name == "name"
+        bits = [struct.pack("<d", v) for v in values]
+        assert [struct.pack("<d", float(cell)) for cell in cells] == bits
+
 
 class TestRegion:
-    def test_csv_round_trips_bit_exactly(self, capsys):
+    def test_csv_round_trips_bit_exactly(self, capsys, sr):
         code, out, _ = run(capsys, "region", "--points", "16", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "c,diagonal,lower,upper"
-        for line in lines[1:]:
-            for cell in line.split(","):
-                if cell:
-                    assert repr(float(cell)) == cell
+        step = tail_limit(sr, Mode.UNCONSTRAINED) / 17
+        want = region_sweep(sr, [step * (j + 1) for j in range(16)])
+        assert len(lines) == 1 + len(want)
+        for line, row in zip(lines[1:], want):
+            cells = [float(cell) if cell else None for cell in line.split(",")]
+            assert cells == [row.c, row.diagonal, row.lower, row.upper]
 
     def test_bad_points_exit_two(self, capsys):
         code, _, err = run(capsys, "region", "--points", "0")

@@ -263,6 +263,17 @@ class TestDynamics:
             for i in range(5):
                 assert a.profile.at(i) == pytest.approx(b.profile.at(i), abs=1e-9)
 
+    def test_init_past_horizon_stays_frozen(self, sr):
+        # the successors the swept agent answers are init's own (0.3, 0.4),
+        # not the tail: dropping them gave 0.1047571 at residual 4e-16
+        init = ConstantTailProfile((0.01, 0.3, 0.4), 0.05)
+        result = best_response_dynamics(sr, fixed_fraction(0.4), 1, init)
+        assert result.profile.prefix[1:] == (0.3, 0.4)
+        assert result.profile.tail == 0.05
+        want = best_response(sr, fixed_fraction(0.4), init, 0)
+        assert result.profile.at(0) == pytest.approx(want, abs=1e-12)
+        assert want == pytest.approx(0.1272200, abs=1e-7)
+
     def test_jackpot_overinvestment(self, sr_scaled, oracle):
         result = best_response_dynamics(sr_scaled, jackpot(), horizon=12)
         assert result.converged

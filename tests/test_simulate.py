@@ -14,6 +14,7 @@ from seqinvest import (
     ConstantTailProfile,
     DomainError,
     PayoffStat,
+    Perturbed,
     SimulationConfig,
     constant_profile,
     custom_rate,
@@ -23,7 +24,10 @@ from seqinvest import (
     expected_value,
     expected_welfare,
     fixed_fraction,
+    fixed_fraction_floor,
+    jackpot,
     summarize,
+    synthesize_rule,
     terminal_histogram,
     terminal_samples,
 )
@@ -178,27 +182,58 @@ class TestDiscards:
         assert sum(summary.histogram) == summary.episodes
 
 
+def _aggregation_case(case, sr, oracle, ex5_rule, ex5_profile):
+    """(rule, profile, config overrides) for one aggregation check."""
+    floor = fixed_fraction_floor(oracle.alpha_s, oracle.c_s)
+    c_star = ConstantTailProfile((), oracle.c_star)
+    return {
+        "three_tier": (ex5_rule, ex5_profile, {}),
+        "affine_tail": (fixed_fraction(0.7), ConstantTailProfile((0.0994,), 0.0264), {}),
+        # pattern from column 1 on
+        "equal_split@c*": (equal_split(), c_star, {}),
+        # two-entry pattern after one leading column
+        "fraction_floor@s": (floor, ConstantTailProfile((oracle.x0_s,), oracle.c_s), {}),
+        # drifting pattern: no stationary column
+        "jackpot": (jackpot(), ConstantTailProfile((0.2,), 0.5), {}),
+        "perturbed": (
+            Perturbed(
+                equal_split(),
+                entries=(((0, 1), -0.25), ((1, 1), 0.25)),
+                column_tails=((0, (3, 0.5)), (1, (3, -0.5))),
+            ),
+            ConstantTailProfile((0.2,), 0.3),
+            {},
+        ),
+        "synthesized_mixture": (synthesize_rule(sr, 0.03, 0.05), ConstantTailProfile((0.03,), 0.05), {}),
+        # the histogram ends well before the last reported agent
+        "short_histogram": (floor, c_star, {"payoff_horizon": 40}),
+        "shards=3": (equal_split(), c_star, {"shards": 3}),
+    }[case]
+
+
 class TestAggregation:
-    @pytest.mark.parametrize("case", ["three_tier", "affine_tail"])
-    def test_matches_scalar_reaggregation(self, sr, ex5_rule, ex5_profile, case):
+    @pytest.mark.parametrize("case", [
+        "three_tier", "affine_tail", "equal_split@c*", "fraction_floor@s", "jackpot",
+        "perturbed", "synthesized_mixture", "short_histogram", "shards=3",
+    ])
+    def test_matches_scalar_reaggregation(self, sr, oracle, ex5_rule, ex5_profile, case):
         # the vectorized sums equal a re-aggregation through rule.value
-        if case == "three_tier":
-            rule, profile = ex5_rule, ex5_profile
-        else:
-            rule, profile = fixed_fraction(0.7), ConstantTailProfile((0.0994,), 0.0264)
-        config = SimulationConfig(episodes=30_000, seed=23, payoff_horizon=6)
+        rule, profile, overrides = _aggregation_case(case, sr, oracle, ex5_rule, ex5_profile)
+        config = SimulationConfig(**{"episodes": 30_000, "seed": 23, "payoff_horizon": 6, **overrides})
         summary = summarize(sr, profile, rule, config)
         hist = np.asarray(summary.histogram)
         investments = np.cumsum([profile.at(j) for j in range(hist.size)])
-        assert summary.total_investment == _stat(hist, investments)
-        assert len(summary.payoffs) == min(7, hist.size)
+        assert summary.total_investment == _stat(hist, investments, hist.sum())
+        assert len(summary.payoffs) == min(config.payoff_horizon + 1, hist.size)
         for pay in summary.payoffs:
             i = pay.agent
             rewards = np.array([rule.value(i, k) for k in range(i, hist.size)])
-            stat = _stat(hist[i:], rewards - profile.at(i))
+            stat = _stat(hist[i:], rewards - profile.at(i), hist[i:].sum())
             assert pay.reached == hist[i:].sum()
             # exact equality, NaN standard errors (one episode) included
             np.testing.assert_equal((pay.mean, pay.se), (stat.mean, stat.se))
+        if case == "short_histogram":
+            assert hist.size <= config.payoff_horizon
 
 
 class TestBadRates:
