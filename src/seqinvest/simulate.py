@@ -153,12 +153,11 @@ def _shard_histogram(
         successes = int(rng.binomial(remaining, _probability(sr, x)))
         counts.append(remaining - successes)
         remaining = successes
-    binomial, append = rng.binomial, counts.append
     for _ in range(steps - len(counts)):
         if remaining == 0:
             break
-        successes = int(binomial(remaining, p_tail))
-        append(remaining - successes)
+        successes = int(rng.binomial(remaining, p_tail))
+        counts.append(remaining - successes)
         remaining = successes
     hist = np.asarray(counts, dtype=np.int64)
     if remaining == 0:

@@ -168,6 +168,8 @@ class TestMachineFormats:
         assert name == "name"
         bits = [struct.pack("<d", v) for v in values]
         assert [struct.pack("<d", float(cell)) for cell in cells] == bits
+        # the shortest repr, not merely a round-tripping one
+        assert all(repr(float(cell)) == cell for cell in cells)
 
 
 class TestRegion:
@@ -180,6 +182,9 @@ class TestRegion:
         want = region_sweep(sr, [step * (j + 1) for j in range(16)])
         assert len(lines) == 1 + len(want)
         for line, row in zip(lines[1:], want):
+            for cell in line.split(","):
+                if cell:
+                    assert repr(float(cell)) == cell
             cells = [float(cell) if cell else None for cell in line.split(",")]
             assert cells == [row.c, row.diagonal, row.lower, row.upper]
 

@@ -182,43 +182,52 @@ class TestDiscards:
         assert sum(summary.histogram) == summary.episodes
 
 
-def _aggregation_case(case, sr, oracle, ex5_rule, ex5_profile):
-    """(rule, profile, config overrides) for one aggregation check."""
-    floor = fixed_fraction_floor(oracle.alpha_s, oracle.c_s)
-    c_star = ConstantTailProfile((), oracle.c_star)
-    return {
-        "three_tier": (ex5_rule, ex5_profile, {}),
-        "affine_tail": (fixed_fraction(0.7), ConstantTailProfile((0.0994,), 0.0264), {}),
-        # pattern from column 1 on
-        "equal_split@c*": (equal_split(), c_star, {}),
-        # two-entry pattern after one leading column
-        "fraction_floor@s": (floor, ConstantTailProfile((oracle.x0_s,), oracle.c_s), {}),
-        # drifting pattern: no stationary column
-        "jackpot": (jackpot(), ConstantTailProfile((0.2,), 0.5), {}),
-        "perturbed": (
-            Perturbed(
-                equal_split(),
-                entries=(((0, 1), -0.25), ((1, 1), 0.25)),
-                column_tails=((0, (3, 0.5)), (1, (3, -0.5))),
-            ),
-            ConstantTailProfile((0.2,), 0.3),
-            {},
+# (rule, profile, config overrides) for one aggregation check; callables
+# taking (sr, oracle, ex5_rule, ex5_profile), so a case builds only its own rule
+_AGGREGATION_CASES = {
+    "three_tier": lambda sr, o, rule, prof: (rule, prof, {}),
+    "affine_tail": lambda sr, o, rule, prof: (
+        fixed_fraction(0.7), ConstantTailProfile((0.0994,), 0.0264), {}
+    ),
+    # pattern from column 1 on
+    "equal_split@c*": lambda sr, o, rule, prof: (
+        equal_split(), ConstantTailProfile((), o.c_star), {}
+    ),
+    # two-entry pattern after one leading column
+    "fraction_floor@s": lambda sr, o, rule, prof: (
+        fixed_fraction_floor(o.alpha_s, o.c_s), ConstantTailProfile((o.x0_s,), o.c_s), {}
+    ),
+    # drifting pattern: no stationary column
+    "jackpot": lambda sr, o, rule, prof: (jackpot(), ConstantTailProfile((0.2,), 0.5), {}),
+    "perturbed": lambda sr, o, rule, prof: (
+        Perturbed(
+            equal_split(),
+            entries=(((0, 1), -0.25), ((1, 1), 0.25)),
+            column_tails=((0, (3, 0.5)), (1, (3, -0.5))),
         ),
-        "synthesized_mixture": (synthesize_rule(sr, 0.03, 0.05), ConstantTailProfile((0.03,), 0.05), {}),
-        # the histogram ends well before the last reported agent
-        "short_histogram": (floor, c_star, {"payoff_horizon": 40}),
-        "shards=3": (equal_split(), c_star, {"shards": 3}),
-    }[case]
+        ConstantTailProfile((0.2,), 0.3),
+        {},
+    ),
+    "synthesized_mixture": lambda sr, o, rule, prof: (
+        synthesize_rule(sr, 0.03, 0.05), ConstantTailProfile((0.03,), 0.05), {}
+    ),
+    # the histogram ends well before the last reported agent
+    "short_histogram": lambda sr, o, rule, prof: (
+        fixed_fraction_floor(o.alpha_s, o.c_s),
+        ConstantTailProfile((), o.c_star),
+        {"payoff_horizon": 40},
+    ),
+    "shards=3": lambda sr, o, rule, prof: (
+        equal_split(), ConstantTailProfile((), o.c_star), {"shards": 3}
+    ),
+}
 
 
 class TestAggregation:
-    @pytest.mark.parametrize("case", [
-        "three_tier", "affine_tail", "equal_split@c*", "fraction_floor@s", "jackpot",
-        "perturbed", "synthesized_mixture", "short_histogram", "shards=3",
-    ])
+    @pytest.mark.parametrize("case", list(_AGGREGATION_CASES))
     def test_matches_scalar_reaggregation(self, sr, oracle, ex5_rule, ex5_profile, case):
         # the vectorized sums equal a re-aggregation through rule.value
-        rule, profile, overrides = _aggregation_case(case, sr, oracle, ex5_rule, ex5_profile)
+        rule, profile, overrides = _AGGREGATION_CASES[case](sr, oracle, ex5_rule, ex5_profile)
         config = SimulationConfig(**{"episodes": 30_000, "seed": 23, "payoff_horizon": 6, **overrides})
         summary = summarize(sr, profile, rule, config)
         hist = np.asarray(summary.histogram)
