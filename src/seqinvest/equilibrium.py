@@ -16,7 +16,10 @@ A rule *supports* a profile when every agent's investment is a best
 response; :func:`verify_equilibrium` checks the condition for every
 prefix agent plus representative tail agents (legitimate because both
 the profile and the rule's columns are constant there, which is also
-asserted by checking a second, deeper tail agent).
+asserted by checking a second, deeper tail agent).  It reads each
+checked agent's column once, for the stay-put payment ``f(i, i)``, the
+continuation reward and the self-financed checks alike, and checks the
+tolerance once per call.
 
 The self-financed variant caps each agent's investment by their own
 stay-put payment (``x_i <= f(i, i) <= f(i, j)``): the money an agent can
@@ -48,10 +51,11 @@ from .errors import DomainError, InfeasibleError, TailShapeError, UnboundedRatio
 from .profiles import ConstantTailProfile
 from .rates import SuccessRate
 from .rules import (
+    Column,
     Mixture,
     RewardRule,
+    _column_reward,
     _payoff,
-    continuation_reward,
     fixed_fraction_floor,
     flat_continuation,
     next_step_bonus,
@@ -102,8 +106,8 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
 
 def best_response(sr: SuccessRate, rule: RewardRule, x: ConstantTailProfile, i: int) -> float:
     """Agent ``i``'s unconstrained optimal investment against the others' profile."""
-    t = continuation_reward(sr, rule, x, i) - rule.value(i, i)
-    return investment_for_return(sr, t)
+    col = rule.column(i)
+    return investment_for_return(sr, _column_reward(sr, x, col) - col.entries[0])
 
 
 @dataclass(frozen=True)
@@ -149,10 +153,9 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
-def _column_floor_gap(rule: RewardRule, i: int) -> float:
+def _column_floor_gap(col: Column) -> float:
     """min_j f(i, j) - f(i, i) over the structural column; negative means
     some continuation entry pays less than the stay-put payment."""
-    col = rule.column(i)
     lowest = min(col.entries[1:]) if len(col.entries) > 1 else math.inf
     lowest = min(lowest, col.tail)
     if col.slope < 0.0:
@@ -178,9 +181,17 @@ def check_agent(
     Raises :class:`DomainError` for a non-finite or negative ``tol``.
     """
     _check_tol(tol)
-    xi = x.at(i)
-    fii = rule.value(i, i)
-    reward = continuation_reward(sr, rule, x, i)
+    return _check_column(sr, x, x.at(i), rule.column(i), mode, tol)
+
+
+def _check_column(
+    sr: SuccessRate, x: ConstantTailProfile, xi: float, col: Column, mode: Mode, tol: float
+) -> AgentCheck:
+    # check_agent for the agent whose column is ``col``, investing ``xi``;
+    # the one column gives both the stay-put payment and the reward
+    i = col.start
+    fii = col.entries[0]
+    reward = _column_reward(sr, x, col)
     t = reward - fii
     payoff = _payoff(sr, xi, fii, reward)
     if xi <= _ZERO_INVESTMENT:
@@ -214,7 +225,8 @@ def verify_equilibrium(
     must agree by stationarity; checking both asserts it).  In
     self-financed mode additionally enforces the budget ``x_i <= f(i,i)``
     and the structural condition ``f(i, i) <= f(i, j)``.  Raises
-    :class:`DomainError` for a non-finite or negative ``tol``.
+    :class:`DomainError` for a non-finite or negative ``tol``, checked
+    once for all agents; each agent's column is read once.
     """
     _check_tol(tol)
     stationary = rule.stationary_from
@@ -228,17 +240,18 @@ def verify_equilibrium(
     checks = []
     failures: list[str] = []
     for i in agents:
-        chk = check_agent(sr, rule, x, i, mode, tol)
+        col = rule.column(i)
+        chk = _check_column(sr, x, x.at(i), col, mode, tol)
         checks.append(chk)
         if chk.residual > tol:
             failures.append(f"agent {i}: best-response residual {chk.residual:.3g}")
         if mode is Mode.SELF_FINANCED:
-            over = x.at(i) - rule.value(i, i)
+            over = chk.investment - col.entries[0]
             if over > tol:
                 failures.append(
                     f"agent {i}: investment exceeds stay-put budget by {over:.3g}"
                 )
-            gap = _column_floor_gap(rule, i)
+            gap = _column_floor_gap(col)
             if gap < -tol:
                 failures.append(
                     f"agent {i}: some continuation entry is below the "
@@ -453,8 +466,8 @@ def near_constant_feasibility(
 
 def _initiator_return(sr: SuccessRate, rule: RewardRule, c: float) -> float:
     # net return the rule offers the initiator against a constant-c tail
-    probe = ConstantTailProfile((), c)
-    return continuation_reward(sr, rule, probe, 0) - rule.value(0, 0)
+    col = rule.column(0)
+    return _column_reward(sr, ConstantTailProfile((), c), col) - col.entries[0]
 
 
 def _endpoint_rules(sr: SuccessRate, c: float, gamma: float) -> tuple[RewardRule, RewardRule]:

@@ -449,9 +449,13 @@ def continuation_reward(
     """
     if i < 0:
         raise DomainError(f"agent index must be >= 0, got {i}")
-    col = rule.column(i)
-    k_stable = max(col.tail_start, x.prefix_len, i + 1)
-    total, reach, pc = _reach_series(sr, x, i + 1, k_stable, col.value, stops=True)
+    return _column_reward(sr, x, rule.column(i))
+
+
+def _column_reward(sr: SuccessRate, x: ConstantTailProfile, col: Column) -> float:
+    # continuation reward of the agent whose column is ``col``
+    k_stable = max(col.tail_start, x.prefix_len, col.start + 1)
+    total, reach, pc = _reach_series(sr, x, col.start + 1, k_stable, col.value, stops=True)
     return total + reach * (col.value(k_stable) + col.slope * pc / (1.0 - pc))
 
 
@@ -461,7 +465,8 @@ def expected_payoff(
     """Expected payoff of agent ``i``: stay-put payment if failing, the
     continuation reward if succeeding, minus the sunk investment."""
     xi = x.at(i)
-    return _payoff(sr, xi, rule.value(i, i), continuation_reward(sr, rule, x, i))
+    col = rule.column(i)
+    return _payoff(sr, xi, col.entries[0], _column_reward(sr, x, col))
 
 
 def _payoff(sr: SuccessRate, xi: float, fii: float, reward: float) -> float:

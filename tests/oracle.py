@@ -8,8 +8,9 @@ from the formulas of the square-root family and sharing no code with
 
 to print every constant beside its frozen value and their relative
 difference; ``tests/test_oracle.py`` makes the same comparison.  The
-``ex5_*``, initiator-optimum and self-financed-optimum constants need
-the rule and optimum programs and are not recomputed here.
+initiator optimum is recomputed from its first-order condition; the
+``ex5_*`` and self-financed-optimum constants need the rule and optimum
+programs and are not recomputed here.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ class Rate:
     def required_return(self, x):
         return 1 / self.p_prime(x)
 
+    def prize_prime(self, x):
+        return mp.diff(self.prize, x)
+
 
 def root(f, lo, hi):
     """The sign change of ``f`` in ``[lo, hi]``, to working precision."""
@@ -60,6 +64,17 @@ def constants() -> dict[str, mp.mpf]:
         sr, scaled = Rate(), Rate(mp.sqrt(2) / 2)
         c_fb = first_best(sr)
         p_01777 = sr.p(mp.mpf(0.1777))
+        # the initiator's optimal tail c solves p'(c) (1 - prize(c)) =
+        # prize'(c) (1 - p(c)); its own investment x0 then has required
+        # return (1 - prize(c)) / (1 - p(c))
+        c_circ = root(
+            lambda c: sr.p_prime(c) * (1 - sr.prize(c)) - sr.prize_prime(c) * (1 - sr.p(c)),
+            "1e-6", c_fb,
+        )
+        x0_circ = root(
+            lambda x: sr.required_return(x) - (1 - sr.prize(c_circ)) / (1 - sr.p(c_circ)),
+            "1e-6", 1,
+        )
         return {
             "c_star": root(lambda c: sr.prize(c) - sr.p(c), "1e-6", c_fb),
             "c_fb": c_fb,
@@ -76,6 +91,10 @@ def constants() -> dict[str, mp.mpf]:
             "p_01777": p_01777,
             "ratio_00131": sr.required_return(mp.mpf(0.0131)),
             "fixed_point_t": root(lambda x: sr.required_return(x) - (2 - p_01777), "1e-6", 1),
+            "c_circ": c_circ,
+            "x0_circ": x0_circ,
+            "payoff0_circ": 1 + sr.prize(x0_circ) - x0_circ,
+            "alpha_circ": sr.required_return(c_circ),
         }
 
 

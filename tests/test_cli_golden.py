@@ -6,8 +6,10 @@ except ``simulate`` (numpy does not promise the same ``Generator`` stream
 across versions, NEP 19), and two negative verdicts.  Every format has at
 most 10 significant digits (``region`` is a table, not csv), so a last-ulp
 difference between hosts' libm cannot flip a byte of a value.  A
-``residual=`` field at or below 1e-12 is rounding noise, whose every digit
-can flip, so the transcript prints it as the one token ``residual=<=1e-12``.
+residual at or below 1e-12 is rounding noise, whose every digit can flip,
+so the transcript prints it as the one token ``<=1e-12``: in a
+``residual=`` or ``max_residual=`` field and in a ``max_residual`` table
+row alike.
 
 An intended change of output is rewritten with
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and listed in CHANGES.md.
@@ -42,11 +44,11 @@ GOLDEN = {
 }
 
 
-RESIDUAL = re.compile(r"\bresidual=([-+.0-9eE]+)")
+RESIDUAL = re.compile(r"\b(residual=|max_residual=|max_residual +)([-+.0-9eE]+)")
 
 
 def _noise_token(match: re.Match) -> str:
-    return "residual=<=1e-12" if abs(float(match[1])) <= 1e-12 else match[0]
+    return match[1] + "<=1e-12" if abs(float(match[2])) <= 1e-12 else match[0]
 
 
 def transcript(command: str) -> str:

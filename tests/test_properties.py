@@ -24,6 +24,11 @@ Rules synthesized for near-constant profiles, with the initiator's
 return drawn inside the support band and at both of its edges, verify;
 they mix the two endpoint rules exactly when the return is more than the
 support slack away from both endpoints' returns.
+
+Verification, best responses and payoffs read each agent's column once;
+on named, synthesized and transferred rules, in both modes, they equal
+exactly (``==``) what the public per-agent path gives: ``check_agent``,
+and the continuation reward less ``rule.value(i, i)``.
 """
 
 import math
@@ -35,12 +40,16 @@ from seqinvest import (
     BracketError,
     ConstantTailProfile,
     Mixture,
+    Mode,
     Perturbed,
     RuleConstructionError,
     SeqInvestError,
+    best_response,
+    check_agent,
     continuation_reward,
     custom_rate,
     equal_split,
+    expected_payoff,
     fixed_fraction,
     fixed_fraction_floor,
     flat_continuation,
@@ -58,7 +67,12 @@ from seqinvest import (
     synthesize_rule,
     verify_equilibrium,
 )
-from seqinvest.equilibrium import _SUPPORT_TOL, _endpoint_rules, _initiator_return
+from seqinvest.equilibrium import (
+    _SUPPORT_TOL,
+    _column_floor_gap,
+    _endpoint_rules,
+    _initiator_return,
+)
 from seqinvest.rules import Column, StationaryColumnRule
 from conftest import ORACLE, three_tier_rule
 
@@ -319,17 +333,16 @@ rates = st.sampled_from(
 )
 investments = st.floats(0.0, 2.0)
 profiles = st.builds(ConstantTailProfile, st.lists(investments, max_size=5).map(tuple), investments)
-series_rules = st.one_of(
-    base_rules,
-    st.builds(
-        lambda rule, beta: Perturbed(
-            rule,
-            entries=(((0, 2), -beta * rule.value(0, 2)), ((1, 2), beta * rule.value(0, 2))),
-        ),
-        stationary_rules,
-        unit,
+# a balanced move of part of f(0, 2) to f(1, 2)
+row_transfers = st.builds(
+    lambda rule, beta: Perturbed(
+        rule,
+        entries=(((0, 2), -beta * rule.value(0, 2)), ((1, 2), beta * rule.value(0, 2))),
     ),
+    stationary_rules,
+    unit,
 )
+series_rules = st.one_of(base_rules, row_transfers)
 
 
 def truncated(sr, x, start, weight):
@@ -486,3 +499,70 @@ class TestSynthesizeThenVerify:
             < _initiator_return(sr, high, c) - _SUPPORT_TOL
         )
         assert isinstance(rule, Mixture) == inside, rule.describe()
+
+
+@st.composite
+def synthesized_rules(draw):
+    """``synthesize_rule`` at a return drawn inside the support band: a
+    mixture of the endpoint rules unless it lands within the slack of one."""
+    sr = sqrt_ratio()
+    c, gamma = draw(st.floats(1e-3, 0.25)), draw(st.floats(0.0, 0.1))
+    lower, upper = near_constant_bounds(sr, c, gamma)
+    assume(max(lower, 0.0) <= upper)
+    t = max(lower, 0.0) + draw(unit) * (upper - max(lower, 0.0))
+    return synthesize_rule(sr, investment_for_return(sr, t), c, gamma)
+
+
+def outcome(fn):
+    """The value of ``fn()``, or the type and message of what it raised."""
+    try:
+        return fn()
+    except SeqInvestError as exc:
+        return type(exc), str(exc)
+
+
+def expected_failures(rule, x, mode, tol, checks):
+    """``verify_equilibrium``'s failure list, rebuilt from per-agent checks."""
+    failures = []
+    for chk in checks:
+        i = chk.agent
+        if chk.residual > tol:
+            failures.append(f"agent {i}: best-response residual {chk.residual:.3g}")
+        if mode is Mode.SELF_FINANCED:
+            over = x.at(i) - rule.value(i, i)
+            if over > tol:
+                failures.append(f"agent {i}: investment exceeds stay-put budget by {over:.3g}")
+            gap = _column_floor_gap(rule.column(i))
+            if gap < -tol:
+                failures.append(
+                    f"agent {i}: some continuation entry is below the "
+                    f"stay-put payment (gap {gap:.3g})"
+                )
+    return failures
+
+
+class TestOneColumnRead:
+    @settings(PROPERTY, max_examples=60)
+    @given(
+        rates,
+        st.one_of(stationary_rules, synthesized_rules(), row_transfers),
+        st.builds(
+            ConstantTailProfile, st.lists(st.floats(0.0, 0.5), max_size=3).map(tuple),
+            st.floats(0.0, 0.5),
+        ),
+        st.sampled_from(tuple(Mode)),
+        st.sampled_from((1e-8, 1e-3)),
+    )
+    def test_matches_public_per_agent_path(self, sr, rule, x, mode, tol):
+        report = verify_equilibrium(sr, rule, x, mode, tol)
+        assert report.failures == tuple(expected_failures(rule, x, mode, tol, report.checks))
+        for chk in report.checks:
+            i = chk.agent
+            assert chk == check_agent(sr, rule, x, i, mode, tol)
+            reward = continuation_reward(sr, rule, x, i)
+            fii = rule.value(i, i)
+            assert outcome(lambda: best_response(sr, rule, x, i)) == outcome(
+                lambda: investment_for_return(sr, reward - fii)
+            )
+            p = sr.probability(x.at(i))
+            assert expected_payoff(sr, rule, x, i) == (1.0 - p) * fii + p * reward - x.at(i)
