@@ -13,13 +13,15 @@ its top-level commas; a config section is used as read, so a comma in a
 config value belongs to the value.  Handlers return rows and an exit
 status, and ``main`` alone writes them, so a failed command writes no
 output file.  Output is aligned text by default; ``--format csv|tsv``
-emits machine-readable rows whose floats round-trip exactly.
+emits machine-readable rows whose floats round-trip exactly.  The
+optimum programs, the simulation engine and configparser are imported
+inside the handlers that use them, so each command loads only its own
+modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import math
 import sys
@@ -35,18 +37,9 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .errors import SeqInvestError
-from .optima import (
-    first_best_investment,
-    initiator_optimal,
-    region_sweep,
-    self_financed_optimal,
-    socially_optimal,
-    tail_limit,
-)
 from .profiles import ConstantTailProfile
 from .rates import SuccessRate, rate_from_config, validate
 from .rules import RewardRule, rule_from_config
-from .simulate import SimulationConfig, summarize
 
 _RATE_KEYS = {"family", "epsilon", "domain_cap"}
 _PROFILE_KEYS = {"prefix", "tail"}
@@ -143,20 +136,28 @@ def _parse_rule(fields: dict[str, str]) -> RewardRule:
     return rule_from_config(fields["kind"], params)
 
 
-def _load_config(path: str | None) -> configparser.ConfigParser:
+Config = dict[str, dict[str, str]]
+
+
+def _load_config(path: str | None) -> Config:
+    """Each section of the file at ``path`` as a dict (``[DEFAULT]`` merged in)."""
+    if not path:
+        return {}
+    import configparser
+
     parser = configparser.ConfigParser()
-    if path:
-        try:
-            read = parser.read(path)
-        except configparser.Error as exc:  # a repeated key or section, a line without one
-            raise UsageError(f"malformed config file: {' '.join(str(exc).split())}") from None
-        if not read:
-            raise UsageError(f"cannot read config file {path!r}")
-    return parser
+    try:
+        read = parser.read(path)
+        sections = {section: dict(parser.items(section)) for section in parser.sections()}
+    except configparser.Error as exc:  # a repeated key or section, a line without one, a bad %
+        raise UsageError(f"malformed config file: {' '.join(str(exc).split())}") from None
+    if not read:
+        raise UsageError(f"cannot read config file {path!r}")
+    return sections
 
 
-def _resolve_rate(args, cfg) -> SuccessRate:
-    section = dict(cfg.items("rate")) if cfg.has_section("rate") else {}
+def _resolve_rate(args, cfg: Config) -> SuccessRate:
+    section = cfg.get("rate", {})
     unknown = set(section) - _RATE_KEYS
     if unknown:
         raise UsageError(f"unknown config key {sorted(unknown)[0]!r} in [rate]")
@@ -177,13 +178,13 @@ def _resolve_rate(args, cfg) -> SuccessRate:
     return rate
 
 
-def _fields(args, cfg, name: str) -> dict[str, str]:
+def _fields(args, cfg: Config, name: str) -> dict[str, str]:
     """Fields of ``--<name>`` (``rule`` or ``profile``), else of the ``[<name>]`` section."""
     text = getattr(args, name, None)
     if text:
         return _parse_kv(text, name)
-    if cfg.has_section(name):
-        return dict(cfg.items(name))
+    if name in cfg:
+        return cfg[name]
     raise UsageError(f"no {name} given (use --{name} or a [{name}] section)")
 
 
@@ -202,6 +203,13 @@ def _output(path: str | None):
 
 
 def _cmd_optima(args, cfg) -> tuple[Rows, int]:
+    from .optima import (
+        first_best_investment,
+        initiator_optimal,
+        self_financed_optimal,
+        socially_optimal,
+    )
+
     sr = _resolve_rate(args, cfg)
     rows: Rows = [("quantity", "value", "detail")]
     rows.append(("c_fb", first_best_investment(sr), "first-best constant"))
@@ -290,6 +298,8 @@ def _cmd_region(args, cfg) -> tuple[Rows, int]:
         raise UsageError(f"--points must be >= 1, got {args.points}")
     if args.c_max is not None and not 0.0 < args.c_max < math.inf:
         raise UsageError(f"--c-max must be finite and > 0, got {args.c_max!r}")
+    from .optima import region_sweep, tail_limit
+
     sr = _resolve_rate(args, cfg)
     mode = Mode(args.mode)
     c_max = tail_limit(sr, mode) if args.c_max is None else args.c_max
@@ -303,6 +313,8 @@ def _cmd_region(args, cfg) -> tuple[Rows, int]:
 
 
 def _cmd_simulate(args, cfg) -> tuple[Rows, int]:
+    from .simulate import SimulationConfig, summarize
+
     sr = _resolve_rate(args, cfg)
     rule = _parse_rule(_fields(args, cfg, "rule"))
     profile = _parse_profile(_fields(args, cfg, "profile"))

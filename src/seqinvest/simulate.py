@@ -37,8 +37,8 @@ the shard plan.  Identical seed and configuration reproduce summaries
 bit for bit.
 
 numpy is imported on first use, inside the functions that draw or
-aggregate, so importing this module, as the package and the CLI do,
-does not load numpy.
+aggregate, so importing this module, as the first use of the package
+and the CLI's ``simulate`` command do, does not load numpy.
 """
 
 from __future__ import annotations

@@ -329,6 +329,26 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert err.startswith(message)
 
+    def test_default_section_and_interpolation(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[DEFAULT]\nkind = jackpot\n[rule]\n")
+        code, out, _ = run(capsys, "rule", "print", "--config", str(cfg), "--rows", "2")
+        assert (code, out) == (0, "1.0\n2.0\t0.0\n")
+        cfg.write_text("[rule]\nkind = equal%%split\n")
+        code, out, err = run(capsys, "rule", "print", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown rule kind 'equal%split'")
+
+    def test_bad_interpolation_is_a_usage_error(self, capsys, tmp_path):
+        # used to escape as a traceback (exit 1) from the section a command
+        # read, and to pass unnoticed in any other section
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[rate]\nfamily = sqrt%ratio\n[rule]\nkind = jackpot\n")
+        for argv in (["optima"], ["rule", "print"]):
+            code, out, err = run(capsys, *argv, "--config", str(cfg))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: malformed config file: '%' must be followed by")
+
 
 class TestMalformedInput:
     """Malformed numbers and unwritable output are usage errors: exit 2, no traceback."""
@@ -456,7 +476,7 @@ class TestMalformedInput:
         def fail(sr):
             raise BracketError("no sign change")
 
-        monkeypatch.setattr("seqinvest.cli.socially_optimal", fail)
+        monkeypatch.setattr("seqinvest.optima.socially_optimal", fail)
         path = tmp_path / "rows.txt"
         self.assert_usage_error(capsys, "optima", "--output", str(path))
         assert not path.exists()
@@ -545,10 +565,10 @@ class TestNumpyFreeStartup:
     """Only ``simulate`` needs numpy; every other command runs without it."""
 
     def test_import_leaves_numpy_unloaded(self):
-        out = _python("-c", "import sys, seqinvest.cli; "
-                      "print('numpy' in sys.modules, 'seqinvest.simulate' in sys.modules)")
-        # the simulate module itself is still imported, only numpy is deferred
-        assert out.split() == ["False", "True"]
+        out = _python("-c", "import sys, seqinvest.cli; print(*(name in sys.modules for name in "
+                      "('numpy', 'seqinvest.simulate', 'seqinvest.optima')))")
+        # the handlers that need them import simulate and optima
+        assert out.split() == ["False", "False", "False"]
 
     @pytest.mark.parametrize("name", README_COMMANDS)
     def test_commands_run_with_numpy_blocked(self, capsys, numpy_blocked_runs, name):
@@ -559,3 +579,47 @@ class TestNumpyFreeStartup:
     def test_simulate_still_needs_numpy(self, numpy_blocked_runs):
         # the control for the test above: the block does reach the engine
         assert numpy_blocked_runs["simulate"] == ("ImportError", "")
+
+
+# Runs the argv ``sys.argv[1]`` through ``main`` in a fresh process and prints
+# its exit code and the loaded ``seqinvest`` submodules and configparser.
+_IMPORTS_RUNNER = """
+import contextlib, io, json, sys
+from seqinvest.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+loaded = [name.removeprefix("seqinvest.") for name in sys.modules
+          if name.startswith("seqinvest.") or name == "configparser"]
+print(json.dumps([code, sorted(loaded)]))
+"""
+
+_HEAVY = {"optima", "simulate", "configparser"}
+
+
+class TestImportsPerCommand:
+    """Each command loads the library modules it uses and no others."""
+
+    @staticmethod
+    def loaded(argv: list[str]) -> set[str]:
+        code, modules = json.loads(_python("-c", _IMPORTS_RUNNER, json.dumps(argv)))
+        assert code in (0, 1)
+        return set(modules)
+
+    @pytest.mark.parametrize("name", ["rule_print", "verify", "verify_self_financed",
+                                      "synthesize", "dynamics"])
+    def test_light_commands(self, name):
+        loaded = self.loaded(README_COMMANDS[name])
+        assert {"cli", "equilibrium", "rules", "rates"} <= loaded
+        assert not loaded & _HEAVY
+
+    @pytest.mark.parametrize("name", ["optima", "region"])
+    def test_optimum_commands_skip_the_simulation(self, name):
+        assert self.loaded(README_COMMANDS[name]) & _HEAVY == {"optima"}
+
+    def test_simulate_skips_the_optima(self):
+        assert self.loaded(SIMULATE) & _HEAVY == {"simulate"}
+
+    def test_config_file_loads_configparser(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[rule]\nkind = jackpot\n")
+        assert self.loaded(["rule", "print", "--config", str(cfg)]) & _HEAVY == {"configparser"}
