@@ -46,7 +46,7 @@ _EXPORTS = {
         "scaled_sqrt_ratio", "sqrt_ratio", "validate",
     ),
     "rules": (
-        "Column", "Mixture", "Perturbed", "RewardRule", "StationaryColumnRule",
+        "Column", "Mixture", "Perturbed", "StationaryColumnRule",
         "continuation_reward", "equal_split", "expected_payoff", "fixed_fraction",
         "fixed_fraction_floor", "flat_continuation", "implied_value", "jackpot",
         "next_step_bonus", "next_step_bonus_zero_initiator", "rule_from_config",
@@ -58,7 +58,9 @@ _EXPORTS = {
     "solvers": (),
 }
 
-__all__ = sorted([*_EXPORTS, *(name for names in _EXPORTS.values() for name in names)])
+# plus RewardRule, a second name for StationaryColumnRule bound in the package only:
+# perfbench's tracer wraps a class once per name it has in its own module
+__all__ = sorted(["RewardRule", *_EXPORTS, *(n for names in _EXPORTS.values() for n in names)])
 
 
 def __getattr__(name: str):
@@ -70,6 +72,7 @@ def __getattr__(name: str):
     for module, names in _EXPORTS.items():
         namespace[module] = mod = import_module(f"{__name__}.{module}")
         namespace.update((attr, getattr(mod, attr)) for attr in names)
+    namespace["RewardRule"] = namespace["StationaryColumnRule"]
     return namespace[name]
 
 

@@ -39,7 +39,7 @@ from .equilibrium import (
 from .errors import SeqInvestError
 from .profiles import ConstantTailProfile
 from .rates import SuccessRate, rate_from_config, validate
-from .rules import RewardRule, rule_from_config
+from .rules import StationaryColumnRule, rule_from_config
 
 _RATE_KEYS = {"family", "epsilon", "domain_cap"}
 _PROFILE_KEYS = {"prefix", "tail"}
@@ -129,7 +129,7 @@ def _parse_profile(fields: dict[str, str]) -> ConstantTailProfile:
     return ConstantTailProfile(prefix, _number(fields["tail"], "profile tail"))
 
 
-def _parse_rule(fields: dict[str, str]) -> RewardRule:
+def _parse_rule(fields: dict[str, str]) -> StationaryColumnRule:
     if "kind" not in fields:
         raise UsageError("rule needs a kind (kind=...)")
     params = {k: _number(v, f"rule parameter {k}") for k, v in fields.items() if k != "kind"}
@@ -281,9 +281,7 @@ def _cmd_dynamics(args, cfg) -> tuple[Rows, int]:
     sr = _resolve_rate(args, cfg)
     rule = _parse_rule(_fields(args, cfg, "rule"))
     init = _parse_profile(_parse_kv(args.init, "profile")) if args.init else None
-    result = best_response_dynamics(
-        sr, rule, args.horizon, init, sweeps=args.sweeps, damping=args.damping
-    )
+    result = best_response_dynamics(sr, rule, args.horizon, init, sweeps=args.sweeps)
     rows: Rows = [
         ("converged", "yes" if result.converged else "no", f"sweeps={result.sweeps}"),
         ("max_change", result.max_change, ""),
@@ -403,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=8)
     p.add_argument("--init", default=None, help="initial profile (default all zeros)")
     p.add_argument("--sweeps", type=int, default=200)
-    p.add_argument("--damping", type=float, default=1.0)
     p.set_defaults(handler=_cmd_dynamics)
 
     p = sub.add_parser("region", help="near-constant support-region boundary curves")

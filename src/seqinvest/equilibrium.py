@@ -53,7 +53,7 @@ from .rates import SuccessRate
 from .rules import (
     Column,
     Mixture,
-    RewardRule,
+    StationaryColumnRule,
     _column_reward,
     _payoff,
     fixed_fraction_floor,
@@ -104,7 +104,7 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
     return bisect(gap, 0.0, min(1.0, sr.domain_cap), limit=sr.domain_cap, xtol=_ROOT_XTOL)
 
 
-def best_response(sr: SuccessRate, rule: RewardRule, x: ConstantTailProfile, i: int) -> float:
+def best_response(sr: SuccessRate, rule: StationaryColumnRule, x: ConstantTailProfile, i: int) -> float:
     """Agent ``i``'s unconstrained optimal investment against the others' profile."""
     col = rule.column(i)
     return investment_for_return(sr, _column_reward(sr, x, col) - col.entries[0])
@@ -165,7 +165,7 @@ def _column_floor_gap(col: Column) -> float:
 
 def check_agent(
     sr: SuccessRate,
-    rule: RewardRule,
+    rule: StationaryColumnRule,
     x: ConstantTailProfile,
     i: int,
     mode: Mode = Mode.UNCONSTRAINED,
@@ -213,7 +213,7 @@ def _check_column(
 
 def verify_equilibrium(
     sr: SuccessRate,
-    rule: RewardRule,
+    rule: StationaryColumnRule,
     x: ConstantTailProfile,
     mode: Mode = Mode.UNCONSTRAINED,
     tol: float = TOL_EQ,
@@ -322,30 +322,27 @@ class DynamicsResult:
 
 def best_response_dynamics(
     sr: SuccessRate,
-    rule: RewardRule,
+    rule: StationaryColumnRule,
     horizon: int,
     init: ConstantTailProfile | None = None,
     *,
     sweeps: int = 200,
-    damping: float = 1.0,
 ) -> DynamicsResult:
     """Backward best-response sweeps over agents ``horizon-1 .. 0``.
 
     Agents at or beyond the horizon are frozen at the initial profile's
-    values.  Backward order matters: continuation rewards depend only on
-    successors, so one sweep already propagates the tail fixed point
-    forward.  ``damping`` in ``(0, 1]`` blends old and new responses for
-    rules whose responses interlock.  A sweep that moves no investment by
-    more than ``_DYNAMICS_TOL`` ends the run as converged; non-convergence
-    is reported, never raised.  The residuals cover exactly the swept
+    values.  Backward order matters: agent ``i``'s continuation reward
+    reads only its successors and the frozen tail, so the first sweep is
+    backward induction and already exact, and the second only confirms
+    it (``max_change == 0``).  A sweep that moves no investment by more
+    than ``_DYNAMICS_TOL`` ends the run as converged; non-convergence is
+    reported, never raised.  The residuals cover exactly the swept
     agents.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     if sweeps < 1:
         raise DomainError(f"sweeps must be >= 1, got {sweeps}")
-    if not 0.0 < damping <= 1.0:
-        raise DomainError(f"damping must be in (0, 1], got {damping!r}")
     init = init if init is not None else ConstantTailProfile((), 0.0)
     values = [init.at(i) for i in range(horizon)]
     # agents past the horizon keep their initial values, then the tail
@@ -361,9 +358,8 @@ def best_response_dynamics(
         for i in reversed(range(horizon)):
             current = ConstantTailProfile(tuple(values) + frozen, tail)
             response = best_response(sr, rule, current, i)
-            new = (1.0 - damping) * values[i] + damping * response
-            max_change = max(max_change, abs(new - values[i]))
-            values[i] = new
+            max_change = max(max_change, abs(response - values[i]))
+            values[i] = response
         history.append(tuple(values))
         if max_change <= _DYNAMICS_TOL:
             converged = True
@@ -389,7 +385,7 @@ class ConstantSupport:
     supported: bool
     investment: float
     gap: float  # prize(c) - p(c); positive means unsupportable
-    witness: RewardRule | None
+    witness: StationaryColumnRule | None
 
     @property
     def verdict(self) -> str:
@@ -464,13 +460,15 @@ def near_constant_feasibility(
     return NearConstantFeasibility(feasible, x0, c, gamma, ratio, lower, upper)
 
 
-def _initiator_return(sr: SuccessRate, rule: RewardRule, c: float) -> float:
+def _initiator_return(sr: SuccessRate, rule: StationaryColumnRule, c: float) -> float:
     # net return the rule offers the initiator against a constant-c tail
     col = rule.column(0)
     return _column_reward(sr, ConstantTailProfile((), c), col) - col.entries[0]
 
 
-def _endpoint_rules(sr: SuccessRate, c: float, gamma: float) -> tuple[RewardRule, RewardRule]:
+def _endpoint_rules(
+    sr: SuccessRate, c: float, gamma: float
+) -> tuple[StationaryColumnRule, StationaryColumnRule]:
     # the rules paying the initiator the upper and the lower support
     # bound against a constant-c tail with floor gamma: a fixed fraction
     # with floor and a flat continuation while the tail's required return
@@ -485,7 +483,7 @@ def _endpoint_rules(sr: SuccessRate, c: float, gamma: float) -> tuple[RewardRule
     return next_step_bonus(beta, gamma), next_step_bonus_zero_initiator(beta, gamma)
 
 
-def synthesize_rule(sr: SuccessRate, x0: float, c: float, gamma: float = 0.0) -> RewardRule:
+def synthesize_rule(sr: SuccessRate, x0: float, c: float, gamma: float = 0.0) -> StationaryColumnRule:
     """A rule supporting ``(x0, c, c, ...)`` with floors ``f(i,i) >= gamma``.
 
     Builds the endpoint rules for the feasibility interval -- the pair

@@ -62,7 +62,7 @@ from .profiles import (
     near_constant_profile,
 )
 from .rates import SuccessRate
-from .rules import RewardRule, equal_split, fixed_fraction
+from .rules import StationaryColumnRule, equal_split, fixed_fraction
 from .solvers import bisect
 
 _GRID_POINTS = 256
@@ -75,7 +75,7 @@ class OptimumResult:
 
     name: str
     profile: ConstantTailProfile
-    rule: RewardRule
+    rule: StationaryColumnRule
     objective: float
     residuals: tuple[tuple[str, float], ...]
     report: EquilibriumReport
@@ -345,7 +345,7 @@ def region_curve_intersection(sr: SuccessRate) -> float:
     return bisect(gap, 0.0, hi)
 
 
-def zero_initiator_improvement(sr: SuccessRate) -> tuple[ConstantTailProfile, RewardRule, float]:
+def zero_initiator_improvement(sr: SuccessRate) -> tuple[ConstantTailProfile, StationaryColumnRule, float]:
     """A supportable profile strictly improving on any zero-initiator one.
 
     Awarding the whole row to the initiator (fraction 0) makes everyone

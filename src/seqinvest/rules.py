@@ -12,14 +12,15 @@ split.  For the canonical equal split, for example::
     2  1  1  0
     ...
 
-Every rule has one form, :class:`StationaryColumnRule`: finitely many
-explicit leading columns, each a list of entries followed by a tail that
-is constant or affine in the row index, then one repeating pattern
-shifted to start at each later column's diagonal.  A pattern entry may
-drift, growing linearly in the column index (jackpot pays agent ``i``
-the amount ``i + 1`` one step after its turn: entry 1, drift 1).
-Mixtures and finite perturbations build this form once, at
-construction, so there is one ``column`` and one balance bound.  The
+Every rule is one class, :class:`StationaryColumnRule` (the package
+keeps its older name as a second name for it): finitely many explicit
+leading columns, each a list of entries followed by a tail that is
+constant or affine in the row index, then one repeating pattern shifted
+to start at each later column's diagonal.  A pattern entry may drift, growing
+linearly in the column index (jackpot pays agent ``i`` the amount
+``i + 1`` one step after its turn: entry 1, drift 1).  :class:`Mixture`
+and :class:`Perturbed` build this form once, at construction, and keep
+nothing else, so there is one ``column`` and one balance bound.  The
 form makes balance on infinitely many rows checkable and the
 continuation-reward series summable in closed form.
 
@@ -37,7 +38,6 @@ raise :class:`RuleConstructionError` with the offending row.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -91,40 +91,7 @@ def _combine_columns(w: float, a: Column, b: Column) -> Column:
     return Column(start, entries, tail, slope)
 
 
-class RewardRule(abc.ABC):
-    """Interface shared by every rule; the one implementation is
-    :class:`StationaryColumnRule`, which carries a ``label``."""
-
-    @abc.abstractmethod
-    def column(self, i: int) -> Column:
-        """Payoff stream of agent ``i``."""
-
-    @property
-    @abc.abstractmethod
-    def stationary_from(self) -> int | None:
-        """Column index from which all columns are shifted copies of one
-        pattern, or ``None`` when they never stabilize (jackpot-style)."""
-
-    def value(self, i: int, k: int) -> float:
-        """Matrix entry ``f(i, k)``; requires ``0 <= i <= k``."""
-        if i < 0 or k < i:
-            raise DomainError(f"need 0 <= i <= k, got ({i}, {k})")
-        return self.column(i).value(k)
-
-    def diagonal(self, i: int) -> float:
-        return self.column(i).entries[0]
-
-    def row(self, k: int) -> list[float]:
-        return [self.value(i, k) for i in range(k + 1)]
-
-    def describe(self) -> str:
-        return self.label
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self.label}>"
-
-
-def validate_rule(rule: RewardRule, rows: int, tol: float = 1e-9) -> None:
+def validate_rule(rule: StationaryColumnRule, rows: int, tol: float = 1e-9) -> None:
     """Exact balance and non-negativity on rows ``0..rows``.
 
     Also rejects negative tail values and slopes.  Construction passes
@@ -152,7 +119,7 @@ def validate_rule(rule: RewardRule, rows: int, tol: float = 1e-9) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class StationaryColumnRule(RewardRule):
+class StationaryColumnRule:
     """Finitely many explicit leading columns plus one repeating pattern.
 
     Column ``i >= len(leading)`` starts at its own diagonal; its entry
@@ -205,8 +172,22 @@ class StationaryColumnRule(RewardRule):
 
     @property
     def stationary_from(self) -> int | None:
+        """Column index from which all columns are shifted copies of one
+        pattern, or ``None`` when they never stabilize (jackpot-style)."""
         # a drifting pattern never repeats exactly
         return None if self.repeating_drift else len(self.leading)
+
+    def value(self, i: int, k: int) -> float:
+        """Matrix entry ``f(i, k)``; requires ``0 <= i <= k``."""
+        if i < 0 or k < i:
+            raise DomainError(f"need 0 <= i <= k, got ({i}, {k})")
+        return self.column(i).value(k)
+
+    def row(self, k: int) -> list[float]:
+        return [self.value(i, k) for i in range(k + 1)]
+
+    def describe(self) -> str:
+        return self.label
 
 
 class Mixture(StationaryColumnRule):
@@ -237,11 +218,9 @@ class Mixture(StationaryColumnRule):
             return tuple([weight * x + v * y for x, y in zip(a, b)])
 
         drift = mix(left.repeating_drift, right.repeating_drift, 0.0, 0.0)
-        # the form is computed here and stored on the frozen instance directly
+        # the form goes on the frozen instance directly, not through the
+        # dataclass __init__, whose balance check a mix of balanced rules skips
         vars(self).update(
-            weight=weight,
-            left=left,
-            right=right,
             label=f"mix({weight:.6g}*{left.label} + {v:.6g}*{right.label})",
             leading=leading,
             repeating_entries=mix(
@@ -316,9 +295,6 @@ class Perturbed(StationaryColumnRule):
         for i in touched:
             leading[i] = _perturb_column(leading[i], cells.get(i, []), shifts.get(i, []))
         vars(self).update(
-            base=base,
-            entries=entries,
-            column_tails=tails,
             label=f"perturbed({base.label})",
             leading=tuple(leading),
             repeating_entries=base.repeating_entries,
@@ -437,7 +413,7 @@ def next_step_bonus_zero_initiator(beta: float, gamma: float) -> StationaryColum
 
 
 def continuation_reward(
-    sr: SuccessRate, rule: RewardRule, x: ConstantTailProfile, i: int
+    sr: SuccessRate, rule: StationaryColumnRule, x: ConstantTailProfile, i: int
 ) -> float:
     """Expected reward to agent ``i`` conditional on their own success.
 
@@ -460,7 +436,7 @@ def _column_reward(sr: SuccessRate, x: ConstantTailProfile, col: Column) -> floa
 
 
 def expected_payoff(
-    sr: SuccessRate, rule: RewardRule, x: ConstantTailProfile, i: int
+    sr: SuccessRate, rule: StationaryColumnRule, x: ConstantTailProfile, i: int
 ) -> float:
     """Expected payoff of agent ``i``: stay-put payment if failing, the
     continuation reward if succeeding, minus the sunk investment."""
@@ -483,9 +459,12 @@ def implied_value(sr: SuccessRate, rule: StationaryColumnRule, x: ConstantTailPr
     created); away from equilibrium the two can differ either way.  The
     stay-put payments are constant from the first pattern column on.
     """
+    def stay_put(j: int) -> float:
+        return rule.column(j).entries[0]
+
     j0 = max(len(rule.leading), x.prefix_len, 1)
-    total, reach, pc = _reach_series(sr, x, 0, j0, rule.diagonal)
-    return total + reach * rule.diagonal(j0) / (1.0 - pc) + incentive_cost(sr, x)
+    total, reach, pc = _reach_series(sr, x, 0, j0, stay_put)
+    return total + reach * stay_put(j0) / (1.0 - pc) + incentive_cost(sr, x)
 
 
 _RULE_KINDS = {
@@ -499,7 +478,7 @@ _RULE_KINDS = {
 }
 
 
-def rule_from_config(kind: str, params: Mapping[str, float] | None = None) -> RewardRule:
+def rule_from_config(kind: str, params: Mapping[str, float] | None = None) -> StationaryColumnRule:
     """Build a named rule from its ``kind`` and exactly that family's parameters."""
     if kind not in _RULE_KINDS:
         raise DomainError(f"unknown rule kind {kind!r}")

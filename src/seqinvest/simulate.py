@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 from .errors import ChainCapError, DomainError
 from .profiles import ConstantTailProfile
 from .rates import SuccessRate
-from .rules import RewardRule
+from .rules import StationaryColumnRule
 
 if TYPE_CHECKING:
     import numpy as np
@@ -239,7 +239,7 @@ def _stat(hist: np.ndarray, values: np.ndarray, n: int) -> Stat:
 def summarize(
     sr: SuccessRate,
     profile: ConstantTailProfile,
-    rule: RewardRule,
+    rule: StationaryColumnRule,
     config: SimulationConfig,
 ) -> SimulationSummary:
     """Simulate and aggregate; deterministic given the configuration."""

@@ -11,6 +11,7 @@ from seqinvest import (
     InfeasibleError,
     Mixture,
     Mode,
+    Perturbed,
     TailShapeError,
     UnboundedRatioError,
     best_response,
@@ -35,6 +36,7 @@ from seqinvest import (
     synthesize_rule,
     verify_equilibrium,
 )
+from conftest import three_tier_rule
 
 
 class TestInvestmentForReturn:
@@ -242,10 +244,26 @@ class TestDynamics:
         assert result.profile.at(2) == pytest.approx(oracle.ex5_x2, abs=1e-11)
         assert result.max_residual <= 1e-10
 
-    def test_damping_reaches_same_point(self, sr, oracle):
-        result = best_response_dynamics(sr, equal_split(), horizon=4, damping=0.5)
-        assert result.converged
-        assert result.profile.at(2) == pytest.approx(oracle.c_star, abs=1e-9)
+    @pytest.mark.parametrize("rate", ["sr", "sr_scaled"])
+    @pytest.mark.parametrize("make_rule", [
+        equal_split,
+        lambda: fixed_fraction_floor(0.6, 0.1),
+        three_tier_rule,
+        jackpot,
+        lambda: Mixture(0.5, equal_split(), jackpot()),
+        lambda: Perturbed(equal_split(), column_tails=((0, (3, 0.5)), (1, (3, -0.5)))),
+    ], ids=["equal_split", "floor", "three_tier", "jackpot", "jackpot_mix", "transfer"])
+    def test_undamped_sweep_is_exact(self, request, rate, make_rule):
+        # agent i's reward reads only x_j for j > i and the frozen tail, so
+        # the first backward sweep is backward induction and the second
+        # moves nothing at all
+        sr, rule = request.getfixturevalue(rate), make_rule()
+        for horizon in (1, 8, 40):
+            for init in (None, ConstantTailProfile((0.5, 0.1, 0.3), 0.05)):
+                result = best_response_dynamics(sr, rule, horizon, init)
+                assert result.converged
+                assert result.sweeps == 2
+                assert result.max_change == 0.0
 
     def test_sweep_budget_reports_nonconvergence(self, sr, ex5_rule):
         result = best_response_dynamics(sr, ex5_rule, horizon=8, sweeps=1)
@@ -293,8 +311,6 @@ class TestDynamics:
     def test_bad_arguments(self, sr):
         with pytest.raises(DomainError):
             best_response_dynamics(sr, equal_split(), horizon=0)
-        with pytest.raises(DomainError):
-            best_response_dynamics(sr, equal_split(), horizon=3, damping=0.0)
 
     @pytest.mark.parametrize("sweeps", [0, -1])
     def test_no_sweep_rejected(self, sr, sweeps):

@@ -23,7 +23,10 @@ verify or fail with a named error other than :class:`BracketError`.
 Rules synthesized for near-constant profiles, with the initiator's
 return drawn inside the support band and at both of its edges, verify;
 they mix the two endpoint rules exactly when the return is more than the
-support slack away from both endpoints' returns.
+support slack away from both endpoints' returns.  No such supported
+profile, on the uncapped rate or at caps 0.3 and 0.7071, has welfare
+above ``socially_optimal`` or an initiator payoff above
+``initiator_optimal``.
 
 Verification, best responses and payoffs read each agent's column once;
 on named, synthesized and transferred rules, in both modes, they equal
@@ -31,6 +34,7 @@ exactly (``==``) what the public per-agent path gives: ``check_agent``,
 and the continuation reward less ``rule.value(i, i)``.
 """
 
+import functools
 import math
 
 import pytest
@@ -50,6 +54,7 @@ from seqinvest import (
     custom_rate,
     equal_split,
     expected_payoff,
+    expected_welfare,
     fixed_fraction,
     fixed_fraction_floor,
     flat_continuation,
@@ -63,6 +68,7 @@ from seqinvest import (
     next_step_bonus_zero_initiator,
     scaled_sqrt_ratio,
     self_financed_optimal,
+    socially_optimal,
     sqrt_ratio,
     synthesize_rule,
     verify_equilibrium,
@@ -499,6 +505,39 @@ class TestSynthesizeThenVerify:
             < _initiator_return(sr, high, c) - _SUPPORT_TOL
         )
         assert isinstance(rule, Mixture) == inside, rule.describe()
+
+
+DOMINANCE_RATES = (sqrt_ratio(), scaled_sqrt_ratio(0.3), scaled_sqrt_ratio(0.7071))
+
+
+@functools.cache
+def optimum_objectives(k):
+    """Welfare at the social optimum and the initiator's payoff at theirs."""
+    sr = DOMINANCE_RATES[k]
+    return socially_optimal(sr).objective, initiator_optimal(sr).objective
+
+
+class TestOptimaDominance:
+    @settings(PROPERTY, max_examples=200)
+    @given(
+        st.sampled_from(range(len(DOMINANCE_RATES))),
+        st.floats(1e-4, 0.3),
+        st.floats(0.0, 0.1),
+        band_positions,
+    )
+    # the initiator optimum itself: sqrt_ratio's tail there, on the upper edge
+    @example(0, ORACLE.c_circ, 0.0, 1.0)
+    def test_supported_profiles_never_beat_the_optima(self, k, c, gamma, u):
+        sr = DOMINANCE_RATES[k]
+        lower, upper = near_constant_bounds(sr, c, gamma)
+        lower = max(lower, 0.0)
+        assume(lower <= upper)
+        x = ConstantTailProfile((investment_for_return(sr, lower + u * (upper - lower)),), c)
+        rule = synthesize_rule(sr, x.at(0), c, gamma)
+        assert verify_equilibrium(sr, rule, x).supported
+        welfare, initiator = optimum_objectives(k)
+        assert expected_welfare(sr, x) <= welfare + 1e-12
+        assert expected_payoff(sr, rule, x, 0) <= initiator + 1e-12
 
 
 @st.composite
