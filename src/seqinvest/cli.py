@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from typing import Iterable, Sequence
 
@@ -281,7 +282,7 @@ def _cmd_dynamics(args, cfg) -> tuple[Rows, int]:
     sr = _resolve_rate(args, cfg)
     rule = _parse_rule(_fields(args, cfg, "rule"))
     init = _parse_profile(_parse_kv(args.init, "profile")) if args.init else None
-    result = best_response_dynamics(sr, rule, args.horizon, init, sweeps=args.sweeps)
+    result = best_response_dynamics(sr, rule, args.horizon, init)
     rows: Rows = [
         ("converged", "yes" if result.converged else "no", f"sweeps={result.sweeps}"),
         ("max_change", result.max_change, ""),
@@ -395,12 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--self-financed", action="store_true")
     p.set_defaults(handler=_cmd_synthesize)
 
-    p = sub.add_parser("dynamics", help="truncated best-response sweeps")
+    p = sub.add_parser("dynamics", help="truncated best-response dynamics")
     _add_common(p)
     p.add_argument("--rule", required=False)
     p.add_argument("--horizon", type=int, default=8)
     p.add_argument("--init", default=None, help="initial profile (default all zeros)")
-    p.add_argument("--sweeps", type=int, default=200)
     p.set_defaults(handler=_cmd_dynamics)
 
     p = sub.add_parser("region", help="near-constant support-region boundary curves")
@@ -440,7 +440,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         rows, code = args.handler(args, _load_config(args.config))
         with _output(args.output) as out:
-            _emit(rows, args.format, out)
+            try:
+                _emit(rows, args.format, out)
+                out.flush()
+            except BrokenPipeError:
+                # the reader stopped early (``| head``): a complete run all
+                # the same, and with stdout on devnull the flush at exit
+                # cannot raise again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except SeqInvestError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ the support characterization for near-constant profiles
 ``(x0, c, c, ...)`` with per-agent floor ``gamma``: the profile is
 supportable if and only if
 
-    ``max(r(c) + gamma - 2, 0) <= r(x0) <= (1 - prize(c) - gamma) / (1 - p(c))``
+    ``max(r(c) + gamma - 2, 0) <= r(x0) <= (1 - gamma - prize(c)) / (1 - p(c))``
 
 where ``r`` is the required-return ratio.  The synthesizer builds the
 two endpoint rules attaining the bounds and mixes them with the weight
@@ -67,7 +67,7 @@ TOL_EQ = 1e-8
 _ROOT_XTOL = 1e-12  # relative to the bracket
 _ZERO_INVESTMENT = 1e-12
 _TAIL_EXTRA_AGENT = 5
-_DYNAMICS_TOL = 1e-10  # a sweep that moves no investment by more has converged
+_DYNAMICS_TOL = 1e-10  # a pass that moves no investment by more has converged
 _SUPPORT_TOL = 1e-9  # slack on the support bounds of constant and near-constant profiles
 
 
@@ -306,7 +306,7 @@ def investment_bounds(sr: SuccessRate) -> BoundSchedule:
 
 @dataclass(frozen=True)
 class DynamicsResult:
-    """Outcome of truncated best-response sweeps."""
+    """Outcome of best-response dynamics; ``sweeps`` counts the passes (1 or 2)."""
 
     profile: ConstantTailProfile
     converged: bool
@@ -325,35 +325,26 @@ def best_response_dynamics(
     rule: StationaryColumnRule,
     horizon: int,
     init: ConstantTailProfile | None = None,
-    *,
-    sweeps: int = 200,
 ) -> DynamicsResult:
-    """Backward best-response sweeps over agents ``horizon-1 .. 0``.
+    """Backward induction over agents ``horizon-1 .. 0``, then a confirming pass.
 
     Agents at or beyond the horizon are frozen at the initial profile's
-    values.  Backward order matters: agent ``i``'s continuation reward
-    reads only its successors and the frozen tail, so the first sweep is
-    backward induction and already exact, and the second only confirms
-    it (``max_change == 0``).  A sweep that moves no investment by more
-    than ``_DYNAMICS_TOL`` ends the run as converged; non-convergence is
-    reported, never raised.  The residuals cover exactly the swept
-    agents.
+    values.  Agent ``i``'s continuation reward reads only its successors
+    and the frozen tail, so one backward pass is exact and a second
+    confirms it (``max_change == 0``); a pass that moves no investment by
+    more than ``_DYNAMICS_TOL`` ends the run.  Only a confirming pass that
+    moves leaves the result non-converged, which is reported, never
+    raised.  The residuals cover exactly the swept agents.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
-    if sweeps < 1:
-        raise DomainError(f"sweeps must be >= 1, got {sweeps}")
     init = init if init is not None else ConstantTailProfile((), 0.0)
     values = [init.at(i) for i in range(horizon)]
     # agents past the horizon keep their initial values, then the tail
     frozen = init.prefix[horizon:]
     tail = init.tail
     history: list[tuple[float, ...]] = []
-    converged = False
-    sweeps_used = 0
-    max_change = math.inf
-    for sweep in range(1, sweeps + 1):
-        sweeps_used = sweep
+    for _ in range(2):
         max_change = 0.0
         for i in reversed(range(horizon)):
             current = ConstantTailProfile(tuple(values) + frozen, tail)
@@ -362,7 +353,6 @@ def best_response_dynamics(
             values[i] = response
         history.append(tuple(values))
         if max_change <= _DYNAMICS_TOL:
-            converged = True
             break
     final = ConstantTailProfile(tuple(values) + frozen, tail)
     residuals = tuple(
@@ -370,8 +360,8 @@ def best_response_dynamics(
     )
     return DynamicsResult(
         profile=final,
-        converged=converged,
-        sweeps=sweeps_used,
+        converged=max_change <= _DYNAMICS_TOL,
+        sweeps=len(history),
         max_change=max_change,
         residuals=residuals,
         history=tuple(history),
@@ -435,18 +425,39 @@ class NearConstantFeasibility:
         return "Feasible" if self.feasible else "Infeasible"
 
 
+def _floor(mode: Mode, c: float) -> float:
+    # the per-agent floor a mode puts on the band of a constant-c tail:
+    # self-financed, each stay-put payment covers the tail investment
+    return c if mode is Mode.SELF_FINANCED else 0.0
+
+
+def _band_headroom(sr: SuccessRate, c: float, gamma: float) -> float:
+    # what the prize of a constant-c tail and the floor gamma leave of the
+    # unit row: the band's upper edge times 1 - p(c), so with its sign
+    return 1.0 - gamma - sr.incentive_prize(c)
+
+
+def _band_upper(sr: SuccessRate, c: float, gamma: float) -> float:
+    # the band's upper edge: the largest initiator return against a
+    # constant-c tail with floor gamma
+    return _band_headroom(sr, c, gamma) / (1.0 - sr.probability(c))
+
+
+def _band_upper_slope(sr: SuccessRate, c: float, mode: Mode) -> float:
+    # d/dc of _band_upper(sr, c, _floor(mode, c)) times (1 - p(c))^2, so
+    # with the slope's sign; the floor is linear in c, its slope its value at 1
+    p = sr.probability(c)
+    head = (-_floor(mode, 1.0) - sr.incentive_prize_slope(c)) * (1.0 - p)
+    return head + _band_headroom(sr, c, _floor(mode, c)) * sr.marginal(c)
+
+
 def near_constant_bounds(
     sr: SuccessRate, c: float, gamma: float = 0.0
 ) -> tuple[float, float]:
     """Unclamped lower and upper required-return bounds for the initiator."""
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"floor must be finite and >= 0, got {gamma!r}")
-    prize = sr.incentive_prize(c)
-    prob = sr.probability(c)
-    ratio = sr.required_return(c)
-    lower = ratio + gamma - 2.0
-    upper = (1.0 - prize - gamma) / (1.0 - prob)
-    return lower, upper
+    return sr.required_return(c) + gamma - 2.0, _band_upper(sr, c, gamma)
 
 
 def near_constant_feasibility(

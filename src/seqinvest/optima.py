@@ -23,9 +23,11 @@ incentive cost:
   Supported by a fixed-fraction-with-floor rule whose floor equals the
   tail investment.
 
-The initiator and self-financed searches and the region curves end at
-one boundary, :func:`tail_limit`: the largest tail at which the prize
-(plus the floor ``c`` when self-financed) reaches 1.
+The support band's upper edge, its slope in the tail and the floor per
+:class:`Mode` live in :mod:`seqinvest.equilibrium`, next to
+``near_constant_bounds``.  The initiator and self-financed searches and
+the region curves end at one boundary, :func:`tail_limit`: the largest
+tail at which the prize plus the floor reaches 1.
 
 Every solve is one bracketed root solve (:func:`seqinvest.solvers.bisect`):
 of a monotone crossing, or of the derivative of a maximized function on
@@ -49,7 +51,11 @@ from dataclasses import dataclass
 from .equilibrium import (
     EquilibriumReport,
     Mode,
+    _band_headroom,
+    _band_upper,
+    _band_upper_slope,
     _endpoint_rules,
+    _floor,
     investment_for_return,
     near_constant_bounds,
     verify_equilibrium,
@@ -143,23 +149,19 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
 def tail_limit(sr: SuccessRate, mode: Mode = Mode.UNCONSTRAINED) -> float:
     """Largest tail with a non-negative upper support bound, to ``1e-15``.
 
-    The root of ``1 - prize(c) - gamma``, with the floor ``gamma = c`` in
-    self-financed mode and 0 otherwise.
+    Where the prize plus the mode's floor (``c`` when self-financed, else
+    0) reaches 1; the floor is the only self-financed constraint applied.
     """
-
-    def headroom(c: float) -> float:
-        gamma = c if mode is Mode.SELF_FINANCED else 0.0
-        return 1.0 - sr.incentive_prize(c) - gamma
-
-    return bisect(headroom, _EDGE, 1.0, limit=sr.domain_cap, xtol=1e-15)
+    return bisect(lambda c: _band_headroom(sr, c, _floor(mode, c)), _EDGE, 1.0,
+                  limit=sr.domain_cap, xtol=1e-15)
 
 
 def initiator_optimal(sr: SuccessRate) -> OptimumResult:
     """Profile maximizing the initiator's payoff among supportable ones.
 
-    The tail maximizes ``q(c) = (1 - prize(c)) / (1 - p(c))`` on
-    ``[0, d]`` with ``prize(d) = 1`` (single-peaked there); the
-    stationarity condition is
+    The tail maximizes the band's upper edge at floor 0,
+    ``q(c) = (1 - prize(c)) / (1 - p(c))``, on ``[0, d]`` with
+    ``prize(d) = 1`` (single-peaked there); the stationarity condition is
 
         ``p'(c) (1 - prize(c)) = prize'(c) (1 - p(c))``
 
@@ -172,24 +174,17 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
     tail's required return supports the profile.
     """
     d = tail_limit(sr)
-
-    def q(c: float) -> float:
-        return (1.0 - sr.incentive_prize(c)) / (1.0 - sr.probability(c))
-
-    def stationarity(c: float) -> float:
-        return sr.marginal(c) * (1.0 - sr.incentive_prize(c)) - sr.incentive_prize_slope(
-            c
-        ) * (1.0 - sr.probability(c))
-
-    c_circ = bisect(stationarity, d, 0.5 * d, limit=0.0, xtol=1e-14)
-    x0_circ = investment_for_return(sr, q(c_circ))
+    mode = Mode.UNCONSTRAINED
+    c_circ = bisect(lambda c: _band_upper_slope(sr, c, mode), d, 0.5 * d, limit=0.0, xtol=1e-14)
+    q_circ = _band_upper(sr, c_circ, _floor(mode, c_circ))
+    x0_circ = investment_for_return(sr, q_circ)
     profile = near_constant_profile(x0_circ, c_circ)
     rule = fixed_fraction(sr.required_return(c_circ))
     report = verify_equilibrium(sr, rule, profile)
     objective = 1.0 + sr.incentive_prize(x0_circ) - x0_circ
     residuals = (
-        ("tail_stationarity", abs(stationarity(c_circ))),
-        ("initiator_bound_active", abs(sr.required_return(x0_circ) - q(c_circ))),
+        ("tail_stationarity", abs(_band_upper_slope(sr, c_circ, mode))),
+        ("initiator_bound_active", abs(sr.required_return(x0_circ) - q_circ)),
     )
     return OptimumResult(
         name="initiator_optimal",
@@ -201,23 +196,12 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
     )
 
 
-def _self_financed_ratio(sr: SuccessRate, c: float) -> float:
-    return (1.0 - c - sr.incentive_prize(c)) / (1.0 - sr.probability(c))
-
-
 def _return_ratio_slope(sr: SuccessRate, x: float) -> float:
     # d/dx of required_return = (prize' p - prize p') / p^2
     p = sr.probability(x)
     return (
         sr.incentive_prize_slope(x) * p - sr.incentive_prize(x) * sr.marginal(x)
     ) / (p * p)
-
-
-def _self_financed_ratio_slope(sr: SuccessRate, c: float) -> float:
-    p = sr.probability(c)
-    head = (-1.0 - sr.incentive_prize_slope(c)) * (1.0 - p)
-    head += (1.0 - c - sr.incentive_prize(c)) * sr.marginal(c)
-    return head / (1.0 - p) ** 2
 
 
 def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
@@ -235,12 +219,13 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     with floor ``c`` while that fraction is at most 1, the next-step bonus
     beyond.  It is verified in self-financed mode.
     """
-    c_max = tail_limit(sr, Mode.SELF_FINANCED)
+    mode = Mode.SELF_FINANCED
+    c_max = tail_limit(sr, mode)
     if c_max <= _EDGE:
         raise InfeasibleError("the self-financed feasible set is empty for this rate")
 
     def x0_of(c: float) -> float:
-        return investment_for_return(sr, _self_financed_ratio(sr, c))
+        return investment_for_return(sr, _band_upper(sr, c, _floor(mode, c)))
 
     def welfare_gain(c: float) -> float:
         # reduced welfare minus 1, which would round away the gain at caps near 1
@@ -251,8 +236,8 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
         # chain rule through the active constraint; exact up to the
         # tolerance of the inner inversion
         x0 = x0_of(c)
-        dx0 = _self_financed_ratio_slope(sr, c) / _return_ratio_slope(sr, x0)
         pc = sr.probability(c)
+        dx0 = _band_upper_slope(sr, c, mode) / (1.0 - pc) ** 2 / _return_ratio_slope(sr, x0)
         dwelfare_dc = (-(1.0 - pc) + (1.0 - c) * sr.marginal(c)) / (1.0 - pc) ** 2
         dwelfare_dx0 = -1.0 + sr.marginal(x0) * (1.0 - c) / (1.0 - pc)
         return dx0 * dwelfare_dx0 + sr.probability(x0) * dwelfare_dc
@@ -268,12 +253,13 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     c_s = bisect(slope, ghi, glo, limit=None if best > 0 else 0.0, xtol=1e-13)
     x0_s = x0_of(c_s)
     profile = near_constant_profile(x0_s, c_s)
-    rule, _ = _endpoint_rules(sr, c_s, c_s)
-    report = verify_equilibrium(sr, rule, profile, mode=Mode.SELF_FINANCED)
+    gamma_s = _floor(mode, c_s)
+    rule, _ = _endpoint_rules(sr, c_s, gamma_s)
+    report = verify_equilibrium(sr, rule, profile, mode=mode)
     residuals = (
         (
             "budget_constraint_active",
-            abs(sr.required_return(x0_s) - _self_financed_ratio(sr, c_s)),
+            abs(sr.required_return(x0_s) - _band_upper(sr, c_s, gamma_s)),
         ),
         ("reduced_objective_slope", abs(slope(c_s))),
     )
@@ -284,7 +270,7 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
         objective=expected_welfare(sr, profile),
         residuals=residuals,
         report=report,
-        mode=Mode.SELF_FINANCED,
+        mode=mode,
     )
 
 
@@ -315,8 +301,7 @@ def region_sweep(
     """
     rows: list[RegionRow] = []
     for c in c_values:
-        gamma = c if mode is Mode.SELF_FINANCED else 0.0
-        lower, upper = near_constant_bounds(sr, c, gamma)
+        lower, upper = near_constant_bounds(sr, c, _floor(mode, c))
         if upper < 0.0:
             rows.append(RegionRow(c, c, None, None))
             continue

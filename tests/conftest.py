@@ -9,9 +9,11 @@ tests additionally recompute values through brute-force routes.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from seqinvest import ConstantTailProfile, scaled_sqrt_ratio, sqrt_ratio
+from seqinvest import ConstantTailProfile, custom_rate, scaled_sqrt_ratio, sqrt_ratio
 from seqinvest.rules import Column, StationaryColumnRule
 
 
@@ -103,6 +105,17 @@ def three_tier_rule() -> StationaryColumnRule:
         leading=(Column(0, (1.0, 2.0), 0.0), Column(1, (0.0, 3.0), 2.0)),
         repeating_entries=(0.0, 2.0),
         repeating_tail=1.0,
+    )
+
+
+@pytest.fixture
+def drifting(sr):
+    """``sr`` with ``p`` shrinking by 1e-6 relative on every call: a second
+    pass of best responses sees other successors' probabilities than the
+    first, so it moves."""
+    calls = itertools.count()
+    return custom_rate(
+        "drifting", lambda x: sr.probability(x) * (1.0 - 1e-6 * next(calls)), sr.marginal
     )
 
 

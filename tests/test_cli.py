@@ -121,18 +121,14 @@ class TestDynamics:
         line = next(l for l in out.splitlines() if l.startswith("x_2"))
         assert float(line.split()[1]) == pytest.approx(oracle.c_star, abs=1e-8)
 
-    def test_nonconvergence_exit_one(self, capsys):
+    def test_moving_confirmation_exits_one(self, capsys, monkeypatch, drifting):
+        # the confirming pass moves: a negative verdict, not an error
+        monkeypatch.setattr("seqinvest.cli._resolve_rate", lambda args, cfg: drifting)
         code, out, _ = run(
-            capsys,
-            "dynamics",
-            "--rule", "kind=jackpot",
-            "--rate", "scaled_sqrt_ratio",
-            "--epsilon", "0.7071067811865476",
-            "--horizon", "8",
-            "--sweeps", "1",
+            capsys, "dynamics", "--rule", "kind=fixed_fraction,alpha=0.4", "--horizon", "3"
         )
         assert code == 1
-        assert "converged     no" in out or "no" in out.splitlines()[0]
+        assert out.splitlines()[0].split() == ["converged", "no", "sweeps=2"]
 
     def test_initial_profile_flag(self, capsys, oracle):
         code, out, _ = run(
@@ -457,16 +453,25 @@ class TestMalformedInput:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_dynamics_takes_no_sweep_budget(self, capsys):
+        # dynamics runs backward induction and one confirming pass; there
+        # is no pass budget to set
+        with pytest.raises(SystemExit) as exc:
+            main(["dynamics", "--rule", "kind=equal_split", "--sweeps", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
-        ["dynamics", "--rule", "kind=equal_split", "--sweeps", "0"],
-        ["dynamics", "--rule", "kind=equal_split", "--sweeps", "-1"],
+        ["dynamics", "--rule", "kind=equal_split", "--horizon", "0"],
+        ["dynamics", "--rule", "kind=equal_split", "--horizon", "-1"],
         ["synthesize", "--x0", "0.06", "--c", "0.12", "--gamma", "nan"],
         ["synthesize", "--x0", "0.06", "--c", "0.12", "--gamma", "inf"],
         ["simulate", "--rule", "kind=equal_split", "--profile", "tail=0.0883",
          "--episodes", "10", "--seed", "-1"],
     ])
     def test_out_of_range_argument(self, capsys, argv):
-        # each used to give a negative verdict (exit 1), or numpy's ValueError
+        # each is a usage error; the gamma and seed cases used to give a
+        # negative verdict (exit 1), or numpy's ValueError
         self.assert_usage_error(capsys, *argv)
 
     def test_unwritable_output(self, capsys, tmp_path):
@@ -546,11 +551,15 @@ print(json.dumps(results))
 """
 
 
-def _python(*args: str) -> str:
+def _env() -> dict[str, str]:
+    # the environment of a fresh process that imports this checkout
     src = str(Path(seqinvest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+
+
+def _python(*args: str) -> str:
+    return subprocess.run([sys.executable, *args], env=_env(), capture_output=True,
                           text=True, check=True, timeout=120).stdout
 
 
@@ -623,3 +632,20 @@ class TestImportsPerCommand:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[rule]\nkind = jackpot\n")
         assert self.loaded(["rule", "print", "--config", str(cfg)]) & _HEAVY == {"configparser"}
+
+
+class TestClosedPipe:
+    def test_reader_stopping_early_is_no_error(self):
+        # ``| head -1``: the 320 kB of rows overflow the pipe, so a write
+        # hits the closed read end; still exit 0, and nothing on stderr
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "seqinvest.cli", "rule", "print",
+             "--rule", "kind=equal_split", "--rows", "400"],
+            env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline().startswith("1.0")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert "Traceback" not in err and err == ""

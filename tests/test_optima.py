@@ -30,7 +30,7 @@ from seqinvest import (
     verify_equilibrium,
     zero_initiator_improvement,
 )
-from seqinvest.equilibrium import _endpoint_rules
+from seqinvest.equilibrium import _band_upper_slope, _endpoint_rules
 
 
 class TestFirstBest:
@@ -224,6 +224,7 @@ class TestTailLimit:
         "sqrt_ratio": sqrt_ratio,
         # same prize as sqrt_ratio, so the same limits
         "scaled_half": lambda: scaled_sqrt_ratio(0.5),
+        "scaled_03": lambda: scaled_sqrt_ratio(0.3),
         "custom_sqrt": lambda: custom_rate(
             "custom_sqrt", sqrt_ratio().probability, sqrt_ratio().marginal
         ),
@@ -238,6 +239,33 @@ class TestTailLimit:
     def test_self_financed_floor(self, name, oracle):
         c = tail_limit(self.RATES[name](), Mode.SELF_FINANCED)
         assert c == pytest.approx(oracle.c_max_sf, rel=1e-15, abs=0.0)
+
+    @staticmethod
+    def upper(sr, c, mode):
+        # the band's upper edge at the mode's floor alone
+        return near_constant_bounds(sr, c, c if mode is Mode.SELF_FINANCED else 0.0)[1]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("name", RATES)
+    def test_upper_bound_changes_sign_at_limit(self, name, mode):
+        sr = self.RATES[name]()
+        d = tail_limit(sr, mode)
+        assert self.upper(sr, d * (1.0 - 1e-9), mode) >= 0.0
+        assert self.upper(sr, d * (1.0 + 1e-9), mode) < 0.0
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("name", RATES)
+    def test_band_slope_matches_upper_bound(self, name, mode):
+        # the slope helper is the derivative times (1 - p)^2: the sign of
+        # a central difference, and its value once divided back
+        sr = self.RATES[name]()
+        d = tail_limit(sr, mode)
+        for c in (0.02 * d, 0.5 * d, 0.9 * d):
+            h = 1e-6 * c
+            diff = (self.upper(sr, c + h, mode) - self.upper(sr, c - h, mode)) / (2.0 * h)
+            slope = _band_upper_slope(sr, c, mode)
+            assert math.copysign(1.0, slope) == math.copysign(1.0, diff)
+            assert slope / (1.0 - sr.probability(c)) ** 2 == pytest.approx(diff, rel=1e-6)
 
 
 class TestRegion:
