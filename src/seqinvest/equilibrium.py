@@ -14,12 +14,13 @@ rate families, by bracketing for custom rates.
 
 A rule *supports* a profile when every agent's investment is a best
 response; :func:`verify_equilibrium` checks the condition for every
-prefix agent plus representative tail agents (legitimate because both
-the profile and the rule's columns are constant there, which is also
-asserted by checking a second, deeper tail agent).  It reads each
-checked agent's column once, for the stay-put payment ``f(i, i)``, the
-continuation reward and the self-financed checks alike, and checks the
-tolerance once per call.
+prefix agent plus one representative tail agent.  That is legitimate
+because past ``max(prefix length, rule.stationary_from)`` every agent
+faces a shifted copy of the same column against the same constant tail,
+so every later agent's check is bit-identical to the representative's.
+It reads each checked agent's column once, for the stay-put payment
+``f(i, i)``, the continuation reward and the self-financed checks alike,
+and checks the tolerance once per call.
 
 The self-financed variant caps each agent's investment by their own
 stay-put payment (``x_i <= f(i, i) <= f(i, j)``): the money an agent can
@@ -66,7 +67,6 @@ from .solvers import bisect
 TOL_EQ = 1e-8
 _ROOT_XTOL = 1e-12  # relative to the bracket
 _ZERO_INVESTMENT = 1e-12
-_TAIL_EXTRA_AGENT = 5
 _DYNAMICS_TOL = 1e-10  # a pass that moves no investment by more has converged
 _SUPPORT_TOL = 1e-9  # slack on the support bounds of constant and near-constant profiles
 
@@ -220,11 +220,12 @@ def verify_equilibrium(
 ) -> EquilibriumReport:
     """Does the rule support the profile?
 
-    Checks every agent with an individual column or prefix investment,
-    plus a representative tail agent and one further tail agent (the two
-    must agree by stationarity; checking both asserts it).  In
-    self-financed mode additionally enforces the budget ``x_i <= f(i,i)``
-    and the structural condition ``f(i, i) <= f(i, j)``.  Raises
+    Checks agents ``0 .. max(prefix_len, rule.stationary_from)``: every
+    agent with an individual column or prefix investment, plus one
+    representative tail agent, whose check every later agent repeats bit
+    for bit (module docstring).  In self-financed mode additionally
+    enforces the budget ``x_i <= f(i,i)`` and the structural condition
+    ``f(i, i) <= f(i, j)``.  Raises
     :class:`DomainError` for a non-finite or negative ``tol``, checked
     once for all agents; each agent's column is read once.
     """
@@ -236,10 +237,9 @@ def verify_equilibrium(
             "profile can be verified against this rule"
         )
     first_tail = max(x.prefix_len, stationary)
-    agents = list(range(first_tail)) + [first_tail, first_tail + _TAIL_EXTRA_AGENT]
     checks = []
     failures: list[str] = []
-    for i in agents:
+    for i in range(first_tail + 1):
         col = rule.column(i)
         chk = _check_column(sr, x, x.at(i), col, mode, tol)
         checks.append(chk)

@@ -92,6 +92,15 @@ class OptimumResult:
         return max((r for _, r in self.residuals), default=0.0)
 
 
+def _verified(
+    name: str, sr: SuccessRate, profile: ConstantTailProfile, rule: StationaryColumnRule,
+    objective: float, residuals: tuple[tuple[str, float], ...], mode: Mode = Mode.UNCONSTRAINED,
+) -> OptimumResult:
+    # every supported optimum: its rule verified at its profile, then packed
+    report = verify_equilibrium(sr, rule, profile, mode=mode)
+    return OptimumResult(name, profile, rule, objective, residuals, report, mode)
+
+
 def _constant_welfare(sr: SuccessRate, c: float) -> float:
     return (1.0 - c) / (1.0 - sr.probability(c))
 
@@ -134,15 +143,9 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
             "violates the steep-at-zero assumption"
         )
     profile = constant_profile(c_star)
-    rule = equal_split()
-    report = verify_equilibrium(sr, rule, profile)
-    return OptimumResult(
-        name="socially_optimal",
-        profile=profile,
-        rule=rule,
-        objective=expected_welfare(sr, profile),
-        residuals=(("prize_minus_probability", abs(residual)),),
-        report=report,
+    residuals = (("prize_minus_probability", abs(residual)),)
+    return _verified(
+        "socially_optimal", sr, profile, equal_split(), expected_welfare(sr, profile), residuals
     )
 
 
@@ -180,20 +183,12 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
     x0_circ = investment_for_return(sr, q_circ)
     profile = near_constant_profile(x0_circ, c_circ)
     rule = fixed_fraction(sr.required_return(c_circ))
-    report = verify_equilibrium(sr, rule, profile)
     objective = 1.0 + sr.incentive_prize(x0_circ) - x0_circ
     residuals = (
         ("tail_stationarity", abs(_band_upper_slope(sr, c_circ, mode))),
         ("initiator_bound_active", abs(sr.required_return(x0_circ) - q_circ)),
     )
-    return OptimumResult(
-        name="initiator_optimal",
-        profile=profile,
-        rule=rule,
-        objective=objective,
-        residuals=residuals,
-        report=report,
-    )
+    return _verified("initiator_optimal", sr, profile, rule, objective, residuals)
 
 
 def _return_ratio_slope(sr: SuccessRate, x: float) -> float:
@@ -255,22 +250,12 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     profile = near_constant_profile(x0_s, c_s)
     gamma_s = _floor(mode, c_s)
     rule, _ = _endpoint_rules(sr, c_s, gamma_s)
-    report = verify_equilibrium(sr, rule, profile, mode=mode)
     residuals = (
-        (
-            "budget_constraint_active",
-            abs(sr.required_return(x0_s) - _band_upper(sr, c_s, gamma_s)),
-        ),
+        ("budget_constraint_active", abs(sr.required_return(x0_s) - _band_upper(sr, c_s, gamma_s))),
         ("reduced_objective_slope", abs(slope(c_s))),
     )
-    return OptimumResult(
-        name="self_financed_optimal",
-        profile=profile,
-        rule=rule,
-        objective=expected_welfare(sr, profile),
-        residuals=residuals,
-        report=report,
-        mode=mode,
+    return _verified(
+        "self_financed_optimal", sr, profile, rule, expected_welfare(sr, profile), residuals, mode
     )
 
 

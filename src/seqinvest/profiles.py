@@ -115,14 +115,19 @@ def reach_probability(sr: SuccessRate, x: ConstantTailProfile, j: int) -> float:
 
 
 def _reach_series(
-    sr: SuccessRate, x: ConstantTailProfile, start: int, stop: int, term, stops: bool = False
-) -> tuple[float, float, float]:
-    """The one reach-weighted loop: ``(explicit sum, reach at stop, p_tail)``.
+    sr: SuccessRate, x: ConstantTailProfile, start: int, stop: int, term,
+    stops: bool = False, slope: float = 0.0,
+) -> float:
+    """The one reach-weighted series, with the one closure over the constant tail.
 
-    Sums ``reach * term(j)`` over agents ``start <= j < stop``, ``reach``
-    being the chance that agents ``start .. j - 1`` all succeed; ``stops``
+    Sums ``reach * term(j)`` over agents ``j >= start``, ``reach`` being
+    the chance that agents ``start .. j - 1`` all succeed; ``stops``
     weights each term by ``1 - p(x_j)``, as ``reach * (1 - p) * term``.
-    Callers add their own closure over the constant tail.
+    Agents before ``stop`` are summed one by one.  From ``stop`` on the
+    profile is at its tail, of success probability ``p_c``, and ``term``
+    is constant, or with ``stops`` affine, ``term(stop) + slope * (j - stop)``;
+    that rest closes as ``reach * term(stop) / (1 - p_c)``, or with
+    ``stops`` as ``reach * (term(stop) + slope * p_c / (1 - p_c))``.
     """
     pc = sr.probability(x.tail)
     if pc >= 1.0:
@@ -135,21 +140,17 @@ def _reach_series(
         reach *= pj
         if reach == 0.0:
             break
-    return total, reach, pc
-
-
-def _series(sr: SuccessRate, x: ConstantTailProfile, term) -> float:
-    # sum_j reach(j) * term(x_j), with the geometric closure over the tail
-    total, reach, pc = _reach_series(sr, x, 0, x.prefix_len, lambda j: term(x.at(j)))
-    return total + reach * term(x.tail) / (1.0 - pc)
+    if stops:
+        return total + reach * (term(stop) + slope * pc / (1.0 - pc))
+    return total + reach * term(stop) / (1.0 - pc)
 
 
 def expected_value(sr: SuccessRate, x: ConstantTailProfile) -> float:
-    return _series(sr, x, lambda _: 1.0)
+    return _reach_series(sr, x, 0, x.prefix_len, lambda _: 1.0)
 
 
 def expected_investment(sr: SuccessRate, x: ConstantTailProfile) -> float:
-    return _series(sr, x, lambda v: v)
+    return _reach_series(sr, x, 0, x.prefix_len, x.at)
 
 
 def expected_welfare(sr: SuccessRate, x: ConstantTailProfile) -> float:
@@ -157,7 +158,7 @@ def expected_welfare(sr: SuccessRate, x: ConstantTailProfile) -> float:
 
 
 def incentive_cost(sr: SuccessRate, x: ConstantTailProfile) -> float:
-    return _series(sr, x, sr.incentive_prize)
+    return _reach_series(sr, x, 0, x.prefix_len, lambda j: sr.incentive_prize(x.at(j)))
 
 
 def functionals(sr: SuccessRate, x: ConstantTailProfile) -> FunctionalValues:

@@ -21,7 +21,9 @@ Built-in families:
   ``1 / cap`` is unavailable for this family.
 * ``scaled_sqrt_ratio``: ``p(x) = (1 - eps) sqrt(x) / (1 + sqrt(x))``
   with cap ``eps in (0, 1)``.  The prize and its slope coincide with
-  ``sqrt_ratio`` (the scale cancels in ``p / p'``).
+  ``sqrt_ratio`` (the scale cancels in ``p / p'``).  One builder makes
+  both families: ``sqrt_ratio`` is the scale ``1 - eps`` at ``eps = 0``,
+  and a scale of exactly 1 changes no bit of ``p``, ``p'`` or the inverse.
 * custom rates (:func:`custom_rate`): user-supplied ``p`` and ``p'``;
   the prize is derived and its slope falls back to a central finite
   difference.  They have no configuration form: callers pass the object
@@ -54,18 +56,6 @@ _TOL_CONVEX = 1e-8  # validate: rounding allowance on the prize's second differe
 _TOL_LIMIT = 1e-6  # validate: largest prize at the smallest grid point
 
 
-def _sqrt_p(x: float) -> float:
-    s = math.sqrt(x)
-    return s / (1.0 + s)
-
-
-def _sqrt_p_prime(x: float) -> float:
-    if x == 0.0:
-        return math.inf
-    s = math.sqrt(x)
-    return 1.0 / (2.0 * s * (1.0 + s) ** 2)
-
-
 def _sqrt_prize(x: float) -> float:
     return 2.0 * x * (1.0 + math.sqrt(x))
 
@@ -90,10 +80,6 @@ def _sqrt_investment(k: float) -> float:
         s = a + 1.0 / (9.0 * a) - 2.0 / 3.0
     s -= (s * (1.0 + s) ** 2 - k) / ((1.0 + s) * (1.0 + 3.0 * s))
     return s * s
-
-
-def _sqrt_return_inverse(t: float) -> float:
-    return _sqrt_investment(0.5 * t)
 
 
 @dataclass(frozen=True)
@@ -194,12 +180,32 @@ class SuccessRate:
         return 1.0 / d
 
 
+def _sqrt_family(name: str, epsilon: float, domain_cap: float) -> SuccessRate:
+    # both built-in families: the unit form scaled by 1 - epsilon, which
+    # at epsilon 0 multiplies by exactly 1 and so changes no bit
+    scale = 1.0 - epsilon
+
+    def p(x: float) -> float:
+        s = math.sqrt(x)
+        return scale * (s / (1.0 + s))
+
+    def p_prime(x: float) -> float:
+        if x == 0.0:
+            return math.inf
+        s = math.sqrt(x)
+        return scale * (1.0 / (2.0 * s * (1.0 + s) ** 2))
+
+    def return_inverse(t: float) -> float:
+        return _sqrt_investment(0.5 * scale * t)
+
+    return SuccessRate(
+        name, epsilon, domain_cap, p, p_prime, _sqrt_prize, _sqrt_prize_slope, return_inverse
+    )
+
+
 def sqrt_ratio(domain_cap: float = DEFAULT_DOMAIN_CAP) -> SuccessRate:
     """The reference family ``p(x) = sqrt(x) / (1 + sqrt(x))`` (cap 0)."""
-    return SuccessRate(
-        "sqrt_ratio", 0.0, domain_cap,
-        _sqrt_p, _sqrt_p_prime, _sqrt_prize, _sqrt_prize_slope, _sqrt_return_inverse,
-    )
+    return _sqrt_family("sqrt_ratio", 0.0, domain_cap)
 
 
 def scaled_sqrt_ratio(
@@ -208,21 +214,7 @@ def scaled_sqrt_ratio(
     """``p(x) = (1 - epsilon) sqrt(x) / (1 + sqrt(x))`` with cap ``epsilon``."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    scale = 1.0 - epsilon
-
-    def p(x: float) -> float:
-        return scale * _sqrt_p(x)
-
-    def p_prime(x: float) -> float:
-        return scale * _sqrt_p_prime(x)
-
-    def return_inverse(t: float) -> float:
-        return _sqrt_investment(0.5 * scale * t)
-
-    return SuccessRate(
-        f"scaled_sqrt_ratio(eps={epsilon:g})", epsilon, domain_cap,
-        p, p_prime, _sqrt_prize, _sqrt_prize_slope, return_inverse,
-    )
+    return _sqrt_family(f"scaled_sqrt_ratio(eps={epsilon:g})", epsilon, domain_cap)
 
 
 def custom_rate(

@@ -229,10 +229,16 @@ def _stat(hist: np.ndarray, values: np.ndarray, n: int) -> Stat:
     total is ``n``."""
     if n == 0:
         return Stat(math.nan, math.nan)
-    mean = float(hist @ values) / n
+    # moments about values[-1], whose bin every histogram reaches (it ends
+    # at its longest chain): equal values then give their own value as the
+    # mean and a standard error of exactly 0, not rounding noise
+    anchor = values[-1]
+    dev = values - anchor
+    shift = float(hist @ dev) / n
+    mean = float(anchor) + shift
     if n == 1:
         return Stat(mean, math.nan)
-    var = float(hist @ (values - mean) ** 2) / (n - 1)
+    var = float(hist @ (dev - shift) ** 2) / (n - 1)
     return Stat(mean, math.sqrt(var / n))
 
 

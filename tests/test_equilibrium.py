@@ -1,5 +1,6 @@
 """Best responses, verification, bounds, dynamics, and rule synthesis."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from seqinvest import (
     expected_value,
     fixed_fraction,
     fixed_fraction_floor,
+    flat_continuation,
     implied_value,
     incentive_cost,
     investment_bounds,
@@ -32,6 +34,8 @@ from seqinvest import (
     jackpot,
     near_constant_feasibility,
     near_constant_profile,
+    next_step_bonus,
+    next_step_bonus_zero_initiator,
     scaled_sqrt_ratio,
     synthesize_rule,
     verify_equilibrium,
@@ -71,6 +75,11 @@ class TestInvestmentForReturn:
         x = investment_for_return(rate, rate.required_return(rate.domain_cap))
         assert x <= rate.domain_cap
         assert 0.0 < rate.probability(x) < 1e-6
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, sr, t):
+        with pytest.raises(DomainError, match="finite"):
+            investment_for_return(sr, t)
 
     def test_unattainable_target(self, sr):
         with pytest.raises(UnboundedRatioError):
@@ -113,7 +122,7 @@ class TestVerify:
         report = verify_equilibrium(sr, equal_split(), constant_profile(oracle.c_star))
         assert report.supported
         assert report.max_residual <= 1e-10
-        assert report.checked_agents == 3  # agents 0, 1, and 6
+        assert report.checked_agents == 2  # agent 0 and the representative tail agent 1
 
     def test_equal_split_rejects_first_best(self, sr, oracle):
         report = verify_equilibrium(sr, equal_split(), constant_profile(oracle.c_fb))
@@ -149,6 +158,36 @@ class TestVerify:
             verify_equilibrium(sr, equal_split(), x, tol=tol)
         with pytest.raises(DomainError):
             check_agent(sr, equal_split(), x, 1, tol=tol)
+
+    @pytest.mark.parametrize("rate", ["sr", "sr_scaled"])
+    @pytest.mark.parametrize("rule", [
+        equal_split(),
+        fixed_fraction(0.4),
+        fixed_fraction_floor(0.6, 0.1),
+        flat_continuation(0.6, 0.1),
+        next_step_bonus(0.3, 0.05),
+        next_step_bonus_zero_initiator(0.3, 0.05),
+        three_tier_rule(),
+        Mixture(0.37, next_step_bonus(0.3, 0.05), next_step_bonus_zero_initiator(0.3, 0.05)),
+        Perturbed(equal_split(), entries=(((0, 2), -0.1), ((1, 2), 0.1)),
+                  column_tails=((0, (3, 0.5)), (1, (3, -0.5)))),
+    ], ids=lambda r: r.label)
+    def test_every_tail_agent_repeats_the_representative_check(self, request, rate, rule):
+        # verification checks one tail agent; every later one faces a
+        # shifted copy of its column against the same tail, bit for bit
+        sr = request.getfixturevalue(rate)
+        rng = np.random.default_rng(19)
+        profiles = [constant_profile(0.0)] + [
+            ConstantTailProfile(tuple(rng.uniform(0, 0.5, rng.integers(0, 4))), rng.uniform(0, 0.3))
+            for _ in range(6)
+        ]
+        for x in profiles:
+            first_tail = max(x.prefix_len, rule.stationary_from)
+            for mode in Mode:
+                chk = check_agent(sr, rule, x, first_tail, mode)
+                for d in range(1, 6):
+                    later = check_agent(sr, rule, x, first_tail + d, mode)
+                    assert later == dataclasses.replace(chk, agent=first_tail + d)
 
     def test_payoffs_reported(self, sr, oracle):
         report = verify_equilibrium(sr, equal_split(), constant_profile(oracle.c_star))
@@ -221,6 +260,10 @@ class TestBounds:
     def test_uncapped_rate_rejected(self, sr):
         with pytest.raises(DomainError):
             investment_bounds(sr)
+
+    def test_negative_agent_rejected(self, sr_scaled):
+        with pytest.raises(DomainError, match="agent index"):
+            investment_bounds(sr_scaled).bound(-1)
 
 
 class TestDynamics:
@@ -334,6 +377,10 @@ class TestConstantSupport:
         assert res.supported
         report = verify_equilibrium(sr, res.witness, constant_profile(0.05))
         assert report.supported and report.max_residual <= 1e-9
+
+    def test_negative_investment_rejected(self, sr):
+        with pytest.raises(DomainError, match=">= 0"):
+            constant_support_check(sr, -0.01)
 
     def test_first_best_not_supportable(self, sr, oracle):
         res = constant_support_check(sr, oracle.c_fb)

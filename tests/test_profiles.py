@@ -73,6 +73,10 @@ class TestReachProbability:
             oracle.reach2_ex5, abs=1e-12
         )
 
+    def test_negative_index_rejected(self, sr, ex5_profile):
+        with pytest.raises(DomainError, match="agent index"):
+            reach_probability(sr, ex5_profile, -1)
+
     def test_beyond_prefix_uses_tail_powers(self, sr, ex5_profile):
         direct = 1.0
         for j in range(7):

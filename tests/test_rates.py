@@ -89,6 +89,11 @@ class TestDomain:
         with pytest.raises(DomainError):
             scaled_sqrt_ratio(1.0)
 
+    def test_custom_epsilon_range(self, sr):
+        for eps in (-0.1, 1.0, math.nan):
+            with pytest.raises(DomainError, match="epsilon"):
+                custom_rate("c", sr.probability, sr.marginal, epsilon=eps)
+
 
 class TestScaledFamily:
     def test_probability_scaled(self, sr, sr_scaled, oracle):

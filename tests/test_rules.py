@@ -118,6 +118,8 @@ class TestMatrices:
             equal_split().value(2, 1)
         with pytest.raises(DomainError):
             equal_split().value(-1, 0)
+        with pytest.raises(DomainError, match="precedes column start"):
+            Column(3, (0.0,), 1.0).value(2)
 
     @pytest.mark.parametrize(
         "rule",
@@ -128,10 +130,12 @@ class TestMatrices:
         ],
         ids=lambda r: r.label,
     )
-    def test_negative_column_index(self, rule):
+    def test_negative_column_index(self, sr, rule):
         # -1 must not wrap around to the last leading column
         with pytest.raises(DomainError):
             rule.column(-1)
+        with pytest.raises(DomainError, match="agent index"):
+            continuation_reward(sr, rule, constant_profile(0.2), -1)
 
 
 class TestConstruction:
@@ -151,6 +155,24 @@ class TestConstruction:
             fixed_fraction(1.5)
         with pytest.raises(RuleConstructionError):
             fixed_fraction_floor(0.5, 2.5)
+        for alpha in (-0.5, 1.5):
+            with pytest.raises(RuleConstructionError, match="alpha"):
+                fixed_fraction_floor(alpha, 0.5)
+
+    def test_malformed_form_rejected(self):
+        with pytest.raises(RuleConstructionError, match="diagonal entry"):
+            Column(0, (), 2.0)
+        with pytest.raises(RuleConstructionError, match="declares start 1"):
+            StationaryColumnRule("s", (Column(1, (1.0,), 2.0),), (0.0,), 1.0)
+        with pytest.raises(RuleConstructionError, match="repeating pattern"):
+            StationaryColumnRule("s", (Column(0, (1.0,), 2.0),), (), 1.0)
+
+    def test_negative_tail_slope_rejected(self):
+        # rows balance through row K + 1 = 4, but column 0 falls by 0.5 a
+        # row and turns negative from row 5 on
+        leading = (Column(0, (1.0,), 2.0, slope=-0.5), Column(1, (0.0,), 1.5, slope=0.5))
+        with pytest.raises(RuleConstructionError, match="column 0 tail eventually negative"):
+            StationaryColumnRule("sloped", leading, (0.0,), 1.0)
 
     def test_unbalanced_perturbation_rejected(self):
         with pytest.raises(RuleConstructionError):
@@ -171,8 +193,16 @@ class TestConstruction:
             Perturbed(equal_split(), entries=(((0, 2), nan), ((1, 2), -nan)))
 
     def test_tail_deltas_must_cancel(self):
-        with pytest.raises(RuleConstructionError):
+        # the one balance bound names the first unbalanced row
+        with pytest.raises(RuleConstructionError, match="row 2 sums to 3.25, expected 3"):
             Perturbed(equal_split(), column_tails=((0, (2, 0.25)),))
+
+    def test_perturbation_outside_the_matrix(self):
+        with pytest.raises(RuleConstructionError, match="invalid cell"):
+            Perturbed(equal_split(), entries=(((2, 1), 0.5),))
+        for k0 in (0, 1):
+            with pytest.raises(RuleConstructionError, match="after the diagonal"):
+                Perturbed(equal_split(), column_tails=((1, (k0, 0.5)),))
 
     def test_mixture_weight_range(self):
         with pytest.raises(RuleConstructionError):

@@ -313,3 +313,72 @@ class TestPayoffConditioning:
         for i, truth in ((0, oracle.ex5_payoff0), (1, oracle.ex5_payoff1), (2, oracle.ex5_payoff2)):
             pay = summary.payoffs[i]
             assert abs(pay.mean - truth) <= 3.0 * pay.se
+
+
+    def test_identical_payoffs_have_exact_mean_and_zero_se(self, sr):
+        # agent 5 is reached 13 times and all 13 fail: 13 equal payoffs,
+        # whose mean is the payoff itself and whose sample SE is exactly 0
+        config = SimulationConfig(episodes=20_000, seed=311)
+        summary = summarize(sr, constant_profile(0.0883), equal_split(), config)
+        pay = summary.payoffs[5]
+        assert summary.histogram[5:] == (pay.reached,)
+        assert (pay.mean, pay.se) == (-0.0883, 0.0)
+
+
+# (rule, profile, max_chain_length) for the calibration sweep
+_CALIBRATION_CASES = {
+    "equal_split@c*": lambda o, ex5_rule, ex5_profile: (
+        equal_split(), constant_profile(o.c_star), 10_000
+    ),
+    "three_tier@ex5": lambda o, ex5_rule, ex5_profile: (ex5_rule, ex5_profile, 10_000),
+    # p(1e5) ~ 0.9968: 8 thinning steps leave almost every chain to the closure
+    "equal_split@1e5,cap=8": lambda o, ex5_rule, ex5_profile: (
+        equal_split(), constant_profile(1e5), 8
+    ),
+}
+
+
+class TestCalibration:
+    """Pooled over 200 seeds, each estimate is unbiased and its standard
+    error matches the spread of the estimates over seeds.
+
+    Per-seed z-scores are not averaged: a payoff with few failures
+    divides by its own noisy SE, which biases the mean z.
+    """
+
+    SEEDS = range(200)
+
+    @pytest.mark.parametrize("case", list(_CALIBRATION_CASES))
+    def test_pooled_error_and_variance_ratio(self, sr, oracle, ex5_rule, ex5_profile, case):
+        rule, profile, cap = _CALIBRATION_CASES[case](oracle, ex5_rule, ex5_profile)
+        truths = {
+            "value": expected_value(sr, profile),
+            "investment": expected_investment(sr, profile),
+            "welfare": expected_welfare(sr, profile),
+        }
+        truths.update(
+            (f"payoff_{i}", expected_payoff(sr, rule, profile, i)) for i in range(9)
+        )
+        estimates: dict[str, list[tuple[float, float, int]]] = {name: [] for name in truths}
+        for seed in self.SEEDS:
+            config = SimulationConfig(episodes=20_000, seed=seed, max_chain_length=cap)
+            summary = summarize(sr, profile, rule, config)
+            for name, stat in (
+                ("value", summary.total_value),
+                ("investment", summary.total_investment),
+                ("welfare", summary.welfare),
+            ):
+                estimates[name].append((stat.mean, stat.se, summary.episodes))
+            for pay in summary.payoffs:
+                estimates[f"payoff_{pay.agent}"].append((pay.mean, pay.se, pay.reached))
+        checked = 0
+        for name, rows in estimates.items():
+            if len(rows) < len(self.SEEDS) or min(n for _, _, n in rows) < 1_000:
+                continue
+            means = np.array([m for m, _, _ in rows])
+            se2 = np.array([se for _, se, _ in rows]) ** 2
+            unit = math.sqrt(se2.mean() / len(rows))
+            assert abs(means.mean() - truths[name]) <= 4.0 * unit, name
+            assert 0.72 <= means.var(ddof=1) / se2.mean() <= 1.33, name
+            checked += 1
+        assert checked >= 5

@@ -45,6 +45,17 @@ class TestBisect:
         with pytest.raises(BracketError):
             bisect(lambda x: 1e-200 * (x + 1.0), 0.0, 1.0, limit=8.0)
 
+    @pytest.mark.parametrize("root", [0.0, 1.0])
+    def test_root_at_an_endpoint_is_returned(self, root):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - root
+
+        assert bisect(f, 0.0, 1.0) == root
+        assert calls == [0.0, 1.0]
+
     def test_zero_tolerance_terminates(self):
         # the halving cap ends the loop once the bracket stops shrinking
         assert bisect(lambda x: x - 0.3, 0.0, 1.0, xtol=0.0) == pytest.approx(
