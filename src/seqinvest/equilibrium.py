@@ -40,13 +40,20 @@ that lands the initiator's net return exactly on ``r(x0)``.  Both
 bounds, and the constant-profile condition ``p(c) >= prize(c)``, are
 checked with one slack, ``_SUPPORT_TOL``; a return within it of an
 endpoint gets the endpoint rule itself.
+
+Every result this module returns (:class:`AgentCheck`,
+:class:`EquilibriumReport`, :class:`BoundSchedule`,
+:class:`DynamicsResult`, :class:`ConstantSupport`,
+:class:`NearConstantFeasibility`) is a ``typing.NamedTuple``: computed, not
+validated, so it unpacks and indexes like a tuple and is copied with
+``._replace``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleError, TailShapeError, UnboundedRatioError
 from .profiles import ConstantTailProfile
@@ -110,8 +117,7 @@ def best_response(sr: SuccessRate, rule: StationaryColumnRule, x: ConstantTailPr
     return investment_for_return(sr, _column_reward(sr, x, col) - col.entries[0])
 
 
-@dataclass(frozen=True)
-class AgentCheck:
+class AgentCheck(NamedTuple):
     agent: int
     investment: float
     net_return: float
@@ -120,8 +126,7 @@ class AgentCheck:
     corner: str = ""  # "", "zero", "budget"
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """Outcome of a support check: per-agent residuals and payoffs."""
 
     supported: bool
@@ -266,8 +271,7 @@ def verify_equilibrium(
     )
 
 
-@dataclass(frozen=True)
-class BoundSchedule:
+class BoundSchedule(NamedTuple):
     """Per-agent caps on equilibrium investments for a capped rate.
 
     ``epsilon`` is the rate's own cap, so ``p <= 1 - epsilon``.
@@ -304,8 +308,7 @@ def investment_bounds(sr: SuccessRate) -> BoundSchedule:
     return BoundSchedule(sr, sr.epsilon)
 
 
-@dataclass(frozen=True)
-class DynamicsResult:
+class DynamicsResult(NamedTuple):
     """Outcome of best-response dynamics; ``sweeps`` counts the passes (1 or 2)."""
 
     profile: ConstantTailProfile
@@ -368,8 +371,7 @@ def best_response_dynamics(
     )
 
 
-@dataclass(frozen=True)
-class ConstantSupport:
+class ConstantSupport(NamedTuple):
     """Support verdict for a constant profile, with witness or gap."""
 
     supported: bool
@@ -403,8 +405,7 @@ def constant_support_check(sr: SuccessRate, c: float) -> ConstantSupport:
     return ConstantSupport(True, c, gap, witness)
 
 
-@dataclass(frozen=True)
-class NearConstantFeasibility:
+class NearConstantFeasibility(NamedTuple):
     """Both support bounds for ``(x0, c, c, ...)`` with floor ``gamma``.
 
     ``lower`` is reported unclamped (it may be negative, in which case

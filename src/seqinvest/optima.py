@@ -42,11 +42,15 @@ then falls at most once), so the derivative changes sign once between
 the zero tail and :func:`tail_limit`.  The self-financed reduced
 objective has no such guarantee, so a grid scan picks the cell pair
 around its best point, and the slope's root is solved there.
+
+The results, :class:`OptimumResult` and :class:`RegionRow`, are
+``typing.NamedTuple`` classes: they unpack and index like tuples and are
+copied with ``._replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .equilibrium import (
     EquilibriumReport,
@@ -75,8 +79,7 @@ _GRID_POINTS = 256
 _EDGE = 1e-12
 
 
-@dataclass(frozen=True)
-class OptimumResult:
+class OptimumResult(NamedTuple):
     """A solved program: profile, supporting rule, and solve diagnostics."""
 
     name: str
@@ -259,8 +262,7 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     )
 
 
-@dataclass(frozen=True)
-class RegionRow:
+class RegionRow(NamedTuple):
     """One grid point of the near-constant support region boundary.
 
     ``lower``/``upper`` are the initiator investments attaining the two

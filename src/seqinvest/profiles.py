@@ -16,7 +16,7 @@ predecessors succeeded), the functionals are
   counting the initiator's unit),
 * ``expected_investment`` ``I = sum_j reach(j) * x_j``    (every reached
   agent invests, including the one who fails),
-* ``expected_welfare``    ``W = V - I``,
+* ``expected_welfare``    ``W = V - I = sum_j reach(j) * (1 - x_j)``,
 * ``incentive_cost``      ``G = sum_j reach(j) * prize(x_j)`` (aggregate
   gross prize needed to make the profile a best response everywhere).
 
@@ -24,12 +24,18 @@ predecessors succeeded), the functionals are
 constant that preserves ``V``; with ``p`` concave and the prize convex
 this never increases ``I`` or ``G``, which is what makes constant-tail
 profiles the right search space for the optimal programs.
+
+:class:`ConstantTailProfile` is a frozen dataclass because construction
+checks and canonicalises its entries; :class:`FunctionalValues`, a
+computed result, is a ``typing.NamedTuple``: it unpacks and indexes like a
+tuple and is copied with ``._replace``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DivergenceError, DomainError, InfeasibleError
 from .rates import SuccessRate
@@ -89,8 +95,7 @@ def near_constant_profile(x0: float, c: float) -> ConstantTailProfile:
     return ConstantTailProfile((x0,), c)
 
 
-@dataclass(frozen=True)
-class FunctionalValues:
+class FunctionalValues(NamedTuple):
     """The four process functionals; ``welfare = value - investment``."""
 
     value: float
@@ -154,7 +159,8 @@ def expected_investment(sr: SuccessRate, x: ConstantTailProfile) -> float:
 
 
 def expected_welfare(sr: SuccessRate, x: ConstantTailProfile) -> float:
-    return expected_value(sr, x) - expected_investment(sr, x)
+    # V - I in one pass over the profile
+    return _reach_series(sr, x, 0, x.prefix_len, lambda j: 1.0 - x.at(j))
 
 
 def incentive_cost(sr: SuccessRate, x: ConstantTailProfile) -> float:

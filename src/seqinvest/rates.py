@@ -41,13 +41,18 @@ Rates are immutable after construction and safe to share across workers.
 Validation (:func:`validate`) is advisory and plain Python on a grid of
 floats, so it needs no numpy: solvers accept unvalidated rates, and a rate
 that violates the assumptions is reported, not rejected.
+
+A record is a frozen dataclass only where construction validates its
+input, as :class:`SuccessRate` checks its domain cap; computed results
+(:class:`CheckResult`, :class:`ValidationReport`) are ``typing.NamedTuple``
+classes, which unpack and index like tuples and are copied with ``._replace``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import DomainError
 
@@ -253,8 +258,7 @@ def rate_from_config(
     raise DomainError(f"unknown rate family {family!r}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     worst_x: float | None = None
@@ -262,8 +266,7 @@ class CheckResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Per-assumption grid checks for a rate; failures are data, not errors."""
 
     rate: str

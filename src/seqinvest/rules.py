@@ -37,20 +37,32 @@ on all later rows.  Non-negative tails, slopes and drifts keep every
 later entry non-negative, and the diagonal may not drift, so stay-put
 payments are constant from the first pattern column on.  Violations
 raise :class:`RuleConstructionError` with the offending row.
+
+A :class:`Column` is an immutable record of four fields ``(start,
+entries, tail, slope)`` built on a ``typing.NamedTuple``, so it costs what
+a tuple costs: ``column(i)`` builds one per call for every pattern agent.
+Its constructor keeps one check, that the column has its diagonal entry.
+The rule classes stay frozen dataclasses, since construction checks balance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import DomainError, RuleConstructionError
 from .profiles import ConstantTailProfile, _reach_series, incentive_cost
 from .rates import SuccessRate
 
 
-@dataclass(frozen=True)
-class Column:
+class _ColumnFields(NamedTuple):
+    start: int
+    entries: tuple[float, ...]
+    tail: float
+    slope: float = 0.0
+
+
+class Column(_ColumnFields):
     """Payoff stream of one agent: explicit entries, then an affine tail.
 
     ``entries[t]`` is the reward when the chain ends ``t`` steps after
@@ -58,14 +70,19 @@ class Column:
     offset ``len(entries)`` on, the reward is ``tail + slope * extra``.
     """
 
-    start: int
-    entries: tuple[float, ...]
-    tail: float
-    slope: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __new__(
+        cls, start: int, entries: tuple[float, ...], tail: float, slope: float = 0.0
+    ) -> Column:
+        if not entries:
             raise RuleConstructionError("a column needs at least its diagonal entry")
+        return tuple.__new__(cls, (start, entries, tail, slope))
+
+    @classmethod
+    def _make(cls, iterable) -> Column:
+        # ``_replace`` builds through ``_make``, so copies keep the check
+        return cls(*iterable)
 
     @property
     def tail_start(self) -> int:
@@ -423,9 +440,18 @@ def continuation_reward(
 
 
 def _column_reward(sr: SuccessRate, x: ConstantTailProfile, col: Column) -> float:
-    # continuation reward of the agent whose column is ``col``
-    k_stable = max(col.tail_start, x.prefix_len, col.start + 1)
-    return _reach_series(sr, x, col.start + 1, k_stable, col.value, stops=True, slope=col.slope)
+    # continuation reward of the agent whose column is ``col``; the terms
+    # are ``col.value`` read from locals, because reading a tuple record's
+    # field by name costs more than reading a local, once per explicit row
+    start, entries, tail, slope = col
+    n = len(entries)
+
+    def term(k: int) -> float:
+        t = k - start
+        return entries[t] if t < n else tail + slope * (t - n)
+
+    k_stable = max(start + n, x.prefix_len, start + 1)
+    return _reach_series(sr, x, start + 1, k_stable, term, stops=True, slope=slope)
 
 
 def expected_payoff(

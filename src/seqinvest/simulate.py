@@ -39,13 +39,18 @@ bit for bit.
 numpy is imported on first use, inside the functions that draw or
 aggregate, so importing this module, as the first use of the package
 and the CLI's ``simulate`` command do, does not load numpy.
+
+:class:`SimulationConfig` is a frozen dataclass because construction
+validates its fields; the summaries (:class:`Stat`, :class:`PayoffStat`,
+:class:`SimulationSummary`) are computed, so they are ``typing.NamedTuple``
+classes: they unpack and index like tuples and are copied with ``._replace``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ChainCapError, DomainError
 from .profiles import ConstantTailProfile
@@ -93,22 +98,19 @@ class SimulationConfig:
             )
 
 
-@dataclass(frozen=True)
-class Stat:
+class Stat(NamedTuple):
     mean: float
     se: float
 
 
-@dataclass(frozen=True)
-class PayoffStat:
+class PayoffStat(NamedTuple):
     agent: int
     reached: int
     mean: float
     se: float
 
 
-@dataclass(frozen=True)
-class SimulationSummary:
+class SimulationSummary(NamedTuple):
     """Means and standard errors of the per-episode statistics.
 
     Per-agent payoffs are conditional on the agent being reached, which

@@ -1,6 +1,5 @@
 """Best responses, verification, bounds, dynamics, and rule synthesis."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -187,7 +186,7 @@ class TestVerify:
                 chk = check_agent(sr, rule, x, first_tail, mode)
                 for d in range(1, 6):
                     later = check_agent(sr, rule, x, first_tail + d, mode)
-                    assert later == dataclasses.replace(chk, agent=first_tail + d)
+                    assert later == chk._replace(agent=first_tail + d)
 
     def test_payoffs_reported(self, sr, oracle):
         report = verify_equilibrium(sr, equal_split(), constant_profile(oracle.c_star))

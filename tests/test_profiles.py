@@ -147,6 +147,19 @@ class TestExpectedWelfare:
         f = functionals(sr, ex5_profile)
         assert f.value - f.investment - f.welfare == 0.0
 
+    def test_one_pass_over_the_profile(self, sr):
+        # V - I as one reach-weighted series: one p per prefix entry and
+        # one for the tail, where two series would make twice as many
+        calls = []
+        counting = custom_rate(
+            "counting", lambda x: calls.append(x) or sr.probability(x), sr.marginal
+        )
+        x = ConstantTailProfile((0.3, 0.01, 0.2, 0.05), 0.1)
+        welfare = expected_welfare(counting, x)
+        assert len(calls) == 5
+        two_pass = expected_value(sr, x) - expected_investment(sr, x)
+        assert welfare == pytest.approx(two_pass, rel=1e-15, abs=0.0)
+
 
 class TestIncentiveCost:
     def test_zeros(self, sr):

@@ -1,0 +1,190 @@
+"""The record contract: computed results are NamedTuples, validated inputs dataclasses.
+
+Every result the library computes is a ``typing.NamedTuple``: immutable,
+equal and hash-equal when its fields are, with the ``Name(field=value, ...)``
+repr the frozen dataclasses it replaced printed.  Types whose construction
+validates or canonicalises stay frozen dataclasses.
+"""
+
+import dataclasses
+
+import pytest
+
+from seqinvest import (
+    AgentCheck,
+    Column,
+    ConstantTailProfile,
+    Mode,
+    RuleConstructionError,
+    SimulationConfig,
+    StationaryColumnRule,
+    Stat,
+    SuccessRate,
+    best_response_dynamics,
+    constant_profile,
+    constant_support_check,
+    equal_split,
+    fixed_fraction_floor,
+    functionals,
+    investment_bounds,
+    jackpot,
+    near_constant_feasibility,
+    region_sweep,
+    scaled_sqrt_ratio,
+    socially_optimal,
+    sqrt_ratio,
+    summarize,
+    validate,
+    verify_equilibrium,
+)
+
+# field names in order, and the defaults, of every computed record
+FIELDS = {
+    "CheckResult": (
+        ("name", "passed", "worst_x", "worst_value", "note"),
+        {"worst_x": None, "worst_value": None, "note": ""},
+    ),
+    "ValidationReport": (("rate", "checks"), {}),
+    "FunctionalValues": (("value", "investment", "welfare", "incentive_cost"), {}),
+    "AgentCheck": (
+        ("agent", "investment", "net_return", "residual", "payoff", "corner"),
+        {"corner": ""},
+    ),
+    "EquilibriumReport": (("supported", "mode", "tol", "checks", "failures"), {"failures": ()}),
+    "BoundSchedule": (("rate", "epsilon"), {}),
+    "DynamicsResult": (
+        ("profile", "converged", "sweeps", "max_change", "residuals", "history"), {}
+    ),
+    "ConstantSupport": (("supported", "investment", "gap", "witness"), {}),
+    "NearConstantFeasibility": (
+        ("feasible", "x0", "c", "gamma", "ratio", "lower", "upper"), {}
+    ),
+    "OptimumResult": (
+        ("name", "profile", "rule", "objective", "residuals", "report", "mode"),
+        {"mode": Mode.UNCONSTRAINED},
+    ),
+    "RegionRow": (("c", "diagonal", "lower", "upper"), {}),
+    "Stat": (("mean", "se"), {}),
+    "PayoffStat": (("agent", "reached", "mean", "se"), {}),
+    "SimulationSummary": (
+        (
+            "episodes", "discarded", "terminal_index", "total_value", "total_investment",
+            "welfare", "payoffs", "histogram",
+        ),
+        {},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def records():
+    sr = sqrt_ratio()
+    x = ConstantTailProfile((0.3, 0.01), 0.05)
+    report = verify_equilibrium(sr, equal_split(), constant_profile(0.0883))
+    summary = summarize(
+        sr, constant_profile(0.0883), equal_split(),
+        SimulationConfig(episodes=2_000, seed=5, payoff_horizon=2),
+    )
+    out = {
+        "CheckResult": validate(sr).checks[0],
+        "ValidationReport": validate(sr),
+        "FunctionalValues": functionals(sr, x),
+        "AgentCheck": report.checks[0],
+        "EquilibriumReport": report,
+        "BoundSchedule": investment_bounds(scaled_sqrt_ratio(0.7071)),
+        "DynamicsResult": best_response_dynamics(sr, equal_split(), 4),
+        "ConstantSupport": constant_support_check(sr, 0.05),
+        "NearConstantFeasibility": near_constant_feasibility(sr, 0.06, 0.05),
+        "OptimumResult": socially_optimal(sr),
+        "RegionRow": region_sweep(sr, [0.05])[0],
+        "Stat": summary.welfare,
+        "PayoffStat": summary.payoffs[0],
+        "SimulationSummary": summary,
+    }
+    assert set(out) == set(FIELDS)
+    return out
+
+
+@pytest.mark.parametrize("name", FIELDS)
+class TestComputedRecords:
+    def test_named_tuple_with_the_same_fields(self, records, name):
+        rec = records[name]
+        fields, defaults = FIELDS[name]
+        assert type(rec).__name__ == name
+        assert isinstance(rec, tuple)
+        assert rec._fields == fields
+        assert rec._field_defaults == defaults
+        assert not dataclasses.is_dataclass(rec)
+
+    def test_fields_cannot_be_assigned(self, records, name):
+        rec = records[name]
+        for field in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, field, getattr(rec, field))
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+    def test_equal_records_compare_and_hash_equal(self, records, name):
+        rec = records[name]
+        a, b = type(rec)(*rec), type(rec)(**rec._asdict())
+        assert a == b == rec
+        assert hash(a) == hash(b) == hash(rec)
+        assert rec._replace() == rec
+
+    def test_repr_is_the_dataclass_format(self, records, name):
+        rec = records[name]
+        inner = ", ".join(f"{f}={getattr(rec, f)!r}" for f in rec._fields)
+        assert repr(rec) == f"{name}({inner})"
+
+
+def test_pinned_reprs():
+    check = AgentCheck(0, 0.5, 1.0, 0.0, 0.25)
+    assert repr(check) == (
+        "AgentCheck(agent=0, investment=0.5, net_return=1.0, residual=0.0, payoff=0.25, corner='')"
+    )
+    assert repr(Stat(1.5, 0.0)) == "Stat(mean=1.5, se=0.0)"
+
+
+def test_replace_copies_with_changes():
+    check = AgentCheck(3, 0.5, 1.0, 0.0, 0.25, corner="zero")
+    assert check._replace(agent=4) == AgentCheck(4, 0.5, 1.0, 0.0, 0.25, corner="zero")
+    agent, investment, *_ = check
+    assert (agent, investment, check[-1]) == (3, 0.5, "zero")
+
+
+class TestColumn:
+    def test_needs_a_diagonal_entry(self):
+        with pytest.raises(RuleConstructionError, match="diagonal entry"):
+            Column(0, (), 2.0)
+        with pytest.raises(RuleConstructionError, match="diagonal entry"):
+            Column(start=1, entries=(), tail=1.0, slope=0.5)
+        with pytest.raises(RuleConstructionError, match="diagonal entry"):
+            equal_split().column(3)._replace(entries=())
+
+    @pytest.mark.parametrize("rule", [equal_split(), fixed_fraction_floor(0.9, 0.07), jackpot()],
+                             ids=lambda r: r.label)
+    def test_rule_columns_cannot_be_mutated(self, rule):
+        for i in range(4):  # leading columns and pattern columns alike
+            col = rule.column(i)
+            for field in ("start", "entries", "tail", "slope"):
+                with pytest.raises(AttributeError):
+                    setattr(col, field, 0)
+            with pytest.raises(AttributeError):
+                col.extra = 1
+            assert rule.column(i) == col
+            assert hash(rule.column(i)) == hash(col)
+
+    def test_record_behaviour(self):
+        col = equal_split().column(3)
+        assert col == Column(3, (0.0,), 1.0) == Column(3, (0.0,), 1.0, 0.0)
+        assert repr(col) == "Column(start=3, entries=(0.0,), tail=1.0, slope=0.0)"
+        assert col._fields == ("start", "entries", "tail", "slope")
+        assert (col.tail_start, col.value(3), col.value(9)) == (4, 0.0, 1.0)
+        start, entries, tail, slope = col
+        assert (start, entries, tail, slope) == (3, (0.0,), 1.0, 0.0)
+
+
+def test_validated_types_stay_dataclasses():
+    # construction checks or canonicalises these
+    for cls in (SuccessRate, ConstantTailProfile, StationaryColumnRule, SimulationConfig):
+        assert dataclasses.is_dataclass(cls)
