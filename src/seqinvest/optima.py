@@ -60,6 +60,7 @@ from .equilibrium import (
     _band_upper_slope,
     _endpoint_rules,
     _floor,
+    _max_residual,
     investment_for_return,
     near_constant_bounds,
     verify_equilibrium,
@@ -92,7 +93,7 @@ class OptimumResult(NamedTuple):
 
     @property
     def max_residual(self) -> float:
-        return max((r for _, r in self.residuals), default=0.0)
+        return _max_residual([r for _, r in self.residuals])
 
 
 def _verified(
@@ -284,10 +285,14 @@ def region_sweep(
 
     Floor 0 in unconstrained mode and floor ``c`` in self-financed mode;
     the self-financed curves always sit weakly inside the unconstrained
-    ones because the floor tightens both bounds.
+    ones because the floor tightens both bounds.  ``c_values`` is any
+    iterable of reals, a numpy grid included: each value is converted with
+    ``float()`` once, so the bounds are float arithmetic, not numpy scalar
+    arithmetic, and every row holds Python floats.
     """
     rows: list[RegionRow] = []
     for c in c_values:
+        c = float(c)
         lower, upper = near_constant_bounds(sr, c, _floor(mode, c))
         if upper < 0.0:
             rows.append(RegionRow(c, c, None, None))

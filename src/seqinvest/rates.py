@@ -126,17 +126,19 @@ class SuccessRate:
 
     def _check(self, x: float, *, positive: bool = False) -> float:
         x = float(x)
+        # one comparison accepts every valid investment (NaN fails it, and
+        # the cap is finite); the branches below only word the error
+        if 0.0 < x <= self.domain_cap or (x == 0.0 and not positive):
+            return x
         if not math.isfinite(x):
             raise DomainError(f"{self.name}: investment must be finite, got {x!r}")
         if x < 0.0:
             raise DomainError(f"{self.name}: investment must be >= 0, got {x!r}")
-        if positive and x == 0.0:
+        if x == 0.0:
             raise DomainError(f"{self.name}: investment must be > 0 here")
-        if x > self.domain_cap:
-            raise DomainError(
-                f"{self.name}: investment {x:g} exceeds domain cap {self.domain_cap:g}"
-            )
-        return x
+        raise DomainError(
+            f"{self.name}: investment {x:g} exceeds domain cap {self.domain_cap:g}"
+        )
 
     def probability(self, x: float) -> float:
         """Success probability ``p(x)``."""

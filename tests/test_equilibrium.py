@@ -44,8 +44,9 @@ from conftest import three_tier_rule
 
 class TestInvestmentForReturn:
     def test_nonpositive_target_is_zero(self, sr):
-        assert investment_for_return(sr, 0.0) == 0.0
-        assert investment_for_return(sr, -3.0) == 0.0
+        for t in (0.0, -0.0, -3.0):
+            x = investment_for_return(sr, t)
+            assert x == 0.0 and math.copysign(1.0, x) == 1.0
 
     def test_unit_target_is_social_optimum(self, sr, oracle):
         assert investment_for_return(sr, 1.0) == pytest.approx(
@@ -83,6 +84,38 @@ class TestInvestmentForReturn:
     def test_unattainable_target(self, sr):
         with pytest.raises(UnboundedRatioError):
             investment_for_return(sr, sr.required_return(sr.domain_cap) * 1.01)
+
+    def test_targets_outside_the_range_never_evaluate_the_rate(self, sr):
+        def p_prime(x):
+            raise RuntimeError("evaluated")
+
+        rate = custom_rate("unevaluable", sr.probability, p_prime)
+        assert investment_for_return(rate, 0.0) == investment_for_return(rate, -1.0) == 0.0
+        with pytest.raises(DomainError, match="finite"):
+            investment_for_return(rate, math.nan)
+
+    def test_largest_return_solves_to_the_cap(self, sr):
+        assert investment_for_return(sr, sr.max_return) == sr.domain_cap
+
+    def test_nan_max_return_still_solves(self, sr):
+        # p' is NaN above 1e5, so the return at the cap bounds nothing
+        def p_prime(x):
+            return math.nan if x > 1e5 else sr.marginal(x)
+
+        rate = custom_rate("nan_past_1e5", sr.probability, p_prime)
+        assert math.isnan(rate.max_return)
+        for t in (0.5, 2.0, 1000.0):
+            assert investment_for_return(rate, t) == pytest.approx(
+                investment_for_return(sr, t), rel=1e-12
+            )
+
+    def test_infinite_target_rejected_when_the_return_is_unbounded(self, sr):
+        # p' reaches 0 at the cap, so max_return is inf and bounds no target
+        rate = custom_rate("flat_at_cap", sr.probability,
+                           lambda x: 0.0 if x >= 1e6 else sr.marginal(x))
+        assert rate.max_return == math.inf
+        with pytest.raises(DomainError, match="finite"):
+            investment_for_return(rate, math.inf)
 
     def test_nan_marginal_raises(self, sr):
         # p' is NaN above 0.3: the bisection used to read NaN as "same
@@ -143,6 +176,18 @@ class TestVerify:
         report = verify_equilibrium(sr, rule, constant_profile(0.0))
         assert report.supported
         assert all(c.corner == "zero" for c in report.checks)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_nan_residual_is_no_support(self, sr, mode):
+        # p is NaN above 0.4, so every residual at c = 0.5 is NaN; each
+        # tolerance test used to read NaN as passing
+        rate = custom_rate("nan_above", lambda x: math.nan if x > 0.4 else sr.probability(x),
+                           sr.marginal)
+        report = verify_equilibrium(rate, equal_split(), constant_profile(0.5), mode=mode)
+        assert [math.isnan(c.residual) for c in report.checks] == [True, True]
+        assert not report.supported
+        assert "agent 0: best-response residual nan" in report.failures
+        assert math.isnan(report.max_residual)
 
     def test_jackpot_tail_never_stabilizes(self, sr):
         with pytest.raises(TailShapeError):

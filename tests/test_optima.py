@@ -296,6 +296,20 @@ class TestRegion:
         rows = region_sweep(sr, [oracle.c_s], Mode.SELF_FINANCED)
         assert rows[0].upper == pytest.approx(oracle.x0_s, abs=1e-9)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("rate", [
+        sqrt_ratio(),
+        custom_rate("custom_sqrt", sqrt_ratio().probability, sqrt_ratio().marginal),
+    ], ids=lambda rate: rate.name)
+    def test_numpy_grid_gives_python_float_rows(self, rate, mode):
+        # the last tails are past the band's end in both modes: empty rows
+        grid = np.linspace(0.002, 0.34, 24)
+        rows = region_sweep(rate, grid, mode)
+        assert rows == region_sweep(rate, grid.tolist(), mode)
+        assert rows[-1].upper is None
+        for row in rows:
+            assert type(row.c) is float and type(row.diagonal) is float
+
 
 class TestCapsNearOne:
     """Roots below any fixed absolute edge: they shrink like ``(1 - eps)^2``."""

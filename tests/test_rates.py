@@ -1,6 +1,7 @@
 """Success-rate evaluators, derived quantities, and grid validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from seqinvest import (
 from seqinvest.rates import CheckResult, ValidationReport
 
 GRID = np.geomspace(1e-6, 1e3, 160)
+EVALUATORS = ["probability", "marginal", "incentive_prize", "incentive_prize_slope", "required_return"]
 
 
 class TestClosedForms:
@@ -69,6 +71,36 @@ class TestDomain:
     def test_prize_slope_needs_positive(self, sr):
         with pytest.raises(DomainError):
             sr.incentive_prize_slope(0.0)
+
+    @pytest.mark.parametrize("method", EVALUATORS)
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "investment must be finite, got nan"),
+        (math.inf, "investment must be finite, got inf"),
+        (-math.inf, "investment must be finite, got -inf"),
+        (-1e-9, "investment must be >= 0, got -1e-09"),
+    ])
+    def test_every_evaluator_rejects(self, sr, method, bad, message):
+        with pytest.raises(DomainError, match=re.escape(f"sqrt_ratio: {message}")):
+            getattr(sr, method)(bad)
+
+    @pytest.mark.parametrize("method", EVALUATORS)
+    def test_every_evaluator_rejects_just_past_the_cap(self, sr, method):
+        past = math.nextafter(sr.domain_cap, math.inf)
+        with pytest.raises(DomainError, match="investment 1e\\+06 exceeds domain cap 1e\\+06"):
+            getattr(sr, method)(past)
+
+    @pytest.mark.parametrize("method", EVALUATORS)
+    def test_every_evaluator_accepts_the_cap(self, sr, method):
+        assert math.isfinite(getattr(sr, method)(sr.domain_cap))
+
+    @pytest.mark.parametrize("method", EVALUATORS)
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_accepted_except_by_the_slope(self, sr, method, zero):
+        if method == "incentive_prize_slope":
+            with pytest.raises(DomainError, match="investment must be > 0 here"):
+                getattr(sr, method)(zero)
+        else:
+            getattr(sr, method)(zero)
 
     @pytest.mark.parametrize("cap", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     def test_domain_cap_must_be_finite_and_positive(self, cap):

@@ -7,6 +7,7 @@ validates or canonicalises stay frozen dataclasses.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -188,3 +189,25 @@ def test_validated_types_stay_dataclasses():
     # construction checks or canonicalises these
     for cls in (SuccessRate, ConstantTailProfile, StationaryColumnRule, SimulationConfig):
         assert dataclasses.is_dataclass(cls)
+
+
+def _with_residuals(name, rec, residuals):
+    # the record with its residuals replaced by ``residuals``, in order
+    if name == "EquilibriumReport":
+        return rec._replace(checks=tuple(rec.checks[0]._replace(residual=r) for r in residuals))
+    if name == "OptimumResult":
+        return rec._replace(residuals=tuple((f"r{j}", r) for j, r in enumerate(residuals)))
+    return rec._replace(residuals=tuple(enumerate(residuals)))
+
+
+@pytest.mark.parametrize("name", ["EquilibriumReport", "OptimumResult", "DynamicsResult"])
+class TestMaxResidual:
+    @pytest.mark.parametrize("residuals", [(0.1, math.nan), (math.nan, 0.1), (0.0, math.nan, 0.3)])
+    def test_any_nan_residual_reads_nan(self, records, name, residuals):
+        # max() alone keeps whichever of a NaN and a number comes first
+        assert math.isnan(_with_residuals(name, records[name], residuals).max_residual)
+
+    def test_finite_residuals_give_their_maximum(self, records, name):
+        rec = records[name]
+        assert _with_residuals(name, rec, (0.1, 0.3, 0.2)).max_residual == 0.3
+        assert _with_residuals(name, rec, ()).max_residual == 0.0
