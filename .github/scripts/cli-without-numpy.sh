@@ -7,14 +7,17 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 "${1:-python}" -m venv --without-pip "$work/bare"
 cli() { PYTHONPATH=src "$work/bare/bin/python" -m seqinvest.cli "$@"; }
+# a golden transcript without its command and exit lines: the stdout
+golden_stdout() { sed '1d;$d' "tests/golden/$1.txt"; }
 
 cli optima
-cli rule print --rule kind=jackpot --rows 8
+# stdout itself, byte for byte, not only the exit code
+cli rule print --rule kind=jackpot --rows 8 | diff - <(golden_stdout rule_print)
 # best responses and verification, through dynamics and synthesis
 cli dynamics --rule kind=jackpot --rate scaled_sqrt_ratio --epsilon 0.7071 --horizon 12
 cli synthesize --x0 0.06 --c 0.12
 # the band's upper edge at the self-financed floor
-cli region --mode self_financed --points 4
+cli region --mode self_financed --points 16 | diff - <(golden_stdout region)
 # a reader that stops early is no error: exit 0 and nothing on stderr
 cli rule print --rule kind=equal_split --rows 400 2> "$work/pipe.err" | head -1
 test ! -s "$work/pipe.err"

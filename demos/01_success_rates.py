@@ -22,7 +22,7 @@ for x in (0.01, 0.05, 0.1, 0.25, 0.5, 1.0):
 print()
 print("the prize always exceeds the investment (concavity of p):")
 xs = np.geomspace(1e-3, 10, 7)
-print("  min prize/x =", min(sr.incentive_prize(x) / x for x in xs))
+print(f"  min prize/x = {min(sr.incentive_prize(x) / x for x in xs):.10g}")
 
 print()
 print("grid validation of the modelling assumptions:")
@@ -32,7 +32,7 @@ for line in validate(sr).lines():
 print()
 scaled = scaled_sqrt_ratio(0.5)
 print("capped variant (eps = 0.5): p stays below", 1 - scaled.epsilon)
-print("  p(1e6) =", scaled.probability(1e6))
+print(f"  p(1e6) = {scaled.probability(1e6):.10g}")
 print("  prize unchanged by the cap:", scaled.incentive_prize(0.25), "==", sr.incentive_prize(0.25))
 
 print()

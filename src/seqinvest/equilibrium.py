@@ -55,7 +55,13 @@ import enum
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, InfeasibleError, TailShapeError, UnboundedRatioError
+from .errors import (
+    DomainError,
+    InfeasibleError,
+    TailShapeError,
+    UnboundedRatioError,
+    _check_count,
+)
 from .profiles import ConstantTailProfile
 from .rates import SuccessRate
 from .rules import (
@@ -99,11 +105,12 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
     :class:`UnboundedRatioError` when ``t`` exceeds the ratio at the
     rate's domain cap.
     """
-    t = float(t)
-    # one comparison accepts every attainable target, and reads max_return
-    # only for a positive one; the branches below sort out the rest, where a
-    # NaN or infinite max_return bounds nothing
-    if not 0.0 < t <= sr.max_return < math.inf:
+    # one comparison accepts every attainable float target, and reads
+    # max_return only for a positive one; the branches below convert any
+    # other number and sort out the rest, where a NaN or infinite max_return
+    # bounds nothing
+    if t.__class__ is not float or not 0.0 < t <= sr.max_return < math.inf:
+        t = float(t)
         if not math.isfinite(t):
             raise DomainError(f"target return must be finite, got {t!r}")
         if t <= 0.0:
@@ -360,10 +367,11 @@ def best_response_dynamics(
     confirms it (``max_change == 0``); a pass that moves no investment by
     more than ``_DYNAMICS_TOL`` ends the run.  Only a confirming pass that
     moves leaves the result non-converged, which is reported, never
-    raised.  The residuals cover exactly the swept agents.
+    raised.  The residuals cover exactly the swept agents.  ``horizon``
+    must be an integer (anything ``operator.index`` accepts) of at least 1,
+    or :class:`DomainError` is raised.
     """
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    _check_count("horizon", horizon, 1)
     init = init if init is not None else ConstantTailProfile((), 0.0)
     values = [init.at(i) for i in range(horizon)]
     # agents past the horizon keep their initial values, then the tail
@@ -461,17 +469,17 @@ def _band_headroom(sr: SuccessRate, c: float, gamma: float) -> float:
     return 1.0 - gamma - sr.incentive_prize(c)
 
 
-def _band_upper(sr: SuccessRate, c: float, gamma: float) -> float:
+def _band_upper(sr: SuccessRate, c: float, gamma: float, pc: float) -> float:
     # the band's upper edge: the largest initiator return against a
-    # constant-c tail with floor gamma
-    return _band_headroom(sr, c, gamma) / (1.0 - sr.probability(c))
+    # constant-c tail with floor gamma; ``pc`` is p(c), which callers that
+    # need it too evaluate once
+    return _band_headroom(sr, c, gamma) / (1.0 - pc)
 
 
-def _band_upper_slope(sr: SuccessRate, c: float, mode: Mode) -> float:
-    # d/dc of _band_upper(sr, c, _floor(mode, c)) times (1 - p(c))^2, so
+def _band_upper_slope(sr: SuccessRate, c: float, mode: Mode, pc: float) -> float:
+    # d/dc of _band_upper(sr, c, _floor(mode, c), pc) times (1 - pc)^2, so
     # with the slope's sign; the floor is linear in c, its slope its value at 1
-    p = sr.probability(c)
-    head = (-_floor(mode, 1.0) - sr.incentive_prize_slope(c)) * (1.0 - p)
+    head = (-_floor(mode, 1.0) - sr.incentive_prize_slope(c)) * (1.0 - pc)
     return head + _band_headroom(sr, c, _floor(mode, c)) * sr.marginal(c)
 
 
@@ -481,7 +489,7 @@ def near_constant_bounds(
     """Unclamped lower and upper required-return bounds for the initiator."""
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"floor must be finite and >= 0, got {gamma!r}")
-    return sr.required_return(c) + gamma - 2.0, _band_upper(sr, c, gamma)
+    return sr.required_return(c) + gamma - 2.0, _band_upper(sr, c, gamma, sr.probability(c))
 
 
 def near_constant_feasibility(

@@ -5,6 +5,8 @@ so callers can catch library failures with a single except clause while
 still distinguishing the semantic cases below.
 """
 
+import operator
+
 
 class SeqInvestError(ValueError):
     """Base class for all library-specific errors."""
@@ -40,3 +42,16 @@ class TailShapeError(SeqInvestError):
 
 class ChainCapError(SeqInvestError):
     """A simulated chain exceeded the configured safety cap."""
+
+
+def _check_count(name: str, value: int, least: int) -> None:
+    # an integer field or argument: anything ``operator.index`` accepts
+    # (int, bool, a numpy integer) and at least ``least``; a float such as
+    # 1000.7 would otherwise be rounded or reach numpy or ``range`` as a
+    # bare TypeError
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")

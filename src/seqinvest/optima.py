@@ -182,22 +182,25 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
     """
     d = tail_limit(sr)
     mode = Mode.UNCONSTRAINED
-    c_circ = bisect(lambda c: _band_upper_slope(sr, c, mode), d, 0.5 * d, limit=0.0, xtol=1e-14)
-    q_circ = _band_upper(sr, c_circ, _floor(mode, c_circ))
+
+    def slope(c: float) -> float:
+        return _band_upper_slope(sr, c, mode, sr.probability(c))
+
+    c_circ = bisect(slope, d, 0.5 * d, limit=0.0, xtol=1e-14)
+    q_circ = _band_upper(sr, c_circ, _floor(mode, c_circ), sr.probability(c_circ))
     x0_circ = investment_for_return(sr, q_circ)
     profile = near_constant_profile(x0_circ, c_circ)
     rule = fixed_fraction(sr.required_return(c_circ))
     objective = 1.0 + sr.incentive_prize(x0_circ) - x0_circ
     residuals = (
-        ("tail_stationarity", abs(_band_upper_slope(sr, c_circ, mode))),
+        ("tail_stationarity", abs(slope(c_circ))),
         ("initiator_bound_active", abs(sr.required_return(x0_circ) - q_circ)),
     )
     return _verified("initiator_optimal", sr, profile, rule, objective, residuals)
 
 
-def _return_ratio_slope(sr: SuccessRate, x: float) -> float:
-    # d/dx of required_return = (prize' p - prize p') / p^2
-    p = sr.probability(x)
+def _return_ratio_slope(sr: SuccessRate, x: float, p: float) -> float:
+    # d/dx of required_return = (prize' p - prize p') / p^2, with p = p(x)
     return (
         sr.incentive_prize_slope(x) * p - sr.incentive_prize(x) * sr.marginal(x)
     ) / (p * p)
@@ -223,23 +226,27 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     if c_max <= _EDGE:
         raise InfeasibleError("the self-financed feasible set is empty for this rate")
 
-    def x0_of(c: float) -> float:
-        return investment_for_return(sr, _band_upper(sr, c, _floor(mode, c)))
+    def x0_of(c: float, pc: float) -> float:
+        # the initiator on the band's upper edge, given pc = p(c)
+        return investment_for_return(sr, _band_upper(sr, c, _floor(mode, c), pc))
 
     def welfare_gain(c: float) -> float:
         # reduced welfare minus 1, which would round away the gain at caps near 1
-        x0 = x0_of(c)
-        return sr.probability(x0) * (1.0 - c) / (1.0 - sr.probability(c)) - x0
+        pc = sr.probability(c)
+        x0 = x0_of(c, pc)
+        return sr.probability(x0) * (1.0 - c) / (1.0 - pc) - x0
 
     def slope(c: float) -> float:
         # chain rule through the active constraint; exact up to the
         # tolerance of the inner inversion
-        x0 = x0_of(c)
         pc = sr.probability(c)
-        dx0 = _band_upper_slope(sr, c, mode) / (1.0 - pc) ** 2 / _return_ratio_slope(sr, x0)
+        x0 = x0_of(c, pc)
+        px0 = sr.probability(x0)
+        dx0 = _band_upper_slope(sr, c, mode, pc) / (1.0 - pc) ** 2
+        dx0 /= _return_ratio_slope(sr, x0, px0)
         dwelfare_dc = (-(1.0 - pc) + (1.0 - c) * sr.marginal(c)) / (1.0 - pc) ** 2
         dwelfare_dx0 = -1.0 + sr.marginal(x0) * (1.0 - c) / (1.0 - pc)
-        return dx0 * dwelfare_dx0 + sr.probability(x0) * dwelfare_dc
+        return dx0 * dwelfare_dx0 + px0 * dwelfare_dc
 
     step = c_max / (_GRID_POINTS + 1)
     grid = [step * (j + 1) for j in range(_GRID_POINTS)]
@@ -250,12 +257,14 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     # a peak in the first cell may lie arbitrarily close to 0: the lower
     # end then halves toward 0 until the slope changes sign
     c_s = bisect(slope, ghi, glo, limit=None if best > 0 else 0.0, xtol=1e-13)
-    x0_s = x0_of(c_s)
+    p_s = sr.probability(c_s)
+    x0_s = x0_of(c_s, p_s)
     profile = near_constant_profile(x0_s, c_s)
     gamma_s = _floor(mode, c_s)
     rule, _ = _endpoint_rules(sr, c_s, gamma_s)
     residuals = (
-        ("budget_constraint_active", abs(sr.required_return(x0_s) - _band_upper(sr, c_s, gamma_s))),
+        ("budget_constraint_active",
+         abs(sr.required_return(x0_s) - _band_upper(sr, c_s, gamma_s, p_s))),
         ("reduced_objective_slope", abs(slope(c_s))),
     )
     return _verified(
@@ -297,7 +306,9 @@ def region_sweep(
         if upper < 0.0:
             rows.append(RegionRow(c, c, None, None))
             continue
-        x_lower = investment_for_return(sr, max(lower, 0.0))
+        # a bound at or below 0 is the zero investment itself; NaN still
+        # reaches the inversion, which rejects it
+        x_lower = 0.0 if lower <= 0.0 else investment_for_return(sr, lower)
         x_upper = investment_for_return(sr, upper)
         rows.append(RegionRow(c, c, x_lower, x_upper))
     return rows

@@ -37,6 +37,16 @@ Custom rates invert by the bracketing solver.  Like the closed-form
 prize, the inverse is trusted in place of ``p'``, so it must stay
 consistent with ``_p_prime``.
 
+The evaluators (``probability``, ``marginal``, ``incentive_prize``,
+``incentive_prize_slope`` and ``required_return``) take an investment in
+``[0, domain_cap]``, or ``(0, domain_cap]`` for the slope.  A Python
+``float`` in that range, ``-0.0`` included, is used as is after one inline
+comparison.  Any other real number (an ``int``, a ``bool``, a numpy
+scalar) is converted with ``float()`` first, so the closures always see a
+float and give the same bits as on ``float(x)``.  NaN, an infinity, a
+negative value, a value past the cap, and zero for the slope raise
+:class:`DomainError` with a message naming the rate.
+
 Rates are immutable after construction and safe to share across workers.
 Validation (:func:`validate`) is advisory and plain Python on a grid of
 floats, so it needs no numpy: solvers accept unvalidated rates, and a rate
@@ -125,6 +135,9 @@ class SuccessRate:
         return self._max_return
 
     def _check(self, x: float, *, positive: bool = False) -> float:
+        # the evaluators accept a float in the domain inline and call this
+        # only for anything else: it converts an int, a bool or a numpy
+        # scalar, and is the one place that words a domain error
         x = float(x)
         # one comparison accepts every valid investment (NaN fails it, and
         # the cap is finite); the branches below only word the error
@@ -142,15 +155,20 @@ class SuccessRate:
 
     def probability(self, x: float) -> float:
         """Success probability ``p(x)``."""
-        return self._p(self._check(x))
+        if x.__class__ is not float or not 0.0 <= x <= self.domain_cap:
+            x = self._check(x)
+        return self._p(x)
 
     def marginal(self, x: float) -> float:
         """Marginal success probability ``p'(x)``; may be ``inf`` at zero."""
-        return self._p_prime(self._check(x))
+        if x.__class__ is not float or not 0.0 <= x <= self.domain_cap:
+            x = self._check(x)
+        return self._p_prime(x)
 
     def incentive_prize(self, x: float) -> float:
         """Gross prize ``p(x) / p'(x)`` making ``x`` an optimal investment."""
-        x = self._check(x)
+        if x.__class__ is not float or not 0.0 <= x <= self.domain_cap:
+            x = self._check(x)
         if self._prize is not None:
             return self._prize(x)
         if x == 0.0:
@@ -164,7 +182,8 @@ class SuccessRate:
         with step ``max(1e-6, 1e-6 * x)`` (clamped into the domain) for
         custom rates.  Requires ``x > 0``.
         """
-        x = self._check(x, positive=True)
+        if x.__class__ is not float or not 0.0 < x <= self.domain_cap:
+            x = self._check(x, positive=True)
         if self._prize_slope is not None:
             return self._prize_slope(x)
         h = max(1e-6, 1e-6 * x)
@@ -178,7 +197,8 @@ class SuccessRate:
         Strictly increasing, which makes it invertible; see
         :func:`seqinvest.equilibrium.investment_for_return`.
         """
-        x = self._check(x)
+        if x.__class__ is not float or not 0.0 <= x <= self.domain_cap:
+            x = self._check(x)
         if x == 0.0:
             return 0.0
         d = self._p_prime(x)

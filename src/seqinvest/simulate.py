@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ChainCapError, DomainError
+from .errors import ChainCapError, DomainError, _check_count
 from .profiles import ConstantTailProfile
 from .rates import SuccessRate
 from .rules import StationaryColumnRule
@@ -72,7 +72,10 @@ class SimulationConfig:
     the exact geometric closure takes over (raised to the profile's
     prefix length when shorter); it bounds the work per shard, not the
     simulated chains.  ``payoff_horizon`` is the last agent whose payoff
-    is reported.
+    is reported.  Every field is an integer, anything ``operator.index``
+    accepts (a numpy integer too); any other value, ``1000.7`` or ``2.0``
+    included, or one out of range raises :class:`DomainError` naming the
+    field.
     """
 
     episodes: int = 1_000_000
@@ -82,20 +85,11 @@ class SimulationConfig:
     payoff_horizon: int = 8
 
     def __post_init__(self) -> None:
-        if self.episodes < 1:
-            raise DomainError(f"episodes must be >= 1, got {self.episodes}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.max_chain_length < 1:
-            raise DomainError(
-                f"max_chain_length must be >= 1, got {self.max_chain_length}"
-            )
-        if self.shards < 1:
-            raise DomainError(f"shards must be >= 1, got {self.shards}")
-        if self.payoff_horizon < 0:
-            raise DomainError(
-                f"payoff_horizon must be >= 0, got {self.payoff_horizon}"
-            )
+        _check_count("episodes", self.episodes, 1)
+        _check_count("seed", self.seed, 0)
+        _check_count("max_chain_length", self.max_chain_length, 1)
+        _check_count("shards", self.shards, 1)
+        _check_count("payoff_horizon", self.payoff_horizon, 0)
 
 
 class Stat(NamedTuple):

@@ -9,7 +9,8 @@ difference between hosts' libm cannot flip a byte of a value.  A
 residual at or below 1e-12 is rounding noise, whose every digit can flip,
 so the transcript prints it as the one token ``<=1e-12``: in a
 ``residual=`` or ``max_residual=`` field and in a ``max_residual`` table
-row alike.
+row alike, and in the demos' ``max residual`` notes and ``<name>: ``
+residual lines (``tests/test_demos.py`` pins those under the same rules).
 
 An intended change of output is rewritten with
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and listed in CHANGES.md.
@@ -44,19 +45,26 @@ GOLDEN = {
 }
 
 
-RESIDUAL = re.compile(r"\b(residual=|max_residual=|max_residual +)([-+.0-9eE]+)")
+RESIDUAL = re.compile(
+    r"\b(residual=|max_residual=|max_residual +|max residual |[a-z]+(?:_[a-z]+)+: )([-+.0-9eE]+)"
+)
 
 
 def _noise_token(match: re.Match) -> str:
     return match[1] + "<=1e-12" if abs(float(match[2])) <= 1e-12 else match[0]
 
 
+def pinned(command: str, stdout: str, code: int) -> str:
+    """The transcript of one command: its line, its stdout with rounding
+    noise as one token, and its exit code."""
+    return f"$ {command}\n{RESIDUAL.sub(_noise_token, stdout)}[exit {code}]\n"
+
+
 def transcript(command: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(shlex.split(command))
-    stdout = RESIDUAL.sub(_noise_token, out.getvalue())
-    return f"$ seqinvest {command}\n{stdout}[exit {code}]\n"
+    return pinned(f"seqinvest {command}", out.getvalue(), code)
 
 
 @pytest.mark.parametrize("name", GOLDEN)

@@ -399,8 +399,18 @@ class TestDynamics:
         assert max(result.profile.at(i) for i in range(12)) > fixed
 
     def test_bad_arguments(self, sr):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="horizon must be >= 1, got 0"):
             best_response_dynamics(sr, equal_split(), horizon=0)
+
+    @pytest.mark.parametrize("horizon", [8.0, 2.5, math.nan, "8"])
+    def test_non_integer_horizon_rejected(self, sr, horizon):
+        # range() used to raise a bare TypeError
+        with pytest.raises(DomainError, match="horizon must be an integer, got "):
+            best_response_dynamics(sr, equal_split(), horizon=horizon)
+
+    def test_numpy_integer_horizon_accepted(self, sr):
+        result = best_response_dynamics(sr, equal_split(), horizon=np.int64(6))
+        assert result == best_response_dynamics(sr, equal_split(), horizon=6)
 
 
 class TestConstantSupport:

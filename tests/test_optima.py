@@ -263,7 +263,7 @@ class TestTailLimit:
         for c in (0.02 * d, 0.5 * d, 0.9 * d):
             h = 1e-6 * c
             diff = (self.upper(sr, c + h, mode) - self.upper(sr, c - h, mode)) / (2.0 * h)
-            slope = _band_upper_slope(sr, c, mode)
+            slope = _band_upper_slope(sr, c, mode, sr.probability(c))
             assert math.copysign(1.0, slope) == math.copysign(1.0, diff)
             assert slope / (1.0 - sr.probability(c)) ** 2 == pytest.approx(diff, rel=1e-6)
 

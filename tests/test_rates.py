@@ -127,6 +127,92 @@ class TestDomain:
                 custom_rate("c", sr.probability, sr.marginal, epsilon=eps)
 
 
+def _custom_sqrt():
+    def p(x):
+        s = math.sqrt(x)
+        return 0.8 * s / (1.0 + s)
+
+    def p_prime(x):
+        if x == 0.0:
+            return math.inf
+        s = math.sqrt(x)
+        return 0.8 / (2.0 * s * (1.0 + s) ** 2)
+
+    return custom_rate("custom_sqrt", p, p_prime, epsilon=0.2)
+
+
+ACCEPT_RATES = {
+    "sqrt_ratio": sqrt_ratio,
+    "scaled": lambda: scaled_sqrt_ratio(0.3),
+    "custom": _custom_sqrt,
+}
+CAP = 1e6  # every rate in ACCEPT_RATES has the default domain cap
+
+
+def _closure_value(sr, method, x):
+    # the evaluator's formula, read off the rate's own closures, on a float
+    p, d = sr._p, sr._p_prime
+    if method == "probability":
+        return p(x)
+    if method == "marginal":
+        return d(x)
+    if method == "incentive_prize":
+        if sr._prize is not None:
+            return sr._prize(x)
+        return 0.0 if x == 0.0 else p(x) / d(x)
+    if method == "incentive_prize_slope":
+        if sr._prize_slope is not None:
+            return sr._prize_slope(x)
+        h = min(max(1e-6, 1e-6 * x), 0.5 * x)
+        return (p(x + h) / d(x + h) - p(x - h) / d(x - h)) / (2.0 * h)
+    assert method == "required_return"
+    return 0.0 if x == 0.0 else 1.0 / d(x)
+
+
+class TestAcceptPath:
+    """Every evaluator gives the closure's bits on ``float(x)``, or the
+    domain error, whatever number type ``x`` has."""
+
+    @pytest.mark.parametrize("method", EVALUATORS)
+    @pytest.mark.parametrize("rate", ACCEPT_RATES)
+    @pytest.mark.parametrize("x", [
+        2, True, np.float64(0.3), np.float32(0.25), np.int64(3), 0.0, -0.0, 0.7, CAP,
+    ], ids=repr)
+    def test_same_bits_as_closure_on_float(self, rate, method, x):
+        sr = ACCEPT_RATES[rate]()
+        error = None
+        if method == "incentive_prize_slope" and x == 0.0:
+            error = "investment must be > 0 here"
+        elif method == "incentive_prize_slope" and rate == "custom" and x == CAP:
+            # the finite difference steps past the cap, so at the cap itself
+            # a custom rate's slope is a domain error (a known gap)
+            error = "investment 1e+06 exceeds domain cap 1e+06"
+        if error is not None:
+            with pytest.raises(DomainError, match=f"^{re.escape(f'{sr.name}: {error}')}$"):
+                getattr(sr, method)(x)
+            return
+        got = getattr(sr, method)(x)
+        assert type(got) is float
+        assert got.hex() == _closure_value(sr, method, float(x)).hex()
+
+    @pytest.mark.parametrize("method", EVALUATORS)
+    @pytest.mark.parametrize("rate", ACCEPT_RATES)
+    @pytest.mark.parametrize("x, message", [
+        (math.nextafter(CAP, math.inf), "investment 1e+06 exceeds domain cap 1e+06"),
+        (2_000_000, "investment 2e+06 exceeds domain cap 1e+06"),
+        (math.nan, "investment must be finite, got nan"),
+        (np.float64(math.nan), "investment must be finite, got nan"),
+        (math.inf, "investment must be finite, got inf"),
+        (-math.inf, "investment must be finite, got -inf"),
+        (-1e-9, "investment must be >= 0, got -1e-09"),
+        (-1, "investment must be >= 0, got -1.0"),
+    ], ids=repr)
+    def test_rejects_with_the_domain_message(self, rate, method, x, message):
+        sr = ACCEPT_RATES[rate]()
+        with pytest.raises(DomainError, match=f"^{re.escape(f'{sr.name}: {message}')}$"):
+            getattr(sr, method)(x)
+
+
 class TestScaledFamily:
     def test_probability_scaled(self, sr, sr_scaled, oracle):
         for x in (0.01, 0.3, 2.0):

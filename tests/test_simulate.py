@@ -268,11 +268,21 @@ class TestBadRates:
 class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("episodes", 0), ("seed", -1), ("max_chain_length", 0), ("shards", 0), ("payoff_horizon", -1),
+        # a float used to be rounded (1,001 episodes) or to reach numpy or
+        # range as a bare TypeError
+        ("episodes", 1000.7), ("seed", 1.5), ("shards", 2.0), ("payoff_horizon", 2.5),
+        ("max_chain_length", 3.5), ("episodes", math.nan), ("seed", "3"),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         # a negative seed used to reach numpy, which raised a plain ValueError
-        with pytest.raises(DomainError, match=f"{field} must be >= "):
+        wording = ">= " if isinstance(value, int) else "an integer, got "
+        with pytest.raises(DomainError, match=f"{field} must be {wording}"):
             SimulationConfig(**{field: value})
+
+    def test_integer_types_accepted(self):
+        # what operator.index accepts: numpy integers and bools too
+        config = SimulationConfig(episodes=np.int64(5), seed=True, shards=np.uint8(2))
+        assert (config.episodes, config.seed, config.shards) == (5, 1, 2)
 
 
 class TestEngineProperties:
