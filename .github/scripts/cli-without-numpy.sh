@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs the CLI from src/ in a virtual environment with nothing installed, so
-# without numpy: every command but simulate must work there.
+# without numpy: every command but simulate must work there, and simulate
+# must fail as a usage error (exit 2, an `error:` line, no traceback).
 # Usage, from the repository root: .github/scripts/cli-without-numpy.sh [python]
 set -euo pipefail
 work="$(mktemp -d)"
@@ -28,3 +29,9 @@ printf '[rule]\nkind = equal_split\n[profile]\ntail = 0.0883, prefix=[0.5]\n' > 
 code=0
 cli verify --config "$work/smuggled.cfg" || code=$?
 test "$code" -eq 2
+# simulate, the one command that needs numpy, names it and exits 2
+code=0
+cli simulate --rule kind=equal_split --profile tail=0.0883 --episodes 10 2> "$work/simulate.err" || code=$?
+test "$code" -eq 2
+grep -q '^error: simulate needs numpy' "$work/simulate.err"
+if grep -q Traceback "$work/simulate.err"; then exit 1; fi

@@ -314,6 +314,12 @@ def _cmd_region(args, cfg) -> tuple[Rows, int]:
 def _cmd_simulate(args, cfg) -> tuple[Rows, int]:
     from .simulate import SimulationConfig, summarize
 
+    # the one command that needs numpy: without it, an error line and
+    # exit 2, not a traceback and the exit status of a negative verdict
+    try:
+        import numpy  # noqa: F401
+    except ImportError as exc:
+        raise UsageError(f"simulate needs numpy: {exc}") from None
     sr = _resolve_rate(args, cfg)
     rule = _parse_rule(_fields(args, cfg, "rule"))
     profile = _parse_profile(_fields(args, cfg, "profile"))

@@ -487,9 +487,12 @@ def near_constant_bounds(
     sr: SuccessRate, c: float, gamma: float = 0.0
 ) -> tuple[float, float]:
     """Unclamped lower and upper required-return bounds for the initiator."""
+    # the tail first: a self-financed floor is the tail itself, and a bad
+    # tail is the caller's investment, not a floor they passed
+    ratio = sr.required_return(c)
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"floor must be finite and >= 0, got {gamma!r}")
-    return sr.required_return(c) + gamma - 2.0, _band_upper(sr, c, gamma, sr.probability(c))
+    return ratio + gamma - 2.0, _band_upper(sr, c, gamma, sr.probability(c))
 
 
 def near_constant_feasibility(

@@ -178,9 +178,12 @@ class SuccessRate:
     def incentive_prize_slope(self, x: float) -> float:
         """Derivative of :meth:`incentive_prize`.
 
-        Closed form for the built-in families; central finite difference
-        with step ``max(1e-6, 1e-6 * x)`` (clamped into the domain) for
-        custom rates.  Requires ``x > 0``.
+        Closed form for the built-in families.  For custom rates a
+        central finite difference with step ``h = min(max(1e-6, 1e-6 * x),
+        x / 2)``; where ``x + h`` would pass ``domain_cap`` (at the cap and
+        within ``h`` of it) the backward difference over ``[x - h, x]``,
+        so every ``x`` in ``(0, domain_cap]`` has a slope.  Requires
+        ``x > 0``.
         """
         if x.__class__ is not float or not 0.0 < x <= self.domain_cap:
             x = self._check(x, positive=True)
@@ -188,7 +191,9 @@ class SuccessRate:
             return self._prize_slope(x)
         h = max(1e-6, 1e-6 * x)
         h = min(h, 0.5 * x)
-        return (self.incentive_prize(x + h) - self.incentive_prize(x - h)) / (2.0 * h)
+        if x + h <= self.domain_cap:
+            return (self.incentive_prize(x + h) - self.incentive_prize(x - h)) / (2.0 * h)
+        return (self.incentive_prize(x) - self.incentive_prize(x - h)) / h
 
     def required_return(self, x: float) -> float:
         """Return ratio ``incentive_prize(x) / p(x) = 1 / p'(x)``.

@@ -20,21 +20,27 @@ is discarded or truncated, and ``discarded`` is always 0.  Only a tail
 that never fails (``p_tail == 1``) or chains too long to tabulate raise
 :class:`ChainCapError`.
 
-Aggregation is a few weighted sums over the histogram.  The number of
-episodes reaching agent ``i`` is the suffix sum of the histogram from
-``i``, all taken from one reverse cumulative sum.  Agent ``i``'s payoff
-row is ``rule.value(i, k)`` for ``k >= i``; from ``rule.stationary_from``
+Aggregation is a few weighted sums over the histogram, cast once to
+float64 weights (exact below 2**53 episodes a bin, and the cast ``dot``
+makes on an int64 histogram anyway).  The number of episodes reaching
+agent ``i`` is the suffix sum of the histogram from ``i``, all taken
+from one reverse cumulative sum.  Agent ``i``'s net payoff row is
+``rule.value(i, k) - x_i`` for ``k >= i``; from ``rule.stationary_from``
 on every column has the same rewards by offset, so that row is built
-once and each later agent uses a prefix of it (a drifting rule builds
-every column).  Each sum is the same dot product over the same values
-as the per-agent definition, so summaries equal it exactly.
+once and, while the investment stays the same, each later agent takes a
+prefix view of it (a drifting rule builds every column, and an agent
+with a new investment subtracts it afresh).  Each statistic is two dot
+products over its own suffix of the weights, the same values in the same
+order as the per-agent definition, so summaries equal it exactly.
 
 Randomness comes from counter-based Philox streams.  Shards draw from
 generators spawned off one seed sequence (``SeedSequence(seed).spawn``),
 so they are independent by construction without communication, and the
 merge -- summing histograms -- is associative and deterministic given
 the shard plan.  Identical seed and configuration reproduce summaries
-bit for bit.
+bit for bit with one numpy build on one machine: ``dot`` runs on the
+BLAS kernel chosen for the CPU, which fixes how its sums are blocked,
+and NEP 19 does not fix ``Generator`` streams across numpy versions.
 
 numpy is imported on first use, inside the functions that draw or
 aggregate, so importing this module, as the first use of the package
@@ -220,9 +226,9 @@ def terminal_samples(
     return np.repeat(np.arange(hist.size), hist)
 
 
-def _stat(hist: np.ndarray, values: np.ndarray, n: int) -> Stat:
-    """Mean and standard error of ``values`` weighted by ``hist``, whose
-    total is ``n``."""
+def _stat(weights: np.ndarray, values: np.ndarray, n: int) -> Stat:
+    """Mean and standard error of ``values`` weighted by ``weights``, whose
+    total is ``n``; ``values`` is left as it is."""
     if n == 0:
         return Stat(math.nan, math.nan)
     # moments about values[-1], whose bin every histogram reaches (it ends
@@ -230,11 +236,13 @@ def _stat(hist: np.ndarray, values: np.ndarray, n: int) -> Stat:
     # mean and a standard error of exactly 0, not rounding noise
     anchor = values[-1]
     dev = values - anchor
-    shift = float(hist @ dev) / n
+    shift = float(weights.dot(dev)) / n
     mean = float(anchor) + shift
     if n == 1:
         return Stat(mean, math.nan)
-    var = float(hist @ (dev - shift) ** 2) / (n - 1)
+    dev -= shift
+    dev *= dev
+    var = float(weights.dot(dev)) / (n - 1)
     return Stat(mean, math.sqrt(var / n))
 
 
@@ -252,32 +260,41 @@ def summarize(
     reached = np.cumsum(hist[::-1])[::-1]
     episodes = int(reached[0])
     kmax = hist.size - 1
+    # exact while every count is below 2**53; dot casts int64 the same way
+    weights = hist.astype(np.float64)
     ks = np.arange(hist.size, dtype=np.float64)
     head = profile.prefix[: hist.size]
     investments = np.cumsum(
         np.concatenate([head, np.full(hist.size - len(head), profile.tail)])
     )
 
-    terminal = _stat(hist, ks, episodes)
+    terminal = _stat(weights, ks, episodes)
     value = Stat(terminal.mean + 1.0, terminal.se)
-    investment = _stat(hist, investments, episodes)
-    welfare = _stat(hist, ks + 1.0 - investments, episodes)
+    investment = _stat(weights, investments, episodes)
+    welfare = _stat(weights, ks + 1.0 - investments, episodes)
 
     start = rule.stationary_from
     payoffs = []
     for i in range(min(config.payoff_horizon, kmax) + 1):
-        sub = hist[i:]
+        size = hist.size - i
+        x = profile.at(i)
         if start is None or i <= start:
             # rule.value(i, k) for k >= i: the column's entries, then its tail
             col = rule.column(i)
-            entries = col.entries[: sub.size]
-            extra = np.arange(sub.size - len(entries), dtype=np.float64)
+            entries = col.entries[:size]
+            extra = np.arange(size - len(entries), dtype=np.float64)
             rewards = np.concatenate([entries, col.tail + col.slope * extra])
+            net = rewards - x
+        elif x != net_x:
+            # a shifted copy of column i - 1, the same rewards by offset, at
+            # a new investment
+            net = rewards[:size] - x
         else:
-            # a shifted copy of column i - 1: the same rewards by offset
-            rewards = rewards[: sub.size]
+            # the same rewards and investment: a prefix of agent i - 1's row
+            net = net[:size]
+        net_x = x
         n = int(reached[i])
-        stat = _stat(sub, rewards - profile.at(i), n)
+        stat = _stat(weights[i:], net, n)
         payoffs.append(PayoffStat(i, n, stat.mean, stat.se))
 
     return SimulationSummary(

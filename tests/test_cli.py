@@ -587,7 +587,16 @@ class TestNumpyFreeStartup:
 
     def test_simulate_still_needs_numpy(self, numpy_blocked_runs):
         # the control for the test above: the block does reach the engine
-        assert numpy_blocked_runs["simulate"] == ("ImportError", "")
+        assert numpy_blocked_runs["simulate"] == (2, "")
+
+    def test_simulate_without_numpy_is_a_usage_error(self, monkeypatch, capsys):
+        # it used to end in a ModuleNotFoundError traceback and exit 1, the
+        # status of a negative verdict
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert main(SIMULATE) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: simulate needs numpy: ") and err.count("\n") == 1
 
 
 # Runs the argv ``sys.argv[1]`` through ``main`` in a fresh process and prints

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from seqinvest import (
     BracketError,
     ConstantTailProfile,
+    DomainError,
     Mode,
     constant_profile,
     constant_support_check,
@@ -309,6 +311,16 @@ class TestRegion:
         assert rows[-1].upper is None
         for row in rows:
             assert type(row.c) is float and type(row.diagonal) is float
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("c, message", [
+        (-0.1, "investment must be >= 0, got -0.1"),
+        (math.nan, "investment must be finite, got nan"),
+    ])
+    def test_bad_tail_named_as_investment(self, sr, mode, c, message):
+        # the self-financed sweep used to blame its floor, which is the tail
+        with pytest.raises(DomainError, match=f"^sqrt_ratio: {re.escape(message)}$"):
+            region_sweep(sr, [c], mode)
 
 
 class TestCapsNearOne:

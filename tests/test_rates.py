@@ -164,6 +164,8 @@ def _closure_value(sr, method, x):
         if sr._prize_slope is not None:
             return sr._prize_slope(x)
         h = min(max(1e-6, 1e-6 * x), 0.5 * x)
+        if x + h > sr.domain_cap:
+            return (p(x) / d(x) - p(x - h) / d(x - h)) / h
         return (p(x + h) / d(x + h) - p(x - h) / d(x - h)) / (2.0 * h)
     assert method == "required_return"
     return 0.0 if x == 0.0 else 1.0 / d(x)
@@ -177,18 +179,15 @@ class TestAcceptPath:
     @pytest.mark.parametrize("rate", ACCEPT_RATES)
     @pytest.mark.parametrize("x", [
         2, True, np.float64(0.3), np.float32(0.25), np.int64(3), 0.0, -0.0, 0.7, CAP,
+        # within one finite-difference step of the cap (h is 1 there; a
+        # custom rate's slope used to step past the cap and raise), and
+        # just outside that step
+        CAP - 0.1, CAP - 0.9, CAP - 2.0,
     ], ids=repr)
     def test_same_bits_as_closure_on_float(self, rate, method, x):
         sr = ACCEPT_RATES[rate]()
-        error = None
         if method == "incentive_prize_slope" and x == 0.0:
-            error = "investment must be > 0 here"
-        elif method == "incentive_prize_slope" and rate == "custom" and x == CAP:
-            # the finite difference steps past the cap, so at the cap itself
-            # a custom rate's slope is a domain error (a known gap)
-            error = "investment 1e+06 exceeds domain cap 1e+06"
-        if error is not None:
-            with pytest.raises(DomainError, match=f"^{re.escape(f'{sr.name}: {error}')}$"):
+            with pytest.raises(DomainError, match=f"^{re.escape(sr.name)}: investment must be > 0 here$"):
                 getattr(sr, method)(x)
             return
         got = getattr(sr, method)(x)
@@ -273,7 +272,8 @@ class TestValidation:
 
     def test_custom_wrapper_matches_builtin(self, sr):
         mirror = custom_rate("mirror", sr.probability, sr.marginal)
-        for x in (0.02, 0.3, 4.0):
+        # the cap and a point within one step of it take the backward difference
+        for x in (0.02, 0.3, 4.0, CAP - 0.1, CAP):
             assert mirror.incentive_prize(x) == pytest.approx(
                 sr.incentive_prize(x), rel=1e-12
             )

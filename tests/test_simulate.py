@@ -220,6 +220,11 @@ _AGGREGATION_CASES = {
     "shards=3": lambda sr, o, rule, prof: (
         equal_split(), ConstantTailProfile((), o.c_star), {"shards": 3}
     ),
+    # stationary agents inside the prefix, each investing differently: the
+    # shared net-reward row is rebuilt for each of them
+    "stationary_in_prefix": lambda sr, o, rule, prof: (
+        equal_split(), ConstantTailProfile((0.1, 0.2, 0.05, 0.3), 0.08), {}
+    ),
 }
 
 
@@ -243,6 +248,26 @@ class TestAggregation:
             np.testing.assert_equal((pay.mean, pay.se), (stat.mean, stat.se))
         if case == "short_histogram":
             assert hist.size <= config.payoff_horizon
+        if case == "stationary_in_prefix":
+            assert rule.stationary_from < len(profile.prefix) < config.payoff_horizon < hist.size
+
+    @pytest.mark.parametrize("counts", [
+        [1],
+        [0, 0, 1],
+        [3, 0, 5, 1],
+        [999_983, 1_000_003, 12, 0, 999_999, 7, 1],
+    ], ids=repr)
+    def test_stat_same_bits_on_int_and_float_weights(self, counts):
+        # summarize passes float64 weights; dot casts an int64 histogram to
+        # the same values, so both give the same bits
+        hist = np.asarray(counts, dtype=np.int64)
+        values = np.linspace(-0.37, 2.9, hist.size) ** 3
+        before = values.copy()
+        n = int(hist.sum())
+        exact = _stat(hist, values, n)
+        floats = _stat(hist.astype(np.float64), values, n)
+        assert [v.hex() for v in floats] == [v.hex() for v in exact]
+        np.testing.assert_array_equal(values, before)  # values left as they are
 
 
 class TestBadRates:
