@@ -2,6 +2,8 @@
 # Runs the CLI from src/ in a virtual environment with nothing installed, so
 # without numpy: every command but simulate must work there, and simulate
 # must fail as a usage error (exit 2, an `error:` line, no traceback).
+# `rule print` must also start without loading the equilibrium layer or the
+# solvers, as read from `python -X importtime` on stderr.
 # Usage, from the repository root: .github/scripts/cli-without-numpy.sh [python]
 set -euo pipefail
 work="$(mktemp -d)"
@@ -14,6 +16,11 @@ golden_stdout() { sed '1d;$d' "tests/golden/$1.txt"; }
 cli optima
 # stdout itself, byte for byte, not only the exit code
 cli rule print --rule kind=jackpot --rows 8 | diff - <(golden_stdout rule_print)
+# the modules rule print imports: the rules layer, and not equilibrium or solvers
+PYTHONPATH=src "$work/bare/bin/python" -X importtime -m seqinvest.cli \
+  rule print --rule kind=jackpot --rows 8 > /dev/null 2> "$work/rule_print.imports"
+grep -Eq '\| +seqinvest\.rules$' "$work/rule_print.imports"
+if grep -E '\| +seqinvest\.(equilibrium|solvers)$' "$work/rule_print.imports"; then exit 1; fi
 # best responses and verification, through dynamics and synthesis
 cli dynamics --rule kind=jackpot --rate scaled_sqrt_ratio --epsilon 0.7071 --horizon 12
 cli synthesize --x0 0.06 --c 0.12

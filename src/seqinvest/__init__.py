@@ -53,7 +53,7 @@ _EXPORTS = {
     ),
     "simulate": (
         "PayoffStat", "SimulationConfig", "SimulationSummary", "Stat", "summarize",
-        "terminal_histogram", "terminal_samples",
+        "terminal_histogram",
     ),
     "solvers": (),
 }

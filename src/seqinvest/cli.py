@@ -13,10 +13,15 @@ its top-level commas; a config section is used as read, so a comma in a
 config value belongs to the value.  Handlers return rows and an exit
 status, and ``main`` alone writes them, so a failed command writes no
 output file.  Output is aligned text by default; ``--format csv|tsv``
-emits machine-readable rows whose floats round-trip exactly.  The
-optimum programs, the simulation engine and configparser are imported
-inside the handlers that use them, so each command loads only its own
-modules.
+emits machine-readable rows whose floats round-trip exactly.
+
+Each command loads only its own modules: the handlers import the layers
+they call.  ``verify``, ``synthesize`` and ``dynamics`` import the
+equilibrium layer, ``optima`` and ``region`` the optimum programs (which
+load it too), ``simulate`` the simulation engine, and only ``--config``
+loads configparser.  The parser itself needs none of them, so ``rule
+print`` and ``simulate`` load neither the equilibrium layer nor the
+solvers.
 """
 
 from __future__ import annotations
@@ -29,14 +34,6 @@ import sys
 from typing import Iterable, Sequence
 
 from . import __version__
-from .equilibrium import (
-    TOL_EQ,
-    Mode,
-    best_response_dynamics,
-    near_constant_feasibility,
-    synthesize_rule,
-    verify_equilibrium,
-)
 from .errors import SeqInvestError
 from .profiles import ConstantTailProfile
 from .rates import SuccessRate, rate_from_config, validate
@@ -233,11 +230,14 @@ def _cmd_optima(args, cfg) -> tuple[Rows, int]:
 
 
 def _cmd_verify(args, cfg) -> tuple[Rows, int]:
+    from .equilibrium import TOL_EQ, Mode, verify_equilibrium
+
     sr = _resolve_rate(args, cfg)
     rule = _parse_rule(_fields(args, cfg, "rule"))
     profile = _parse_profile(_fields(args, cfg, "profile"))
     mode = Mode.SELF_FINANCED if args.self_financed else Mode.UNCONSTRAINED
-    report = verify_equilibrium(sr, rule, profile, mode=mode, tol=args.tol_eq)
+    tol = TOL_EQ if args.tol_eq is None else args.tol_eq
+    report = verify_equilibrium(sr, rule, profile, mode=mode, tol=tol)
     rows: Rows = [
         ("verdict", report.verdict, ""),
         ("mode", mode.value, ""),
@@ -259,6 +259,8 @@ def _cmd_verify(args, cfg) -> tuple[Rows, int]:
 
 
 def _cmd_synthesize(args, cfg) -> tuple[Rows, int]:
+    from .equilibrium import Mode, near_constant_feasibility, synthesize_rule, verify_equilibrium
+
     sr = _resolve_rate(args, cfg)
     feas = near_constant_feasibility(sr, args.x0, args.c, args.gamma)
     rows: Rows = [
@@ -279,6 +281,8 @@ def _cmd_synthesize(args, cfg) -> tuple[Rows, int]:
 
 
 def _cmd_dynamics(args, cfg) -> tuple[Rows, int]:
+    from .equilibrium import best_response_dynamics
+
     sr = _resolve_rate(args, cfg)
     rule = _parse_rule(_fields(args, cfg, "rule"))
     init = _parse_profile(_parse_kv(args.init, "profile")) if args.init else None
@@ -300,12 +304,12 @@ def _cmd_region(args, cfg) -> tuple[Rows, int]:
     from .optima import region_sweep, tail_limit
 
     sr = _resolve_rate(args, cfg)
-    mode = Mode(args.mode)
-    c_max = tail_limit(sr, mode) if args.c_max is None else args.c_max
+    # both take the mode's value string and convert it
+    c_max = tail_limit(sr, args.mode) if args.c_max is None else args.c_max
     step = c_max / (args.points + 1)
     grid = [step * (j + 1) for j in range(args.points)]
     rows: Rows = [("c", "diagonal", "lower", "upper")]
-    for row in region_sweep(sr, grid, mode):
+    for row in region_sweep(sr, grid, args.mode):
         bounds = ("" if v is None else v for v in (row.lower, row.upper))
         rows.append((row.c, row.diagonal, *bounds))
     return rows, 0
@@ -390,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", help='e.g. "kind=equal_split" or "kind=fixed_fraction,alpha=0.4"')
     p.add_argument("--profile", help='e.g. "prefix=[0.0995],tail=0.0264"')
     p.add_argument("--self-financed", action="store_true")
-    p.add_argument("--tol-eq", type=float, default=TOL_EQ, dest="tol_eq",
+    # None stands for equilibrium.TOL_EQ, read by the handler: the parser
+    # of every command would otherwise load the equilibrium layer
+    p.add_argument("--tol-eq", type=float, default=None, dest="tol_eq",
                    help="best-response residual tolerance")
     p.set_defaults(handler=_cmd_verify)
 
@@ -411,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", help="near-constant support-region boundary curves")
     _add_common(p)
-    p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.UNCONSTRAINED.value)
+    # the values of equilibrium.Mode, written out for the same reason
+    p.add_argument("--mode", choices=["unconstrained", "self_financed"], default="unconstrained")
     p.add_argument("--points", type=int, default=256)
     p.add_argument("--c-max", type=float, default=None, dest="c_max")
     p.set_defaults(handler=_cmd_region)

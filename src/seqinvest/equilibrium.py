@@ -91,8 +91,24 @@ class Mode(enum.Enum):
 
 # Compared against in the per-point and per-agent loops: reading a member
 # through the Enum class costs about 230 to 250 ns on Python 3.10 and 3.11 (a
-# metaclass lookup), against about 15 ns for this module global.
+# metaclass lookup), against about 15 ns for a module global.
 _SELF_FINANCED = Mode.SELF_FINANCED
+_UNCONSTRAINED = Mode.UNCONSTRAINED
+
+
+def _as_mode(mode: Mode | str) -> Mode:
+    # once on entry to each public function that takes a mode: a member
+    # passes by identity, a value string converts, anything else is named;
+    # unconverted, "self_financed" is not _SELF_FINANCED, so it would run
+    # the unconstrained checks
+    if mode is _UNCONSTRAINED or mode is _SELF_FINANCED:
+        return mode
+    try:
+        return Mode(mode)
+    except ValueError:
+        raise DomainError(
+            f"mode must be a Mode or one of {[m.value for m in Mode]}, got {mode!r}"
+        ) from None
 
 
 def investment_for_return(sr: SuccessRate, t: float) -> float:
@@ -201,7 +217,7 @@ def check_agent(
     rule: StationaryColumnRule,
     x: ConstantTailProfile,
     i: int,
-    mode: Mode = Mode.UNCONSTRAINED,
+    mode: Mode | str = Mode.UNCONSTRAINED,
     tol: float = TOL_EQ,
 ) -> AgentCheck:
     """Best-response residual of a single agent at the profile.
@@ -211,8 +227,11 @@ def check_agent(
     return, floored at 0, must match its required return (0 for an
     investment of 0); in self-financed mode an investment at the budget
     ``f(i, i)`` may leave excess return.
-    Raises :class:`DomainError` for a non-finite or negative ``tol``.
+    ``mode`` is a :class:`Mode` or its value string.  Raises
+    :class:`DomainError` for any other mode and for a non-finite or
+    negative ``tol``.
     """
+    mode = _as_mode(mode)
     _check_tol(tol)
     return _check_column(sr, x, x.at(i), rule.column(i), mode, tol)
 
@@ -248,7 +267,7 @@ def verify_equilibrium(
     sr: SuccessRate,
     rule: StationaryColumnRule,
     x: ConstantTailProfile,
-    mode: Mode = Mode.UNCONSTRAINED,
+    mode: Mode | str = Mode.UNCONSTRAINED,
     tol: float = TOL_EQ,
 ) -> EquilibriumReport:
     """Does the rule support the profile?
@@ -259,10 +278,12 @@ def verify_equilibrium(
     for bit (module docstring).  In self-financed mode additionally
     enforces the budget ``x_i <= f(i,i)`` and the structural condition
     ``f(i, i) <= f(i, j)``.  A NaN residual, budget overrun or floor gap
-    fails its test.  Raises
-    :class:`DomainError` for a non-finite or negative ``tol``, checked
+    fails its test.  ``mode`` is a :class:`Mode` or its value string, and
+    the report holds the :class:`Mode`.  Raises :class:`DomainError` for
+    any other mode and for a non-finite or negative ``tol``, each checked
     once for all agents; each agent's column is read once.
     """
+    mode = _as_mode(mode)
     _check_tol(tol)
     stationary = rule.stationary_from
     if stationary is None:

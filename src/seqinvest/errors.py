@@ -44,14 +44,20 @@ class ChainCapError(SeqInvestError):
     """A simulated chain exceeded the configured safety cap."""
 
 
-def _check_count(name: str, value: int, least: int) -> None:
+def _index(name: str, value: int) -> int:
     # an integer field or argument: anything ``operator.index`` accepts
-    # (int, bool, a numpy integer) and at least ``least``; a float such as
-    # 1000.7 would otherwise be rounded or reach numpy or ``range`` as a
-    # bare TypeError
+    # (int, bool, a numpy integer), as a Python int; a float such as 1000.7
+    # would otherwise be truncated, used as an exponent, or reach numpy or
+    # ``range`` as a bare TypeError
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
+
+
+def _check_count(name: str, value: int, least: int) -> int:
+    # an integer (``_index``) of at least ``least``
+    index = _index(name, value)
+    if index < least:
         raise DomainError(f"{name} must be >= {least}, got {value}")
+    return index

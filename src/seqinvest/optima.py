@@ -55,6 +55,7 @@ from typing import NamedTuple
 from .equilibrium import (
     EquilibriumReport,
     Mode,
+    _as_mode,
     _band_headroom,
     _band_upper,
     _band_upper_slope,
@@ -153,12 +154,15 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
     )
 
 
-def tail_limit(sr: SuccessRate, mode: Mode = Mode.UNCONSTRAINED) -> float:
+def tail_limit(sr: SuccessRate, mode: Mode | str = Mode.UNCONSTRAINED) -> float:
     """Largest tail with a non-negative upper support bound, to ``1e-15``.
 
     Where the prize plus the mode's floor (``c`` when self-financed, else
     0) reaches 1; the floor is the only self-financed constraint applied.
+    ``mode`` is a :class:`Mode` or its value string; any other value raises
+    :class:`DomainError`.
     """
+    mode = _as_mode(mode)
     return bisect(lambda c: _band_headroom(sr, c, _floor(mode, c)), _EDGE, 1.0,
                   limit=sr.domain_cap, xtol=1e-15)
 
@@ -288,7 +292,7 @@ class RegionRow(NamedTuple):
 
 
 def region_sweep(
-    sr: SuccessRate, c_values, mode: Mode = Mode.UNCONSTRAINED
+    sr: SuccessRate, c_values, mode: Mode | str = Mode.UNCONSTRAINED
 ) -> list[RegionRow]:
     """Support-region boundary over a tail grid.
 
@@ -297,8 +301,11 @@ def region_sweep(
     ones because the floor tightens both bounds.  ``c_values`` is any
     iterable of reals, a numpy grid included: each value is converted with
     ``float()`` once, so the bounds are float arithmetic, not numpy scalar
-    arithmetic, and every row holds Python floats.
+    arithmetic, and every row holds Python floats.  ``mode`` is a
+    :class:`Mode` or its value string, converted once; any other value
+    raises :class:`DomainError`.
     """
+    mode = _as_mode(mode)
     rows: list[RegionRow] = []
     for c in c_values:
         c = float(c)

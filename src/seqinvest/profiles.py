@@ -37,9 +37,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DivergenceError, DomainError, InfeasibleError
+from .errors import DivergenceError, DomainError, InfeasibleError, _check_count
 from .rates import SuccessRate
-from .solvers import bisect
 
 _FLATTEN_XTOL = 1e-12
 _FLATTEN_VTOL = 1e-10
@@ -105,9 +104,12 @@ class FunctionalValues(NamedTuple):
 
 
 def reach_probability(sr: SuccessRate, x: ConstantTailProfile, j: int) -> float:
-    """Probability that agent ``j`` is reached: product of p over agents < j."""
-    if j < 0:
-        raise DomainError(f"agent index must be >= 0, got {j}")
+    """Probability that agent ``j`` is reached: product of p over agents < j.
+
+    ``j`` is an integer (anything ``operator.index`` accepts) of at least 0,
+    or :class:`DomainError` is raised.
+    """
+    j = _check_count("agent index", j, 0)
     out = 1.0
     m = min(j, x.prefix_len)
     for i in range(m):
@@ -192,6 +194,10 @@ def flatten_tail(sr: SuccessRate, x: ConstantTailProfile, k: int) -> ConstantTai
         )
     if k == x.prefix_len:
         return x
+    # imported here, its only use, so that loading profiles (as every rule
+    # does) leaves the solver layer unloaded
+    from .solvers import bisect
+
     target = expected_value(sr, x)
     head = tuple(x.prefix[:k])
     if reach_probability(sr, x, k) <= 1e-300:

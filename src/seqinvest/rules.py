@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import DomainError, RuleConstructionError
+from .errors import DomainError, RuleConstructionError, _index
 from .profiles import ConstantTailProfile, _reach_series, incentive_cost
 from .rates import SuccessRate
 
@@ -280,7 +280,9 @@ class Perturbed(StationaryColumnRule):
     unchanged: explicit entries must cancel within each row and the tail
     deltas across columns, otherwise the balance bound fails with the
     offending row.  The touched columns become explicit leading columns;
-    the base's pattern carries on past them.
+    the base's pattern carries on past them.  Every index is an integer
+    (anything ``operator.index`` accepts), or :class:`DomainError` is
+    raised naming it.
     """
 
     def __init__(
@@ -289,8 +291,14 @@ class Perturbed(StationaryColumnRule):
         entries: tuple[tuple[tuple[int, int], float], ...] = (),
         column_tails: tuple[tuple[int, tuple[int, float]], ...] = (),
     ) -> None:
-        entries = tuple(((int(i), int(k)), float(v)) for (i, k), v in entries)
-        tails = tuple((int(i), (int(k0), float(v))) for i, (k0, v) in column_tails)
+        entries = tuple(
+            ((_index("entries column", i), _index("entries row", k)), float(v))
+            for (i, k), v in entries
+        )
+        tails = tuple(
+            (_index("column_tails column", i), (_index("column_tails start", k0), float(v)))
+            for i, (k0, v) in column_tails
+        )
         cells: dict[int, list[tuple[int, float]]] = {}
         shifts: dict[int, list[tuple[int, float]]] = {}
         for (i, k), v in entries:

@@ -46,16 +46,18 @@ numpy is imported on first use, inside the functions that draw or
 aggregate, so importing this module, as the first use of the package
 and the CLI's ``simulate`` command do, does not load numpy.
 
-:class:`SimulationConfig` is a frozen dataclass because construction
-validates its fields; the summaries (:class:`Stat`, :class:`PayoffStat`,
-:class:`SimulationSummary`) are computed, so they are ``typing.NamedTuple``
-classes: they unpack and index like tuples and are copied with ``._replace``.
+Every record here is a ``typing.NamedTuple``: it unpacks and indexes like
+a tuple and is copied with ``._replace``.  :class:`SimulationConfig`
+validates its fields on construction, like a rule's ``Column``: a subclass
+of its field tuple whose ``__new__`` checks every field, and whose
+``_replace`` builds through that check too.  The summaries
+(:class:`Stat`, :class:`PayoffStat`, :class:`SimulationSummary`) are
+computed, so they are the plain records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ChainCapError, DomainError, _check_count
@@ -70,8 +72,15 @@ if TYPE_CHECKING:
 _HISTOGRAM_LIMIT = 1 << 22
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class _SimulationConfigFields(NamedTuple):
+    episodes: int = 1_000_000
+    seed: int = 0
+    max_chain_length: int = 10_000
+    shards: int = 1
+    payoff_horizon: int = 8
+
+
+class SimulationConfig(_SimulationConfigFields):
     """Engine parameters; the profile and rule are passed alongside.
 
     ``max_chain_length`` is the number of binomial thinning steps before
@@ -81,21 +90,31 @@ class SimulationConfig:
     is reported.  Every field is an integer, anything ``operator.index``
     accepts (a numpy integer too); any other value, ``1000.7`` or ``2.0``
     included, or one out of range raises :class:`DomainError` naming the
-    field.
+    field.  A config is an immutable tuple record, so it also equals a
+    plain tuple of the same five values.
     """
 
-    episodes: int = 1_000_000
-    seed: int = 0
-    max_chain_length: int = 10_000
-    shards: int = 1
-    payoff_horizon: int = 8
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_count("episodes", self.episodes, 1)
-        _check_count("seed", self.seed, 0)
-        _check_count("max_chain_length", self.max_chain_length, 1)
-        _check_count("shards", self.shards, 1)
-        _check_count("payoff_horizon", self.payoff_horizon, 0)
+    def __new__(
+        cls,
+        episodes: int = 1_000_000,
+        seed: int = 0,
+        max_chain_length: int = 10_000,
+        shards: int = 1,
+        payoff_horizon: int = 8,
+    ) -> SimulationConfig:
+        _check_count("episodes", episodes, 1)
+        _check_count("seed", seed, 0)
+        _check_count("max_chain_length", max_chain_length, 1)
+        _check_count("shards", shards, 1)
+        _check_count("payoff_horizon", payoff_horizon, 0)
+        return tuple.__new__(cls, (episodes, seed, max_chain_length, shards, payoff_horizon))
+
+    @classmethod
+    def _make(cls, iterable) -> SimulationConfig:
+        # ``_replace`` builds through ``_make``, so copies are checked too
+        return cls(*iterable)
 
 
 class Stat(NamedTuple):
@@ -214,16 +233,6 @@ def terminal_histogram(
             merged[: counts.size] += counts
         discarded += dropped
     return merged, discarded
-
-
-def terminal_samples(
-    sr: SuccessRate, profile: ConstantTailProfile, config: SimulationConfig
-) -> np.ndarray:
-    """Terminal indices of all episodes, expanded from the histogram."""
-    import numpy as np
-
-    hist, _ = terminal_histogram(sr, profile, config)
-    return np.repeat(np.arange(hist.size), hist)
 
 
 def _stat(weights: np.ndarray, values: np.ndarray, n: int) -> Stat:

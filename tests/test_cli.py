@@ -1,5 +1,6 @@
 """Exit statuses, output formats, and config handling of the CLI."""
 
+import argparse
 import io
 import json
 import os
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import seqinvest
-from seqinvest import BracketError, Mode, region_sweep, tail_limit
-from seqinvest.cli import _emit, main
+from seqinvest import BracketError, Mode, equilibrium, region_sweep, tail_limit
+from seqinvest.cli import _emit, build_parser, main
+from seqinvest.equilibrium import TOL_EQ
 
 
 def run(capsys, *argv):
@@ -623,8 +625,7 @@ class TestImportsPerCommand:
         assert code in (0, 1)
         return set(modules)
 
-    @pytest.mark.parametrize("name", ["rule_print", "verify", "verify_self_financed",
-                                      "synthesize", "dynamics"])
+    @pytest.mark.parametrize("name", ["verify", "verify_self_financed", "synthesize", "dynamics"])
     def test_light_commands(self, name):
         loaded = self.loaded(README_COMMANDS[name])
         assert {"cli", "equilibrium", "rules", "rates"} <= loaded
@@ -632,10 +633,37 @@ class TestImportsPerCommand:
 
     @pytest.mark.parametrize("name", ["optima", "region"])
     def test_optimum_commands_skip_the_simulation(self, name):
-        assert self.loaded(README_COMMANDS[name]) & _HEAVY == {"optima"}
+        loaded = self.loaded(README_COMMANDS[name])
+        assert loaded & _HEAVY == {"optima"}
+        assert "equilibrium" in loaded
 
     def test_simulate_skips_the_optima(self):
         assert self.loaded(SIMULATE) & _HEAVY == {"simulate"}
+
+    @pytest.mark.parametrize("argv", [README_COMMANDS["rule_print"], SIMULATE],
+                             ids=["rule_print", "simulate"])
+    def test_rule_print_and_simulate_skip_equilibrium_and_solvers(self, argv):
+        loaded = self.loaded(argv)
+        assert {"cli", "rules", "profiles", "rates"} <= loaded
+        assert not loaded & {"equilibrium", "solvers", "optima"}
+
+    def test_parser_literals_match_the_equilibrium_layer(self, capsys, monkeypatch):
+        # the parser spells out the mode values and leaves the tolerance to
+        # the handler, which would otherwise load the equilibrium layer
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        mode = next(a for a in commands.choices["region"]._actions if a.dest == "mode")
+        assert mode.choices == [m.value for m in Mode]
+        assert Mode(mode.default) is Mode.UNCONSTRAINED
+        assert parser.parse_args(["verify"]).tol_eq is None
+        tols = []
+        real = equilibrium.verify_equilibrium
+        monkeypatch.setattr(equilibrium, "verify_equilibrium",
+                            lambda *a, tol, **kw: tols.append(tol) or real(*a, tol=tol, **kw))
+        argv = ["verify", "--rule", "kind=equal_split", "--profile", "tail=0.0883"]
+        # 0.0883 rounds c* = 0.088302: outside TOL_EQ, inside 1e-4
+        assert [run(capsys, *argv)[0], run(capsys, *argv, "--tol-eq", "1e-4")[0]] == [1, 0]
+        assert tols == [TOL_EQ, 1e-4]
 
     def test_config_file_loads_configparser(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,6 +1,7 @@
 """Best responses, verification, bounds, dynamics, and rule synthesis."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -288,6 +289,38 @@ class TestSelfFinancedVerify:
         value = expected_value(sr, profile)
         assert value >= incentive_cost(sr, profile) + profile.at(0) - 1e-8
         assert implied_value(sr, rule, profile) <= value + 1e-8
+
+
+class TestModeArgument:
+    """A mode is a ``Mode`` or its value string, converted once on entry;
+    a value string used to run the unconstrained checks."""
+
+    @staticmethod
+    def budget_corner(sr):
+        # the tail agents sit at their budget: supported only when self-financed
+        gamma = 0.02
+        profile = ConstantTailProfile((investment_for_return(sr, 1.0 - gamma),), gamma)
+        return fixed_fraction_floor(1.0, gamma), profile
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_value_string_runs_its_mode(self, sr, mode):
+        rule, profile = self.budget_corner(sr)
+        report = verify_equilibrium(sr, rule, profile, mode=mode.value)
+        assert report == verify_equilibrium(sr, rule, profile, mode=mode)
+        assert report.mode is mode
+        assert report.supported == (mode is Mode.SELF_FINANCED)
+        chk = check_agent(sr, rule, profile, 1, mode.value)
+        assert chk == check_agent(sr, rule, profile, 1, mode)
+        assert chk.corner == ("budget" if mode is Mode.SELF_FINANCED else "")
+
+    @pytest.mark.parametrize("mode", ["bogus", "SELF_FINANCED", None, 1, ["self_financed"]])
+    def test_other_values_rejected(self, sr, mode):
+        rule, profile = self.budget_corner(sr)
+        message = f"^mode must be a Mode or one of .*, got {re.escape(repr(mode))}$"
+        with pytest.raises(DomainError, match=message):
+            verify_equilibrium(sr, rule, profile, mode=mode)
+        with pytest.raises(DomainError, match=message):
+            check_agent(sr, rule, profile, 0, mode)
 
 
 class TestBounds:

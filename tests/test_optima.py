@@ -323,6 +323,37 @@ class TestRegion:
             region_sweep(sr, [c], mode)
 
 
+class TestModeArgument:
+    """``tail_limit`` and ``region_sweep`` take a ``Mode`` or its value
+    string; a value string used to give the unconstrained answer."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_value_string_gives_its_mode(self, sr, oracle, mode):
+        limit = tail_limit(sr, mode.value)
+        assert limit == tail_limit(sr, mode)
+        want = oracle.c_max_sf if mode is Mode.SELF_FINANCED else oracle.prize_one_level
+        assert limit == pytest.approx(want, rel=1e-15, abs=0.0)
+        rows = region_sweep(sr, [0.05, 0.1], mode.value)
+        assert rows == region_sweep(sr, [0.05, 0.1], mode)
+
+    def test_modes_give_different_bands(self, sr):
+        # the control for the test above: the two modes' rows differ
+        free, tight = (region_sweep(sr, [0.1], mode)[0] for mode in Mode)
+        assert tight.upper < free.upper
+
+    @pytest.mark.parametrize("mode", ["bogus", "Self_Financed", None, 0])
+    def test_other_values_rejected(self, sr, mode):
+        message = f"^mode must be a Mode or one of .*, got {re.escape(repr(mode))}$"
+        with pytest.raises(DomainError, match=message):
+            tail_limit(sr, mode)
+        with pytest.raises(DomainError, match="^mode must be a Mode"):
+            region_sweep(sr, [0.05], mode)
+
+    def test_empty_grid_still_checks_the_mode(self, sr):
+        with pytest.raises(DomainError, match="^mode must be a Mode"):
+            region_sweep(sr, [], "bogus")
+
+
 class TestCapsNearOne:
     """Roots below any fixed absolute edge: they shrink like ``(1 - eps)^2``."""
 

@@ -30,7 +30,7 @@ EXPORTS = (
     "profiles", "rate_from_config", "rates", "reach_probability", "region_curve_intersection",
     "region_sweep", "rule_from_config", "rules", "scaled_sqrt_ratio", "self_financed_optimal",
     "simulate", "socially_optimal", "solvers", "sqrt_ratio", "summarize", "synthesize_rule",
-    "tail_limit", "terminal_histogram", "terminal_samples", "validate", "verify_equilibrium",
+    "tail_limit", "terminal_histogram", "validate", "verify_equilibrium",
     "zero_initiator_improvement",
 )
 

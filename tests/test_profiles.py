@@ -77,6 +77,17 @@ class TestReachProbability:
         with pytest.raises(DomainError, match="agent index"):
             reach_probability(sr, ex5_profile, -1)
 
+    @pytest.mark.parametrize("j", [2.5, 2.0, "2", None])
+    def test_non_integer_index_rejected(self, sr, j):
+        # 2.5 used to return p(0.1) ** 2.5
+        with pytest.raises(DomainError, match=rf"^agent index must be an integer, got {j!r}$"):
+            reach_probability(sr, constant_profile(0.1), j)
+
+    def test_numpy_integer_index(self, sr, ex5_profile):
+        for j in (1, 2, 7):
+            got = reach_probability(sr, ex5_profile, np.int64(j))
+            assert type(got) is float and got == reach_probability(sr, ex5_profile, j)
+
     def test_beyond_prefix_uses_tail_powers(self, sr, ex5_profile):
         direct = 1.0
         for j in range(7):

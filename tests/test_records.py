@@ -1,9 +1,12 @@
-"""The record contract: computed results are NamedTuples, validated inputs dataclasses.
+"""The record contract: computed results are NamedTuples, as are a rule's
+``Column`` and ``SimulationConfig``, whose constructors validate.
 
 Every result the library computes is a ``typing.NamedTuple``: immutable,
 equal and hash-equal when its fields are, with the ``Name(field=value, ...)``
-repr the frozen dataclasses it replaced printed.  Types whose construction
-validates or canonicalises stay frozen dataclasses.
+repr the frozen dataclasses it replaced printed.  ``Column`` and
+``SimulationConfig`` are validated tuple records: their constructors, and
+so their ``_replace``, check the fields.  The other types whose
+construction validates or canonicalises stay frozen dataclasses.
 """
 
 import dataclasses
@@ -15,6 +18,7 @@ from seqinvest import (
     AgentCheck,
     Column,
     ConstantTailProfile,
+    DomainError,
     Mode,
     RuleConstructionError,
     SimulationConfig,
@@ -185,9 +189,58 @@ class TestColumn:
         assert (start, entries, tail, slope) == (3, (0.0,), 1.0, 0.0)
 
 
+class TestSimulationConfig:
+    def test_fields_and_defaults(self):
+        defaults = {"episodes": 1_000_000, "seed": 0, "max_chain_length": 10_000, "shards": 1,
+                    "payoff_horizon": 8}
+        assert SimulationConfig._fields == tuple(defaults)
+        assert SimulationConfig._field_defaults == defaults
+        # the constructor's own defaults are the same
+        assert SimulationConfig()._asdict() == defaults
+        assert not dataclasses.is_dataclass(SimulationConfig)
+
+    def test_repr_is_the_dataclass_format(self):
+        config = SimulationConfig(episodes=2_000, seed=5, payoff_horizon=2)
+        assert repr(config) == (
+            "SimulationConfig(episodes=2000, seed=5, max_chain_length=10000, shards=1, "
+            "payoff_horizon=2)"
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        config = SimulationConfig(episodes=10)
+        for field in config._fields:
+            with pytest.raises(AttributeError):
+                setattr(config, field, 1)
+        with pytest.raises(AttributeError):
+            config.extra = 1
+
+    @pytest.mark.parametrize("change, message", [
+        ({"episodes": 0}, "episodes must be >= 1, got 0"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"shards": 2.0}, "shards must be an integer, got 2.0"),
+        ({"payoff_horizon": -1}, "payoff_horizon must be >= 0, got -1"),
+    ])
+    def test_replace_and_make_validate(self, change, message):
+        config = SimulationConfig(episodes=10, seed=3)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            config._replace(**change)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            SimulationConfig._make({**config._asdict(), **change}.values())
+        copy = config._replace(seed=4)
+        assert type(copy) is SimulationConfig and copy == SimulationConfig(episodes=10, seed=4)
+
+    def test_equals_a_plain_tuple(self):
+        # chosen with the record form: a config equals, and hashes like, the
+        # tuple of its values, as every NamedTuple does
+        config = SimulationConfig(episodes=10, seed=3)
+        assert config == (10, 3, 10_000, 1, 8)
+        assert hash(config) == hash((10, 3, 10_000, 1, 8))
+        assert config == SimulationConfig(10, 3) and config != SimulationConfig(10, 4)
+
+
 def test_validated_types_stay_dataclasses():
     # construction checks or canonicalises these
-    for cls in (SuccessRate, ConstantTailProfile, StationaryColumnRule, SimulationConfig):
+    for cls in (SuccessRate, ConstantTailProfile, StationaryColumnRule):
         assert dataclasses.is_dataclass(cls)
 
 

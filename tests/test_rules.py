@@ -204,6 +204,29 @@ class TestConstruction:
             with pytest.raises(RuleConstructionError, match="after the diagonal"):
                 Perturbed(equal_split(), column_tails=((1, (k0, 0.5)),))
 
+    @pytest.mark.parametrize("kwargs, field, value", [
+        # truncated, these built the balanced transfer on cell (0, 2)
+        ({"entries": (((0.9, 2), -0.1), ((1, 2), 0.1))}, "entries column", 0.9),
+        ({"entries": (((0, 2.7), -0.1), ((1, 2), 0.1))}, "entries row", 2.7),
+        ({"entries": (((0, 2.0), -0.1), ((1, 2), 0.1))}, "entries row", 2.0),
+        # truncated, these moved the tails from row 3
+        ({"column_tails": ((0.5, (3, 0.5)), (1, (3, -0.5)))}, "column_tails column", 0.5),
+        ({"column_tails": ((0, (3.9, 0.5)), (1, (3, -0.5)))}, "column_tails start", 3.9),
+        ({"column_tails": ((0, ("3", 0.5)), (1, (3, -0.5)))}, "column_tails start", "3"),
+    ])
+    def test_non_integer_indices_rejected(self, kwargs, field, value):
+        with pytest.raises(DomainError, match=rf"^{field} must be an integer, got {value!r}$"):
+            Perturbed(equal_split(), **kwargs)
+
+    def test_numpy_integer_indices_accepted(self):
+        i, k = np.int64(0), np.int32(2)
+        rule = Perturbed(equal_split(), entries=(((i, k), -0.1), ((np.uint8(1), k), 0.1)),
+                         column_tails=((i, (np.int16(3), 0.5)), (1, (3, -0.5))))
+        plain = Perturbed(equal_split(), entries=(((0, 2), -0.1), ((1, 2), 0.1)),
+                          column_tails=((0, (3, 0.5)), (1, (3, -0.5))))
+        assert [rule.row(k) for k in range(6)] == [plain.row(k) for k in range(6)]
+        assert all(type(col.start) is int for col in rule.leading)
+
     def test_mixture_weight_range(self):
         with pytest.raises(RuleConstructionError):
             Mixture(1.5, equal_split(), jackpot())

@@ -29,7 +29,6 @@ from seqinvest import (
     summarize,
     synthesize_rule,
     terminal_histogram,
-    terminal_samples,
 )
 from seqinvest.simulate import _stat
 
@@ -128,10 +127,14 @@ class TestReproducibility:
 class TestSharding:
     def test_sharded_matches_single_stream_in_distribution(self, sr, oracle):
         profile = constant_profile(oracle.c_star)
-        single = terminal_samples(sr, profile, SimulationConfig(episodes=120_000, seed=41))
-        sharded = terminal_samples(
-            sr, profile, SimulationConfig(episodes=120_000, seed=42, shards=8)
-        )
+
+        def samples(config):
+            # the terminal index of every episode, expanded from the histogram
+            hist, _ = terminal_histogram(sr, profile, config)
+            return np.repeat(np.arange(hist.size), hist)
+
+        single = samples(SimulationConfig(episodes=120_000, seed=41))
+        sharded = samples(SimulationConfig(episodes=120_000, seed=42, shards=8))
         result = stats.ks_2samp(single, sharded)
         assert result.pvalue > 0.001
 
