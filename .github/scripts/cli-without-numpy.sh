@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Runs the CLI from src/ in a virtual environment with nothing installed, so
-# without numpy: every command but simulate must work there, and simulate
-# must fail as a usage error (exit 2, an `error:` line, no traceback).
+# Runs the library and the CLI from src/ in a virtual environment with
+# nothing installed, so without numpy: the first access to an export must
+# import every library module and bind every exported name without loading
+# numpy, every command but simulate must work there, and simulate must fail
+# as a usage error (exit 2, an `error:` line, no traceback).
 # `rule print` must also start without loading the equilibrium layer or the
 # solvers, as read from `python -X importtime` on stderr.
 # Usage, from the repository root: .github/scripts/cli-without-numpy.sh [python]
@@ -12,6 +14,25 @@ trap 'rm -rf "$work"' EXIT
 cli() { PYTHONPATH=src "$work/bare/bin/python" -m seqinvest.cli "$@"; }
 # a golden transcript without its command and exit lines: the stdout
 golden_stdout() { sed '1d;$d' "tests/golden/$1.txt"; }
+
+# the library: the first access binds every export and imports all eight
+# modules, simulate included, and still no numpy; then one solve, whose
+# value is checked to the last digit
+library='
+import sys
+import seqinvest
+tail = seqinvest.socially_optimal(seqinvest.sqrt_ratio()).profile.tail
+if [name for name in seqinvest.__all__ if name not in vars(seqinvest)]:
+    sys.exit("an export is not bound")
+modules = "equilibrium errors optima profiles rates rules simulate solvers".split()
+if [m for m in modules if "seqinvest." + m not in sys.modules]:
+    sys.exit("a library module is not loaded")
+if "numpy" in sys.modules:
+    sys.exit("numpy is loaded")
+print(tail)
+'
+PYTHONPATH=src "$work/bare/bin/python" -c "$library" > "$work/library.out"
+test "$(cat "$work/library.out")" = 0.0883019903521997
 
 cli optima
 # stdout itself, byte for byte, not only the exit code

@@ -17,7 +17,7 @@ sr = sqrt_ratio()
 
 
 def show_rows(rule, rows=5):
-    print(f"{rule.describe()}:")
+    print(f"{rule.label}:")
     for k in range(rows):
         print("   ", "  ".join(f"{v:5.2f}" for v in rule.row(k)))
 

@@ -51,13 +51,13 @@ print("constant profiles are supportable exactly up to the prize =")
 print("probability point; a floor rule witnesses the supportable ones:")
 for c in (0.05, 0.0883, 0.12):
     res = constant_support_check(sr, c)
-    mark = res.witness.describe() if res.supported else f"gap {res.gap:.4f}"
+    mark = res.witness.label if res.supported else f"gap {res.gap:.4f}"
     print(f"  c = {c:5.3f}: {res.verdict:13s} {mark}")
 
 print()
 print("synthesis inside the feasible band mixes two endpoint rules:")
 rule = synthesize_rule(sr, 0.06, 0.12, 0.0)
-print(" ", rule.describe())
+print(" ", rule.label)
 rep = verify_equilibrium(sr, rule, ConstantTailProfile((0.06,), 0.12))
 print("  verifies:", rep.verdict, f"(max residual {rep.max_residual:.1e})")
 

@@ -23,7 +23,7 @@ for result in (socially_optimal(sr), initiator_optimal(sr), self_financed_optima
         print(f"  x0 = {result.profile.prefix[0]:.6f}")
     print(f"  c  = {result.profile.tail:.6f}")
     print(f"  objective = {result.objective:.6f}")
-    print(f"  supporting rule: {result.rule.describe()}")
+    print(f"  supporting rule: {result.rule.label}")
     print(f"  verified: {result.report.verdict} (max residual {result.report.max_residual:.1e})")
     for name, value in result.residuals:
         print(f"  {name}: {value:.2e}")

@@ -26,6 +26,6 @@ def cell(v):
 print("c,diagonal,lower,upper,sf_lower,sf_upper")
 for a, b in zip(free, tight):
     print(
-        f"{a.c:.8f},{cell(a.diagonal)},{cell(a.lower)},{cell(a.upper)},"
+        f"{a.c:.8f},{cell(a.c)},{cell(a.lower)},{cell(a.upper)},"
         f"{cell(b.lower)},{cell(b.upper)}"
     )

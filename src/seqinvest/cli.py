@@ -216,7 +216,7 @@ def _cmd_optima(args, cfg) -> tuple[Rows, int]:
         ok = result.report.supported
         failures += 0 if ok else 1
         if result.profile.prefix:
-            rows.append((f"x0_{result.name}", float(result.profile.prefix[0]), result.rule.describe()))
+            rows.append((f"x0_{result.name}", float(result.profile.prefix[0]), result.rule.label))
         rows.append(
             (
                 f"c_{result.name}",
@@ -275,7 +275,7 @@ def _cmd_synthesize(args, cfg) -> tuple[Rows, int]:
     profile = ConstantTailProfile((args.x0,), args.c)
     mode = Mode.SELF_FINANCED if args.self_financed else Mode.UNCONSTRAINED
     report = verify_equilibrium(sr, rule, profile, mode=mode)
-    rows.append(("rule", rule.describe(), ""))
+    rows.append(("rule", rule.label, ""))
     rows.append(("verified", report.verdict, f"max_residual={report.max_residual:.3g}"))
     return rows, 0 if report.supported else 1
 
@@ -311,7 +311,7 @@ def _cmd_region(args, cfg) -> tuple[Rows, int]:
     rows: Rows = [("c", "diagonal", "lower", "upper")]
     for row in region_sweep(sr, grid, args.mode):
         bounds = ("" if v is None else v for v in (row.lower, row.upper))
-        rows.append((row.c, row.diagonal, *bounds))
+        rows.append((row.c, row.c, *bounds))  # the diagonal x0 = c
     return rows, 0
 
 

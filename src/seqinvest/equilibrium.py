@@ -46,7 +46,8 @@ Every result this module returns (:class:`AgentCheck`,
 :class:`DynamicsResult`, :class:`ConstantSupport`,
 :class:`NearConstantFeasibility`) is a ``typing.NamedTuple``: computed, not
 validated, so it unpacks and indexes like a tuple and is copied with
-``._replace``.
+``._replace``.  A record holds no value it can read from another:
+:class:`BoundSchedule` is its rate alone, whose cap each bound reads.
 """
 
 from __future__ import annotations
@@ -184,15 +185,8 @@ class EquilibriumReport(NamedTuple):
         return "Supported" if self.supported else "NotSupported"
 
     @property
-    def checked_agents(self) -> int:
-        return len(self.checks)
-
-    @property
     def max_residual(self) -> float:
         return _max_residual([c.residual for c in self.checks])
-
-    def payoffs(self) -> tuple[tuple[int, float], ...]:
-        return tuple((c.agent, c.payoff) for c in self.checks)
 
 
 def _check_tol(tol: float) -> None:
@@ -325,24 +319,20 @@ def verify_equilibrium(
 class BoundSchedule(NamedTuple):
     """Per-agent caps on equilibrium investments for a capped rate.
 
-    ``epsilon`` is the rate's own cap, so ``p <= 1 - epsilon``.
+    With ``epsilon`` the rate's own cap, so ``p <= 1 - epsilon``,
     ``bound(i)`` solves ``required_return(B_i) = i + 1 + 1 / epsilon``:
     no equilibrium investment of agent ``i`` can exceed it, because the
     continuation reward is at most the value already created (``i + 1``)
     plus everything the future can add (below ``1 / epsilon``).  The
-    bounds are finite but increase without limit in ``i``.
+    bounds are finite but increase without limit in ``i``, an integer of
+    at least 0.
     """
 
     rate: SuccessRate
-    epsilon: float
-
-    def target(self, i: int) -> float:
-        if i < 0:
-            raise DomainError(f"agent index must be >= 0, got {i}")
-        return i + 1.0 + 1.0 / self.epsilon
 
     def bound(self, i: int) -> float:
-        return investment_for_return(self.rate, self.target(i))
+        i = _check_count("agent index", i, 0)
+        return investment_for_return(self.rate, i + 1.0 + 1.0 / self.rate.epsilon)
 
 
 def investment_bounds(sr: SuccessRate) -> BoundSchedule:
@@ -356,7 +346,7 @@ def investment_bounds(sr: SuccessRate) -> BoundSchedule:
             "bounds need a positive cap parameter; this rate's success "
             "probability is not bounded away from 1"
         )
-    return BoundSchedule(sr, sr.epsilon)
+    return BoundSchedule(sr)
 
 
 class DynamicsResult(NamedTuple):
@@ -364,7 +354,7 @@ class DynamicsResult(NamedTuple):
 
     profile: ConstantTailProfile
     converged: bool
-    sweeps: int
+    sweeps: int  # len(history), kept while the benchmark's tracer reads it
     max_change: float
     residuals: tuple[tuple[int, float], ...]
     history: tuple[tuple[float, ...], ...]

@@ -45,7 +45,9 @@ around its best point, and the slope's root is solved there.
 
 The results, :class:`OptimumResult` and :class:`RegionRow`, are
 ``typing.NamedTuple`` classes: they unpack and index like tuples and are
-copied with ``._replace``.
+copied with ``._replace``.  Neither repeats a value it holds: an
+optimum's mode is its ``report.mode``, and a region row's diagonal is its
+``c``.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ class OptimumResult(NamedTuple):
     objective: float
     residuals: tuple[tuple[str, float], ...]
     report: EquilibriumReport
-    mode: Mode = Mode.UNCONSTRAINED
 
     @property
     def max_residual(self) -> float:
@@ -103,7 +104,7 @@ def _verified(
 ) -> OptimumResult:
     # every supported optimum: its rule verified at its profile, then packed
     report = verify_equilibrium(sr, rule, profile, mode=mode)
-    return OptimumResult(name, profile, rule, objective, residuals, report, mode)
+    return OptimumResult(name, profile, rule, objective, residuals, report)
 
 
 def _constant_welfare(sr: SuccessRate, c: float) -> float:
@@ -282,11 +283,11 @@ class RegionRow(NamedTuple):
     ``lower``/``upper`` are the initiator investments attaining the two
     support bounds, ``None`` when the tail is altogether infeasible
     (upper bound negative).  The curves are emitted even where they
-    cross, matching how the region boundary is usually plotted.
+    cross, matching how the region boundary is usually plotted.  The
+    diagonal ``x0 = c``, which a plot draws with them, is ``c`` itself.
     """
 
     c: float
-    diagonal: float
     lower: float | None
     upper: float | None
 
@@ -311,13 +312,13 @@ def region_sweep(
         c = float(c)
         lower, upper = near_constant_bounds(sr, c, _floor(mode, c))
         if upper < 0.0:
-            rows.append(RegionRow(c, c, None, None))
+            rows.append(RegionRow(c, None, None))
             continue
         # a bound at or below 0 is the zero investment itself; NaN still
         # reaches the inversion, which rejects it
         x_lower = 0.0 if lower <= 0.0 else investment_for_return(sr, lower)
         x_upper = investment_for_return(sr, upper)
-        rows.append(RegionRow(c, c, x_lower, x_upper))
+        rows.append(RegionRow(c, x_lower, x_upper))
     return rows
 
 
@@ -338,16 +339,3 @@ def region_curve_intersection(sr: SuccessRate) -> float:
     if gap(hi) <= 0.0:
         raise BracketError("support band does not close below the prize-1 level")
     return bisect(gap, 0.0, hi)
-
-
-def zero_initiator_improvement(sr: SuccessRate) -> tuple[ConstantTailProfile, StationaryColumnRule, float]:
-    """A supportable profile strictly improving on any zero-initiator one.
-
-    Awarding the whole row to the initiator (fraction 0) makes everyone
-    else stay out while the initiator invests to ``marginal(x) = 1``;
-    welfare then exceeds 1, the welfare of every zero-initiator profile.
-    """
-    rule = fixed_fraction(0.0)
-    x0 = investment_for_return(sr, 1.0)
-    profile = ConstantTailProfile((x0,), 0.0)
-    return profile, rule, expected_welfare(sr, profile)

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DivergenceError, DomainError, InfeasibleError, _check_count
+from .errors import DivergenceError, DomainError, InfeasibleError, _check_count, _index
 from .rates import SuccessRate
 
 _FLATTEN_XTOL = 1e-12
@@ -76,9 +76,11 @@ class ConstantTailProfile:
         return len(self.prefix)
 
     def at(self, j: int) -> float:
-        """Investment of agent ``j``."""
-        if j < 0:
-            raise DomainError(f"agent index must be >= 0, got {j}")
+        """Investment of agent ``j``, an integer of at least 0."""
+        # a non-negative int passes on one inline test, since this runs once
+        # per term of every series; anything else goes through the integer rule
+        if j.__class__ is not int or j < 0:
+            j = _check_count("agent index", j, 0)
         return self.prefix[j] if j < len(self.prefix) else self.tail
 
     def describe(self) -> str:
@@ -101,24 +103,6 @@ class FunctionalValues(NamedTuple):
     investment: float
     welfare: float
     incentive_cost: float
-
-
-def reach_probability(sr: SuccessRate, x: ConstantTailProfile, j: int) -> float:
-    """Probability that agent ``j`` is reached: product of p over agents < j.
-
-    ``j`` is an integer (anything ``operator.index`` accepts) of at least 0,
-    or :class:`DomainError` is raised.
-    """
-    j = _check_count("agent index", j, 0)
-    out = 1.0
-    m = min(j, x.prefix_len)
-    for i in range(m):
-        out *= sr.probability(x.prefix[i])
-        if out == 0.0:
-            return 0.0
-    if j > m:
-        out *= sr.probability(x.tail) ** (j - m)
-    return out
 
 
 def _reach_series(
@@ -186,8 +170,10 @@ def flatten_tail(sr: SuccessRate, x: ConstantTailProfile, k: int) -> ConstantTai
     Keeps ``x_0 .. x_{k-1}`` and replaces everything after with the
     unique tail value matching ``expected_value``; the match is found by
     a bracketed solve on the tail (the expected value is strictly
-    increasing in it whenever position ``k`` is reachable).
+    increasing in it whenever position ``k`` is reachable).  ``k`` is an
+    integer in ``[0, prefix_len]``, or :class:`DomainError` is raised.
     """
+    k = _index("flatten position", k)
     if k < 0 or k > x.prefix_len:
         raise DomainError(
             f"flatten position must be in [0, {x.prefix_len}], got {k}"
@@ -199,8 +185,15 @@ def flatten_tail(sr: SuccessRate, x: ConstantTailProfile, k: int) -> ConstantTai
     from .solvers import bisect
 
     target = expected_value(sr, x)
-    head = tuple(x.prefix[:k])
-    if reach_probability(sr, x, k) <= 1e-300:
+    head = x.prefix[:k]
+    # the chance that position k is reached; no rate is evaluated past an
+    # unreachable agent
+    reach = 1.0
+    for v in head:
+        reach *= sr.probability(v)
+        if reach == 0.0:
+            break
+    if reach <= 1e-300:
         return ConstantTailProfile(head, 0.0)
 
     def gap(c: float) -> float:

@@ -56,6 +56,8 @@ A record is a frozen dataclass only where construction validates its
 input, as :class:`SuccessRate` checks its domain cap; computed results
 (:class:`CheckResult`, :class:`ValidationReport`) are ``typing.NamedTuple``
 classes, which unpack and index like tuples and are copied with ``._replace``.
+A :class:`CheckResult` is one assumption's name, verdict, and worst grid
+point with its value.
 """
 
 from __future__ import annotations
@@ -290,7 +292,6 @@ class CheckResult(NamedTuple):
     passed: bool
     worst_x: float | None = None
     worst_value: float | None = None
-    note: str = ""
 
 
 class ValidationReport(NamedTuple):
@@ -302,9 +303,6 @@ class ValidationReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
 
     def lines(self) -> list[str]:
         out = []
@@ -360,14 +358,14 @@ def validate(sr: SuccessRate, points: int = 512) -> ValidationReport:
     try:
         p0 = sr.probability(0.0)
         checks.append(CheckResult("starts_at_zero", bool(abs(p0) <= 1e-12), 0.0, p0))
-    except Exception as exc:  # pragma: no cover - defensive
-        checks.append(CheckResult("starts_at_zero", False, 0.0, None, str(exc)))
+    except Exception:  # pragma: no cover - defensive
+        checks.append(CheckResult("starts_at_zero", False, 0.0, None))
 
     j = _first(math.isnan(v) for v in pv)
     if j is None:
         checks.append(CheckResult("evaluable", True))
     else:
-        checks.append(CheckResult("evaluable", False, grid[j], None, "p not evaluable"))
+        checks.append(CheckResult("evaluable", False, grid[j], None))
 
     def grid_check(name: str, values: list[float], ok: Callable[[float], bool],
                    source: list[float], *, highest: bool = False, shift: int = 0) -> CheckResult:

@@ -13,7 +13,8 @@ split.  For the canonical equal split, for example::
     ...
 
 Every rule is one class, :class:`StationaryColumnRule` (the package
-keeps its older name as a second name for it): finitely many explicit
+also binds it as ``RewardRule``, a second name kept only while the
+benchmark reads it): finitely many explicit
 leading columns, each a list of entries followed by a tail that is
 constant or affine in the row index, then one repeating pattern shifted
 to start at each later column's diagonal.  A pattern entry may drift, growing
@@ -43,6 +44,10 @@ entries, tail, slope)`` built on a ``typing.NamedTuple``, so it costs what
 a tuple costs: ``column(i)`` builds one per call for every pattern agent.
 Its constructor keeps one check, that the column has its diagonal entry.
 The rule classes stay frozen dataclasses, since construction checks balance.
+
+Column and row indices are integers, anything ``operator.index`` accepts,
+or :class:`DomainError` is raised naming the index; a Python ``int`` passes
+on one inline test, since ``column`` runs once per agent.
 """
 
 from __future__ import annotations
@@ -50,9 +55,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import DomainError, RuleConstructionError, _index
+from .errors import DomainError, RuleConstructionError, _check_count, _index
 from .profiles import ConstantTailProfile, _reach_series, incentive_cost
 from .rates import SuccessRate
+
+_BALANCE_TOL = 1e-9  # rounding allowed on each row sum and entry sign
 
 
 class _ColumnFields(NamedTuple):
@@ -90,6 +97,8 @@ class Column(_ColumnFields):
         return self.start + len(self.entries)
 
     def value(self, k: int) -> float:
+        if k.__class__ is not int:
+            k = _index("row index", k)
         t = k - self.start
         if t < 0:
             raise DomainError(f"row {k} precedes column start {self.start}")
@@ -111,8 +120,8 @@ def _combine_columns(w: float, a: Column, b: Column) -> Column:
     return Column(start, entries, tail, slope)
 
 
-def validate_rule(rule: StationaryColumnRule, rows: int, tol: float = 1e-9) -> None:
-    """Exact balance and non-negativity on rows ``0..rows``.
+def validate_rule(rule: StationaryColumnRule, rows: int) -> None:
+    """Exact balance and non-negativity on rows ``0..rows``, to ``_BALANCE_TOL``.
 
     Also rejects negative tail values and slopes.  Construction passes
     ``K + 1``, past which balance is structural (module docstring).
@@ -121,18 +130,18 @@ def validate_rule(rule: StationaryColumnRule, rows: int, tol: float = 1e-9) -> N
     for k in range(rows + 1):
         row = [col.value(k) for col in cols[: k + 1]]
         low = min(row)
-        if low < -tol:
+        if low < -_BALANCE_TOL:
             raise RuleConstructionError(
                 f"{rule.label}: negative entry {low:g} in row {k}"
             )
         imbalance = sum(row) - (k + 1)
-        if not abs(imbalance) <= tol:  # also rejects a NaN entry anywhere in the row
+        if not abs(imbalance) <= _BALANCE_TOL:  # also rejects a NaN entry anywhere in the row
             raise RuleConstructionError(
                 f"{rule.label}: row {k} sums to {k + 1 + imbalance:g}, "
                 f"expected {k + 1}"
             )
     for i, col in enumerate(cols):
-        if col.slope < -tol or col.tail < -tol:
+        if col.slope < -_BALANCE_TOL or col.tail < -_BALANCE_TOL:
             raise RuleConstructionError(
                 f"{rule.label}: column {i} tail eventually negative"
             )
@@ -181,8 +190,8 @@ class StationaryColumnRule:
         validate_rule(self, k + 1)
 
     def column(self, i: int) -> Column:
-        if i < 0:
-            raise DomainError(f"column index must be >= 0, got {i}")
+        if i.__class__ is not int or i < 0:
+            i = _check_count("column index", i, 0)
         if i < len(self.leading):
             return self.leading[i]
         entries = self.repeating_entries
@@ -198,16 +207,16 @@ class StationaryColumnRule:
         return None if self.repeating_drift else len(self.leading)
 
     def value(self, i: int, k: int) -> float:
-        """Matrix entry ``f(i, k)``; requires ``0 <= i <= k``."""
+        """Matrix entry ``f(i, k)``; requires integers ``0 <= i <= k``."""
+        if i.__class__ is not int or k.__class__ is not int:
+            i, k = _index("column index", i), _index("row index", k)
         if i < 0 or k < i:
             raise DomainError(f"need 0 <= i <= k, got ({i}, {k})")
         return self.column(i).value(k)
 
     def row(self, k: int) -> list[float]:
+        k = _check_count("row index", k, 0)
         return [self.value(i, k) for i in range(k + 1)]
-
-    def describe(self) -> str:
-        return self.label
 
 
 class Mixture(StationaryColumnRule):
@@ -442,8 +451,6 @@ def continuation_reward(
     ``k > i``; the sum is explicit until both the column and the profile
     are in tail form and closes geometrically afterwards.
     """
-    if i < 0:
-        raise DomainError(f"agent index must be >= 0, got {i}")
     return _column_reward(sr, x, rule.column(i))
 
 

@@ -184,7 +184,7 @@ class TestRegion:
                 if cell:
                     assert repr(float(cell)) == cell
             cells = [float(cell) if cell else None for cell in line.split(",")]
-            assert cells == [row.c, row.diagonal, row.lower, row.upper]
+            assert cells == [row.c, row.c, row.lower, row.upper]  # the diagonal x0 = c
 
     def test_bad_points_exit_two(self, capsys):
         code, _, err = run(capsys, "region", "--points", "0")

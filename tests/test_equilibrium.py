@@ -155,7 +155,7 @@ class TestVerify:
         report = verify_equilibrium(sr, equal_split(), constant_profile(oracle.c_star))
         assert report.supported
         assert report.max_residual <= 1e-10
-        assert report.checked_agents == 2  # agent 0 and the representative tail agent 1
+        assert len(report.checks) == 2  # agent 0 and the representative tail agent 1
 
     def test_equal_split_rejects_first_best(self, sr, oracle):
         report = verify_equilibrium(sr, equal_split(), constant_profile(oracle.c_fb))
@@ -236,9 +236,18 @@ class TestVerify:
 
     def test_payoffs_reported(self, sr, oracle):
         report = verify_equilibrium(sr, equal_split(), constant_profile(oracle.c_star))
-        payoffs = dict(report.payoffs())
+        payoffs = {chk.agent: chk.payoff for chk in report.checks}
         assert payoffs[0] == pytest.approx(oracle.payoff0_c_star, abs=1e-10)
         assert payoffs[1] == pytest.approx(oracle.payoff_tail_c_star, abs=1e-10)
+
+    @pytest.mark.parametrize("i", [0.5, 2.5])
+    def test_non_integer_agent_rejected(self, sr, i):
+        # each used to end in a bare TypeError from indexing or range
+        x = ConstantTailProfile((0.1, 0.2), 0.05)
+        with pytest.raises(DomainError, match=rf"^agent index must be an integer, got {i!r}$"):
+            check_agent(sr, equal_split(), x, i)
+        with pytest.raises(DomainError, match=rf"^column index must be an integer, got {i!r}$"):
+            best_response(sr, equal_split(), x, i)
 
 
 class TestSelfFinancedVerify:
@@ -339,8 +348,18 @@ class TestBounds:
             investment_bounds(sr)
 
     def test_negative_agent_rejected(self, sr_scaled):
-        with pytest.raises(DomainError, match="agent index"):
+        with pytest.raises(DomainError, match=r"^agent index must be >= 0, got -1$"):
             investment_bounds(sr_scaled).bound(-1)
+
+    @pytest.mark.parametrize("i", [0.5, 2.5, "1"])
+    def test_non_integer_agent_rejected(self, i):
+        # 0.5 used to give 0.1838, the bound of no agent
+        with pytest.raises(DomainError, match=rf"^agent index must be an integer, got {i!r}$"):
+            investment_bounds(scaled_sqrt_ratio(0.5)).bound(i)
+
+    def test_schedule_is_its_rate(self, sr_scaled):
+        # the cap each bound needs is the rate's own
+        assert investment_bounds(sr_scaled) == (sr_scaled,)
 
 
 class TestDynamics:

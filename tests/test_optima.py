@@ -17,6 +17,7 @@ from seqinvest import (
     custom_rate,
     expected_welfare,
     first_best_investment,
+    fixed_fraction,
     initiator_optimal,
     investment_for_return,
     near_constant_bounds,
@@ -30,7 +31,6 @@ from seqinvest import (
     sqrt_ratio,
     tail_limit,
     verify_equilibrium,
-    zero_initiator_improvement,
 )
 from seqinvest.equilibrium import _band_upper_slope, _endpoint_rules
 
@@ -163,7 +163,7 @@ class TestSelfFinancedOptimal:
 
     def test_supported_in_sf_mode(self, sr, oracle):
         res = self_financed_optimal(sr)
-        assert res.mode is Mode.SELF_FINANCED
+        assert res.report.mode is Mode.SELF_FINANCED
         assert res.report.supported
         assert res.rule.label.startswith("fixed_fraction_floor(alpha=")
         assert sr.required_return(res.profile.tail) + res.profile.tail == pytest.approx(
@@ -212,13 +212,16 @@ class TestSinglePeaked:
 
 class TestZeroInitiatorImprovement:
     def test_dominating_profile(self, sr):
-        profile, rule, welfare = zero_initiator_improvement(sr)
-        assert profile.prefix[0] > 0.0
-        assert profile.tail == 0.0
-        assert welfare > 1.0
+        # the whole row to the initiator (fraction 0): every later agent
+        # stays out while the initiator invests to p'(x0) = 1, and welfare
+        # exceeds 1, the welfare of every profile with a zero initiator
+        x0 = investment_for_return(sr, 1.0)
+        profile = ConstantTailProfile((x0,), 0.0)
+        assert x0 > 0.0
+        assert expected_welfare(sr, profile) > 1.0
         # stationarity: marginal success probability 1 at the optimum
-        assert sr.marginal(profile.prefix[0]) == pytest.approx(1.0, rel=1e-9)
-        assert verify_equilibrium(sr, rule, profile).supported
+        assert sr.marginal(x0) == pytest.approx(1.0, rel=1e-9)
+        assert verify_equilibrium(sr, fixed_fraction(0.0), profile).supported
 
 
 class TestTailLimit:
@@ -310,7 +313,8 @@ class TestRegion:
         assert rows == region_sweep(rate, grid.tolist(), mode)
         assert rows[-1].upper is None
         for row in rows:
-            assert type(row.c) is float and type(row.diagonal) is float
+            assert type(row.c) is float
+            assert all(v is None or type(v) is float for v in (row.lower, row.upper))
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("c, message", [

@@ -1,5 +1,6 @@
 """The package namespace: bound on first use, with the same names and objects as eager imports."""
 
+import ast
 import inspect
 import json
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import seqinvest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 LIBRARY_MODULES = ("equilibrium", "errors", "optima", "profiles", "rates", "rules", "simulate",
                    "solvers")
@@ -27,11 +30,10 @@ EXPORTS = (
     "functionals", "implied_value", "incentive_cost", "initiator_optimal", "investment_bounds",
     "investment_for_return", "jackpot", "near_constant_bounds", "near_constant_feasibility",
     "near_constant_profile", "next_step_bonus", "next_step_bonus_zero_initiator", "optima",
-    "profiles", "rate_from_config", "rates", "reach_probability", "region_curve_intersection",
+    "profiles", "rate_from_config", "rates", "region_curve_intersection",
     "region_sweep", "rule_from_config", "rules", "scaled_sqrt_ratio", "self_financed_optimal",
     "simulate", "socially_optimal", "solvers", "sqrt_ratio", "summarize", "synthesize_rule",
     "tail_limit", "terminal_histogram", "validate", "verify_equilibrium",
-    "zero_initiator_improvement",
 )
 
 # Imports the package in a fresh process, probes an unknown name, touches one
@@ -111,6 +113,29 @@ def test_no_module_binds_its_own_object_twice():
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 other = names.setdefault(id(obj), name)
                 assert other == name, f"{mod.__name__} binds {other} as {name} too"
+
+
+def _reads(path: Path) -> set[str]:
+    """The names a file loads, the attributes it reads and the modules it imports from."""
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            reads.add(node.module.rpartition(".")[2])
+    return reads
+
+
+def test_every_export_has_a_caller():
+    # the library, the demos and the benchmark are the callers; a name that
+    # only the tests read is surface without a use
+    library = [p for p in (ROOT / "src" / "seqinvest").glob("*.py") if p.name != "__init__.py"]
+    demos, bench = list((ROOT / "demos").glob("*.py")), list((ROOT / "perfbench").glob("*.py"))
+    assert library and demos and bench
+    read = set().union(*map(_reads, library + demos + bench))
+    assert [name for name in seqinvest.__all__ if name not in read] == []
 
 
 def test_dir_lists_every_export():

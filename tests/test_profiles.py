@@ -20,8 +20,8 @@ from seqinvest import (
     functionals,
     incentive_cost,
     near_constant_profile,
-    reach_probability,
     scaled_sqrt_ratio,
+    sqrt_ratio,
 )
 
 TRUNC = 200
@@ -59,42 +59,31 @@ class TestRepresentation:
             x.at(-1)
 
 
-class TestReachProbability:
-    def test_empty_product(self, sr):
-        assert reach_probability(sr, constant_profile(0.7), 0) == 1.0
+class TestAgentIndex:
+    """``at`` takes an integer agent index of at least 0."""
 
-    def test_constant_quarter(self, sr):
-        # p(0.25) = 1/3, two steps
-        x = constant_profile(0.25)
-        assert reach_probability(sr, x, 2) == pytest.approx(1.0 / 9.0, abs=1e-15)
+    def test_negative_index_rejected(self, ex5_profile):
+        with pytest.raises(DomainError, match=r"^agent index must be >= 0, got -1$"):
+            ex5_profile.at(-1)
 
-    def test_equilibrium_prefix(self, sr, ex5_profile, oracle):
-        assert reach_probability(sr, ex5_profile, 2) == pytest.approx(
-            oracle.reach2_ex5, abs=1e-12
-        )
-
-    def test_negative_index_rejected(self, sr, ex5_profile):
-        with pytest.raises(DomainError, match="agent index"):
-            reach_probability(sr, ex5_profile, -1)
-
-    @pytest.mark.parametrize("j", [2.5, 2.0, "2", None])
-    def test_non_integer_index_rejected(self, sr, j):
-        # 2.5 used to return p(0.1) ** 2.5
+    @pytest.mark.parametrize("j", [2.5, 0.5, 2.0, "2", None])
+    def test_non_integer_index_rejected(self, j):
+        # 2.5 used to return the tail
         with pytest.raises(DomainError, match=rf"^agent index must be an integer, got {j!r}$"):
-            reach_probability(sr, constant_profile(0.1), j)
+            ConstantTailProfile((0.1, 0.2), 0.05).at(j)
 
-    def test_numpy_integer_index(self, sr, ex5_profile):
+    def test_numpy_integer_index(self, ex5_profile):
         for j in (1, 2, 7):
-            got = reach_probability(sr, ex5_profile, np.int64(j))
-            assert type(got) is float and got == reach_probability(sr, ex5_profile, j)
+            got = ex5_profile.at(np.int64(j))
+            assert type(got) is float and got == ex5_profile.at(j)
+        assert ex5_profile.at(True) == ex5_profile.at(1)
 
-    def test_beyond_prefix_uses_tail_powers(self, sr, ex5_profile):
-        direct = 1.0
-        for j in range(7):
-            direct *= sr.probability(ex5_profile.at(j))
-        assert reach_probability(sr, ex5_profile, 7) == pytest.approx(
-            direct, rel=1e-14, abs=0.0
-        )
+
+class TestReachProbability:
+    def test_equilibrium_prefix(self, sr, oracle):
+        # agent 2 of the three-tier equilibrium is reached when agents 0 and 1 succeed
+        reach = sr.probability(oracle.ex5_x0) * sr.probability(oracle.ex5_x1)
+        assert reach == pytest.approx(oracle.reach2_ex5, abs=1e-12)
 
 
 class TestExpectedValue:
@@ -222,10 +211,28 @@ class TestFlatten:
         with pytest.raises(DomainError):
             flatten_tail(sr, ex5_profile, 3)
 
+    @pytest.mark.parametrize("k", [0.5, 1.0, "1", None])
+    def test_non_integer_position_rejected(self, sr, ex5_profile, k):
+        # 0.5 used to end in a bare TypeError from slicing
+        with pytest.raises(DomainError, match=rf"^flatten position must be an integer, got {k!r}$"):
+            flatten_tail(sr, ex5_profile, k)
+
     def test_unreachable_position_flattens_to_zero(self, sr):
         x = ConstantTailProfile((0.5, 0.0, 0.3), 0.7)
         flat = flatten_tail(sr, x, 2)
         assert flat.tail == 0.0
+
+    def test_no_rate_evaluated_past_an_unreachable_agent(self):
+        # agent 1 invests nothing, so agents 2 and 3 are never reached
+        plain = sqrt_ratio()
+
+        def p(x):
+            assert x not in (0.3, 0.4), f"p evaluated at {x} past an unreachable agent"
+            return plain.probability(x)
+
+        rate = custom_rate("guarded", p, plain.marginal)
+        x = ConstantTailProfile((0.5, 0.0, 0.3, 0.4), 0.7)
+        assert flatten_tail(rate, x, 3) == ConstantTailProfile((0.5, 0.0, 0.3), 0.0)
 
     def test_zero_investment_at_the_position_flattens_to_zero(self, sr):
         # position 1 is reached, but invests nothing: nothing after it adds value

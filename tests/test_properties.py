@@ -504,7 +504,7 @@ class TestSynthesizeThenVerify:
             < target
             < _initiator_return(sr, high, c) - _SUPPORT_TOL
         )
-        assert isinstance(rule, Mixture) == inside, rule.describe()
+        assert isinstance(rule, Mixture) == inside, rule.label
 
 
 DOMINANCE_RATES = (sqrt_ratio(), scaled_sqrt_ratio(0.3), scaled_sqrt_ratio(0.7071))

@@ -266,7 +266,7 @@ class TestValidation:
             epsilon=0.1,
         )
         report = validate(rate)
-        names = {c.name for c in report.failures()}
+        names = {c.name for c in report.checks if not c.passed}
         assert "concave" in names  # flat slopes are not strictly decreasing
         assert not report.passed
 
@@ -293,7 +293,7 @@ class TestValidation:
 
         report = validate(custom_rate("broken", explode, explode), points=32)
         assert not report.passed
-        assert {c.name for c in report.failures()} >= {"evaluable", "increasing"}
+        assert {c.name for c in report.checks if not c.passed} >= {"evaluable", "increasing"}
 
 
 class TestValidationNaN:
@@ -310,7 +310,7 @@ class TestValidationNaN:
         report = validate(holed)
         grid = np.geomspace(1e-9, holed.domain_cap, 512)
         first_nan = float(grid[(grid > 0.5) & (grid < 2.0)][0])
-        failed = {c.name: c for c in report.failures()}
+        failed = {c.name: c for c in report.checks if not c.passed}
         assert set(failed) == {
             "evaluable", "increasing", "concave", "prize_exceeds_investment", "prize_convex",
         }
@@ -359,7 +359,7 @@ def _numpy_validate(sr, points=512, *, tol_convex=1e-8, tol_limit=1e-6):
     checks = [CheckResult("starts_at_zero", bool(abs(p0) <= 1e-12), 0.0, p0)]
     if np.isnan(pv).any():
         bad = float(grid[int(np.isnan(pv).argmax())])
-        checks.append(CheckResult("evaluable", False, bad, None, "p not evaluable"))
+        checks.append(CheckResult("evaluable", False, bad, None))
     else:
         checks.append(CheckResult("evaluable", True))
 

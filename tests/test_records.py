@@ -19,7 +19,6 @@ from seqinvest import (
     Column,
     ConstantTailProfile,
     DomainError,
-    Mode,
     RuleConstructionError,
     SimulationConfig,
     StationaryColumnRule,
@@ -46,8 +45,8 @@ from seqinvest import (
 # field names in order, and the defaults, of every computed record
 FIELDS = {
     "CheckResult": (
-        ("name", "passed", "worst_x", "worst_value", "note"),
-        {"worst_x": None, "worst_value": None, "note": ""},
+        ("name", "passed", "worst_x", "worst_value"),
+        {"worst_x": None, "worst_value": None},
     ),
     "ValidationReport": (("rate", "checks"), {}),
     "FunctionalValues": (("value", "investment", "welfare", "incentive_cost"), {}),
@@ -56,7 +55,7 @@ FIELDS = {
         {"corner": ""},
     ),
     "EquilibriumReport": (("supported", "mode", "tol", "checks", "failures"), {"failures": ()}),
-    "BoundSchedule": (("rate", "epsilon"), {}),
+    "BoundSchedule": (("rate",), {}),
     "DynamicsResult": (
         ("profile", "converged", "sweeps", "max_change", "residuals", "history"), {}
     ),
@@ -64,11 +63,8 @@ FIELDS = {
     "NearConstantFeasibility": (
         ("feasible", "x0", "c", "gamma", "ratio", "lower", "upper"), {}
     ),
-    "OptimumResult": (
-        ("name", "profile", "rule", "objective", "residuals", "report", "mode"),
-        {"mode": Mode.UNCONSTRAINED},
-    ),
-    "RegionRow": (("c", "diagonal", "lower", "upper"), {}),
+    "OptimumResult": (("name", "profile", "rule", "objective", "residuals", "report"), {}),
+    "RegionRow": (("c", "lower", "upper"), {}),
     "Stat": (("mean", "se"), {}),
     "PayoffStat": (("agent", "reached", "mean", "se"), {}),
     "SimulationSummary": (

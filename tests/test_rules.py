@@ -120,6 +120,9 @@ class TestMatrices:
             equal_split().value(-1, 0)
         with pytest.raises(DomainError, match="precedes column start"):
             Column(3, (0.0,), 1.0).value(2)
+        # there is no row -1; it used to read as an empty row
+        with pytest.raises(DomainError, match=r"^row index must be >= 0, got -1$"):
+            equal_split().row(-1)
 
     @pytest.mark.parametrize(
         "rule",
@@ -134,8 +137,42 @@ class TestMatrices:
         # -1 must not wrap around to the last leading column
         with pytest.raises(DomainError):
             rule.column(-1)
-        with pytest.raises(DomainError, match="agent index"):
+        with pytest.raises(DomainError, match=r"^column index must be >= 0, got -1$"):
             continuation_reward(sr, rule, constant_profile(0.2), -1)
+
+    @pytest.mark.parametrize("call, name, value", [
+        # the first used to build Column(start=2.5, ...), the third to give
+        # 4.25, read off the initiator's affine tail
+        (lambda: equal_split().column(2.5), "column index", 2.5),
+        (lambda: equal_split().column("1"), "column index", "1"),
+        (lambda: fixed_fraction(0.5).value(0, 5.5), "row index", 5.5),
+        (lambda: fixed_fraction(0.5).value(0.5, 5), "column index", 0.5),
+        (lambda: fixed_fraction(0.5).row(2.5), "row index", 2.5),
+        (lambda: Column(0, (1.0,), 2.0, 0.5).value(5.5), "row index", 5.5),
+        (lambda: Column(0, (1.0,), 2.0, 0.5).value(None), "row index", None),
+    ], ids=["column", "column_str", "value_row", "value_column", "row", "Column.value",
+            "Column.value_none"])
+    def test_non_integer_index_rejected(self, call, name, value):
+        with pytest.raises(DomainError, match=rf"^{name} must be an integer, got {value!r}$"):
+            call()
+
+    @pytest.mark.parametrize("i", [0.5, 2.5])
+    def test_payoff_functionals_reject_a_non_integer_agent(self, sr, i):
+        # each used to end in a bare TypeError from indexing or range
+        x = ConstantTailProfile((0.1, 0.2), 0.05)
+        with pytest.raises(DomainError, match=rf"^column index must be an integer, got {i!r}$"):
+            continuation_reward(sr, equal_split(), x, i)
+        with pytest.raises(DomainError, match=rf"^agent index must be an integer, got {i!r}$"):
+            expected_payoff(sr, equal_split(), x, i)
+
+    def test_numpy_integer_index(self):
+        rule = fixed_fraction(0.5)
+        for i in (0, 1, 3):
+            col = rule.column(np.int64(i))
+            assert col == rule.column(i) and type(col.start) is int
+        assert rule.value(np.int64(0), np.int32(5)) == rule.value(0, 5)
+        assert rule.row(np.int64(3)) == rule.row(3)
+        assert Column(0, (1.0,), 2.0, 0.5).value(np.int64(5)) == 4.0
 
 
 class TestConstruction:
