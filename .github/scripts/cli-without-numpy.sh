@@ -14,6 +14,8 @@ trap 'rm -rf "$work"' EXIT
 cli() { PYTHONPATH=src "$work/bare/bin/python" -m seqinvest.cli "$@"; }
 # a golden transcript without its command and exit lines: the stdout
 golden_stdout() { sed '1d;$d' "tests/golden/$1.txt"; }
+# stdout with a residual's rounding noise as one token, as the transcripts pin it
+pinned() { "$work/bare/bin/python" tests/pinning.py; }
 
 # the library: the first access binds every export and imports all eight
 # modules, simulate included, and still no numpy; then one solve, whose
@@ -42,9 +44,12 @@ PYTHONPATH=src "$work/bare/bin/python" -X importtime -m seqinvest.cli \
   rule print --rule kind=jackpot --rows 8 > /dev/null 2> "$work/rule_print.imports"
 grep -Eq '\| +seqinvest\.rules$' "$work/rule_print.imports"
 if grep -E '\| +seqinvest\.(equilibrium|solvers)$' "$work/rule_print.imports"; then exit 1; fi
-# best responses and verification, through dynamics and synthesis
-cli dynamics --rule kind=jackpot --rate scaled_sqrt_ratio --epsilon 0.7071 --horizon 12
-cli synthesize --x0 0.06 --c 0.12
+# best responses and verification, through dynamics and synthesis, byte for
+# byte with a residual's rounding noise as one token: sum() of floats is
+# compensated from Python 3.12 on, and rule construction sums each row with it
+cli dynamics --rule kind=jackpot --rate scaled_sqrt_ratio --epsilon 0.7071 --horizon 12 |
+  pinned | diff - <(golden_stdout dynamics)
+cli synthesize --x0 0.06 --c 0.12 --gamma 0 | pinned | diff - <(golden_stdout synthesize)
 # the band's upper edge at the self-financed floor
 cli region --mode self_financed --points 16 | diff - <(golden_stdout region)
 # a reader that stops early is no error: exit 0 and nothing on stderr

@@ -517,10 +517,10 @@ def near_constant_feasibility(
     return NearConstantFeasibility(feasible, x0, c, gamma, ratio, lower, upper)
 
 
-def _initiator_return(sr: SuccessRate, rule: StationaryColumnRule, c: float) -> float:
-    # net return the rule offers the initiator against a constant-c tail
+def _initiator_return(sr: SuccessRate, rule: StationaryColumnRule, tail: ConstantTailProfile) -> float:
+    # net return the rule offers the initiator against a constant tail
     col = rule.column(0)
-    return _column_reward(sr, ConstantTailProfile((), c), col) - col.entries[0]
+    return _column_reward(sr, tail, col) - col.entries[0]
 
 
 def _endpoint_rules(
@@ -560,8 +560,9 @@ def synthesize_rule(sr: SuccessRate, x0: float, c: float, gamma: float = 0.0) ->
             f"[{max(feas.lower, 0.0):.6g}, {feas.upper:.6g}]"
         )
     high, low = _endpoint_rules(sr, c, gamma)
-    v_high = _initiator_return(sr, high, c)
-    v_low = _initiator_return(sr, low, c)
+    tail = ConstantTailProfile((), c)
+    v_high = _initiator_return(sr, high, tail)
+    v_low = _initiator_return(sr, low, tail)
     target = feas.ratio
     if target >= v_high - _SUPPORT_TOL:
         return high

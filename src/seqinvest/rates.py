@@ -66,7 +66,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, _index
 
 DEFAULT_DOMAIN_CAP = 1e6
 _TOL_CONVEX = 1e-8  # validate: rounding allowance on the prize's second differences
@@ -341,9 +341,10 @@ def validate(sr: SuccessRate, points: int = 512) -> ValidationReport:
     for ``x > 0``); prize convex (second divided differences at least
     ``-_TOL_CONVEX``); prize vanishing at zero (value at the smallest grid
     point at most ``_TOL_LIMIT``).  Raises :class:`DomainError` only when
-    there is no grid of 3 distinct points; pathological rates are reported,
-    never raised, so they can be diagnosed.
+    ``points`` is not an integer or there is no grid of 3 distinct points;
+    pathological rates are reported, never raised, so they can be diagnosed.
     """
+    points = _index("points", points)
     if points < 3 or not sr.domain_cap > 1e-9:
         raise DomainError(f"validate: points {points} < 3 or domain_cap {sr.domain_cap!r} <= 1e-9")
     step = (math.log10(sr.domain_cap) + 9.0) / (points - 1)

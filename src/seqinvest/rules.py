@@ -14,19 +14,17 @@ split.  For the canonical equal split, for example::
 
 Every rule is one class, :class:`StationaryColumnRule` (the package
 also binds it as ``RewardRule``, a second name kept only while the
-benchmark reads it): finitely many explicit
-leading columns, each a list of entries followed by a tail that is
-constant or affine in the row index, then one repeating pattern shifted
-to start at each later column's diagonal.  A pattern entry may drift, growing
-linearly in the column index (jackpot pays agent ``i`` the amount
-``i + 1`` one step after its turn: entry 1, drift 1).  :class:`Mixture`
-and :class:`Perturbed` build this form once, at construction, and keep
-nothing else, so there is one ``column``.  :class:`Perturbed` goes
-through the class constructor and its one balance bound; :class:`Mixture`
-alone skips the bound, since a mix of balanced rules is balanced and
-checking it would slow every rule synthesis by about a quarter.
-The form makes balance on infinitely many rows checkable and the
-continuation-reward series summable in closed form.
+benchmark reads it): finitely many explicit leading columns, each a list
+of entries followed by a tail that is constant or affine in the row
+index, then one repeating pattern shifted to start at each later
+column's diagonal, where an entry may drift, growing linearly in the
+column index (jackpot).  :class:`Mixture` and :class:`Perturbed` build
+this form once, at construction, and keep nothing else.
+:class:`Perturbed` goes through the class constructor and its one balance
+bound; :class:`Mixture` alone skips the bound, since a mix of balanced
+rules is balanced and checking it would slow every rule synthesis by
+about a sixth.  The form makes balance on infinitely many rows checkable
+and the continuation-reward series summable in closed form.
 
 Construction checks balance and non-negativity exactly on rows
 ``0..K + 1`` with ``K = max(leading tail starts, len(leading) +
@@ -39,15 +37,14 @@ later entry non-negative, and the diagonal may not drift, so stay-put
 payments are constant from the first pattern column on.  Violations
 raise :class:`RuleConstructionError` with the offending row.
 
-A :class:`Column` is an immutable record of four fields ``(start,
-entries, tail, slope)`` built on a ``typing.NamedTuple``, so it costs what
-a tuple costs: ``column(i)`` builds one per call for every pattern agent.
-Its constructor keeps one check, that the column has its diagonal entry.
-The rule classes stay frozen dataclasses, since construction checks balance.
-
-Column and row indices are integers, anything ``operator.index`` accepts,
-or :class:`DomainError` is raised naming the index; a Python ``int`` passes
-on one inline test, since ``column`` runs once per agent.
+A :class:`Column` is an immutable ``typing.NamedTuple`` record ``(start,
+entries, tail, slope)`` whose constructor checks that ``start`` is an
+integer and the diagonal entry exists; ``column(i)`` builds one per call
+for a pattern agent.  The balance check, ``value`` and ``row`` build
+none: they read each cell from these fields or the ``repeating_*`` ones,
+the balance check each column once.  Indices are integers, anything
+``operator.index`` accepts, or :class:`DomainError` names the index.  The
+rule classes stay frozen dataclasses, since construction checks balance.
 """
 
 from __future__ import annotations
@@ -82,6 +79,8 @@ class Column(_ColumnFields):
     def __new__(
         cls, start: int, entries: tuple[float, ...], tail: float, slope: float = 0.0
     ) -> Column:
+        if start.__class__ is not int:
+            start = _index("column start", start)
         if not entries:
             raise RuleConstructionError("a column needs at least its diagonal entry")
         return tuple.__new__(cls, (start, entries, tail, slope))
@@ -107,44 +106,59 @@ class Column(_ColumnFields):
         return self.tail + self.slope * (t - len(self.entries))
 
 
-def _combine_columns(w: float, a: Column, b: Column) -> Column:
-    if a.start != b.start:
-        raise RuleConstructionError("cannot combine columns of different agents")
-    n = max(len(a.entries), len(b.entries))
-    start = a.start
-    entries = tuple(
-        w * a.value(start + t) + (1.0 - w) * b.value(start + t) for t in range(n)
-    )
-    tail = w * a.value(start + n) + (1.0 - w) * b.value(start + n)
-    slope = w * a.slope + (1.0 - w) * b.slope
-    return Column(start, entries, tail, slope)
+def _cells(col: tuple, stop: int) -> list[float]:
+    # rows ``start..stop - 1`` of the column with fields ``(start, entries,
+    # tail, slope)``, each as ``Column.value`` computes it
+    start, entries, tail, slope = col
+    cells = list(entries[: stop - start])
+    for t in range(stop - start - len(entries)):
+        cells.append(tail + slope * t)
+    return cells
+
+
+def _combine_columns(w: float, v: float, a: Column, b: Column) -> Column:
+    # ``w * a + v * b`` (``v = 1 - w``) on each row where either column is
+    # explicit and on the first tail row, each cell read from the fields
+    (start, ea, ta, sa), (_, eb, tb, sb) = a, b
+    na, nb = len(ea), len(eb)
+    cells = [
+        w * (ea[t] if t < na else ta + sa * (t - na)) + v * (eb[t] if t < nb else tb + sb * (t - nb))
+        for t in range(max(na, nb) + 1)
+    ]
+    return Column(start, tuple(cells[:-1]), cells[-1], w * sa + v * sb)
 
 
 def validate_rule(rule: StationaryColumnRule, rows: int) -> None:
-    """Exact balance and non-negativity on rows ``0..rows``, to ``_BALANCE_TOL``.
-
-    Also rejects negative tail values and slopes.  Construction passes
-    ``K + 1``, past which balance is structural (module docstring).
-    """
-    cols = [rule.column(i) for i in range(rows + 1)]
-    for k in range(rows + 1):
-        row = [col.value(k) for col in cols[: k + 1]]
+    """Exact balance and non-negativity on rows ``0..rows``, to ``_BALANCE_TOL``, and
+    non-negative tails and slopes.  Construction passes ``K + 1`` (module docstring)."""
+    stop = rows + 1
+    lead = rule.leading[:stop]
+    entries, drift, tail = rule.repeating_entries, rule.repeating_drift, rule.repeating_tail
+    # every column's cells on rows 0..rows, read once from its fields and
+    # zero above its diagonal; a pattern column's tail is ``tail + 0.0``,
+    # as ``Column.value`` reads it with its zero slope
+    cols = [[0] * i + _cells(col, stop) for i, col in enumerate(lead)]
+    pattern = [0] * stop + [*entries, *[tail + 0.0] * stop]  # slid by i for column i
+    for i in range(len(lead), stop):
+        if drift:
+            pattern[stop : stop + len(entries)] = [e + d * i for e, d in zip(entries, drift)]
+        cols.append(pattern[stop - i : 2 * stop - i])
+    # then row by row, the first bad row raising, a negative entry before a
+    # wrong sum; the zeros come after the row's own entries, so ``min``
+    # (NaN first included) and ``sum`` give what they give on the row alone
+    for k, row in enumerate(zip(*cols)):
         low = min(row)
         if low < -_BALANCE_TOL:
-            raise RuleConstructionError(
-                f"{rule.label}: negative entry {low:g} in row {k}"
-            )
+            raise RuleConstructionError(f"{rule.label}: negative entry {low:g} in row {k}")
         imbalance = sum(row) - (k + 1)
         if not abs(imbalance) <= _BALANCE_TOL:  # also rejects a NaN entry anywhere in the row
             raise RuleConstructionError(
-                f"{rule.label}: row {k} sums to {k + 1 + imbalance:g}, "
-                f"expected {k + 1}"
+                f"{rule.label}: row {k} sums to {k + 1 + imbalance:g}, expected {k + 1}"
             )
-    for i, col in enumerate(cols):
-        if col.slope < -_BALANCE_TOL or col.tail < -_BALANCE_TOL:
-            raise RuleConstructionError(
-                f"{rule.label}: column {i} tail eventually negative"
-            )
+    # the pattern columns share one tail and no slope: the first stands for all
+    for i, (_, _, tail, slope) in enumerate((*lead, (0, (), tail, 0.0))[:stop]):
+        if slope < -_BALANCE_TOL or tail < -_BALANCE_TOL:
+            raise RuleConstructionError(f"{rule.label}: column {i} tail eventually negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,11 +180,11 @@ class StationaryColumnRule:
     repeating_drift: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        k = len(self.leading) + len(self.repeating_entries)  # K, module docstring
         for i, col in enumerate(self.leading):
             if col.start != i:
-                raise RuleConstructionError(
-                    f"leading column {i} declares start {col.start}"
-                )
+                raise RuleConstructionError(f"leading column {i} declares start {col.start}")
+            k = max(k, i + len(col.entries))  # the column's tail start
         if not self.repeating_entries:
             raise RuleConstructionError("repeating pattern needs a diagonal entry")
         drift = self.repeating_drift
@@ -183,10 +197,6 @@ class StationaryColumnRule:
                 raise RuleConstructionError(f"{self.label}: negative drift")
             if not any(drift):
                 object.__setattr__(self, "repeating_drift", ())
-        k = max(
-            max((c.tail_start for c in self.leading), default=0),
-            len(self.leading) + len(self.repeating_entries),
-        )
         validate_rule(self, k + 1)
 
     def column(self, i: int) -> Column:
@@ -207,12 +217,18 @@ class StationaryColumnRule:
         return None if self.repeating_drift else len(self.leading)
 
     def value(self, i: int, k: int) -> float:
-        """Matrix entry ``f(i, k)``; requires integers ``0 <= i <= k``."""
+        """Matrix entry ``f(i, k)``, as ``column(i).value(k)`` but built from
+        the fields, with no Column; requires integers ``0 <= i <= k``."""
         if i.__class__ is not int or k.__class__ is not int:
             i, k = _index("column index", i), _index("row index", k)
         if i < 0 or k < i:
             raise DomainError(f"need 0 <= i <= k, got ({i}, {k})")
-        return self.column(i).value(k)
+        if i < len(self.leading):
+            return self.leading[i].value(k)
+        t, entries = k - i, self.repeating_entries
+        if t >= len(entries):
+            return self.repeating_tail + 0.0  # its column's zero slope: -0.0 reads 0.0
+        return entries[t] + self.repeating_drift[t] * i if self.repeating_drift else entries[t]
 
     def row(self, k: int) -> list[float]:
         k = _check_count("row index", k, 0)
@@ -220,38 +236,33 @@ class StationaryColumnRule:
 
 
 class Mixture(StationaryColumnRule):
-    """Convex combination ``weight * left + (1 - weight) * right``.
-
-    Mixing is how intermediate near-constant profiles are supported from
-    two endpoint rules.  Leading columns, pattern and drift are combined
-    once; a convex combination of balanced rules is balanced, so no row
-    is checked again.
-    """
+    """Convex combination ``weight * left + (1 - weight) * right``, entry
+    by entry: how intermediate near-constant profiles are supported from
+    two endpoint rules.  A mix of balanced rules is balanced, so no row is
+    checked again."""
 
     def __init__(
-        self,
-        weight: float,
-        left: StationaryColumnRule,
-        right: StationaryColumnRule,
+        self, weight: float, left: StationaryColumnRule, right: StationaryColumnRule
     ) -> None:
         if not 0.0 <= weight <= 1.0:
             raise RuleConstructionError(f"mixture weight must be in [0, 1], got {weight!r}")
-        n = max(len(left.leading), len(right.leading))
-        m = max(len(left.repeating_entries), len(right.repeating_entries))
-        leading = tuple(_combine_columns(weight, left.column(i), right.column(i)) for i in range(n))
         v = 1.0 - weight
+        m = max(len(left.repeating_entries), len(right.repeating_entries))
+        n = max(len(left.leading), len(right.leading))
+        leading = [_combine_columns(weight, v, left.column(i), right.column(i)) for i in range(n)]
 
         def mix(a, b, a_fill, b_fill):
             # past a part's own pattern entries: its tail, and no drift
             a, b = a + (a_fill,) * (m - len(a)), b + (b_fill,) * (m - len(b))
             return tuple([weight * x + v * y for x, y in zip(a, b)])
 
-        drift = mix(left.repeating_drift, right.repeating_drift, 0.0, 0.0)
+        drifts = left.repeating_drift, right.repeating_drift
+        drift = mix(*drifts, 0.0, 0.0) if any(drifts) else ()
         # the form goes on the frozen instance directly, not through the
         # dataclass __init__, whose balance check a mix of balanced rules skips
         vars(self).update(
             label=f"mix({weight:.6g}*{left.label} + {v:.6g}*{right.label})",
-            leading=leading,
+            leading=tuple(leading),
             repeating_entries=mix(
                 left.repeating_entries, right.repeating_entries,
                 left.repeating_tail, right.repeating_tail,
@@ -268,10 +279,9 @@ def _perturb_column(
     every row from ``k0`` on for each ``(k0, v)`` of ``shifts``."""
     i = col.start
     n = max([col.tail_start] + [k + 1 for k, _ in cells] + [k0 + 1 for k0, _ in shifts]) - i
-    values = [col.value(i + t) for t in range(n)]
+    *values, tail = _cells(col, i + n + 1)
     for k, v in cells:
         values[k - i] += v
-    tail = col.value(i + n)
     for k0, v in shifts:
         for t in range(k0 - i, n):
             values[t] += v

@@ -6,11 +6,9 @@ except ``simulate`` (numpy does not promise the same ``Generator`` stream
 across versions, NEP 19), and two negative verdicts.  Every format has at
 most 10 significant digits (``region`` is a table, not csv), so a last-ulp
 difference between hosts' libm cannot flip a byte of a value.  A
-residual at or below 1e-12 is rounding noise, whose every digit can flip,
-so the transcript prints it as the one token ``<=1e-12``: in a
-``residual=`` or ``max_residual=`` field and in a ``max_residual`` table
-row alike, and in the demos' ``max residual`` notes and ``<name>: ``
-residual lines (``tests/test_demos.py`` pins those under the same rules).
+residual at or below 1e-12 is rounding noise and prints as the one token
+``<=1e-12`` (``tests/pinning.py``, which ``tests/test_demos.py`` and
+``.github/scripts/cli-without-numpy.sh`` use too).
 
 An intended change of output is rewritten with
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and listed in CHANGES.md.
@@ -18,13 +16,13 @@ An intended change of output is rewritten with
 
 import contextlib
 import io
-import re
 import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
+from pinning import pinned
 from seqinvest.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -43,21 +41,6 @@ GOLDEN = {
     "region": "region --mode self_financed --points 16",
     "rule_print": "rule print --rule kind=jackpot --rows 8",
 }
-
-
-RESIDUAL = re.compile(
-    r"\b(residual=|max_residual=|max_residual +|max residual |[a-z]+(?:_[a-z]+)+: )([-+.0-9eE]+)"
-)
-
-
-def _noise_token(match: re.Match) -> str:
-    return match[1] + "<=1e-12" if abs(float(match[2])) <= 1e-12 else match[0]
-
-
-def pinned(command: str, stdout: str, code: int) -> str:
-    """The transcript of one command: its line, its stdout with rounding
-    noise as one token, and its exit code."""
-    return f"$ {command}\n{RESIDUAL.sub(_noise_token, stdout)}[exit {code}]\n"
 
 
 def transcript(command: str) -> str:

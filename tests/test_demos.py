@@ -1,10 +1,10 @@
 """Every demo runs to completion as a script; demos 01 to 06 match ``tests/golden/demos``.
 
 Each ``<demo>.txt`` is a transcript of one demo run, in the format and
-under the rules of ``tests/test_cli_golden.py``: the command line, its
-stdout, and its ``[exit N]``; every printed value has at most 10
-significant digits, and a residual at or below 1e-12 is the one token
-``<=1e-12``.  Demo 07 prints Monte Carlo output, which depends on numpy's
+under the rules of ``tests/test_cli_golden.py`` and ``tests/pinning.py``:
+the command line, its stdout, and its ``[exit N]``; every printed value
+has at most 10 significant digits, and a residual at or below 1e-12 is
+the one token ``<=1e-12``.  Demo 07 prints Monte Carlo output, which depends on numpy's
 ``Generator`` stream (NEP 19), so it is pinned only by its own
 ``bit-identical: True`` check.
 
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from test_cli_golden import pinned
+from pinning import pinned
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))

@@ -498,11 +498,11 @@ class TestSynthesizeThenVerify:
         rule = synthesize_rule(sr, x0, c, gamma)
         assert verify_equilibrium(sr, rule, ConstantTailProfile((x0,), c)).supported
         high, low = _endpoint_rules(sr, c, gamma)
-        target = sr.required_return(x0)
+        target, tail = sr.required_return(x0), ConstantTailProfile((), c)
         inside = (
-            _initiator_return(sr, low, c) + _SUPPORT_TOL
+            _initiator_return(sr, low, tail) + _SUPPORT_TOL
             < target
-            < _initiator_return(sr, high, c) - _SUPPORT_TOL
+            < _initiator_return(sr, high, tail) - _SUPPORT_TOL
         )
         assert isinstance(rule, Mixture) == inside, rule.label
 

@@ -452,6 +452,15 @@ class TestValidationMatchesNumpy:
         with pytest.raises(DomainError, match=f"points {points} < 3"):
             validate(sr, points=points)
 
+    @pytest.mark.parametrize("points", [10.5, 10.0, "64", None])
+    def test_non_integer_points_rejected(self, sr, points):
+        # each used to end in a bare TypeError from range
+        with pytest.raises(DomainError, match=rf"^points must be an integer, got {re.escape(repr(points))}$"):
+            validate(sr, points)
+
+    def test_numpy_integer_points_accepted(self, sr):
+        assert validate(sr, np.int64(32)).lines() == validate(sr, 32).lines()
+
     @pytest.mark.parametrize("cap", [1e-9, 1e-12, 0.0, -1.0, math.nan, 1e-9 * (1 + 1e-12)])
     def test_degenerate_domain_rejected(self, cap):
         # the last cap exceeds 1e-9, but rounding repeats points of its grid

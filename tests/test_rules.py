@@ -204,6 +204,21 @@ class TestConstruction:
         with pytest.raises(RuleConstructionError, match="repeating pattern"):
             StationaryColumnRule("s", (Column(0, (1.0,), 2.0),), (), 1.0)
 
+    @pytest.mark.parametrize("start", [2.5, 0.0, "0", None])
+    def test_non_integer_column_start_rejected(self, start):
+        # 2.5 used to end in a bare TypeError at Column.value, and a leading
+        # column with start 0.0 passed its position check and failed the same way
+        with pytest.raises(DomainError, match=rf"^column start must be an integer, got {start!r}$"):
+            Column(start, (1.0,), 2.0)
+        with pytest.raises(DomainError, match=r"^column start must be an integer"):
+            Column(0, (1.0,), 2.0)._replace(start=start)
+
+    def test_numpy_integer_column_start(self):
+        col = Column(np.int64(2), (1.0,), 2.0)
+        assert type(col.start) is int and col == Column(2, (1.0,), 2.0)
+        rule = StationaryColumnRule("s", (Column(np.int32(0), (1.0,), 2.0),), (0.0,), 1.0)
+        assert rule.row(3) == equal_split().row(3)
+
     def test_negative_tail_slope_rejected(self):
         # rows balance through row K + 1 = 4, but column 0 falls by 0.5 a
         # row and turns negative from row 5 on
