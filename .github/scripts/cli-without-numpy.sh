@@ -52,6 +52,11 @@ cli dynamics --rule kind=jackpot --rate scaled_sqrt_ratio --epsilon 0.7071 --hor
 cli synthesize --x0 0.06 --c 0.12 --gamma 0 | pinned | diff - <(golden_stdout synthesize)
 # the band's upper edge at the self-financed floor
 cli region --mode self_financed --points 16 | diff - <(golden_stdout region)
+# demos 02 to 05 need no numpy: flattening, rules, equilibria, synthesis and
+# the optima, byte for byte against their transcripts, noise as one token
+for demo in 02_process_functionals 03_reward_rules 04_equilibria 05_optimal_programs; do
+  PYTHONPATH=src "$work/bare/bin/python" "demos/$demo.py" | pinned | diff - <(golden_stdout "demos/$demo")
+done
 # a reader that stops early is no error: exit 0 and nothing on stderr
 cli rule print --rule kind=equal_split --rows 400 2> "$work/pipe.err" | head -1
 test ! -s "$work/pipe.err"

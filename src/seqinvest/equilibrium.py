@@ -524,19 +524,20 @@ def _initiator_return(sr: SuccessRate, rule: StationaryColumnRule, tail: Constan
 
 
 def _endpoint_rules(
-    sr: SuccessRate, c: float, gamma: float
+    tail_ratio: float, gamma: float, upper: float
 ) -> tuple[StationaryColumnRule, StationaryColumnRule]:
     # the rules paying the initiator the upper and the lower support
-    # bound against a constant-c tail with floor gamma: a fixed fraction
-    # with floor and a flat continuation while the tail's required return
-    # plus the floor stays below 1, the next-step bonus pair beyond
-    tail_ratio = sr.required_return(c)
+    # bound against a constant tail of required return ``tail_ratio`` with
+    # floor gamma, given the caller's upper edge ``upper``, so no rate is
+    # evaluated: a fixed fraction with floor and a flat continuation while
+    # the tail's required return plus the floor stays below 1, the
+    # next-step bonus pair beyond
     if tail_ratio + gamma <= 1.0:
         return (
             fixed_fraction_floor(tail_ratio + gamma, gamma),
             flat_continuation(tail_ratio + gamma, gamma),
         )
-    beta = tail_ratio - near_constant_bounds(sr, c, gamma)[1]
+    beta = tail_ratio - upper
     return next_step_bonus(beta, gamma), next_step_bonus_zero_initiator(beta, gamma)
 
 
@@ -559,7 +560,7 @@ def synthesize_rule(sr: SuccessRate, x0: float, c: float, gamma: float = 0.0) ->
             f"initiator return {feas.ratio:.6g} outside "
             f"[{max(feas.lower, 0.0):.6g}, {feas.upper:.6g}]"
         )
-    high, low = _endpoint_rules(sr, c, gamma)
+    high, low = _endpoint_rules(sr.required_return(c), gamma, feas.upper)
     tail = ConstantTailProfile((), c)
     v_high = _initiator_return(sr, high, tail)
     v_low = _initiator_return(sr, low, tail)

@@ -262,14 +262,14 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     # a peak in the first cell may lie arbitrarily close to 0: the lower
     # end then halves toward 0 until the slope changes sign
     c_s = bisect(slope, ghi, glo, limit=None if best > 0 else 0.0, xtol=1e-13)
-    p_s = sr.probability(c_s)
-    x0_s = x0_of(c_s, p_s)
-    profile = near_constant_profile(x0_s, c_s)
+    # the band's upper edge at c_s, once for the initiator, the residual and the rule
     gamma_s = _floor(mode, c_s)
-    rule, _ = _endpoint_rules(sr, c_s, gamma_s)
+    upper_s = _band_upper(sr, c_s, gamma_s, sr.probability(c_s))
+    x0_s = investment_for_return(sr, upper_s)
+    profile = near_constant_profile(x0_s, c_s)
+    rule, _ = _endpoint_rules(sr.required_return(c_s), gamma_s, upper_s)
     residuals = (
-        ("budget_constraint_active",
-         abs(sr.required_return(x0_s) - _band_upper(sr, c_s, gamma_s, p_s))),
+        ("budget_constraint_active", abs(sr.required_return(x0_s) - upper_s)),
         ("reduced_objective_slope", abs(slope(c_s))),
     )
     return _verified(

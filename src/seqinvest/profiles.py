@@ -21,8 +21,9 @@ predecessors succeeded), the functionals are
   gross prize needed to make the profile a best response everywhere).
 
 ``flatten_tail`` replaces everything from position ``k`` on with the
-constant that preserves ``V``; with ``p`` concave and the prize convex
-this never increases ``I`` or ``G``, which is what makes constant-tail
+constant ``c`` that preserves ``V``, the root of ``1 / (1 - p(c)) =
+V(x_k, x_{k+1}, ...)``; with ``p`` concave and the prize convex this
+never increases ``I`` or ``G``, which is what makes constant-tail
 profiles the right search space for the optimal programs.
 
 :class:`ConstantTailProfile` is a frozen dataclass because construction
@@ -105,6 +106,11 @@ class FunctionalValues(NamedTuple):
     incentive_cost: float
 
 
+def _divergence(pc: float) -> DivergenceError:
+    # a constant tail's series closes only for p(c) = pc below 1
+    return DivergenceError(f"tail success probability {pc:g} >= 1; series diverges")
+
+
 def _reach_series(
     sr: SuccessRate, x: ConstantTailProfile, start: int, stop: int, term,
     stops: bool = False, slope: float = 0.0,
@@ -122,7 +128,7 @@ def _reach_series(
     """
     pc = sr.probability(x.tail)
     if pc >= 1.0:
-        raise DivergenceError(f"tail success probability {pc:g} >= 1; series diverges")
+        raise _divergence(pc)
     total = 0.0
     reach = 1.0
     for j in range(start, stop):
@@ -167,43 +173,41 @@ def functionals(sr: SuccessRate, x: ConstantTailProfile) -> FunctionalValues:
 def flatten_tail(sr: SuccessRate, x: ConstantTailProfile, k: int) -> ConstantTailProfile:
     """Constant-from-``k`` profile with the same expected value.
 
-    Keeps ``x_0 .. x_{k-1}`` and replaces everything after with the
-    unique tail value matching ``expected_value``; the match is found by
-    a bracketed solve on the tail (the expected value is strictly
-    increasing in it whenever position ``k`` is reachable).  ``k`` is an
-    integer in ``[0, prefix_len]``, or :class:`DomainError` is raised.
+    Keeps ``x_0 .. x_{k-1}``; from ``k`` on a constant tail ``c`` is worth
+    ``reach_k / (1 - p(c))``, so the tail solves ``1 / (1 - p(c)) = V(x_k,
+    x_{k+1}, ...)``, the suffix's value walked once, by a bracketed solve
+    (the left side is strictly increasing in ``c``).  ``k`` is an integer
+    in ``[0, prefix_len]``, or :class:`DomainError` is raised.
     """
     k = _index("flatten position", k)
     if k < 0 or k > x.prefix_len:
-        raise DomainError(
-            f"flatten position must be in [0, {x.prefix_len}], got {k}"
-        )
+        raise DomainError(f"flatten position must be in [0, {x.prefix_len}], got {k}")
     if k == x.prefix_len:
         return x
     # imported here, its only use, so that loading profiles (as every rule
     # does) leaves the solver layer unloaded
     from .solvers import bisect
 
-    target = expected_value(sr, x)
     head = x.prefix[:k]
     # the chance that position k is reached; no rate is evaluated past an
-    # unreachable agent
+    # unreachable agent, where the suffix's walk only checks the tail
     reach = 1.0
     for v in head:
         reach *= sr.probability(v)
         if reach == 0.0:
             break
+    suffix = _reach_series(sr, x, k, x.prefix_len if reach else k, lambda _: 1.0)
     if reach <= 1e-300:
         return ConstantTailProfile(head, 0.0)
 
     def gap(c: float) -> float:
-        return expected_value(sr, ConstantTailProfile(head, c)) - target
+        pc = sr.probability(c)
+        if pc >= 1.0:
+            raise _divergence(pc)
+        return 1.0 / (1.0 - pc) - suffix
 
-    if gap(0.0) >= 0.0:
-        flat = ConstantTailProfile(head, 0.0)
-    else:
-        c = bisect(gap, 0.0, 1.0, limit=sr.domain_cap, xtol=_FLATTEN_XTOL)
-        flat = ConstantTailProfile(head, c)
-    if abs(expected_value(sr, flat) - target) > _FLATTEN_VTOL * max(1.0, target):
+    c = 0.0 if gap(0.0) >= 0.0 else bisect(gap, 0.0, 1.0, limit=sr.domain_cap, xtol=_FLATTEN_XTOL)
+    # the value match, in units of the suffix's value
+    if abs(gap(c)) > _FLATTEN_VTOL * suffix:
         raise InfeasibleError("flattening failed to match the expected value")
-    return flat
+    return ConstantTailProfile(head, c)

@@ -24,10 +24,12 @@ Built-in families:
   ``sqrt_ratio`` (the scale cancels in ``p / p'``).  One builder makes
   both families: ``sqrt_ratio`` is the scale ``1 - eps`` at ``eps = 0``,
   and a scale of exactly 1 changes no bit of ``p``, ``p'`` or the inverse.
-* custom rates (:func:`custom_rate`): user-supplied ``p`` and ``p'``;
-  the prize is derived and its slope falls back to a central finite
-  difference.  They have no configuration form: callers pass the object
-  itself, and :func:`rate_from_config` builds only the built-in families.
+* custom rates (:func:`custom_rate`): user-supplied ``p`` and ``p'``,
+  each value checked as it enters (the built-in closures are exact by
+  construction and go unchecked); the prize is derived and its slope
+  falls back to a central finite difference.  They have no configuration
+  form: callers pass the object itself, and :func:`rate_from_config`
+  builds only the built-in families.
 
 Both built-in families also invert the required return in closed form:
 ``required_return(x) = 2 s (1 + s)^2 / (1 - eps)`` with ``s = sqrt(x)``,
@@ -175,7 +177,10 @@ class SuccessRate:
             return self._prize(x)
         if x == 0.0:
             return 0.0
-        return self._p(x) / self._p_prime(x)
+        d = self._p_prime(x)
+        if d <= 0.0:  # as required_return: no finite prize makes x optimal
+            return math.inf
+        return self._p(x) / d
 
     def incentive_prize_slope(self, x: float) -> float:
         """Derivative of :meth:`incentive_prize`.
@@ -262,11 +267,27 @@ def custom_rate(
     """Wrap user-supplied ``p`` and ``p'`` evaluators.
 
     The prize and its slope are derived, so the caller's contract stays
-    minimal; run :func:`validate` to diagnose assumption violations.
+    minimal; run :func:`validate` to diagnose assumption violations.  Each
+    value is checked where it enters: a ``p`` that is NaN or outside
+    ``[0, 1]``, or a NaN ``p'``, raises :class:`DomainError` naming the
+    rate and ``x``.
     """
     if not 0.0 <= epsilon < 1.0:
         raise DomainError(f"epsilon must be in [0, 1), got {epsilon!r}")
-    return SuccessRate(name, epsilon, domain_cap, p, p_prime)
+
+    def checked_p(x: float) -> float:
+        v = p(x)
+        if not 0.0 <= v <= 1.0:  # NaN included
+            raise DomainError(f"{name}: p({x!r}) = {v!r} is not a probability")
+        return v
+
+    def checked_p_prime(x: float) -> float:
+        d = p_prime(x)
+        if d != d:
+            raise DomainError(f"{name}: p'({x!r}) is NaN")
+        return d
+
+    return SuccessRate(name, epsilon, domain_cap, checked_p, checked_p_prime)
 
 
 def rate_from_config(

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .errors import DomainError, RuleConstructionError, _check_count, _index
-from .profiles import ConstantTailProfile, _reach_series, incentive_cost
+from .profiles import ConstantTailProfile, _reach_series
 from .rates import SuccessRate
 
 _BALANCE_TOL = 1e-9  # rounding allowed on each row sum and entry sign
@@ -496,16 +496,15 @@ def _payoff(sr: SuccessRate, xi: float, fii: float, reward: float) -> float:
 
 
 def implied_value(sr: SuccessRate, rule: StationaryColumnRule, x: ConstantTailProfile) -> float:
-    """Stay-put payments plus incentive cost, reach-weighted.
+    """Stay-put payments plus incentive cost, reach-weighted, in one walk.
 
     At any supported profile this equals ``expected_value`` (the rule's
     floors and incentives together account for exactly the value
-    created); away from equilibrium the two can differ either way.  The
-    stay-put payments are constant from the first pattern column on.
+    created); away from equilibrium the two can differ either way.  Both
+    terms are constant from the first pattern column past the prefix on.
     """
     j0 = max(len(rule.leading), x.prefix_len, 1)
-    stay_put = _reach_series(sr, x, 0, j0, lambda j: rule.column(j).entries[0])
-    return stay_put + incentive_cost(sr, x)
+    return _reach_series(sr, x, 0, j0, lambda j: rule.value(j, j) + sr.incentive_prize(x.at(j)))
 
 
 _RULE_KINDS = {

@@ -58,9 +58,10 @@ computed, so they are the plain records.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ChainCapError, DomainError, _check_count
+from .errors import ChainCapError, _check_count
 from .profiles import ConstantTailProfile
 from .rates import SuccessRate
 from .rules import StationaryColumnRule
@@ -147,13 +148,6 @@ class SimulationSummary(NamedTuple):
     histogram: tuple[int, ...]
 
 
-def _probability(sr: SuccessRate, x: float) -> float:
-    p = sr.probability(x)
-    if not 0.0 <= p <= 1.0:  # also rejects NaN
-        raise DomainError(f"{sr.name}: p({x:g}) = {p!r} is not a probability")
-    return p
-
-
 def _shard_histogram(
     sr: SuccessRate,
     profile: ConstantTailProfile,
@@ -164,22 +158,18 @@ def _shard_histogram(
     """Counts of episodes by terminal index, plus the discard count (0)."""
     import numpy as np
 
-    p_tail = _probability(sr, profile.tail)
+    p_tail = sr.probability(profile.tail)
     steps = max(max_chain_length, profile.prefix_len)
     counts: list[int] = []
     remaining = episodes
-    for x in profile.prefix:
-        if remaining == 0:
-            break
-        successes = int(rng.binomial(remaining, _probability(sr, x)))
+    # the prefix probabilities, each evaluated only once an episode reaches
+    # its agent, then the tail's; the loop stops with the last episode
+    for p in chain(map(sr.probability, profile.prefix), repeat(p_tail, steps - profile.prefix_len)):
+        successes = int(rng.binomial(remaining, p))
         counts.append(remaining - successes)
         remaining = successes
-    for _ in range(steps - len(counts)):
         if remaining == 0:
             break
-        successes = int(rng.binomial(remaining, p_tail))
-        counts.append(remaining - successes)
-        remaining = successes
     hist = np.asarray(counts, dtype=np.int64)
     if remaining == 0:
         return hist, 0

@@ -1,4 +1,4 @@
-"""Recompute the rate-only ORACLE constants of ``conftest.py`` at 50 digits.
+"""Recompute the ORACLE constants of ``conftest.py`` at 50 digits.
 
 Each constant is solved from its defining equation with mpmath, written
 from the formulas of the square-root family and sharing no code with
@@ -8,9 +8,16 @@ from the formulas of the square-root family and sharing no code with
 
 to print every constant beside its frozen value and their relative
 difference; ``tests/test_oracle.py`` makes the same comparison.  The
-initiator optimum is recomputed from its first-order condition; the
-``ex5_*`` and self-financed-optimum constants need the rule and optimum
-programs and are not recomputed here.
+rate-only constants and the initiator optimum are solved from their
+first-order conditions.  The functionals of the three-tier equilibrium
+(``ex5_*``), of its flattenings and of the constant profiles at ``c_star``
+and 0.2588 are series over the frozen ``ex5_x0 .. ex5_x2`` and
+``c_star``; a flattened tail ``c`` from position ``k`` on solves
+``1 / (1 - p(c)) = V(x_k, x_{k+1}, ...)``.  Not recomputed here: the
+three-tier equilibrium itself (``ex5_x0 .. ex5_x2``) and its payoffs,
+the payoffs at ``c_star``, and the self-financed optimum (``c_s``,
+``x0_s``, ``welfare_s``, ``alpha_s``), which need the rule and optimum
+programs.
 """
 
 from __future__ import annotations
@@ -53,6 +60,25 @@ def root(f, lo, hi):
     return mp.findroot(f, (lo, hi), solver="anderson")
 
 
+def series(r: Rate, prefix, tail, term):
+    """``sum_j reach(j) * term(x_j)`` over ``(*prefix, tail, tail, ...)``,
+    the tail's terms summed as a geometric series."""
+    total, reach = mp.mpf(0), mp.mpf(1)
+    for x in prefix:
+        total += reach * term(x)
+        reach *= r.p(x)
+    return total + reach * term(tail) / (1 - r.p(tail))
+
+
+def flat_tail(r: Rate, value):
+    """The constant tail ``c`` worth ``value`` from its own position on."""
+    return root(lambda c: 1 / (1 - r.p(c)) - value, "1e-9", 1)
+
+
+def one(_):
+    return mp.mpf(1)
+
+
 def first_best(r: Rate):
     return root(lambda c: (1 - c) / (1 - r.p(c)) - r.required_return(c), "1e-6", 1)
 
@@ -75,6 +101,18 @@ def constants() -> dict[str, mp.mpf]:
             lambda x: sr.required_return(x) - (1 - sr.prize(c_circ)) / (1 - sr.p(c_circ)),
             "1e-6", 1,
         )
+        # the three-tier equilibrium and the constants built on it, from
+        # their frozen values
+        from conftest import ORACLE
+
+        x0, x1, x2, c_star = (
+            mp.mpf(v) for v in (ORACLE.ex5_x0, ORACLE.ex5_x1, ORACLE.ex5_x2, ORACLE.c_star)
+        )
+        ex5_value = series(sr, (x0, x1), x2, one)
+        ex5_invest = series(sr, (x0, x1), x2, lambda x: x)
+        # flattened from agent 1 on, and from agent 0
+        c_bar = flat_tail(sr, series(sr, (x1,), x2, one))
+        c_2588 = mp.mpf(0.2588)
         return {
             "c_star": root(lambda c: sr.prize(c) - sr.p(c), "1e-6", c_fb),
             "c_fb": c_fb,
@@ -95,6 +133,29 @@ def constants() -> dict[str, mp.mpf]:
             "x0_circ": x0_circ,
             "payoff0_circ": 1 + sr.prize(x0_circ) - x0_circ,
             "alpha_circ": sr.required_return(c_circ),
+            "ex5_value": ex5_value,
+            "ex5_invest": ex5_invest,
+            "ex5_welfare": ex5_value - ex5_invest,
+            "ex5_cost": series(sr, (x0, x1), x2, sr.prize),
+            "reach2_ex5": sr.p(x0) * sr.p(x1),
+            "ex5_ratio_x0": sr.required_return(x0),
+            "ex5_cbar": c_bar,
+            "ex5_ctilde": flat_tail(sr, ex5_value),
+            "ex5_cost_flat": series(sr, (x0,), c_bar, sr.prize),
+            "ex5_invest_flat": series(sr, (x0,), c_bar, lambda x: x),
+            # the near-constant support band at the flattened tail, floor 0
+            "ex5_lower_at_cbar": sr.required_return(c_bar) - 2,
+            "ex5_upper_at_cbar": (1 - sr.prize(c_bar)) / (1 - sr.p(c_bar)),
+            "value_const_2588": series(sr, (), c_2588, one),
+            "cost_const_2588": series(sr, (), c_2588, sr.prize),
+            "value_c_star": series(sr, (), c_star, one),
+            "invest_c_star": series(sr, (), c_star, lambda x: x),
+            "welfare_c_star": series(sr, (), c_star, lambda x: 1 - x),
+            # where the band's lower edge r(c) - 2 meets its upper edge
+            "c_cross": root(
+                lambda c: sr.required_return(c) - 2 - (1 - sr.prize(c)) / (1 - sr.p(c)),
+                "1e-6", "0.3",
+            ),
         }
 
 

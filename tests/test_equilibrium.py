@@ -13,6 +13,7 @@ from seqinvest import (
     Mixture,
     Mode,
     Perturbed,
+    SuccessRate,
     TailShapeError,
     UnboundedRatioError,
     best_response,
@@ -99,11 +100,13 @@ class TestInvestmentForReturn:
         assert investment_for_return(sr, sr.max_return) == sr.domain_cap
 
     def test_nan_max_return_still_solves(self, sr):
-        # p' is NaN above 1e5, so the return at the cap bounds nothing
+        # p' is NaN above 1e5, so the return at the cap bounds nothing;
+        # custom_rate refuses a NaN p' where it enters, so the rate is built
+        # from unchecked closures
         def p_prime(x):
             return math.nan if x > 1e5 else sr.marginal(x)
 
-        rate = custom_rate("nan_past_1e5", sr.probability, p_prime)
+        rate = SuccessRate("nan_past_1e5", 0.0, sr.domain_cap, sr.probability, p_prime)
         assert math.isnan(rate.max_return)
         for t in (0.5, 2.0, 1000.0):
             assert investment_for_return(rate, t) == pytest.approx(
@@ -181,9 +184,10 @@ class TestVerify:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_nan_residual_is_no_support(self, sr, mode):
         # p is NaN above 0.4, so every residual at c = 0.5 is NaN; each
-        # tolerance test used to read NaN as passing
-        rate = custom_rate("nan_above", lambda x: math.nan if x > 0.4 else sr.probability(x),
-                           sr.marginal)
+        # tolerance test used to read NaN as passing.  custom_rate refuses
+        # the NaN where it enters, so the rate is built from unchecked closures
+        rate = SuccessRate("nan_above", 0.0, sr.domain_cap,
+                           lambda x: math.nan if x > 0.4 else sr.probability(x), sr.marginal)
         report = verify_equilibrium(rate, equal_split(), constant_profile(0.5), mode=mode)
         assert [math.isnan(c.residual) for c in report.checks] == [True, True]
         assert not report.supported
@@ -586,6 +590,24 @@ class TestSynthesize:
     def test_infeasible_raises(self, sr, oracle):
         with pytest.raises(InfeasibleError):
             synthesize_rule(sr, oracle.ex5_x0, oracle.ex5_cbar, 0.0)
+
+    def test_band_evaluated_once(self, sr):
+        # the endpoint rules take the band the feasibility check computed:
+        # p and p' for the band and the initiator's return, then the two
+        # endpoints' initiator returns; at (0.12, 0) the tail's required
+        # return is above 1, so the bonus pair is built
+        calls = {"p": 0, "p'": 0}
+
+        def counted(key, fn):
+            def f(x):
+                calls[key] += 1
+                return fn(x)
+            return f
+
+        rate = custom_rate("counting", counted("p", sr.probability), counted("p'", sr.marginal))
+        rule = synthesize_rule(rate, 0.06, 0.12, 0.0)
+        assert rule.label.startswith("mix(") and "next_step_bonus" in rule.label
+        assert calls == {"p": 6, "p'": 4}
 
 
 class TestMixingClosure:

@@ -408,8 +408,9 @@ class TestScaledRatePrograms:
         assert res.max_residual <= 1e-8
         past = 1.01 * c
         assert sr.required_return(past) + past > 1.0
-        rule, _ = _endpoint_rules(sr, past, past)
+        upper = near_constant_bounds(sr, past, past)[1]
+        rule, _ = _endpoint_rules(sr.required_return(past), past, upper)
         assert rule.label.startswith("next_step_bonus")
-        x0 = investment_for_return(sr, near_constant_bounds(sr, past, past)[1])
+        x0 = investment_for_return(sr, upper)
         profile = ConstantTailProfile((x0,), past)
         assert verify_equilibrium(sr, rule, profile, mode=Mode.SELF_FINANCED).supported

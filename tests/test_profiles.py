@@ -234,6 +234,19 @@ class TestFlatten:
         x = ConstantTailProfile((0.5, 0.0, 0.3, 0.4), 0.7)
         assert flatten_tail(rate, x, 3) == ConstantTailProfile((0.5, 0.0, 0.3), 0.0)
 
+    def test_head_walked_once(self, sr, ex5_profile):
+        # the tail solves 1 / (1 - p(c)) = V(suffix), so no solver step
+        # walks the kept head again; each step used to rebuild and walk
+        # the whole profile, 15 evaluations at the kept initiator
+        x0 = ex5_profile.at(0)
+        seen = []
+        counting = custom_rate(
+            "counting", lambda x: seen.append(x) or sr.probability(x), sr.marginal
+        )
+        flat = flatten_tail(counting, ex5_profile, 1)
+        assert seen.count(x0) <= 3
+        assert flat.tail == pytest.approx(flatten_tail(sr, ex5_profile, 1).tail, rel=1e-15, abs=0.0)
+
     def test_zero_investment_at_the_position_flattens_to_zero(self, sr):
         # position 1 is reached, but invests nothing: nothing after it adds value
         x = ConstantTailProfile((0.1, 0.0, 0.3), 0.2)

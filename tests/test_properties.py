@@ -497,7 +497,7 @@ class TestSynthesizeThenVerify:
         x0 = investment_for_return(sr, lower + u * (upper - lower))
         rule = synthesize_rule(sr, x0, c, gamma)
         assert verify_equilibrium(sr, rule, ConstantTailProfile((x0,), c)).supported
-        high, low = _endpoint_rules(sr, c, gamma)
+        high, low = _endpoint_rules(sr.required_return(c), gamma, upper)
         target, tail = sr.required_return(x0), ConstantTailProfile((), c)
         inside = (
             _initiator_return(sr, low, tail) + _SUPPORT_TOL

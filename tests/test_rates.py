@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 from seqinvest import (
+    ConstantTailProfile,
     DomainError,
+    constant_profile,
     custom_rate,
+    expected_value,
+    expected_welfare,
+    incentive_cost,
     rate_from_config,
     scaled_sqrt_ratio,
     sqrt_ratio,
@@ -212,6 +217,46 @@ class TestAcceptPath:
             getattr(sr, method)(x)
 
 
+class TestCustomRateValues:
+    """``custom_rate`` checks each value of the user's ``p`` and ``p'`` as it enters."""
+
+    def test_nan_fails_loudly(self, sr):
+        # p is NaN above 0.4: the functionals at c = 0.5 used to return nan
+        rate = custom_rate(
+            "nan_above", lambda x: math.nan if x > 0.4 else sr.probability(x), sr.marginal
+        )
+        for functional in (expected_value, expected_welfare, incentive_cost):
+            with pytest.raises(DomainError, match=r"^nan_above: p\(0\.5\) = nan is not a probability$"):
+                functional(rate, constant_profile(0.5))
+        slope = custom_rate(
+            "nan_slope", sr.probability, lambda x: math.nan if x > 0.4 else sr.marginal(x)
+        )
+        with pytest.raises(DomainError, match=r"^nan_slope: p'\(0\.5\) is NaN$"):
+            slope.required_return(0.5)
+
+    def test_probability_above_one_fails_loudly(self):
+        # p(4) is exactly 1 and p(9) = 1.125: expected_value used to return
+        # 2.3026 here, and validate passed the rate
+        def p(x):
+            return 1.5 * math.sqrt(x) / (1.0 + math.sqrt(x))
+
+        def p_prime(x):
+            return math.inf if x == 0.0 else 0.75 / (math.sqrt(x) * (1.0 + math.sqrt(x)) ** 2)
+
+        rate = custom_rate("too_steep", p, p_prime)
+        assert rate.probability(4.0) == 1.0
+        with pytest.raises(DomainError, match=r"^too_steep: p\(9\.0\) = 1\.125 is not a probability$"):
+            expected_value(rate, ConstantTailProfile((9.0,), 0.01))
+        evaluable = {c.name: c for c in validate(rate).checks}["evaluable"]
+        assert not evaluable.passed and evaluable.worst_x > 4.0
+
+    def test_prize_infinite_where_the_slope_vanishes(self):
+        # p / p' used to end in a bare ZeroDivisionError
+        rate = custom_rate("flat", lambda x: min(x, 0.5), lambda x: 1.0 if x < 0.5 else 0.0)
+        assert rate.incentive_prize(0.7) == math.inf == rate.required_return(0.7)
+        assert rate.incentive_prize(0.25) == 0.25
+
+
 class TestScaledFamily:
     def test_probability_scaled(self, sr, sr_scaled, oracle):
         for x in (0.01, 0.3, 2.0):
@@ -341,7 +386,16 @@ class TestValidationNaN:
 
 
 def _numpy_validate(sr, points=512, *, tol_convex=1e-8, tol_limit=1e-6):
-    """The numpy implementation ``validate`` replaced, kept as its reference."""
+    """The numpy implementation ``validate`` replaced, kept as its reference.
+
+    A prize is infinite where ``p'`` is 0; its differences are NaN, as in
+    plain Python, without numpy's warning.
+    """
+    with np.errstate(invalid="ignore"):
+        return _numpy_checks(sr, points, tol_convex, tol_limit)
+
+
+def _numpy_checks(sr, points, tol_convex, tol_limit):
 
     def safe_eval(fn, xs):
         out = np.empty(xs.shape)

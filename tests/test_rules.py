@@ -506,7 +506,13 @@ class TestImpliedValue:
         got = implied_value(sr, fixed_fraction_floor(alpha, gamma), x)
         assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_equals_value_at_equilibrium(self, sr, ex5_rule, ex5_profile):
+    def test_equals_value_at_equilibrium(self, sr, ex5_rule, ex5_profile, monkeypatch):
+        # in one walk: the stay-put payment is read with ``value``, beside
+        # the prize, so no Column is built
+        def column(self, i):
+            raise AssertionError(f"column({i}) built")
+
+        monkeypatch.setattr(StationaryColumnRule, "column", column)
         assert implied_value(sr, ex5_rule, ex5_profile) == pytest.approx(
             expected_value(sr, ex5_profile), abs=1e-8
         )

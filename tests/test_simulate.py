@@ -273,6 +273,20 @@ class TestAggregation:
         np.testing.assert_array_equal(values, before)  # values left as they are
 
 
+class TestThinning:
+    def test_no_prefix_probability_after_the_last_episode(self, sr):
+        # agent 1 invests nothing, so every episode has stopped by then:
+        # the probabilities of agents 2 and 3 are never needed
+        seen = []
+        counting = custom_rate(
+            "counting", lambda x: seen.append(x) or sr.probability(x), sr.marginal
+        )
+        x = ConstantTailProfile((0.3, 0.0, 0.2, 0.05), 0.1)
+        hist, _ = terminal_histogram(counting, x, SimulationConfig(episodes=1000, seed=3))
+        assert hist.size == 2 and hist.sum() == 1000
+        assert seen == [0.1, 0.3, 0.0]
+
+
 class TestBadRates:
     @pytest.mark.parametrize("p_tail", [1.0, 1.0 - 1e-12])
     def test_tail_that_never_fails(self, p_tail):
