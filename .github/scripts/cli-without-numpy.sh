@@ -36,8 +36,9 @@ print(tail)
 PYTHONPATH=src "$work/bare/bin/python" -c "$library" > "$work/library.out"
 test "$(cat "$work/library.out")" = 0.0883019903521997
 
-cli optima
-# stdout itself, byte for byte, not only the exit code
+# stdout itself, byte for byte, not only the exit code; the optima with
+# a residual's rounding noise as one token
+cli optima | pinned | diff - <(golden_stdout optima)
 cli rule print --rule kind=jackpot --rows 8 | diff - <(golden_stdout rule_print)
 # the modules rule print imports: the rules layer, and not equilibrium or solvers
 PYTHONPATH=src "$work/bare/bin/python" -X importtime -m seqinvest.cli \

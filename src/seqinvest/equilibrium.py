@@ -36,7 +36,9 @@ supportable if and only if
 
 where ``r`` is the required-return ratio.  The synthesizer builds the
 two endpoint rules attaining the bounds and mixes them with the weight
-that lands the initiator's net return exactly on ``r(x0)``.  Both
+that lands the initiator's net return exactly on ``r(x0)``.  Both edges
+and the tail's required return, which the endpoint rules read, come from
+one evaluation of ``p(c)``, ``r(c)`` and ``prize(c)``.  The two
 bounds, and the constant-profile condition ``p(c) >= prize(c)``, are
 checked with one slack, ``_SUPPORT_TOL``; a return within it of an
 endpoint gets the endpoint rule itself.
@@ -437,12 +439,10 @@ def constant_support_check(sr: SuccessRate, c: float) -> ConstantSupport:
     """
     if c < 0.0:
         raise DomainError(f"investment must be >= 0, got {c!r}")
-    prize = sr.incentive_prize(c)
-    prob = sr.probability(c)
+    prob, ratio, prize = sr._band_at(c)  # ratio: prize / p, 0 at 0
     gap = prize - prob
     if gap > _SUPPORT_TOL:
         return ConstantSupport(False, c, gap, None)
-    ratio = sr.required_return(c)  # prize / p, with the 0-at-0 convention
     witness = fixed_fraction_floor(1.0, max(0.0, 1.0 - ratio))
     return ConstantSupport(True, c, gap, witness)
 
@@ -474,36 +474,56 @@ def _floor(mode: Mode, c: float) -> float:
     return c if mode is _SELF_FINANCED else 0.0
 
 
-def _band_headroom(sr: SuccessRate, c: float, gamma: float) -> float:
-    # what the prize of a constant-c tail and the floor gamma leave of the
-    # unit row: the band's upper edge times 1 - p(c), so with its sign
-    return 1.0 - gamma - sr.incentive_prize(c)
+def _band_headroom(gamma: float, prize: float) -> float:
+    # what a constant tail's prize and the floor gamma leave of the unit
+    # row: the band's upper edge times 1 - p(c), so with its sign
+    return 1.0 - gamma - prize
 
 
-def _band_upper(sr: SuccessRate, c: float, gamma: float, pc: float) -> float:
+def _band_upper(gamma: float, pc: float, prize: float) -> float:
     # the band's upper edge: the largest initiator return against a
-    # constant-c tail with floor gamma; ``pc`` is p(c), which callers that
-    # need it too evaluate once
-    return _band_headroom(sr, c, gamma) / (1.0 - pc)
+    # constant-c tail with floor gamma, from p(c) and prize(c); the
+    # headroom over 1 - p(c), written out, as this runs per grid point
+    return (1.0 - gamma - prize) / (1.0 - pc)
 
 
-def _band_upper_slope(sr: SuccessRate, c: float, mode: Mode, pc: float) -> float:
-    # d/dc of _band_upper(sr, c, _floor(mode, c), pc) times (1 - pc)^2, so
-    # with the slope's sign; the floor is linear in c, its slope its value at 1
+def _band_upper_slope(sr: SuccessRate, c: float, mode: Mode, pc: float, prize: float) -> float:
+    # d/dc of the upper edge at floor _floor(mode, c) times (1 - pc)^2, so
+    # with the slope's sign, given p(c) and prize(c); the floor is linear
+    # in c, its slope its value at 1
     head = (-_floor(mode, 1.0) - sr.incentive_prize_slope(c)) * (1.0 - pc)
-    return head + _band_headroom(sr, c, _floor(mode, c)) * sr.marginal(c)
+    return head + _band_headroom(_floor(mode, c), prize) * sr.marginal(c)
+
+
+def _band(sr: SuccessRate, c: float, gamma: float) -> tuple[float, float, float]:
+    # the tail's required return and the band's unclamped lower and upper
+    # edges, from one evaluation of the rate at c
+    if not 0.0 <= gamma < math.inf:
+        # a self-financed floor is the tail itself, and a bad tail is the
+        # caller's investment, not a floor they passed: the tail is named first
+        sr.required_return(c)
+        raise DomainError(f"floor must be finite and >= 0, got {gamma!r}")
+    pc, ratio, prize = sr._band_at(c)
+    return ratio, ratio + gamma - 2.0, _band_upper(gamma, pc, prize)
 
 
 def near_constant_bounds(
     sr: SuccessRate, c: float, gamma: float = 0.0
 ) -> tuple[float, float]:
     """Unclamped lower and upper required-return bounds for the initiator."""
-    # the tail first: a self-financed floor is the tail itself, and a bad
-    # tail is the caller's investment, not a floor they passed
-    ratio = sr.required_return(c)
-    if not 0.0 <= gamma < math.inf:
-        raise DomainError(f"floor must be finite and >= 0, got {gamma!r}")
-    return ratio + gamma - 2.0, _band_upper(sr, c, gamma, sr.probability(c))
+    _, lower, upper = _band(sr, c, gamma)
+    return lower, upper
+
+
+def _feasibility(
+    sr: SuccessRate, x0: float, c: float, gamma: float
+) -> tuple[NearConstantFeasibility, float]:
+    # near_constant_feasibility with the tail's required return, which
+    # synthesis takes from the same evaluation of the band
+    tail_ratio, lower, upper = _band(sr, c, gamma)
+    ratio = sr.required_return(x0)
+    feasible = max(lower, 0.0) <= ratio + _SUPPORT_TOL and ratio <= upper + _SUPPORT_TOL
+    return NearConstantFeasibility(feasible, x0, c, gamma, ratio, lower, upper), tail_ratio
 
 
 def near_constant_feasibility(
@@ -511,10 +531,7 @@ def near_constant_feasibility(
 ) -> NearConstantFeasibility:
     """Both bounds, with the initiator's return allowed ``_SUPPORT_TOL``
     outside them."""
-    lower, upper = near_constant_bounds(sr, c, gamma)
-    ratio = sr.required_return(x0)
-    feasible = max(lower, 0.0) <= ratio + _SUPPORT_TOL and ratio <= upper + _SUPPORT_TOL
-    return NearConstantFeasibility(feasible, x0, c, gamma, ratio, lower, upper)
+    return _feasibility(sr, x0, c, gamma)[0]
 
 
 def _initiator_return(sr: SuccessRate, rule: StationaryColumnRule, tail: ConstantTailProfile) -> float:
@@ -553,14 +570,14 @@ def synthesize_rule(sr: SuccessRate, x0: float, c: float, gamma: float = 0.0) ->
     slack feasibility allows, gets that endpoint rule itself.  Raises
     :class:`InfeasibleError` outside the feasible band.
     """
-    feas = near_constant_feasibility(sr, x0, c, gamma)
+    feas, tail_ratio = _feasibility(sr, x0, c, gamma)
     if not feas.feasible:
         raise InfeasibleError(
             f"(x0={x0:g}, c={c:g}, gamma={gamma:g}) is not supportable: "
             f"initiator return {feas.ratio:.6g} outside "
             f"[{max(feas.lower, 0.0):.6g}, {feas.upper:.6g}]"
         )
-    high, low = _endpoint_rules(sr.required_return(c), gamma, feas.upper)
+    high, low = _endpoint_rules(tail_ratio, gamma, feas.upper)
     tail = ConstantTailProfile((), c)
     v_high = _initiator_return(sr, high, tail)
     v_low = _initiator_return(sr, low, tail)

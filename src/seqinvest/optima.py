@@ -25,9 +25,12 @@ incentive cost:
 
 The support band's upper edge, its slope in the tail and the floor per
 :class:`Mode` live in :mod:`seqinvest.equilibrium`, next to
-``near_constant_bounds``.  The initiator and self-financed searches and
-the region curves end at one boundary, :func:`tail_limit`: the largest
-tail at which the prize plus the floor reaches 1.
+``near_constant_bounds``.  Each point of the region sweep and of the
+self-financed grid reads ``p``, the required return and the prize at
+its tail from one evaluation of the rate.  The initiator and
+self-financed searches and the region curves end at one boundary,
+:func:`tail_limit`: the largest tail at which the prize plus the floor
+reaches 1.
 
 Every solve is one bracketed root solve (:func:`seqinvest.solvers.bisect`):
 of a monotone crossing, or of the derivative of a maximized function on
@@ -58,6 +61,7 @@ from .equilibrium import (
     EquilibriumReport,
     Mode,
     _as_mode,
+    _band,
     _band_headroom,
     _band_upper,
     _band_upper_slope,
@@ -164,7 +168,7 @@ def tail_limit(sr: SuccessRate, mode: Mode | str = Mode.UNCONSTRAINED) -> float:
     :class:`DomainError`.
     """
     mode = _as_mode(mode)
-    return bisect(lambda c: _band_headroom(sr, c, _floor(mode, c)), _EDGE, 1.0,
+    return bisect(lambda c: _band_headroom(_floor(mode, c), sr.incentive_prize(c)), _EDGE, 1.0,
                   limit=sr.domain_cap, xtol=1e-15)
 
 
@@ -189,13 +193,16 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
     mode = Mode.UNCONSTRAINED
 
     def slope(c: float) -> float:
-        return _band_upper_slope(sr, c, mode, sr.probability(c))
+        pc, _, prize = sr._band_at(c)
+        return _band_upper_slope(sr, c, mode, pc, prize)
 
     c_circ = bisect(slope, d, 0.5 * d, limit=0.0, xtol=1e-14)
-    q_circ = _band_upper(sr, c_circ, _floor(mode, c_circ), sr.probability(c_circ))
+    # the band at c_circ, once for the initiator's return and the rule
+    pc, r_circ, prize = sr._band_at(c_circ)
+    q_circ = _band_upper(_floor(mode, c_circ), pc, prize)
     x0_circ = investment_for_return(sr, q_circ)
     profile = near_constant_profile(x0_circ, c_circ)
-    rule = fixed_fraction(sr.required_return(c_circ))
+    rule = fixed_fraction(r_circ)
     objective = 1.0 + sr.incentive_prize(x0_circ) - x0_circ
     residuals = (
         ("tail_stationarity", abs(slope(c_circ))),
@@ -231,23 +238,23 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     if c_max <= _EDGE:
         raise InfeasibleError("the self-financed feasible set is empty for this rate")
 
-    def x0_of(c: float, pc: float) -> float:
-        # the initiator on the band's upper edge, given pc = p(c)
-        return investment_for_return(sr, _band_upper(sr, c, _floor(mode, c), pc))
+    def x0_of(c: float, pc: float, prize: float) -> float:
+        # the initiator on the band's upper edge, given p(c) and prize(c)
+        return investment_for_return(sr, _band_upper(_floor(mode, c), pc, prize))
 
     def welfare_gain(c: float) -> float:
         # reduced welfare minus 1, which would round away the gain at caps near 1
-        pc = sr.probability(c)
-        x0 = x0_of(c, pc)
+        pc, _, prize = sr._band_at(c)
+        x0 = x0_of(c, pc, prize)
         return sr.probability(x0) * (1.0 - c) / (1.0 - pc) - x0
 
     def slope(c: float) -> float:
         # chain rule through the active constraint; exact up to the
         # tolerance of the inner inversion
-        pc = sr.probability(c)
-        x0 = x0_of(c, pc)
+        pc, _, prize = sr._band_at(c)
+        x0 = x0_of(c, pc, prize)
         px0 = sr.probability(x0)
-        dx0 = _band_upper_slope(sr, c, mode, pc) / (1.0 - pc) ** 2
+        dx0 = _band_upper_slope(sr, c, mode, pc, prize) / (1.0 - pc) ** 2
         dx0 /= _return_ratio_slope(sr, x0, px0)
         dwelfare_dc = (-(1.0 - pc) + (1.0 - c) * sr.marginal(c)) / (1.0 - pc) ** 2
         dwelfare_dx0 = -1.0 + sr.marginal(x0) * (1.0 - c) / (1.0 - pc)
@@ -262,12 +269,13 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     # a peak in the first cell may lie arbitrarily close to 0: the lower
     # end then halves toward 0 until the slope changes sign
     c_s = bisect(slope, ghi, glo, limit=None if best > 0 else 0.0, xtol=1e-13)
-    # the band's upper edge at c_s, once for the initiator, the residual and the rule
+    # the band at c_s, once for the initiator, the residual and the rule
     gamma_s = _floor(mode, c_s)
-    upper_s = _band_upper(sr, c_s, gamma_s, sr.probability(c_s))
+    pc, r_s, prize = sr._band_at(c_s)
+    upper_s = _band_upper(gamma_s, pc, prize)
     x0_s = investment_for_return(sr, upper_s)
     profile = near_constant_profile(x0_s, c_s)
-    rule, _ = _endpoint_rules(sr.required_return(c_s), gamma_s, upper_s)
+    rule, _ = _endpoint_rules(r_s, gamma_s, upper_s)
     residuals = (
         ("budget_constraint_active", abs(sr.required_return(x0_s) - upper_s)),
         ("reduced_objective_slope", abs(slope(c_s))),
@@ -310,7 +318,9 @@ def region_sweep(
     rows: list[RegionRow] = []
     for c in c_values:
         c = float(c)
-        lower, upper = near_constant_bounds(sr, c, _floor(mode, c))
+        # the band as near_constant_bounds gives it, less that call and
+        # its repacking, which this per-point loop would pay every time
+        _, lower, upper = _band(sr, c, _floor(mode, c))
         if upper < 0.0:
             rows.append(RegionRow(c, None, None))
             continue

@@ -39,6 +39,14 @@ Custom rates invert by the bracketing solver.  Like the closed-form
 prize, the inverse is trusted in place of ``p'``, so it must stay
 consistent with ``_p_prime``.
 
+The support band (:func:`seqinvest.equilibrium.near_constant_bounds`)
+reads ``p``, ``required_return`` and ``incentive_prize`` at one tail.
+The built-in families give the three in one closed form, ``_band``,
+which takes ``sqrt(x)`` once and computes each value with its closure's
+own expression.  It is trusted in place of ``_p``, ``_p_prime`` and
+``_prize`` as the inverse is, so it must agree with them bit for bit.
+A custom rate's band evaluates ``p'`` and then ``p``, once each.
+
 The evaluators (``probability``, ``marginal``, ``incentive_prize``,
 ``incentive_prize_slope`` and ``required_return``) take an investment in
 ``[0, domain_cap]``, or ``(0, domain_cap]`` for the slope.  A Python
@@ -120,6 +128,7 @@ class SuccessRate:
     _prize: Callable[[float], float] | None = field(default=None, repr=False)
     _prize_slope: Callable[[float], float] | None = field(default=None, repr=False)
     _return_inverse: Callable[[float], float] | None = field(default=None, repr=False)
+    _band: Callable[[float], tuple[float, float, float]] | None = field(default=None, repr=False)
     # set once by ``max_return``; a field, so that attribute reads on the
     # rate stay as fast as before it is set (a ``cached_property`` would
     # materialise the instance ``__dict__`` and slow every ``self._p`` read)
@@ -218,6 +227,26 @@ class SuccessRate:
             return math.inf
         return 1.0 / d
 
+    def _band_at(self, x: float) -> tuple[float, float, float]:
+        # (probability, required_return, incentive_prize) at x, the three
+        # values the support band reads, bit for bit as the evaluators give
+        # them, behind their one domain check: the closed form where the
+        # family has one, else p' and then p, once each
+        if x.__class__ is not float or not 0.0 <= x <= self.domain_cap:
+            x = self._check(x)
+        band = self._band
+        if band is not None:
+            return band(x)
+        if x == 0.0:
+            p, ratio, prize = self._p(x), 0.0, 0.0
+        else:
+            d = self._p_prime(x)
+            p = self._p(x)
+            ratio, prize = (math.inf, math.inf) if d <= 0.0 else (1.0 / d, p / d)
+        if self._prize is not None:
+            prize = self._prize(x)
+        return p, ratio, prize
+
 
 def _sqrt_family(name: str, epsilon: float, domain_cap: float) -> SuccessRate:
     # both built-in families: the unit form scaled by 1 - epsilon, which
@@ -237,8 +266,22 @@ def _sqrt_family(name: str, epsilon: float, domain_cap: float) -> SuccessRate:
     def return_inverse(t: float) -> float:
         return _sqrt_investment(0.5 * scale * t)
 
+    def band(x: float) -> tuple[float, float, float]:
+        # p, the required return 1 / p' and the prize at x, each with its
+        # closure's own expression on one square root; kept as written,
+        # since ``u ** 2`` and ``u * u`` can differ in the last bit
+        s = math.sqrt(x)
+        u = 1.0 + s
+        if x == 0.0:
+            ratio = 0.0
+        else:
+            d = scale * (1.0 / (2.0 * s * u ** 2))
+            ratio = math.inf if d <= 0.0 else 1.0 / d
+        return scale * (s / u), ratio, 2.0 * x * u
+
     return SuccessRate(
-        name, epsilon, domain_cap, p, p_prime, _sqrt_prize, _sqrt_prize_slope, return_inverse
+        name, epsilon, domain_cap, p, p_prime, _sqrt_prize, _sqrt_prize_slope, return_inverse,
+        band,
     )
 
 

@@ -13,7 +13,10 @@ first-order conditions.  The functionals of the three-tier equilibrium
 (``ex5_*``), of its flattenings and of the constant profiles at ``c_star``
 and 0.2588 are series over the frozen ``ex5_x0 .. ex5_x2`` and
 ``c_star``; a flattened tail ``c`` from position ``k`` on solves
-``1 / (1 - p(c)) = V(x_k, x_{k+1}, ...)``.  Not recomputed here: the
+``1 / (1 - p(c)) = V(x_k, x_{k+1}, ...)``.  :func:`band_edges` and
+:func:`investment_for` give the support band's edges and the investments
+attaining them at any cap, tail and floor, for the property tests of
+``test_oracle.py``.  Not recomputed here: the
 three-tier equilibrium itself (``ex5_x0 .. ex5_x2``) and its payoffs,
 the payoffs at ``c_star``, and the self-financed optimum (``c_s``,
 ``x0_s``, ``welfare_s``, ``alpha_s``), which need the rule and optimum
@@ -77,6 +80,44 @@ def flat_tail(r: Rate, value):
 
 def one(_):
     return mp.mpf(1)
+
+
+def band_edges(eps, c, gamma):
+    """The support band at tail ``c`` with floor ``gamma`` on ``Rate(eps)``:
+    ``(lower, upper, lower_scale, upper_scale)``.
+
+    The unclamped lower edge is ``r(c) + gamma - 2`` and the upper edge
+    ``(1 - gamma - prize(c)) / (1 - p(c))``; each scale is the sum of its
+    summands' magnitudes, ``r(c) + gamma + 2`` and ``(1 + gamma + prize(c))
+    / (1 - p(c))``, against which a float edge's rounding is measured.
+    """
+    with mp.workdps(DIGITS):
+        r, c, gamma = Rate(eps), mp.mpf(c), mp.mpf(gamma)
+        ratio, prize, q = r.required_return(c), r.prize(c), 1 - r.p(c)
+        return (ratio + gamma - 2, (1 - gamma - prize) / q,
+                ratio + gamma + 2, (1 + gamma + prize) / q)
+
+
+def investment_for(eps, t):
+    """The investment whose required return on ``Rate(eps)`` is ``t > 0``.
+
+    ``r(x) = 2 s (1 + s)^2 / (1 - eps)`` with ``s = sqrt(x)``, so ``s`` is
+    the one real root of ``s (1 + s)^2 = k``, ``k = t (1 - eps) / 2``,
+    which lies in ``(0, min(k, k^(1/3))]``; Newton's method from that
+    bound falls to it monotonically.
+    """
+    with mp.workdps(DIGITS + 10):
+        k = mp.mpf(t) * (1 - mp.mpf(eps)) / 2
+        s = min(k, mp.cbrt(k))
+        for _ in range(200):
+            step = (s * (1 + s) ** 2 - k) / ((1 + s) * (1 + 3 * s))
+            s -= step
+            if abs(step) <= s * mp.mpf(10) ** -(DIGITS + 5):
+                break
+        else:
+            raise ArithmeticError("Newton's method did not converge")
+    with mp.workdps(DIGITS):
+        return +(s * s)
 
 
 def first_best(r: Rate):

@@ -592,10 +592,11 @@ class TestSynthesize:
             synthesize_rule(sr, oracle.ex5_x0, oracle.ex5_cbar, 0.0)
 
     def test_band_evaluated_once(self, sr):
-        # the endpoint rules take the band the feasibility check computed:
-        # p and p' for the band and the initiator's return, then the two
-        # endpoints' initiator returns; at (0.12, 0) the tail's required
-        # return is above 1, so the bonus pair is built
+        # the endpoint rules take the band the feasibility check computed,
+        # the tail's required return included: p and p' once each at the
+        # tail, p' for the initiator's return, then p in the two endpoints'
+        # initiator returns; at (0.12, 0) the tail's required return is
+        # above 1, so the bonus pair is built
         calls = {"p": 0, "p'": 0}
 
         def counted(key, fn):
@@ -607,7 +608,7 @@ class TestSynthesize:
         rate = custom_rate("counting", counted("p", sr.probability), counted("p'", sr.marginal))
         rule = synthesize_rule(rate, 0.06, 0.12, 0.0)
         assert rule.label.startswith("mix(") and "next_step_bonus" in rule.label
-        assert calls == {"p": 6, "p'": 4}
+        assert calls == {"p": 5, "p'": 2}
 
 
 class TestMixingClosure:

@@ -1,5 +1,7 @@
 """Success-rate evaluators, derived quantities, and grid validation."""
 
+import dataclasses
+import functools
 import math
 import re
 
@@ -19,7 +21,7 @@ from seqinvest import (
     sqrt_ratio,
     validate,
 )
-from seqinvest.rates import CheckResult, ValidationReport
+from seqinvest.rates import CheckResult, SuccessRate, ValidationReport
 
 GRID = np.geomspace(1e-6, 1e3, 160)
 EVALUATORS = ["probability", "marginal", "incentive_prize", "incentive_prize_slope", "required_return"]
@@ -215,6 +217,101 @@ class TestAcceptPath:
         sr = ACCEPT_RATES[rate]()
         with pytest.raises(DomainError, match=f"^{re.escape(f'{sr.name}: {message}')}$"):
             getattr(sr, method)(x)
+
+
+def _band_expected(sr, x):
+    # the three evaluators' answers, or the first one's domain error
+    try:
+        return tuple(v.hex() for v in (
+            sr.probability(x), sr.required_return(x), sr.incentive_prize(x)))
+    except DomainError as e:
+        return str(e)
+
+
+def _band_got(sr, x):
+    try:
+        return tuple(v.hex() for v in sr._band_at(x))
+    except DomainError as e:
+        return str(e)
+
+
+BAND_RATES = {
+    **{f"sqrt_ratio(cap={cap:g})": functools.partial(sqrt_ratio, cap)
+       for cap in (1e6, 1.0, 1e-3, 1e300)},
+    **{f"scaled(eps={eps:g},cap={cap:g})": functools.partial(scaled_sqrt_ratio, eps, cap)
+       for eps in (1e-9, 0.3, 0.7071, 1.0 - 1e-9) for cap in (1e6, 1e300)},
+}
+
+
+def _band_points(cap):
+    # 0, the smallest subnormal and other tiny investments, a log grid up
+    # to the cap, and the cap
+    points = [0.0, -0.0, 5e-324, 1e-300, 1e-12, *(10.0 ** (k / 4) for k in range(-40, 25)), cap]
+    return [x for x in points if x <= cap]
+
+
+class TestBandEvaluation:
+    """``_band_at`` gives ``(probability, required_return, incentive_prize)``
+    bit for bit, the built-in closed form and a custom rate's generic path
+    alike, and converts or rejects every input as the evaluators do."""
+
+    @pytest.mark.parametrize("rate", BAND_RATES)
+    def test_closed_form_same_bits_as_the_evaluators(self, rate):
+        sr = BAND_RATES[rate]()
+        assert sr._band is not None
+        for x in _band_points(sr.domain_cap):
+            assert _band_got(sr, x) == _band_expected(sr, x), x
+
+    def test_return_overflows_to_inf_as_the_evaluator_does(self):
+        # 2 s (1 + s)^2 overflows near a cap of 1e300, so p' is 0 there
+        sr = sqrt_ratio(1e300)
+        assert sr._band_at(1e300) == (sr.probability(1e300), math.inf, sr.incentive_prize(1e300))
+        assert sr.required_return(1e300) == math.inf
+
+    @pytest.mark.parametrize("rate", [
+        "custom_sqrt", "flat", "nan_slope", "closed_prize",
+    ])
+    def test_generic_path_same_bits_as_the_evaluators(self, rate):
+        sr = {
+            "custom_sqrt": _custom_sqrt,
+            # p' vanishes past 0.5: an infinite return and prize
+            "flat": lambda: custom_rate(
+                "flat", lambda x: min(x, 0.5), lambda x: 1.0 if x < 0.5 else 0.0),
+            # an unchecked NaN slope: a NaN return and prize
+            "nan_slope": lambda: SuccessRate(
+                "nan_slope", 0.0, 1e6, sqrt_ratio()._p, lambda x: math.nan),
+            # a closed-form prize without the band's closed form
+            "closed_prize": lambda: dataclasses.replace(scaled_sqrt_ratio(0.3), _band=None),
+        }[rate]()
+        assert sr._band is None
+        for x in _band_points(sr.domain_cap):
+            assert _band_got(sr, x) == _band_expected(sr, x), x
+
+    def test_generic_path_evaluates_p_and_p_prime_once(self):
+        calls = []
+        base = _custom_sqrt()
+        sr = custom_rate("counting", lambda x: calls.append("p") or base.probability(x),
+                         lambda x: calls.append("p'") or base.marginal(x))
+        sr._band_at(0.3)
+        assert calls == ["p'", "p"]
+        calls.clear()
+        sr._band_at(0.0)  # the return and the prize are 0 by convention
+        assert calls == ["p"]
+
+    @pytest.mark.parametrize("rate", ["sqrt_ratio", "scaled", "custom"])
+    @pytest.mark.parametrize("x", [
+        2, True, np.float64(0.3), np.float32(0.25), np.int64(3), math.nan, np.float64(math.nan),
+        math.inf, -1e-9, -1, math.nextafter(CAP, math.inf), 2_000_000,
+    ], ids=repr)
+    def test_converts_and_rejects_as_the_evaluators(self, rate, x):
+        sr = ACCEPT_RATES[rate]()
+        got, want = _band_got(sr, x), _band_expected(sr, x)
+        assert got == want
+        if isinstance(want, str):
+            with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+                sr._band_at(x)
+        else:
+            assert all(type(v) is float for v in sr._band_at(x))
 
 
 class TestCustomRateValues:
