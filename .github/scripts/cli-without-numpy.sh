@@ -2,7 +2,8 @@
 # Runs the library and the CLI from src/ in a virtual environment with
 # nothing installed, so without numpy: the first access to an export must
 # import every library module and bind every exported name without loading
-# numpy, every command but simulate must work there, and simulate must fail
+# numpy, every command but simulate must work there, each transcript in
+# tests/golden must match whole, exit line included, and simulate must fail
 # as a usage error (exit 2, an `error:` line, no traceback).
 # `rule print` must also start without loading the equilibrium layer or the
 # solvers, as read from `python -X importtime` on stderr.
@@ -36,23 +37,26 @@ print(tail)
 PYTHONPATH=src "$work/bare/bin/python" -c "$library" > "$work/library.out"
 test "$(cat "$work/library.out")" = 0.0883019903521997
 
-# stdout itself, byte for byte, not only the exit code; the optima with
-# a residual's rounding noise as one token
-cli optima | pinned | diff - <(golden_stdout optima)
-cli rule print --rule kind=jackpot --rows 8 | diff - <(golden_stdout rule_print)
+# every CLI transcript in tests/golden, whole and byte for byte: its command
+# line, its stdout with a residual's rounding noise as one token (sum() of
+# floats is compensated from Python 3.12 on, and rule construction sums each
+# row with it), and its exit line. The commands quote nothing, so the words
+# after `$ seqinvest` split on blanks
+for golden in tests/golden/*.txt; do
+  read -r -a args < <(head -n 1 "$golden" | sed 's/^\$ seqinvest //')
+  code=0
+  cli "${args[@]}" > "$work/stdout" || code=$?
+  {
+    printf '$ seqinvest %s\n' "${args[*]}"
+    pinned < "$work/stdout"
+    printf '[exit %d]\n' "$code"
+  } | diff - "$golden"
+done
 # the modules rule print imports: the rules layer, and not equilibrium or solvers
 PYTHONPATH=src "$work/bare/bin/python" -X importtime -m seqinvest.cli \
   rule print --rule kind=jackpot --rows 8 > /dev/null 2> "$work/rule_print.imports"
 grep -Eq '\| +seqinvest\.rules$' "$work/rule_print.imports"
 if grep -E '\| +seqinvest\.(equilibrium|solvers)$' "$work/rule_print.imports"; then exit 1; fi
-# best responses and verification, through dynamics and synthesis, byte for
-# byte with a residual's rounding noise as one token: sum() of floats is
-# compensated from Python 3.12 on, and rule construction sums each row with it
-cli dynamics --rule kind=jackpot --rate scaled_sqrt_ratio --epsilon 0.7071 --horizon 12 |
-  pinned | diff - <(golden_stdout dynamics)
-cli synthesize --x0 0.06 --c 0.12 --gamma 0 | pinned | diff - <(golden_stdout synthesize)
-# the band's upper edge at the self-financed floor
-cli region --mode self_financed --points 16 | diff - <(golden_stdout region)
 # demos 02 to 05 need no numpy: flattening, rules, equilibria, synthesis and
 # the optima, byte for byte against their transcripts, noise as one token
 for demo in 02_process_functionals 03_reward_rules 04_equilibria 05_optimal_programs; do

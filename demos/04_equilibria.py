@@ -29,7 +29,7 @@ three_tier = StationaryColumnRule(
 
 print("backward best-response sweeps, horizon 8, zero start:")
 dyn = best_response_dynamics(sr, three_tier, horizon=8)
-print(f"  converged in {dyn.sweeps} sweeps; first agents:")
+print(f"  converged in {len(dyn.history)} sweeps; first agents:")
 for i in range(4):
     print(f"    x_{i} = {dyn.profile.at(i):.4f}")
 

@@ -288,7 +288,7 @@ def _cmd_dynamics(args, cfg) -> tuple[Rows, int]:
     init = _parse_profile(_parse_kv(args.init, "profile")) if args.init else None
     result = best_response_dynamics(sr, rule, args.horizon, init)
     rows: Rows = [
-        ("converged", "yes" if result.converged else "no", f"sweeps={result.sweeps}"),
+        ("converged", "yes" if result.converged else "no", f"sweeps={len(result.history)}"),
         ("max_change", result.max_change, ""),
         ("max_residual", result.max_residual, "over swept agents"),
     ]

@@ -38,7 +38,8 @@ where ``r`` is the required-return ratio.  The synthesizer builds the
 two endpoint rules attaining the bounds and mixes them with the weight
 that lands the initiator's net return exactly on ``r(x0)``.  Both edges
 and the tail's required return, which the endpoint rules read, come from
-one evaluation of ``p(c)``, ``r(c)`` and ``prize(c)``.  The two
+one evaluation of ``p(c)``, ``r(c)`` and ``prize(c)`` in ``_band``, the
+one place either edge is formed, for every caller.  The two
 bounds, and the constant-profile condition ``p(c) >= prize(c)``, are
 checked with one slack, ``_SUPPORT_TOL``; a return within it of an
 endpoint gets the endpoint rule itself.
@@ -437,8 +438,6 @@ def constant_support_check(sr: SuccessRate, c: float) -> ConstantSupport:
     the required one; at the boundary the witness degenerates to the
     equal split.
     """
-    if c < 0.0:
-        raise DomainError(f"investment must be >= 0, got {c!r}")
     prob, ratio, prize = sr._band_at(c)  # ratio: prize / p, 0 at 0
     gap = prize - prob
     if gap > _SUPPORT_TOL:
@@ -480,13 +479,6 @@ def _band_headroom(gamma: float, prize: float) -> float:
     return 1.0 - gamma - prize
 
 
-def _band_upper(gamma: float, pc: float, prize: float) -> float:
-    # the band's upper edge: the largest initiator return against a
-    # constant-c tail with floor gamma, from p(c) and prize(c); the
-    # headroom over 1 - p(c), written out, as this runs per grid point
-    return (1.0 - gamma - prize) / (1.0 - pc)
-
-
 def _band_upper_slope(sr: SuccessRate, c: float, mode: Mode, pc: float, prize: float) -> float:
     # d/dc of the upper edge at floor _floor(mode, c) times (1 - pc)^2, so
     # with the slope's sign, given p(c) and prize(c); the floor is linear
@@ -495,24 +487,26 @@ def _band_upper_slope(sr: SuccessRate, c: float, mode: Mode, pc: float, prize: f
     return head + _band_headroom(_floor(mode, c), prize) * sr.marginal(c)
 
 
-def _band(sr: SuccessRate, c: float, gamma: float) -> tuple[float, float, float]:
-    # the tail's required return and the band's unclamped lower and upper
-    # edges, from one evaluation of the rate at c
+def _band(sr: SuccessRate, c: float, gamma: float) -> tuple[float, float, float, float, float]:
+    # p(c), the tail's required return, prize(c) and the band's unclamped
+    # lower and upper edges at floor gamma, from one evaluation of the rate
+    # at c: the one place either edge is formed.  The upper edge, the
+    # largest initiator return against the tail, is the headroom over
+    # 1 - p(c), written out, as this runs per grid point
     if not 0.0 <= gamma < math.inf:
         # a self-financed floor is the tail itself, and a bad tail is the
         # caller's investment, not a floor they passed: the tail is named first
         sr.required_return(c)
         raise DomainError(f"floor must be finite and >= 0, got {gamma!r}")
     pc, ratio, prize = sr._band_at(c)
-    return ratio, ratio + gamma - 2.0, _band_upper(gamma, pc, prize)
+    return pc, ratio, prize, ratio + gamma - 2.0, (1.0 - gamma - prize) / (1.0 - pc)
 
 
 def near_constant_bounds(
     sr: SuccessRate, c: float, gamma: float = 0.0
 ) -> tuple[float, float]:
     """Unclamped lower and upper required-return bounds for the initiator."""
-    _, lower, upper = _band(sr, c, gamma)
-    return lower, upper
+    return _band(sr, c, gamma)[3:]
 
 
 def _feasibility(
@@ -520,7 +514,7 @@ def _feasibility(
 ) -> tuple[NearConstantFeasibility, float]:
     # near_constant_feasibility with the tail's required return, which
     # synthesis takes from the same evaluation of the band
-    tail_ratio, lower, upper = _band(sr, c, gamma)
+    _, tail_ratio, _, lower, upper = _band(sr, c, gamma)
     ratio = sr.required_return(x0)
     feasible = max(lower, 0.0) <= ratio + _SUPPORT_TOL and ratio <= upper + _SUPPORT_TOL
     return NearConstantFeasibility(feasible, x0, c, gamma, ratio, lower, upper), tail_ratio

@@ -23,11 +23,11 @@ incentive cost:
   Supported by a fixed-fraction-with-floor rule whose floor equals the
   tail investment.
 
-The support band's upper edge, its slope in the tail and the floor per
-:class:`Mode` live in :mod:`seqinvest.equilibrium`, next to
-``near_constant_bounds``.  Each point of the region sweep and of the
-self-financed grid reads ``p``, the required return and the prize at
-its tail from one evaluation of the rate.  The initiator and
+The support band's edges are formed in one place,
+``seqinvest.equilibrium._band``, which the optima, the region sweep and
+``near_constant_bounds`` read, from one evaluation of the rate per
+tail; the upper edge's slope and the floor per :class:`Mode` live next
+to it.  The initiator and
 self-financed searches and the region curves end at one boundary,
 :func:`tail_limit`: the largest tail at which the prize plus the floor
 reaches 1.
@@ -63,7 +63,6 @@ from .equilibrium import (
     _as_mode,
     _band,
     _band_headroom,
-    _band_upper,
     _band_upper_slope,
     _endpoint_rules,
     _floor,
@@ -190,16 +189,14 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
     tail's required return supports the profile.
     """
     d = tail_limit(sr)
-    mode = Mode.UNCONSTRAINED
 
     def slope(c: float) -> float:
         pc, _, prize = sr._band_at(c)
-        return _band_upper_slope(sr, c, mode, pc, prize)
+        return _band_upper_slope(sr, c, Mode.UNCONSTRAINED, pc, prize)
 
     c_circ = bisect(slope, d, 0.5 * d, limit=0.0, xtol=1e-14)
-    # the band at c_circ, once for the initiator's return and the rule
-    pc, r_circ, prize = sr._band_at(c_circ)
-    q_circ = _band_upper(_floor(mode, c_circ), pc, prize)
+    # the band at c_circ and floor 0, once for the initiator's return and the rule
+    _, r_circ, _, _, q_circ = _band(sr, c_circ, 0.0)
     x0_circ = investment_for_return(sr, q_circ)
     profile = near_constant_profile(x0_circ, c_circ)
     rule = fixed_fraction(r_circ)
@@ -238,21 +235,18 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     if c_max <= _EDGE:
         raise InfeasibleError("the self-financed feasible set is empty for this rate")
 
-    def x0_of(c: float, pc: float, prize: float) -> float:
-        # the initiator on the band's upper edge, given p(c) and prize(c)
-        return investment_for_return(sr, _band_upper(_floor(mode, c), pc, prize))
-
     def welfare_gain(c: float) -> float:
-        # reduced welfare minus 1, which would round away the gain at caps near 1
-        pc, _, prize = sr._band_at(c)
-        x0 = x0_of(c, pc, prize)
+        # reduced welfare minus 1, which would round away the gain at caps
+        # near 1, with the initiator on the band's upper edge at floor c
+        pc, _, _, _, upper = _band(sr, c, c)
+        x0 = investment_for_return(sr, upper)
         return sr.probability(x0) * (1.0 - c) / (1.0 - pc) - x0
 
     def slope(c: float) -> float:
         # chain rule through the active constraint; exact up to the
         # tolerance of the inner inversion
-        pc, _, prize = sr._band_at(c)
-        x0 = x0_of(c, pc, prize)
+        pc, _, prize, _, upper = _band(sr, c, c)
+        x0 = investment_for_return(sr, upper)
         px0 = sr.probability(x0)
         dx0 = _band_upper_slope(sr, c, mode, pc, prize) / (1.0 - pc) ** 2
         dx0 /= _return_ratio_slope(sr, x0, px0)
@@ -269,13 +263,11 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     # a peak in the first cell may lie arbitrarily close to 0: the lower
     # end then halves toward 0 until the slope changes sign
     c_s = bisect(slope, ghi, glo, limit=None if best > 0 else 0.0, xtol=1e-13)
-    # the band at c_s, once for the initiator, the residual and the rule
-    gamma_s = _floor(mode, c_s)
-    pc, r_s, prize = sr._band_at(c_s)
-    upper_s = _band_upper(gamma_s, pc, prize)
+    # the band at c_s and floor c_s, once for the initiator, the residual and the rule
+    _, r_s, _, _, upper_s = _band(sr, c_s, c_s)
     x0_s = investment_for_return(sr, upper_s)
     profile = near_constant_profile(x0_s, c_s)
-    rule, _ = _endpoint_rules(r_s, gamma_s, upper_s)
+    rule, _ = _endpoint_rules(r_s, c_s, upper_s)
     residuals = (
         ("budget_constraint_active", abs(sr.required_return(x0_s) - upper_s)),
         ("reduced_objective_slope", abs(slope(c_s))),
@@ -320,7 +312,7 @@ def region_sweep(
         c = float(c)
         # the band as near_constant_bounds gives it, less that call and
         # its repacking, which this per-point loop would pay every time
-        _, lower, upper = _band(sr, c, _floor(mode, c))
+        _, _, _, lower, upper = _band(sr, c, _floor(mode, c))
         if upper < 0.0:
             rows.append(RegionRow(c, None, None))
             continue

@@ -118,14 +118,11 @@ def _cells(col: tuple, stop: int) -> list[float]:
 
 def _combine_columns(w: float, v: float, a: Column, b: Column) -> Column:
     # ``w * a + v * b`` (``v = 1 - w``) on each row where either column is
-    # explicit and on the first tail row, each cell read from the fields
-    (start, ea, ta, sa), (_, eb, tb, sb) = a, b
-    na, nb = len(ea), len(eb)
-    cells = [
-        w * (ea[t] if t < na else ta + sa * (t - na)) + v * (eb[t] if t < nb else tb + sb * (t - nb))
-        for t in range(max(na, nb) + 1)
-    ]
-    return Column(start, tuple(cells[:-1]), cells[-1], w * sa + v * sb)
+    # explicit and on the first tail row; both columns start at ``a.start``
+    start = a.start
+    stop = start + max(len(a.entries), len(b.entries)) + 1
+    cells = [w * x + v * y for x, y in zip(_cells(a, stop), _cells(b, stop))]
+    return Column(start, tuple(cells[:-1]), cells[-1], w * a.slope + v * b.slope)
 
 
 def validate_rule(rule: StationaryColumnRule, rows: int) -> None:

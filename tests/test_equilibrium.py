@@ -489,7 +489,9 @@ class TestConstantSupport:
         assert report.supported and report.max_residual <= 1e-9
 
     def test_negative_investment_rejected(self, sr):
-        with pytest.raises(DomainError, match=">= 0"):
+        # the rate's own domain check, which names the rate
+        message = f"^{re.escape(sr.name)}: investment must be >= 0, got -0.01$"
+        with pytest.raises(DomainError, match=message):
             constant_support_check(sr, -0.01)
 
     def test_first_best_not_supportable(self, sr, oracle):

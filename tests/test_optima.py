@@ -181,6 +181,36 @@ class TestSelfFinancedOptimal:
             assert welfare <= res.objective + 1e-9
 
 
+class TestOptimaOnPublicBand:
+    """Both near-constant optima put the initiator on the public band's
+    upper edge, bit for bit: the optima read the edge where
+    ``near_constant_bounds`` does, so it is formed one way only."""
+
+    RATES = {
+        "sqrt_ratio": sqrt_ratio,
+        "scaled_03": lambda: scaled_sqrt_ratio(0.3),
+        "scaled_07071": lambda: scaled_sqrt_ratio(0.7071),
+        "custom_sqrt": lambda: custom_rate(
+            "custom_sqrt", sqrt_ratio().probability, sqrt_ratio().marginal
+        ),
+    }
+
+    @pytest.mark.parametrize("name", RATES)
+    def test_initiator_on_upper_edge_at_floor_zero(self, name):
+        sr = self.RATES[name]()
+        res = initiator_optimal(sr)
+        upper = near_constant_bounds(sr, res.profile.tail)[1]
+        assert res.profile.prefix[0] == investment_for_return(sr, upper)
+
+    @pytest.mark.parametrize("name", RATES)
+    def test_self_financed_on_upper_edge_at_floor_tail(self, name):
+        sr = self.RATES[name]()
+        res = self_financed_optimal(sr)
+        c_s = res.profile.tail
+        upper = near_constant_bounds(sr, c_s, c_s)[1]
+        assert res.profile.prefix[0] == investment_for_return(sr, upper)
+
+
 class TestSinglePeaked:
     @pytest.mark.parametrize("shape", ["identity", "prize", "prize_plus_identity"])
     def test_rise_then_fall_once(self, sr, shape):
