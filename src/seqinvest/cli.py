@@ -18,10 +18,10 @@ emits machine-readable rows whose floats round-trip exactly.
 Each command loads only its own modules: the handlers import the layers
 they call.  ``verify``, ``synthesize`` and ``dynamics`` import the
 equilibrium layer, ``optima`` and ``region`` the optimum programs (which
-load it too), ``simulate`` the simulation engine, and only ``--config``
-loads configparser.  The parser itself needs none of them, so ``rule
-print`` and ``simulate`` load neither the equilibrium layer nor the
-solvers.
+load it and the solvers too), ``simulate`` the simulation engine, and only
+``--config`` loads configparser.  No command builds a custom rate, the one
+kind the equilibrium layer inverts with the solvers.  The parser needs none
+of them, so ``rule print`` and ``simulate`` load neither layer.
 """
 
 from __future__ import annotations

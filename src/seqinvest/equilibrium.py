@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import (
@@ -65,6 +66,7 @@ from .errors import (
     TailShapeError,
     UnboundedRatioError,
     _check_count,
+    _real,
 )
 from .profiles import ConstantTailProfile
 from .rates import SuccessRate
@@ -79,7 +81,6 @@ from .rules import (
     next_step_bonus,
     next_step_bonus_zero_initiator,
 )
-from .solvers import bisect
 
 TOL_EQ = 1e-8
 _ROOT_XTOL = 1e-12  # relative to the bracket
@@ -130,7 +131,7 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
     # other number and sort out the rest, where a NaN or infinite max_return
     # bounds nothing
     if t.__class__ is not float or not 0.0 < t <= sr.max_return < math.inf:
-        t = float(t)
+        t = _real("target return", t)
         if not math.isfinite(t):
             raise DomainError(f"target return must be finite, got {t!r}")
         if t <= 0.0:
@@ -145,10 +146,18 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
         cap = sr.domain_cap
         return cap if cap < x else x  # min(x, cap), against rounding
 
+    # the solver layer loads on the first custom-rate inversion, so that a
+    # command that inverts only built-in rates never loads it; read from
+    # sys.modules after that, as an import statement here would cost about
+    # 1 us per inversion
+    solvers = sys.modules.get("seqinvest.solvers")
+    if solvers is None:
+        from . import solvers
+
     def gap(x: float) -> float:
         return sr.required_return(x) - t
 
-    return bisect(gap, 0.0, min(1.0, sr.domain_cap), limit=sr.domain_cap, xtol=_ROOT_XTOL)
+    return solvers.bisect(gap, 0.0, min(1.0, sr.domain_cap), limit=sr.domain_cap, xtol=_ROOT_XTOL)
 
 
 def best_response(sr: SuccessRate, rule: StationaryColumnRule, x: ConstantTailProfile, i: int) -> float:
@@ -243,19 +252,14 @@ def _check_column(
     reward = _column_reward(sr, x, col)
     t = reward - fii
     payoff = _payoff(sr, xi, fii, reward)
+    ratio = sr.required_return(xi)
     if xi <= _ZERO_INVESTMENT:
         # the best response to a non-positive return is 0; a positive
         # investment this small still has a required return (up to about
         # 2e-6 for a rate as steep at zero as ``sqrt_ratio``)
-        residual = abs(max(t, 0.0) - sr.required_return(xi))
-        return AgentCheck(i, xi, t, residual, payoff, corner="zero")
-    residual = abs(t - sr.required_return(xi))
-    if (
-        mode is _SELF_FINANCED
-        and residual > tol
-        and abs(xi - fii) <= tol
-        and t >= sr.required_return(xi) - tol
-    ):
+        return AgentCheck(i, xi, t, abs(max(t, 0.0) - ratio), payoff, corner="zero")
+    residual = abs(t - ratio)
+    if mode is _SELF_FINANCED and residual > tol and abs(xi - fii) <= tol and t >= ratio - tol:
         return AgentCheck(i, xi, t, 0.0, payoff, corner="budget")
     return AgentCheck(i, xi, t, residual, payoff)
 
@@ -479,12 +483,12 @@ def _band_headroom(gamma: float, prize: float) -> float:
     return 1.0 - gamma - prize
 
 
-def _band_upper_slope(sr: SuccessRate, c: float, mode: Mode, pc: float, prize: float) -> float:
+def _band_upper_slope(sr: SuccessRate, c: float, mode: Mode, pc: float, prize: float, dpc: float) -> float:
     # d/dc of the upper edge at floor _floor(mode, c) times (1 - pc)^2, so
-    # with the slope's sign, given p(c) and prize(c); the floor is linear
-    # in c, its slope its value at 1
+    # with the slope's sign, given p(c), prize(c) and p'(c); the floor is
+    # linear in c, its slope its value at 1
     head = (-_floor(mode, 1.0) - sr.incentive_prize_slope(c)) * (1.0 - pc)
-    return head + _band_headroom(_floor(mode, c), prize) * sr.marginal(c)
+    return head + _band_headroom(_floor(mode, c), prize) * dpc
 
 
 def _band(sr: SuccessRate, c: float, gamma: float) -> tuple[float, float, float, float, float]:

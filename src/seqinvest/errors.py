@@ -55,6 +55,18 @@ def _index(name: str, value: int) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _real(name: str, value: float) -> float:
+    # a real argument: anything ``float()`` accepts (int, bool, a numpy
+    # scalar, a Fraction), as a Python float of the same bits, but not text,
+    # which ``float()`` would parse ("0.05" is not a number): text goes to
+    # ``float()`` as None, which it rejects as it rejects any non-number
+    text = isinstance(value, (str, bytes, bytearray, memoryview))
+    try:
+        return float(None if text else value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+
+
 def _check_count(name: str, value: int, least: int) -> int:
     # an integer (``_index``) of at least ``least``
     index = _index(name, value)

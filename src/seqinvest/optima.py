@@ -27,7 +27,9 @@ The support band's edges are formed in one place,
 ``seqinvest.equilibrium._band``, which the optima, the region sweep and
 ``near_constant_bounds`` read, from one evaluation of the rate per
 tail; the upper edge's slope and the floor per :class:`Mode` live next
-to it.  The initiator and
+to it.  Each program reads the rate at a point once: ``p``, ``r`` and the
+prize in one ``SuccessRate._band_at`` call, ``p'`` (which ``1 / r`` can miss
+in the last bit) and the prize's slope in one call each.  The initiator and
 self-financed searches and the region curves end at one boundary,
 :func:`tail_limit`: the largest tail at which the prize plus the floor
 reaches 1.
@@ -110,10 +112,6 @@ def _verified(
     return OptimumResult(name, profile, rule, objective, residuals, report)
 
 
-def _constant_welfare(sr: SuccessRate, c: float) -> float:
-    return (1.0 - c) / (1.0 - sr.probability(c))
-
-
 def first_best_investment(sr: SuccessRate) -> float:
     """Constant investment maximizing welfare, support ignored.
 
@@ -123,7 +121,8 @@ def first_best_investment(sr: SuccessRate) -> float:
     """
 
     def gap(c: float) -> float:
-        return _constant_welfare(sr, c) - sr.required_return(c)
+        pc, ratio, _ = sr._band_at(c)
+        return (1.0 - c) / (1.0 - pc) - ratio
 
     return bisect(gap, 0.0, 1.0)
 
@@ -138,15 +137,12 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
     ``c_star`` is one inversion of the required return, at 1; no other
     solve is needed.
     """
-
-    def gap(c: float) -> float:
-        return sr.incentive_prize(c) - sr.probability(c)
-
     c_star = investment_for_return(sr, 1.0)
-    residual = gap(c_star)
+    pc, _, prize = sr._band_at(c_star)
+    residual = prize - pc
     # without p' = 1 anywhere the inversion ends at the low end of its
     # bracket, where the prize p / p' still exceeds p
-    if not residual <= 1e-9 * sr.probability(c_star):
+    if not residual <= 1e-9 * pc:
         raise BracketError(
             "prize >= probability arbitrarily close to zero; the rate "
             "violates the steep-at-zero assumption"
@@ -192,27 +188,22 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
 
     def slope(c: float) -> float:
         pc, _, prize = sr._band_at(c)
-        return _band_upper_slope(sr, c, Mode.UNCONSTRAINED, pc, prize)
+        return _band_upper_slope(sr, c, Mode.UNCONSTRAINED, pc, prize, sr.marginal(c))
 
     c_circ = bisect(slope, d, 0.5 * d, limit=0.0, xtol=1e-14)
     # the band at c_circ and floor 0, once for the initiator's return and the rule
     _, r_circ, _, _, q_circ = _band(sr, c_circ, 0.0)
     x0_circ = investment_for_return(sr, q_circ)
+    # the rate at x0_circ, once for the objective and the residual
+    _, r_x0, prize_x0 = sr._band_at(x0_circ)
     profile = near_constant_profile(x0_circ, c_circ)
     rule = fixed_fraction(r_circ)
-    objective = 1.0 + sr.incentive_prize(x0_circ) - x0_circ
+    objective = 1.0 + prize_x0 - x0_circ
     residuals = (
         ("tail_stationarity", abs(slope(c_circ))),
-        ("initiator_bound_active", abs(sr.required_return(x0_circ) - q_circ)),
+        ("initiator_bound_active", abs(r_x0 - q_circ)),
     )
     return _verified("initiator_optimal", sr, profile, rule, objective, residuals)
-
-
-def _return_ratio_slope(sr: SuccessRate, x: float, p: float) -> float:
-    # d/dx of required_return = (prize' p - prize p') / p^2, with p = p(x)
-    return (
-        sr.incentive_prize_slope(x) * p - sr.incentive_prize(x) * sr.marginal(x)
-    ) / (p * p)
 
 
 def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
@@ -247,11 +238,13 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
         # tolerance of the inner inversion
         pc, _, prize, _, upper = _band(sr, c, c)
         x0 = investment_for_return(sr, upper)
-        px0 = sr.probability(x0)
-        dx0 = _band_upper_slope(sr, c, mode, pc, prize) / (1.0 - pc) ** 2
-        dx0 /= _return_ratio_slope(sr, x0, px0)
-        dwelfare_dc = (-(1.0 - pc) + (1.0 - c) * sr.marginal(c)) / (1.0 - pc) ** 2
-        dwelfare_dx0 = -1.0 + sr.marginal(x0) * (1.0 - c) / (1.0 - pc)
+        px0, _, prize_x0 = sr._band_at(x0)
+        dpc, dpx0 = sr.marginal(c), sr.marginal(x0)
+        dx0 = _band_upper_slope(sr, c, mode, pc, prize, dpc) / (1.0 - pc) ** 2
+        # over d/dx0 of required_return, (prize' p - prize p') / p^2 at x0
+        dx0 /= (sr.incentive_prize_slope(x0) * px0 - prize_x0 * dpx0) / (px0 * px0)
+        dwelfare_dc = (-(1.0 - pc) + (1.0 - c) * dpc) / (1.0 - pc) ** 2
+        dwelfare_dx0 = -1.0 + dpx0 * (1.0 - c) / (1.0 - pc)
         return dx0 * dwelfare_dx0 + px0 * dwelfare_dc
 
     step = c_max / (_GRID_POINTS + 1)

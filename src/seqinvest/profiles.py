@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DivergenceError, DomainError, InfeasibleError, _check_count, _index
+from .errors import DivergenceError, DomainError, InfeasibleError, _check_count, _index, _real
 from .rates import SuccessRate
 
 _FLATTEN_XTOL = 1e-12
@@ -46,8 +46,10 @@ _FLATTEN_VTOL = 1e-10
 
 
 def _check_entry(v: float, what: str) -> float:
-    v = float(v)
-    if not math.isfinite(v) or v < 0.0:
+    # a float skips the conversion on one class test, as this runs per
+    # entry of every profile built; any other real converts, text does not
+    v = v if v.__class__ is float else _real(what, v)
+    if not 0.0 <= v < math.inf:  # NaN included
         raise DomainError(f"{what} must be finite and >= 0, got {v!r}")
     return v
 

@@ -45,7 +45,8 @@ The built-in families give the three in one closed form, ``_band``,
 which takes ``sqrt(x)`` once and computes each value with its closure's
 own expression.  It is trusted in place of ``_p``, ``_p_prime`` and
 ``_prize`` as the inverse is, so it must agree with them bit for bit.
-A custom rate's band evaluates ``p'`` and then ``p``, once each.
+A custom rate's band evaluates ``p'`` and then ``p``, once each; it is
+the one place the prize ``p / p'`` of a custom rate is derived.
 
 The evaluators (``probability``, ``marginal``, ``incentive_prize``,
 ``incentive_prize_slope`` and ``required_return``) take an investment in
@@ -53,9 +54,9 @@ The evaluators (``probability``, ``marginal``, ``incentive_prize``,
 ``float`` in that range, ``-0.0`` included, is used as is after one inline
 comparison.  Any other real number (an ``int``, a ``bool``, a numpy
 scalar) is converted with ``float()`` first, so the closures always see a
-float and give the same bits as on ``float(x)``.  NaN, an infinity, a
-negative value, a value past the cap, and zero for the slope raise
-:class:`DomainError` with a message naming the rate.
+float and give the same bits as on ``float(x)``.  Text and any other
+non-number, NaN, an infinity, a negative value, a value past the cap, and
+zero for the slope raise :class:`DomainError` naming the rate.
 
 Rates are immutable after construction and safe to share across workers.
 Validation (:func:`validate`) is advisory and plain Python on a grid of
@@ -76,7 +77,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import DomainError, _index
+from .errors import DomainError, _index, _real
 
 DEFAULT_DOMAIN_CAP = 1e6
 _TOL_CONVEX = 1e-8  # validate: rounding allowance on the prize's second differences
@@ -150,8 +151,8 @@ class SuccessRate:
     def _check(self, x: float, *, positive: bool = False) -> float:
         # the evaluators accept a float in the domain inline and call this
         # only for anything else: it converts an int, a bool or a numpy
-        # scalar, and is the one place that words a domain error
-        x = float(x)
+        # scalar, rejects text, and is the one place that words a domain error
+        x = _real(f"{self.name}: investment", x)
         # one comparison accepts every valid investment (NaN fails it, and
         # the cap is finite); the branches below only word the error
         if 0.0 < x <= self.domain_cap or (x == 0.0 and not positive):
@@ -184,12 +185,7 @@ class SuccessRate:
             x = self._check(x)
         if self._prize is not None:
             return self._prize(x)
-        if x == 0.0:
-            return 0.0
-        d = self._p_prime(x)
-        if d <= 0.0:  # as required_return: no finite prize makes x optimal
-            return math.inf
-        return self._p(x) / d
+        return self._band_at(x)[2]
 
     def incentive_prize_slope(self, x: float) -> float:
         """Derivative of :meth:`incentive_prize`.
@@ -231,7 +227,8 @@ class SuccessRate:
         # (probability, required_return, incentive_prize) at x, the three
         # values the support band reads, bit for bit as the evaluators give
         # them, behind their one domain check: the closed form where the
-        # family has one, else p' and then p, once each
+        # family has one, else p' and then p, once each; this generic path
+        # is the one place a custom rate's prize is derived
         if x.__class__ is not float or not 0.0 <= x <= self.domain_cap:
             x = self._check(x)
         band = self._band

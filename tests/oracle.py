@@ -8,19 +8,19 @@ from the formulas of the square-root family and sharing no code with
 
 to print every constant beside its frozen value and their relative
 difference; ``tests/test_oracle.py`` makes the same comparison.  The
-rate-only constants and the initiator optimum are solved from their
-first-order conditions.  The functionals of the three-tier equilibrium
-(``ex5_*``), of its flattenings and of the constant profiles at ``c_star``
-and 0.2588 are series over the frozen ``ex5_x0 .. ex5_x2`` and
-``c_star``; a flattened tail ``c`` from position ``k`` on solves
-``1 / (1 - p(c)) = V(x_k, x_{k+1}, ...)``.  :func:`band_edges` and
-:func:`investment_for` give the support band's edges and the investments
-attaining them at any cap, tail and floor, for the property tests of
-``test_oracle.py``.  Not recomputed here: the
-three-tier equilibrium itself (``ex5_x0 .. ex5_x2``) and its payoffs,
-the payoffs at ``c_star``, and the self-financed optimum (``c_s``,
-``x0_s``, ``welfare_s``, ``alpha_s``), which need the rule and optimum
-programs.
+rate-only constants, the four optimum programs (the self-financed one
+included), both tail limits and the band's crossing are solved from their
+first-order conditions by :func:`optima`, at any cap.  The functionals of
+the three-tier equilibrium (``ex5_*``), of its flattenings and of the
+constant profiles at ``c_star`` and 0.2588 are series over the frozen
+``ex5_x0 .. ex5_x2`` and ``c_star``; a flattened tail ``c`` from position
+``k`` on solves ``1 / (1 - p(c)) = V(x_k, x_{k+1}, ...)``.
+:func:`band_edges` and :func:`investment_for` give the support band's
+edges and the investments attaining them at any cap, tail and floor, for
+the property tests of ``test_oracle.py``, as :func:`optima` gives the
+optima.  Not recomputed here: the three-tier equilibrium itself
+(``ex5_x0 .. ex5_x2``) and its payoffs, and the payoffs at ``c_star``,
+which need the rule programs.
 """
 
 from __future__ import annotations
@@ -52,7 +52,13 @@ class Rate:
         return 1 / self.p_prime(x)
 
     def prize_prime(self, x):
-        return mp.diff(self.prize, x)
+        # the prize is 2 x (1 + sqrt(x)) for every cap
+        return 2 + 3 * mp.sqrt(x)
+
+    def return_prime(self, x):
+        # d/dx of 2 s (1 + s)^2 / (1 - eps) with s = sqrt(x)
+        s = mp.sqrt(x)
+        return (1 + s) * (1 + 3 * s) / (self.scale * s)
 
 
 def root(f, lo, hi):
@@ -71,6 +77,20 @@ def series(r: Rate, prefix, tail, term):
         total += reach * term(x)
         reach *= r.p(x)
     return total + reach * term(tail) / (1 - r.p(tail))
+
+
+def root_below(f, hi):
+    """The sign change of ``f`` below ``hi``: the lower end starts at
+    ``hi / 4`` and falls by factors of 1000 until ``f`` changes sign, so it
+    reaches roots far below any fixed end (they shrink like ``(1 - eps)^2``
+    as the cap ``eps`` nears 1)."""
+    hi = mp.mpf(hi)
+    lo = hi / 4
+    while f(lo) * f(hi) > 0:
+        lo /= 1000
+        if lo < mp.mpf(10) ** -300:
+            raise ValueError("no sign change above 1e-300")
+    return root(f, lo, hi)
 
 
 def flat_tail(r: Rate, value):
@@ -121,7 +141,78 @@ def investment_for(eps, t):
 
 
 def first_best(r: Rate):
-    return root(lambda c: (1 - c) / (1 - r.p(c)) - r.required_return(c), "1e-6", 1)
+    return root_below(lambda c: (1 - c) / (1 - r.p(c)) - r.required_return(c), 1)
+
+
+def optima(eps) -> dict[str, mp.mpf]:
+    """The four programs, both tail limits and the band's crossing on
+    ``Rate(eps)``, each from its defining equation.
+
+    With ``u(c) = (1 - c - prize(c)) / (1 - p(c))`` the band's upper edge
+    at floor ``c``, ``q(c)`` the same at floor 0, and ``A(c) = (1 - c) /
+    (1 - p(c))`` the welfare of a constant tail:
+
+    * the first best ``c_fb`` solves ``A(c) = r(c)``, and ``c_star`` is
+      ``r = 1`` inverted;
+    * the tail limits solve ``prize(d) = 1`` and ``c + prize(c) = 1``;
+    * the initiator's tail ``c_circ`` solves ``q'(c) = 0``, written
+      ``p'(c) (1 - prize(c)) = prize'(c) (1 - p(c))``, and ``r(x0_circ) =
+      q(c_circ)``;
+    * the self-financed tail ``c_s`` maximizes ``W(c) = 1 - x0 + p(x0)
+      A(c)`` with ``r(x0) = u(c)``: ``W'(c) = x0' (p'(x0) A(c) - 1) + p(x0)
+      A'(c)`` with ``x0' = u'(c) / r'(x0)``.  ``W'`` is positive at the
+      peak ``c_u`` of ``u`` (``x0' = 0`` there, and ``A`` still rises) and
+      negative at ``c_fb`` (``A' = 0``, ``u`` falls, and ``p'(x0) A = A /
+      u > 1``), so ``c_s`` is solved on ``(c_u, c_fb)``; ``c_fb`` lies
+      below ``c + prize(c) = 1`` for every cap of this family;
+    * the band closes at ``c_cross``, where ``r(c) - 2 = q(c)``.
+    """
+    with mp.workdps(DIGITS):
+        r = Rate(eps)
+
+        def welfare(c):  # A(c)
+            return (1 - c) / (1 - r.p(c))
+
+        def welfare_prime(c):
+            q = 1 - r.p(c)
+            return (-q + (1 - c) * r.p_prime(c)) / q ** 2
+
+        def upper(c, gamma):
+            return (1 - gamma - r.prize(c)) / (1 - r.p(c))
+
+        def upper_prime(c):  # u'(c) times (1 - p(c))^2
+            return (-1 - r.prize_prime(c)) * (1 - r.p(c)) + (1 - c - r.prize(c)) * r.p_prime(c)
+
+        def self_financed_slope(c):  # W'(c)
+            x0 = investment_for(eps, upper(c, c))
+            dx0 = upper_prime(c) / (1 - r.p(c)) ** 2 / r.return_prime(x0)
+            return dx0 * (r.p_prime(x0) * welfare(c) - 1) + r.p(x0) * welfare_prime(c)
+
+        c_fb = first_best(r)
+        d = root(lambda c: r.prize(c) - 1, "0.01", 1)
+        c_max_sf = root(lambda c: c + r.prize(c) - 1, "0.01", 1)
+        if not c_fb < c_max_sf:
+            raise ArithmeticError("the first best lies past the self-financed limit")
+        c_circ = root_below(
+            lambda c: r.p_prime(c) * (1 - r.prize(c)) - r.prize_prime(c) * (1 - r.p(c)), d
+        )
+        c_u = root_below(upper_prime, c_fb)
+        c_s = root(self_financed_slope, c_u, c_fb)
+        x0_s = investment_for(eps, upper(c_s, c_s))
+        return {
+            "c_fb": c_fb,
+            "c_star": investment_for(eps, 1),
+            "prize_one_level": d,
+            "c_max_sf": c_max_sf,
+            "c_circ": c_circ,
+            "x0_circ": investment_for(eps, upper(c_circ, 0)),
+            "c_u": c_u,
+            "c_s": c_s,
+            "x0_s": x0_s,
+            "welfare_s": 1 - x0_s + r.p(x0_s) * welfare(c_s),
+            "alpha_s": r.required_return(c_s) + c_s,
+            "c_cross": root_below(lambda c: r.required_return(c) - 2 - upper(c, 0), d),
+        }
 
 
 def constants() -> dict[str, mp.mpf]:
@@ -129,19 +220,9 @@ def constants() -> dict[str, mp.mpf]:
         # the frozen scaled-family constants use the exact cap sqrt(2)/2; at
         # its float, 0.7071067811865476, they move by about 3e-16 relative
         sr, scaled = Rate(), Rate(mp.sqrt(2) / 2)
-        c_fb = first_best(sr)
+        solved = optima(0)
+        c_fb, x0_circ = solved["c_fb"], solved["x0_circ"]
         p_01777 = sr.p(mp.mpf(0.1777))
-        # the initiator's optimal tail c solves p'(c) (1 - prize(c)) =
-        # prize'(c) (1 - p(c)); its own investment x0 then has required
-        # return (1 - prize(c)) / (1 - p(c))
-        c_circ = root(
-            lambda c: sr.p_prime(c) * (1 - sr.prize(c)) - sr.prize_prime(c) * (1 - sr.p(c)),
-            "1e-6", c_fb,
-        )
-        x0_circ = root(
-            lambda x: sr.required_return(x) - (1 - sr.prize(c_circ)) / (1 - sr.p(c_circ)),
-            "1e-6", 1,
-        )
         # the three-tier equilibrium and the constants built on it, from
         # their frozen values
         from conftest import ORACLE
@@ -155,11 +236,11 @@ def constants() -> dict[str, mp.mpf]:
         c_bar = flat_tail(sr, series(sr, (x1,), x2, one))
         c_2588 = mp.mpf(0.2588)
         return {
-            "c_star": root(lambda c: sr.prize(c) - sr.p(c), "1e-6", c_fb),
+            "c_star": solved["c_star"],
             "c_fb": c_fb,
             "welfare_fb": (1 - c_fb) / (1 - sr.p(c_fb)),
-            "prize_one_level": root(lambda d: sr.prize(d) - 1, "1e-6", 1),
-            "c_max_sf": root(lambda c: 1 - c - sr.prize(c), "1e-6", 1),
+            "prize_one_level": solved["prize_one_level"],
+            "c_max_sf": solved["c_max_sf"],
             "c_fb_scaled": first_best(scaled),
             "bound0_scaled": root(
                 lambda x: scaled.required_return(x) - (1 + 1 / scaled.eps), "1e-6", 10
@@ -170,10 +251,10 @@ def constants() -> dict[str, mp.mpf]:
             "p_01777": p_01777,
             "ratio_00131": sr.required_return(mp.mpf(0.0131)),
             "fixed_point_t": root(lambda x: sr.required_return(x) - (2 - p_01777), "1e-6", 1),
-            "c_circ": c_circ,
+            "c_circ": solved["c_circ"],
             "x0_circ": x0_circ,
             "payoff0_circ": 1 + sr.prize(x0_circ) - x0_circ,
-            "alpha_circ": sr.required_return(c_circ),
+            "alpha_circ": sr.required_return(solved["c_circ"]),
             "ex5_value": ex5_value,
             "ex5_invest": ex5_invest,
             "ex5_welfare": ex5_value - ex5_invest,
@@ -192,11 +273,9 @@ def constants() -> dict[str, mp.mpf]:
             "value_c_star": series(sr, (), c_star, one),
             "invest_c_star": series(sr, (), c_star, lambda x: x),
             "welfare_c_star": series(sr, (), c_star, lambda x: 1 - x),
-            # where the band's lower edge r(c) - 2 meets its upper edge
-            "c_cross": root(
-                lambda c: sr.required_return(c) - 2 - (1 - sr.prize(c)) / (1 - sr.p(c)),
-                "1e-6", "0.3",
-            ),
+            "c_cross": solved["c_cross"],
+            # the self-financed optimum
+            **{name: solved[name] for name in ("c_s", "x0_s", "welfare_s", "alpha_s")},
         }
 
 

@@ -83,6 +83,13 @@ class TestInvestmentForReturn:
         with pytest.raises(DomainError, match="finite"):
             investment_for_return(sr, t)
 
+    @pytest.mark.parametrize("t", ["0.5", b"0.5", bytearray(b"0.5"), None, 1j], ids=repr)
+    def test_text_is_not_a_target(self, sr, t):
+        # float() would parse the text into a target
+        message = f"^target return must be a real number, got {re.escape(repr(t))}$"
+        with pytest.raises(DomainError, match=message):
+            investment_for_return(sr, t)
+
     def test_unattainable_target(self, sr):
         with pytest.raises(UnboundedRatioError):
             investment_for_return(sr, sr.required_return(sr.domain_cap) * 1.01)
@@ -493,6 +500,14 @@ class TestConstantSupport:
         message = f"^{re.escape(sr.name)}: investment must be >= 0, got -0.01$"
         with pytest.raises(DomainError, match=message):
             constant_support_check(sr, -0.01)
+
+    @pytest.mark.parametrize("c", ["0.05", b"0.05", bytearray(b"0.05"), None], ids=repr)
+    def test_text_is_not_an_investment(self, sr, c):
+        # the rate's own check, which used to let the text through into the
+        # result's investment field
+        message = f"^{re.escape(sr.name)}: investment must be a real number, got {re.escape(repr(c))}$"
+        with pytest.raises(DomainError, match=message):
+            constant_support_check(sr, c)
 
     def test_first_best_not_supportable(self, sr, oracle):
         res = constant_support_check(sr, oracle.c_fb)

@@ -30,6 +30,7 @@ from seqinvest import (
     socially_optimal,
     sqrt_ratio,
     tail_limit,
+    validate,
     verify_equilibrium,
 )
 from seqinvest.equilibrium import _band_upper_slope, _endpoint_rules
@@ -211,6 +212,90 @@ class TestOptimaOnPublicBand:
         assert res.profile.prefix[0] == investment_for_return(sr, upper)
 
 
+class TestRateReadOncePerPoint:
+    """Each program reads ``p``, the required return and the prize at a
+    point through one call of the rate, and ``p'`` once: a counting custom
+    rate pins the calls of its ``p`` and ``p'``, so a second read of
+    ``p(c*)``, of ``p'`` at the initiator optimum, or of ``p`` or ``p'`` in
+    a step of the self-financed slope changes a count."""
+
+    @pytest.mark.parametrize("solve, want", [
+        (socially_optimal, {"p": 6, "p'": 14}),
+        (initiator_optimal, {"p": 90, "p'": 123}),
+        (self_financed_optimal, {"p": 622, "p'": 3873}),
+    ], ids=["socially_optimal", "initiator_optimal", "self_financed_optimal"])
+    def test_counted_calls(self, sr, solve, want):
+        calls = {"p": 0, "p'": 0}
+
+        def counted(key, fn):
+            def f(x):
+                calls[key] += 1
+                return fn(x)
+            return f
+
+        solve(custom_rate("counting", counted("p", sr.probability), counted("p'", sr.marginal)))
+        assert calls == want
+
+
+def _exp_sqrt_rate(eps, b):
+    # p = (1 - eps)(1 - exp(-b sqrt(x))): steep at zero, concave, capped
+    # below 1 - eps; exp(b sqrt(x)) stays finite up to the domain cap of 50
+    scale = 1.0 - eps
+
+    def p_prime(x):
+        if x == 0.0:
+            return math.inf
+        s = math.sqrt(x)
+        return scale * b * math.exp(-b * s) / (2.0 * s)
+
+    return custom_rate(
+        f"exp_sqrt(eps={eps:g},b={b:g})", lambda x: scale * (1.0 - math.exp(-b * math.sqrt(x))),
+        p_prime, epsilon=eps, domain_cap=50.0,
+    )
+
+
+class TestSelfFinancedOptimumInterval:
+    """Where the self-financed optimum can lie: above the peak ``c_u`` of
+    the band's upper edge at floor ``c``, ``u(c) = (1 - c - prize(c)) / (1 -
+    p(c))``, and at most at ``min(c_fb, c_max)``.
+
+    The reduced welfare ``W = 1 - x0 + p(x0) A(c)``, with ``r(x0) = u(c)``
+    and ``A(c) = (1 - c) / (1 - p(c))``, has slope ``h / (1 - c - h) x0' +
+    p(x0) A'`` (``h`` the prize), and ``x0'`` has the sign of ``u'``; ``u``
+    and ``A`` are single-peaked, at ``c_u`` and at the first best.  So ``W``
+    rises up to ``c_u`` and falls past ``c_fb``.  ``c_u`` is read from the
+    public band alone: the argmax of ``u`` on a log grid fine enough that
+    its upper neighbour lies below ``c_s``.  The slack ``1e-12`` covers the
+    two solves' tolerances where ``c_s`` and ``c_fb`` nearly meet."""
+
+    RATES = {
+        "sqrt_ratio": sqrt_ratio,
+        "scaled_03": lambda: scaled_sqrt_ratio(0.3),
+        "scaled_07071": lambda: scaled_sqrt_ratio(0.7071),
+        "scaled_099": lambda: scaled_sqrt_ratio(0.99),
+        "custom_sqrt": lambda: custom_rate(
+            "custom_sqrt", sqrt_ratio().probability, sqrt_ratio().marginal
+        ),
+        # c_max below c_fb, and c_fb below c_max
+        "exp_sqrt_binding_limit": lambda: _exp_sqrt_rate(0.1, 2.0),
+        "exp_sqrt_binding_first_best": lambda: _exp_sqrt_rate(0.3, 0.5),
+    }
+
+    @pytest.mark.parametrize("name", RATES)
+    def test_between_upper_edge_peak_and_first_best(self, name):
+        sr = self.RATES[name]()
+        assert validate(sr).passed
+        c_s = self_financed_optimal(sr).profile.tail
+        end = min(first_best_investment(sr), tail_limit(sr, Mode.SELF_FINANCED))
+        assert c_s <= end * (1.0 + 1e-12)
+        # 100 points a decade over the six decades below the end
+        grid = [end * 10.0 ** (k / 100.0 - 6.0) for k in range(601)]
+        upper = [near_constant_bounds(sr, c, c)[1] for c in grid]
+        j = max(range(len(grid)), key=upper.__getitem__)
+        assert 0 < j < len(grid) - 1  # the peak lies inside the grid
+        assert grid[j + 1] < c_s
+
+
 class TestSinglePeaked:
     @pytest.mark.parametrize("shape", ["identity", "prize", "prize_plus_identity"])
     def test_rise_then_fall_once(self, sr, shape):
@@ -298,7 +383,9 @@ class TestTailLimit:
         for c in (0.02 * d, 0.5 * d, 0.9 * d):
             h = 1e-6 * c
             diff = (self.upper(sr, c + h, mode) - self.upper(sr, c - h, mode)) / (2.0 * h)
-            slope = _band_upper_slope(sr, c, mode, sr.probability(c), sr.incentive_prize(c))
+            slope = _band_upper_slope(
+                sr, c, mode, sr.probability(c), sr.incentive_prize(c), sr.marginal(c)
+            )
             assert math.copysign(1.0, slope) == math.copysign(1.0, diff)
             assert slope / (1.0 - sr.probability(c)) ** 2 == pytest.approx(diff, rel=1e-6)
 

@@ -4,6 +4,9 @@ Brute-force partial sums (truncated at 200 terms) serve as the
 independent oracle for the geometric closed forms throughout.
 """
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,20 @@ class TestRepresentation:
             ConstantTailProfile((-0.1,), 0.0)
         with pytest.raises(DomainError):
             ConstantTailProfile((), float("inf"))
+
+    @pytest.mark.parametrize("bad", ["0.1", b"0.1", bytearray(b"0.1"), None, 1j], ids=repr)
+    def test_text_is_not_an_entry(self, bad):
+        # float() would parse the text into a profile
+        message = f"must be a real number, got {re.escape(repr(bad))}$"
+        with pytest.raises(DomainError, match=f"^profile entry {message}"):
+            ConstantTailProfile((bad,), 0.05)
+        with pytest.raises(DomainError, match=f"^profile tail {message}"):
+            ConstantTailProfile((0.1,), bad)
+
+    def test_real_entries_convert(self):
+        x = ConstantTailProfile((Fraction(1, 10), np.float64(0.2), 1, True), np.float32(0.25))
+        assert x == ConstantTailProfile((0.1, 0.2, 1.0, 1.0), 0.25)
+        assert all(type(v) is float for v in (*x.prefix, x.tail))
 
     def test_indexing(self):
         x = ConstantTailProfile((0.5, 0.25), 0.1)

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,6 +218,36 @@ class TestAcceptPath:
         sr = ACCEPT_RATES[rate]()
         with pytest.raises(DomainError, match=f"^{re.escape(f'{sr.name}: {message}')}$"):
             getattr(sr, method)(x)
+
+
+NOT_REAL = ["0.05", b"0.05", bytearray(b"0.05"), memoryview(b"0.05"), None, 1j, [0.05]]
+
+
+class TestTextIsNotANumber:
+    """Text that ``float()`` would parse is not an investment: every
+    evaluator, and the band, raise the rate's domain error for it and for
+    anything ``float()`` rejects, while every real number type still
+    converts to the bits of ``float(x)``."""
+
+    METHODS = [*EVALUATORS, "_band_at"]
+
+    @pytest.mark.parametrize("rate", ACCEPT_RATES)
+    @pytest.mark.parametrize("x", NOT_REAL, ids=lambda x: type(x).__name__)
+    def test_rejected_naming_the_rate(self, rate, x):
+        sr = ACCEPT_RATES[rate]()
+        message = f"^{re.escape(f'{sr.name}: investment must be a real number, got {x!r}')}$"
+        for method in self.METHODS:
+            with pytest.raises(DomainError, match=message):
+                getattr(sr, method)(x)
+
+    @pytest.mark.parametrize("rate", ACCEPT_RATES)
+    @pytest.mark.parametrize("x", [Fraction(3, 10), Fraction(0), 3, False, np.float16(0.5)], ids=repr)
+    def test_other_reals_convert(self, rate, x):
+        sr = ACCEPT_RATES[rate]()
+        for method in self.METHODS:
+            if method == "incentive_prize_slope" and x == 0:
+                continue
+            assert repr(getattr(sr, method)(x)) == repr(getattr(sr, method)(float(x)))
 
 
 def _band_expected(sr, x):
