@@ -127,10 +127,11 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
     rate's domain cap.
     """
     # one comparison accepts every attainable float target, and reads
-    # max_return only for a positive one; the branches below convert any
-    # other number and sort out the rest, where a NaN or infinite max_return
-    # bounds nothing
-    if t.__class__ is not float or not 0.0 < t <= sr.max_return < math.inf:
+    # max_return only for a positive one, from its field once it is set;
+    # the branches below convert any other number and sort out the rest,
+    # where a NaN or infinite max_return bounds nothing
+    m = sr._max_return
+    if t.__class__ is not float or not 0.0 < t <= (sr.max_return if m is None else m) < math.inf:
         t = _real("target return", t)
         if not math.isfinite(t):
             raise DomainError(f"target return must be finite, got {t!r}")

@@ -45,8 +45,12 @@ functions are single-peaked, which is established by the same curvature
 argument for all of them (``(1 - h) / (1 - p)`` with ``h`` convex rises
 then falls at most once), so the derivative changes sign once between
 the zero tail and :func:`tail_limit`.  The self-financed reduced
-objective has no such guarantee, so a grid scan picks the cell pair
-around its best point, and the slope's root is solved there.
+objective is not shown to be single-peaked, so a grid scan picks the cell
+pair around its best point, and the slope's root is solved there.  The
+scan reads only the grid points where that best point can lie: the
+objective rises up to the peak of the band's upper edge at floor ``c``,
+which is solved as the initiator optimum's tail is, and falls past the
+first best.
 
 The results, :class:`OptimumResult` and :class:`RegionRow`, are
 ``typing.NamedTuple`` classes: they unpack and index like tuples and are
@@ -57,6 +61,7 @@ optimum's mode is its ``report.mode``, and a region row's diagonal is its
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .equilibrium import (
@@ -73,7 +78,7 @@ from .equilibrium import (
     near_constant_bounds,
     verify_equilibrium,
 )
-from .errors import BracketError, InfeasibleError
+from .errors import BracketError, DomainError, InfeasibleError, _real
 from .profiles import (
     ConstantTailProfile,
     constant_profile,
@@ -167,6 +172,20 @@ def tail_limit(sr: SuccessRate, mode: Mode | str = Mode.UNCONSTRAINED) -> float:
                   limit=sr.domain_cap, xtol=1e-15)
 
 
+def _upper_edge_slope(sr: SuccessRate, mode: Mode, c: float) -> float:
+    # the slope of the band's upper edge at floor _floor(mode, c), up to a
+    # positive factor, from one read of the rate at c
+    pc, _, prize = sr._band_at(c)
+    return _band_upper_slope(sr, c, mode, pc, prize, sr.marginal(c))
+
+
+def _upper_edge_peak(sr: SuccessRate, mode: Mode, d: float) -> float:
+    # the tail at which the band's upper edge at the mode's floor peaks on
+    # [0, d], d the mode's tail_limit: the edge's slope is positive next to
+    # 0 and negative at d, and the lower end halves toward 0 until it changes sign
+    return bisect(lambda c: _upper_edge_slope(sr, mode, c), d, 0.5 * d, limit=0.0, xtol=1e-14)
+
+
 def initiator_optimal(sr: SuccessRate) -> OptimumResult:
     """Profile maximizing the initiator's payoff among supportable ones.
 
@@ -184,13 +203,8 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
     ``required_return(x0) = q(c)``, and the fixed-fraction rule at the
     tail's required return supports the profile.
     """
-    d = tail_limit(sr)
-
-    def slope(c: float) -> float:
-        pc, _, prize = sr._band_at(c)
-        return _band_upper_slope(sr, c, Mode.UNCONSTRAINED, pc, prize, sr.marginal(c))
-
-    c_circ = bisect(slope, d, 0.5 * d, limit=0.0, xtol=1e-14)
+    mode = Mode.UNCONSTRAINED
+    c_circ = _upper_edge_peak(sr, mode, tail_limit(sr))
     # the band at c_circ and floor 0, once for the initiator's return and the rule
     _, r_circ, _, _, q_circ = _band(sr, c_circ, 0.0)
     x0_circ = investment_for_return(sr, q_circ)
@@ -200,7 +214,7 @@ def initiator_optimal(sr: SuccessRate) -> OptimumResult:
     rule = fixed_fraction(r_circ)
     objective = 1.0 + prize_x0 - x0_circ
     residuals = (
-        ("tail_stationarity", abs(slope(c_circ))),
+        ("tail_stationarity", abs(_upper_edge_slope(sr, mode, c_circ))),
         ("initiator_bound_active", abs(r_x0 - q_circ)),
     )
     return _verified("initiator_optimal", sr, profile, rule, objective, residuals)
@@ -212,14 +226,26 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     For each tail ``c`` the binding constraint pins the initiator at
     ``required_return(x0) = (1 - c - prize(c)) / (1 - p(c))`` (welfare is
     non-decreasing in ``x0`` up to that point), leaving a reduced
-    one-dimensional objective.  Nothing guarantees the reduced objective
-    is unimodal, so a 256-point grid scan of its gain over 1 picks the
-    best point, and one root solve of the chain-rule slope on the grid
-    cells around it finds the argmax.  The initiator then sits on the
-    upper support bound, so the supporting rule is the synthesizer's
-    upper endpoint with floor ``c``: fraction ``required_return(c) + c``
-    with floor ``c`` while that fraction is at most 1, the next-step bonus
-    beyond.  It is verified in self-financed mode.
+    one-dimensional objective.  It is not shown to be unimodal, so the
+    best point of a 256-point grid on ``(0, c_max)`` (``c_max`` the
+    self-financed :func:`tail_limit`) picks two grid cells, and one root
+    solve of the chain-rule slope there finds the argmax.  Only the grid
+    points from the last at or below ``c_u`` to the first at or above
+    ``min(c_fb, c_max)`` are evaluated, and their best is the best of all
+    256.  With ``A(c) = (1 - c) / (1 - p(c))`` the welfare of a constant
+    tail, the objective ``1 - x0 + p(x0) A(c)`` has slope
+    ``prize(c) / (1 - c - prize(c)) x0' + p(x0) A'``.  ``x0'`` has the sign
+    of the upper edge's slope, which is single-peaked at ``c_u``, and ``A``
+    peaks at ``c_fb > c_u``.  So the objective rises strictly up to ``c_u``
+    and falls strictly past ``c_fb``, and each point left out is below a
+    point that is read.  ``c_u`` is solved as the initiator optimum's tail
+    is; the bound needs no shape between ``c_u`` and ``c_fb``.
+
+    The initiator then sits on the upper support bound, so the supporting
+    rule is the synthesizer's upper endpoint with floor ``c``: fraction
+    ``required_return(c) + c`` with floor ``c`` while that fraction is at
+    most 1, the next-step bonus beyond.  It is verified in self-financed
+    mode.
     """
     mode = Mode.SELF_FINANCED
     c_max = tail_limit(sr, mode)
@@ -249,8 +275,13 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
 
     step = c_max / (_GRID_POINTS + 1)
     grid = [step * (j + 1) for j in range(_GRID_POINTS)]
-    values = [welfare_gain(c) for c in grid]
-    best = max(range(len(grid)), key=values.__getitem__)
+    # the gain rises strictly up to the upper edge's peak c_u and falls
+    # strictly past the first best (see above), so the scan runs from the
+    # last point at or below c_u to the first at or above min(c_fb, c_max)
+    first = max(bisect_right(grid, _upper_edge_peak(sr, mode, c_max)) - 1, 0)
+    last = min(bisect_left(grid, min(first_best_investment(sr), c_max)), len(grid) - 1)
+    values = [welfare_gain(c) for c in grid[first:last + 1]]
+    best = first + max(range(len(values)), key=values.__getitem__)
     glo = grid[best - 1] if best > 0 else grid[0]
     ghi = grid[best + 1] if best + 1 < len(grid) else c_max - _EDGE
     # a peak in the first cell may lie arbitrarily close to 0: the lower
@@ -293,27 +324,37 @@ def region_sweep(
     Floor 0 in unconstrained mode and floor ``c`` in self-financed mode;
     the self-financed curves always sit weakly inside the unconstrained
     ones because the floor tightens both bounds.  ``c_values`` is any
-    iterable of reals, a numpy grid included: each value is converted with
-    ``float()`` once, so the bounds are float arithmetic, not numpy scalar
-    arithmetic, and every row holds Python floats.  ``mode`` is a
+    iterable of real numbers, a numpy grid included, which is converted
+    once with its ``tolist()``; any other value that is not a float is
+    converted with ``float()``, and text (``"0.05"``, ``b"0.1"``) raises
+    :class:`DomainError`.  So the bounds are float arithmetic, not numpy
+    scalar arithmetic, and every row holds Python floats.  ``mode`` is a
     :class:`Mode` or its value string, converted once; any other value
     raises :class:`DomainError`.
     """
     mode = _as_mode(mode)
+    # the floor is linear in the tail: its value at 1 times c
+    floor = _floor(mode, 1.0)
+    if isinstance(c_values, (str, bytes, bytearray)):
+        # iterated, bytes would give their character codes as tails
+        raise DomainError(f"{sr.name}: tails must be real numbers, got {c_values!r}")
+    tolist = getattr(c_values, "tolist", None)
     rows: list[RegionRow] = []
-    for c in c_values:
-        c = float(c)
+    for c in c_values if tolist is None else tolist():
+        if c.__class__ is not float:
+            c = _real(f"{sr.name}: investment", c)
         # the band as near_constant_bounds gives it, less that call and
         # its repacking, which this per-point loop would pay every time
-        _, _, _, lower, upper = _band(sr, c, _floor(mode, c))
+        _, _, _, lower, upper = _band(sr, c, floor * c)
         if upper < 0.0:
-            rows.append(RegionRow(c, None, None))
+            rows.append(tuple.__new__(RegionRow, (c, None, None)))
             continue
         # a bound at or below 0 is the zero investment itself; NaN still
         # reaches the inversion, which rejects it
         x_lower = 0.0 if lower <= 0.0 else investment_for_return(sr, lower)
         x_upper = investment_for_return(sr, upper)
-        rows.append(RegionRow(c, x_lower, x_upper))
+        # the row without the NamedTuple's Python-level __new__
+        rows.append(tuple.__new__(RegionRow, (c, x_lower, x_upper)))
     return rows
 
 

@@ -222,7 +222,7 @@ class TestRateReadOncePerPoint:
     @pytest.mark.parametrize("solve, want", [
         (socially_optimal, {"p": 6, "p'": 14}),
         (initiator_optimal, {"p": 90, "p'": 123}),
-        (self_financed_optimal, {"p": 622, "p'": 3873}),
+        (self_financed_optimal, {"p": 368, "p'": 1588}),
     ], ids=["socially_optimal", "initiator_optimal", "self_financed_optimal"])
     def test_counted_calls(self, sr, solve, want):
         calls = {"p": 0, "p'": 0}
@@ -294,6 +294,27 @@ class TestSelfFinancedOptimumInterval:
         j = max(range(len(grid)), key=upper.__getitem__)
         assert 0 < j < len(grid) - 1  # the peak lies inside the grid
         assert grid[j + 1] < c_s
+
+    @pytest.mark.parametrize("name", [*RATES, "scaled_1e-6", "scaled_1-1e-6"])
+    def test_in_the_full_scans_cell(self, name):
+        # the program scans only the grid points around [c_u, min(c_fb,
+        # c_max)]; the best of all 256 points, rebuilt here from the public
+        # band, must still be the cell the final solve starts from
+        caps = {"scaled_1e-6": 1e-6, "scaled_1-1e-6": 1.0 - 1e-6}
+        sr = scaled_sqrt_ratio(caps[name]) if name in caps else self.RATES[name]()
+        c_max = tail_limit(sr, Mode.SELF_FINANCED)
+        step = c_max / 257
+        grid = [step * (j + 1) for j in range(256)]
+
+        def gain(c):
+            x0 = investment_for_return(sr, near_constant_bounds(sr, c, c)[1])
+            return sr.probability(x0) * (1.0 - c) / (1.0 - sr.probability(c)) - x0
+
+        values = [gain(c) for c in grid]
+        j = max(range(256), key=values.__getitem__)
+        lo = grid[j - 1] if j > 0 else 0.0
+        hi = grid[j + 1] if j < 255 else c_max
+        assert lo <= self_financed_optimal(sr).profile.tail <= hi
 
 
 class TestSinglePeaked:
@@ -432,6 +453,34 @@ class TestRegion:
         for row in rows:
             assert type(row.c) is float
             assert all(v is None or type(v) is float for v in (row.lower, row.upper))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("grid, shown", [
+        (["0.05", b"0.1"], "'0.05'"),
+        ([0.05, b"0.1"], "b'0.1'"),
+        ([0.05, bytearray(b"0.1")], "bytearray(b'0.1')"),
+    ], ids=["str", "bytes", "bytearray"])
+    def test_text_tail_rejected(self, sr, mode, grid, shown):
+        # float() parses text, so a sweep once returned rows at c = 0.05 and 0.1
+        message = f"sqrt_ratio: investment must be a real number, got {shown}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            region_sweep(sr, grid, mode)
+
+    @pytest.mark.parametrize("grid", ["0.1", b"0.1", bytearray(b"0.1")], ids=repr)
+    def test_text_grid_rejected(self, sr, grid):
+        # iterated, b"0.1" once gave rows at its character codes 48, 46 and 49
+        message = f"sqrt_ratio: tails must be real numbers, got {grid!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            region_sweep(sr, grid)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_non_float_reals_convert(self, sr, mode):
+        # ints, bools and numpy scalars are converted to the same float rows
+        grid = [0.0, 0.125, 0.25]
+        rows = region_sweep(sr, grid, mode)
+        assert region_sweep(sr, [0, np.float32(0.125), np.float64(0.25)], mode) == rows
+        assert region_sweep(sr, [False], mode) == rows[:1]
+        assert region_sweep(sr, iter(grid), mode) == rows
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("c, message", [
