@@ -3,8 +3,10 @@
 # nothing installed, so without numpy: the first access to an export must
 # import every library module and bind every exported name without loading
 # numpy, every command but simulate must work there, each transcript in
-# tests/golden must match whole, exit line included, and simulate must fail
-# as a usage error (exit 2, an `error:` line, no traceback).
+# tests/golden must match whole, exit line included, the answer ledger
+# (tests/ledger.py) must match tests/golden/ledger/answers.txt bit for bit,
+# and simulate must fail as a usage error (exit 2, an `error:` line, no
+# traceback).
 # `rule print` must also start without loading the equilibrium layer or the
 # solvers, and `verify` without loading the solvers, as read from
 # `python -X importtime` on stderr.
@@ -53,6 +55,11 @@ for golden in tests/golden/*.txt; do
     printf '[exit %d]\n' "$code"
   } | diff - "$golden"
 done
+# the answer ledger, every line byte for byte: the repr of each answer, so
+# its last bit, on this interpreter and without numpy. Written to stdout, so
+# the committed file is compared, never rewritten
+PYTHONPATH=src:tests "$work/bare/bin/python" -c 'import sys, ledger; sys.stdout.write(ledger.ledger())' |
+  diff - tests/golden/ledger/answers.txt
 # the modules rule print imports: the rules layer, and not equilibrium or solvers
 PYTHONPATH=src "$work/bare/bin/python" -X importtime -m seqinvest.cli \
   rule print --rule kind=jackpot --rows 8 > /dev/null 2> "$work/rule_print.imports"

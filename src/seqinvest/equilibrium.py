@@ -143,9 +143,7 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
             )
     inverse = sr._return_inverse
     if inverse is not None:
-        x = inverse(t)
-        cap = sr.domain_cap
-        return cap if cap < x else x  # min(x, cap), against rounding
+        return inverse(t)
 
     # the solver layer loads on the first custom-rate inversion, so that a
     # command that inverts only built-in rates never loads it; read from
@@ -503,7 +501,13 @@ def _band(sr: SuccessRate, c: float, gamma: float) -> tuple[float, float, float,
         # caller's investment, not a floor they passed: the tail is named first
         sr.required_return(c)
         raise DomainError(f"floor must be finite and >= 0, got {gamma!r}")
-    pc, ratio, prize = sr._band_at(c)
+    # a built-in family's closed form takes an in-domain float tail as is,
+    # as _band_at would after the same test; any other tail goes through
+    # _band_at, which converts it or words its error
+    band = sr._band
+    if band is None or c.__class__ is not float or not 0.0 <= c <= sr.domain_cap:
+        band = sr._band_at
+    pc, ratio, prize = band(c)
     return pc, ratio, prize, ratio + gamma - 2.0, (1.0 - gamma - prize) / (1.0 - pc)
 
 
@@ -539,22 +543,26 @@ def _initiator_return(sr: SuccessRate, rule: StationaryColumnRule, tail: Constan
     return _column_reward(sr, tail, col) - col.entries[0]
 
 
+def _upper_endpoint_rule(tail_ratio: float, gamma: float, upper: float) -> StationaryColumnRule:
+    # the rule paying the initiator the upper support bound against a
+    # constant tail of required return ``tail_ratio`` with floor gamma,
+    # given the caller's upper edge ``upper``, so no rate is evaluated: a
+    # fixed fraction with floor while the tail's required return plus the
+    # floor stays below 1, the next-step bonus beyond
+    if tail_ratio + gamma <= 1.0:
+        return fixed_fraction_floor(tail_ratio + gamma, gamma)
+    return next_step_bonus(tail_ratio - upper, gamma)
+
+
 def _endpoint_rules(
     tail_ratio: float, gamma: float, upper: float
 ) -> tuple[StationaryColumnRule, StationaryColumnRule]:
-    # the rules paying the initiator the upper and the lower support
-    # bound against a constant tail of required return ``tail_ratio`` with
-    # floor gamma, given the caller's upper edge ``upper``, so no rate is
-    # evaluated: a fixed fraction with floor and a flat continuation while
-    # the tail's required return plus the floor stays below 1, the
-    # next-step bonus pair beyond
+    # the upper endpoint rule and the one paying the initiator the lower
+    # support bound: a flat continuation, or the zero-initiator bonus
+    high = _upper_endpoint_rule(tail_ratio, gamma, upper)
     if tail_ratio + gamma <= 1.0:
-        return (
-            fixed_fraction_floor(tail_ratio + gamma, gamma),
-            flat_continuation(tail_ratio + gamma, gamma),
-        )
-    beta = tail_ratio - upper
-    return next_step_bonus(beta, gamma), next_step_bonus_zero_initiator(beta, gamma)
+        return high, flat_continuation(tail_ratio + gamma, gamma)
+    return high, next_step_bonus_zero_initiator(tail_ratio - upper, gamma)
 
 
 def synthesize_rule(sr: SuccessRate, x0: float, c: float, gamma: float = 0.0) -> StationaryColumnRule:

@@ -29,10 +29,18 @@ The support band's edges are formed in one place,
 tail; the upper edge's slope and the floor per :class:`Mode` live next
 to it.  Each program reads the rate at a point once: ``p``, ``r`` and the
 prize in one ``SuccessRate._band_at`` call, ``p'`` (which ``1 / r`` can miss
-in the last bit) and the prize's slope in one call each.  The initiator and
-self-financed searches and the region curves end at one boundary,
-:func:`tail_limit`: the largest tail at which the prize plus the floor
-reaches 1.
+in the last bit) and the prize's slope in one call each.  The grid scans,
+:func:`region_sweep` and the self-financed optimum's welfare scan, take a
+point in two closure calls on a built-in family: ``_band`` calls the
+family's band closure on an in-domain float tail, and each edge that passes
+:func:`~seqinvest.equilibrium.investment_for_return`'s own test (``0 < t
+<= max_return < inf``, ``max_return`` read once per scan) goes to the
+family's inverse closure, which is what that function would call.  Every
+other edge, and every edge of a custom rate, goes through
+``investment_for_return``, so its conversions and errors stay in one
+place.  The initiator and self-financed searches and the region curves end
+at one boundary, :func:`tail_limit`: the largest tail at which the prize
+plus the floor reaches 1.
 
 Every solve is one bracketed root solve (:func:`seqinvest.solvers.bisect`):
 of a monotone crossing, or of the derivative of a maximized function on
@@ -61,6 +69,7 @@ optimum's mode is its ``report.mode``, and a region row's diagonal is its
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
@@ -71,9 +80,9 @@ from .equilibrium import (
     _band,
     _band_headroom,
     _band_upper_slope,
-    _endpoint_rules,
     _floor,
     _max_residual,
+    _upper_endpoint_rule,
     investment_for_return,
     near_constant_bounds,
     verify_equilibrium,
@@ -115,6 +124,20 @@ def _verified(
     # every supported optimum: its rule verified at its profile, then packed
     report = verify_equilibrium(sr, rule, profile, mode=mode)
     return OptimumResult(name, profile, rule, objective, residuals, report)
+
+
+def _inverse_limit(sr: SuccessRate) -> float:
+    # the largest target the grid scans pass to a built-in family's inverse
+    # closure directly, read once per scan: a target ``t`` with ``0 < t <=``
+    # this limit passes investment_for_return's own test (a float with ``0 <
+    # t <= max_return < inf``; the band's edges are floats for a built-in
+    # family), so the closure gives its answer bit for bit.  0 for a custom
+    # rate and for an unbounded max_return, so that every target of theirs,
+    # and every other target, goes through investment_for_return
+    if sr._return_inverse is None:
+        return 0.0
+    top = sr.max_return
+    return top if top < math.inf else 0.0
 
 
 def first_best_investment(sr: SuccessRate) -> float:
@@ -241,22 +264,28 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     point that is read.  ``c_u`` is solved as the initiator optimum's tail
     is; the bound needs no shape between ``c_u`` and ``c_fb``.
 
+    The scan inverts each point's upper edge through a built-in family's
+    inverse closure when it passes ``investment_for_return``'s range test,
+    and through that function otherwise (module docstring).
+
     The initiator then sits on the upper support bound, so the supporting
     rule is the synthesizer's upper endpoint with floor ``c``: fraction
     ``required_return(c) + c`` with floor ``c`` while that fraction is at
-    most 1, the next-step bonus beyond.  It is verified in self-financed
-    mode.
+    most 1, the next-step bonus beyond.  Only that rule is built, and it is
+    verified in self-financed mode.
     """
     mode = Mode.SELF_FINANCED
     c_max = tail_limit(sr, mode)
     if c_max <= _EDGE:
         raise InfeasibleError("the self-financed feasible set is empty for this rate")
 
+    inverse, top = sr._return_inverse, _inverse_limit(sr)
+
     def welfare_gain(c: float) -> float:
         # reduced welfare minus 1, which would round away the gain at caps
         # near 1, with the initiator on the band's upper edge at floor c
         pc, _, _, _, upper = _band(sr, c, c)
-        x0 = investment_for_return(sr, upper)
+        x0 = inverse(upper) if 0.0 < upper <= top else investment_for_return(sr, upper)
         return sr.probability(x0) * (1.0 - c) / (1.0 - pc) - x0
 
     def slope(c: float) -> float:
@@ -291,7 +320,7 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     _, r_s, _, _, upper_s = _band(sr, c_s, c_s)
     x0_s = investment_for_return(sr, upper_s)
     profile = near_constant_profile(x0_s, c_s)
-    rule, _ = _endpoint_rules(r_s, c_s, upper_s)
+    rule = _upper_endpoint_rule(r_s, c_s, upper_s)
     residuals = (
         ("budget_constraint_active", abs(sr.required_return(x0_s) - upper_s)),
         ("reduced_objective_slope", abs(slope(c_s))),
@@ -331,6 +360,13 @@ def region_sweep(
     scalar arithmetic, and every row holds Python floats.  ``mode`` is a
     :class:`Mode` or its value string, converted once; any other value
     raises :class:`DomainError`.
+
+    Each point reads the band once, and on a built-in family inverts each
+    positive edge the domain cap attains by the family's inverse closure
+    directly (module docstring); any other edge goes through
+    :func:`~seqinvest.equilibrium.investment_for_return`, so a NaN edge
+    raises its :class:`DomainError` and an edge past the cap's return its
+    :class:`UnboundedRatioError`.
     """
     mode = _as_mode(mode)
     # the floor is linear in the tail: its value at 1 times c
@@ -339,6 +375,7 @@ def region_sweep(
         # iterated, bytes would give their character codes as tails
         raise DomainError(f"{sr.name}: tails must be real numbers, got {c_values!r}")
     tolist = getattr(c_values, "tolist", None)
+    inverse, top = sr._return_inverse, _inverse_limit(sr)
     rows: list[RegionRow] = []
     for c in c_values if tolist is None else tolist():
         if c.__class__ is not float:
@@ -349,10 +386,16 @@ def region_sweep(
         if upper < 0.0:
             rows.append(tuple.__new__(RegionRow, (c, None, None)))
             continue
-        # a bound at or below 0 is the zero investment itself; NaN still
-        # reaches the inversion, which rejects it
-        x_lower = 0.0 if lower <= 0.0 else investment_for_return(sr, lower)
-        x_upper = investment_for_return(sr, upper)
+        # a bound at or below 0 is the zero investment itself; a NaN bound,
+        # or one past the cap's return, fails the direct test and reaches
+        # investment_for_return, which rejects it
+        if lower <= 0.0:
+            x_lower = 0.0
+        elif lower <= top:
+            x_lower = inverse(lower)
+        else:
+            x_lower = investment_for_return(sr, lower)
+        x_upper = inverse(upper) if 0.0 < upper <= top else investment_for_return(sr, upper)
         # the row without the NamedTuple's Python-level __new__
         rows.append(tuple.__new__(RegionRow, (c, x_lower, x_upper)))
     return rows

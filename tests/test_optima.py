@@ -12,6 +12,7 @@ from seqinvest import (
     ConstantTailProfile,
     DomainError,
     Mode,
+    UnboundedRatioError,
     constant_profile,
     constant_support_check,
     custom_rate,
@@ -33,7 +34,7 @@ from seqinvest import (
     validate,
     verify_equilibrium,
 )
-from seqinvest.equilibrium import _band_upper_slope, _endpoint_rules
+from seqinvest.equilibrium import _band_upper_slope, _upper_endpoint_rule
 
 
 class TestFirstBest:
@@ -492,6 +493,20 @@ class TestRegion:
         with pytest.raises(DomainError, match=f"^sqrt_ratio: {re.escape(message)}$"):
             region_sweep(sr, [c], mode)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_edge_past_the_cap_raises_as_its_inversion(self, mode):
+        # the sweep inverts a built-in family's edges through its closure
+        # only after investment_for_return's own range test: an upper edge
+        # past the return the cap attains (1.00219, or 1.00218 at floor c,
+        # against 0.029) raises just as inverting it does
+        sr = scaled_sqrt_ratio(0.3, domain_cap=1e-4)
+        c = 1e-5
+        upper = near_constant_bounds(sr, c, c if mode is Mode.SELF_FINANCED else 0.0)[1]
+        with pytest.raises(UnboundedRatioError) as inverted:
+            investment_for_return(sr, upper)
+        with pytest.raises(UnboundedRatioError, match=f"^{re.escape(str(inverted.value))}$"):
+            region_sweep(sr, [c], mode)
+
 
 class TestModeArgument:
     """``tail_limit`` and ``region_sweep`` take a ``Mode`` or its value
@@ -575,7 +590,7 @@ class TestScaledRatePrograms:
         past = 1.01 * c
         assert sr.required_return(past) + past > 1.0
         upper = near_constant_bounds(sr, past, past)[1]
-        rule, _ = _endpoint_rules(sr.required_return(past), past, upper)
+        rule = _upper_endpoint_rule(sr.required_return(past), past, upper)
         assert rule.label.startswith("next_step_bonus")
         x0 = investment_for_return(sr, upper)
         profile = ConstantTailProfile((x0,), past)
