@@ -29,10 +29,10 @@ The support band's edges are formed in one place,
 tail; the upper edge's slope and the floor per :class:`Mode` live next
 to it.  Each program reads the rate at a point once: ``p``, ``r`` and the
 prize in one ``SuccessRate._band_at`` call, ``p'`` (which ``1 / r`` can miss
-in the last bit) and the prize's slope in one call each.  The grid scans,
-:func:`region_sweep` and the self-financed optimum's welfare scan, take a
-point in two closure calls on a built-in family: ``_band`` calls the
-family's band closure on an in-domain float tail, and each edge that passes
+in the last bit) and the prize's slope in one call each.  The grid scan,
+:func:`region_sweep`, takes a point in two closure calls on a built-in
+family: ``_band`` calls the family's band closure on an in-domain float
+tail, and each edge that passes
 :func:`~seqinvest.equilibrium.investment_for_return`'s own test (``0 < t
 <= max_return < inf``, ``max_return`` read once per scan) goes to the
 family's inverse closure, which is what that function would call.  Every
@@ -53,12 +53,11 @@ functions are single-peaked, which is established by the same curvature
 argument for all of them (``(1 - h) / (1 - p)`` with ``h`` convex rises
 then falls at most once), so the derivative changes sign once between
 the zero tail and :func:`tail_limit`.  The self-financed reduced
-objective is not shown to be single-peaked, so a grid scan picks the cell
-pair around its best point, and the slope's root is solved there.  The
-scan reads only the grid points where that best point can lie: the
-objective rises up to the peak of the band's upper edge at floor ``c``,
-which is solved as the initiator optimum's tail is, and falls past the
-first best.
+objective rises up to the peak ``c_u`` of the band's upper edge at floor
+``c`` and falls past the first best ``c_fb``, and between them its slope
+has the sign of a strictly falling function minus a strictly rising one
+(:func:`self_financed_optimal` gives the argument, for the floor ``gamma
+= c``), so it too is one solve, on ``[c_u, min(c_fb, c_max)]``.
 
 The results, :class:`OptimumResult` and :class:`RegionRow`, are
 ``typing.NamedTuple`` classes: they unpack and index like tuples and are
@@ -70,7 +69,6 @@ optimum's mode is its ``report.mode``, and a region row's diagonal is its
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .equilibrium import (
@@ -98,7 +96,6 @@ from .rates import SuccessRate
 from .rules import StationaryColumnRule, equal_split, fixed_fraction
 from .solvers import bisect
 
-_GRID_POINTS = 256
 _EDGE = 1e-12
 
 
@@ -126,33 +123,19 @@ def _verified(
     return OptimumResult(name, profile, rule, objective, residuals, report)
 
 
-def _inverse_limit(sr: SuccessRate) -> float:
-    # the largest target the grid scans pass to a built-in family's inverse
-    # closure directly, read once per scan: a target ``t`` with ``0 < t <=``
-    # this limit passes investment_for_return's own test (a float with ``0 <
-    # t <= max_return < inf``; the band's edges are floats for a built-in
-    # family), so the closure gives its answer bit for bit.  0 for a custom
-    # rate and for an unbounded max_return, so that every target of theirs,
-    # and every other target, goes through investment_for_return
-    if sr._return_inverse is None:
-        return 0.0
-    top = sr.max_return
-    return top if top < math.inf else 0.0
-
-
 def first_best_investment(sr: SuccessRate) -> float:
     """Constant investment maximizing welfare, support ignored.
 
     Unique root of ``(1 - c) / (1 - p(c)) = required_return(c)`` in
     ``(0, 1)``; the difference starts positive (welfare 1, return 0) and
-    ends negative at 1.
+    ends negative at 1, or at the domain cap when it lies below 1.
     """
 
     def gap(c: float) -> float:
         pc, ratio, _ = sr._band_at(c)
         return (1.0 - c) / (1.0 - pc) - ratio
 
-    return bisect(gap, 0.0, 1.0)
+    return bisect(gap, 0.0, min(1.0, sr.domain_cap))
 
 
 def socially_optimal(sr: SuccessRate) -> OptimumResult:
@@ -191,8 +174,8 @@ def tail_limit(sr: SuccessRate, mode: Mode | str = Mode.UNCONSTRAINED) -> float:
     :class:`DomainError`.
     """
     mode = _as_mode(mode)
-    return bisect(lambda c: _band_headroom(_floor(mode, c), sr.incentive_prize(c)), _EDGE, 1.0,
-                  limit=sr.domain_cap, xtol=1e-15)
+    return bisect(lambda c: _band_headroom(_floor(mode, c), sr.incentive_prize(c)), _EDGE,
+                  min(1.0, sr.domain_cap), limit=sr.domain_cap, xtol=1e-15)
 
 
 def _upper_edge_slope(sr: SuccessRate, mode: Mode, c: float) -> float:
@@ -247,26 +230,34 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     """Welfare-maximizing self-financed profile.
 
     For each tail ``c`` the binding constraint pins the initiator at
-    ``required_return(x0) = (1 - c - prize(c)) / (1 - p(c))`` (welfare is
-    non-decreasing in ``x0`` up to that point), leaving a reduced
-    one-dimensional objective.  It is not shown to be unimodal, so the
-    best point of a 256-point grid on ``(0, c_max)`` (``c_max`` the
-    self-financed :func:`tail_limit`) picks two grid cells, and one root
-    solve of the chain-rule slope there finds the argmax.  Only the grid
-    points from the last at or below ``c_u`` to the first at or above
-    ``min(c_fb, c_max)`` are evaluated, and their best is the best of all
-    256.  With ``A(c) = (1 - c) / (1 - p(c))`` the welfare of a constant
-    tail, the objective ``1 - x0 + p(x0) A(c)`` has slope
-    ``prize(c) / (1 - c - prize(c)) x0' + p(x0) A'``.  ``x0'`` has the sign
-    of the upper edge's slope, which is single-peaked at ``c_u``, and ``A``
-    peaks at ``c_fb > c_u``.  So the objective rises strictly up to ``c_u``
-    and falls strictly past ``c_fb``, and each point left out is below a
-    point that is read.  ``c_u`` is solved as the initiator optimum's tail
-    is; the bound needs no shape between ``c_u`` and ``c_fb``.
+    ``required_return(x0) = u(c) = (1 - c - prize(c)) / (1 - p(c))`` (welfare
+    is non-decreasing in ``x0`` up to that point), leaving the reduced
+    objective ``W(c) = 1 - x0 + p(x0) A(c)``, ``A(c) = (1 - c) / (1 - p(c))``
+    the welfare of a constant tail.  One root solve of its chain-rule slope
+    on ``[c_u, min(c_fb, c_max - 1e-12)]`` finds the argmax: ``c_u`` the
+    peak of ``u``, solved as the initiator optimum's tail is, ``c_fb`` the
+    first best and ``c_max`` the self-financed :func:`tail_limit` (at
+    ``c_max`` itself ``x0 = 0``, where the prize's slope is undefined).
 
-    The scan inverts each point's upper edge through a built-in family's
-    inverse closure when it passes ``investment_for_return``'s range test,
-    and through that function otherwise (module docstring).
+    The slope changes sign exactly once there.  With ``h`` the prize,
+    ``B = h(c) / (1 - p(c))`` and ``u = A - B``, ``p'(x0) = 1 / u`` gives
+    ``W' = B u' / (u r'(x0)) + p(x0) A'``: positive below ``c_u`` and
+    negative past ``c_fb``.  On ``I = (c_u, min(c_fb, c_max))``, where ``A' > 0``, ``W'``
+    times ``u r'(x0) / A' > 0`` is ``L - Q``:
+
+    * ``L = h(x0) r'(x0) = u (h'(x0) - 1)`` (``r' = (h' - 1) / p``) strictly
+      falls: ``u > 0`` falls, ``x0`` with it, and ``h'(x0) - 1 > 0`` does
+      not rise, ``h`` being convex;
+    * ``Q = -B u' / A' = B (B' / A' - 1)`` strictly rises: ``B > 0`` rises,
+      and ``B' / A' = N / D >= 1`` (``u' <= 0``) rises, with ``N = h' (1 -
+      p) + h p'``, ``D = (1 - c) p' - (1 - p) > 0`` and ``N' D - N D' = (1
+      - p) [h'' D - p'' (h + (1 - c) h')] > 0`` for ``p`` strictly concave.
+
+    ``W'`` is ``p(x0) A' > 0`` at ``c_u``, ``B u' / (u r'(x0)) < 0`` at
+    ``c_fb``, and negative near ``c_max``, where ``L`` goes to 0 with ``u``
+    and ``Q`` stays positive, so ``L - Q`` has one root.  The argument
+    takes the band at the self-financed floor ``gamma = c``; a change to
+    that band must recheck it.
 
     The initiator then sits on the upper support bound, so the supporting
     rule is the synthesizer's upper endpoint with floor ``c``: fraction
@@ -278,15 +269,6 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
     c_max = tail_limit(sr, mode)
     if c_max <= _EDGE:
         raise InfeasibleError("the self-financed feasible set is empty for this rate")
-
-    inverse, top = sr._return_inverse, _inverse_limit(sr)
-
-    def welfare_gain(c: float) -> float:
-        # reduced welfare minus 1, which would round away the gain at caps
-        # near 1, with the initiator on the band's upper edge at floor c
-        pc, _, _, _, upper = _band(sr, c, c)
-        x0 = inverse(upper) if 0.0 < upper <= top else investment_for_return(sr, upper)
-        return sr.probability(x0) * (1.0 - c) / (1.0 - pc) - x0
 
     def slope(c: float) -> float:
         # chain rule through the active constraint; exact up to the
@@ -302,20 +284,8 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
         dwelfare_dx0 = -1.0 + dpx0 * (1.0 - c) / (1.0 - pc)
         return dx0 * dwelfare_dx0 + px0 * dwelfare_dc
 
-    step = c_max / (_GRID_POINTS + 1)
-    grid = [step * (j + 1) for j in range(_GRID_POINTS)]
-    # the gain rises strictly up to the upper edge's peak c_u and falls
-    # strictly past the first best (see above), so the scan runs from the
-    # last point at or below c_u to the first at or above min(c_fb, c_max)
-    first = max(bisect_right(grid, _upper_edge_peak(sr, mode, c_max)) - 1, 0)
-    last = min(bisect_left(grid, min(first_best_investment(sr), c_max)), len(grid) - 1)
-    values = [welfare_gain(c) for c in grid[first:last + 1]]
-    best = first + max(range(len(values)), key=values.__getitem__)
-    glo = grid[best - 1] if best > 0 else grid[0]
-    ghi = grid[best + 1] if best + 1 < len(grid) else c_max - _EDGE
-    # a peak in the first cell may lie arbitrarily close to 0: the lower
-    # end then halves toward 0 until the slope changes sign
-    c_s = bisect(slope, ghi, glo, limit=None if best > 0 else 0.0, xtol=1e-13)
+    end = min(first_best_investment(sr), c_max - _EDGE)
+    c_s = bisect(slope, _upper_edge_peak(sr, mode, c_max), end, xtol=1e-13)
     # the band at c_s and floor c_s, once for the initiator, the residual and the rule
     _, r_s, _, _, upper_s = _band(sr, c_s, c_s)
     x0_s = investment_for_return(sr, upper_s)
@@ -375,7 +345,17 @@ def region_sweep(
         # iterated, bytes would give their character codes as tails
         raise DomainError(f"{sr.name}: tails must be real numbers, got {c_values!r}")
     tolist = getattr(c_values, "tolist", None)
-    inverse, top = sr._return_inverse, _inverse_limit(sr)
+    # the largest edge passed to a built-in family's inverse closure
+    # directly, read once: an edge ``t`` with ``0 < t <=`` this limit passes
+    # investment_for_return's own test (a float with ``0 < t <= max_return
+    # < inf``; the band's edges are floats for a built-in family), so the
+    # closure gives its answer bit for bit.  0 for a custom rate and for an
+    # unbounded max_return, so that every edge of theirs goes through
+    # investment_for_return
+    inverse = sr._return_inverse
+    top = 0.0 if inverse is None else sr.max_return
+    if not top < math.inf:
+        top = 0.0
     rows: list[RegionRow] = []
     for c in c_values if tolist is None else tolist():
         if c.__class__ is not float:

@@ -208,7 +208,8 @@ def flatten_tail(sr: SuccessRate, x: ConstantTailProfile, k: int) -> ConstantTai
             raise _divergence(pc)
         return 1.0 / (1.0 - pc) - suffix
 
-    c = 0.0 if gap(0.0) >= 0.0 else bisect(gap, 0.0, 1.0, limit=sr.domain_cap, xtol=_FLATTEN_XTOL)
+    c = 0.0 if gap(0.0) >= 0.0 else bisect(gap, 0.0, min(1.0, sr.domain_cap),
+                                           limit=sr.domain_cap, xtol=_FLATTEN_XTOL)
     # the value match, in units of the suffix's value
     if abs(gap(c)) > _FLATTEN_VTOL * suffix:
         raise InfeasibleError("flattening failed to match the expected value")

@@ -18,9 +18,12 @@ constant profiles at ``c_star`` and 0.2588 are series over the frozen
 :func:`band_edges` and :func:`investment_for` give the support band's
 edges and the investments attaining them at any cap, tail and floor, for
 the property tests of ``test_oracle.py``, as :func:`optima` gives the
-optima.  Not recomputed here: the three-tier equilibrium itself
-(``ex5_x0 .. ex5_x2``) and its payoffs, and the payoffs at ``c_star``,
-which need the rule programs.
+optima.  The payoffs at ``c_star`` follow from the equal split's
+definition: the initiator receives 1 if their own step fails and 2
+otherwise, every later agent 0 and 1, so an agent investing ``c`` earns
+``1 + p(c) - c`` as the initiator and ``p(c) - c`` in the tail.  Not
+recomputed here: the three-tier equilibrium itself (``ex5_x0 .. ex5_x2``)
+and its payoffs, which need the rule programs.
 """
 
 from __future__ import annotations
@@ -163,8 +166,10 @@ def optima(eps) -> dict[str, mp.mpf]:
       A'(c)`` with ``x0' = u'(c) / r'(x0)``.  ``W'`` is positive at the
       peak ``c_u`` of ``u`` (``x0' = 0`` there, and ``A`` still rises) and
       negative at ``c_fb`` (``A' = 0``, ``u`` falls, and ``p'(x0) A = A /
-      u > 1``), so ``c_s`` is solved on ``(c_u, c_fb)``; ``c_fb`` lies
-      below ``c + prize(c) = 1`` for every cap of this family;
+      u > 1``), and ``W'`` changes sign only once between them (the proof
+      in ``seqinvest.optima.self_financed_optimal``), so ``c_s`` is the
+      only root on ``(c_u, c_fb)``, solved there; ``c_fb`` lies below ``c
+      + prize(c) = 1`` for every cap of this family;
     * the band closes at ``c_cross``, where ``r(c) - 2 = q(c)``.
     """
     with mp.workdps(DIGITS):
@@ -273,6 +278,10 @@ def constants() -> dict[str, mp.mpf]:
             "value_c_star": series(sr, (), c_star, one),
             "invest_c_star": series(sr, (), c_star, lambda x: x),
             "welfare_c_star": series(sr, (), c_star, lambda x: 1 - x),
+            # the equal split's rewards, 1 or 2 to the initiator and 0 or 1
+            # to a later agent, on failure or success of their own step
+            "payoff0_c_star": 1 + sr.p(c_star) - c_star,
+            "payoff_tail_c_star": sr.p(c_star) - c_star,
             "c_cross": solved["c_cross"],
             # the self-financed optimum
             **{name: solved[name] for name in ("c_s", "x0_s", "welfare_s", "alpha_s")},

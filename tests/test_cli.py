@@ -347,6 +347,16 @@ class TestConfigFile:
             assert (code, out) == (2, "")
             assert err.startswith("error: malformed config file: '%' must be followed by")
 
+    @pytest.mark.parametrize("command", ["optima", "region"])
+    def test_domain_cap_below_one(self, capsys, tmp_path, command):
+        # every answer lies below a cap of 0.5; the brackets used to start
+        # at the investment 1, and the command exited 2 on its evaluation
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[rate]\ndomain_cap = 0.5\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert out == run(capsys, command)[1]
+
 
 class TestMalformedInput:
     """Malformed numbers and unwritable output are usage errors: exit 2, no traceback."""

@@ -12,6 +12,7 @@ from seqinvest import (
     ConstantTailProfile,
     DomainError,
     Mode,
+    SeqInvestError,
     UnboundedRatioError,
     constant_profile,
     constant_support_check,
@@ -19,6 +20,7 @@ from seqinvest import (
     expected_welfare,
     first_best_investment,
     fixed_fraction,
+    flatten_tail,
     initiator_optimal,
     investment_for_return,
     near_constant_bounds,
@@ -223,7 +225,7 @@ class TestRateReadOncePerPoint:
     @pytest.mark.parametrize("solve, want", [
         (socially_optimal, {"p": 6, "p'": 14}),
         (initiator_optimal, {"p": 90, "p'": 123}),
-        (self_financed_optimal, {"p": 368, "p'": 1588}),
+        (self_financed_optimal, {"p": 162, "p'": 373}),
     ], ids=["socially_optimal", "initiator_optimal", "self_financed_optimal"])
     def test_counted_calls(self, sr, solve, want):
         calls = {"p": 0, "p'": 0}
@@ -255,19 +257,39 @@ def _exp_sqrt_rate(eps, b):
     )
 
 
+def _proof_terms(sr, c):
+    # L, Q, the reduced welfare's slope, u' and A' at tail c, from the
+    # public evaluators; each derivative of a quotient times (1 - p(c))^2
+    p, dp = sr.probability(c), sr.marginal(c)
+    h, dh = sr.incentive_prize(c), sr.incentive_prize_slope(c)
+    a, b = (1.0 - c) / (1.0 - p), h / (1.0 - p)
+    da = (1.0 - c) * dp - (1.0 - p)
+    db = dh * (1.0 - p) + h * dp
+    u = near_constant_bounds(sr, c, c)[1]
+    x0 = investment_for_return(sr, u)
+    px0, dpx0 = sr.probability(x0), sr.marginal(x0)
+    dhx0 = sr.incentive_prize_slope(x0)
+    # r' at x0, as (prize' p - prize p') / p^2
+    dr = (dhx0 * px0 - sr.incentive_prize(x0) * dpx0) / (px0 * px0)
+    slope = (da - db) / (1.0 - p) ** 2 / dr * (dpx0 * a - 1.0) + px0 * da / (1.0 - p) ** 2
+    return u * (dhx0 - 1.0), b * (db / da - 1.0), slope, da - db, da
+
+
 class TestSelfFinancedOptimumInterval:
-    """Where the self-financed optimum can lie: above the peak ``c_u`` of
-    the band's upper edge at floor ``c``, ``u(c) = (1 - c - prize(c)) / (1 -
-    p(c))``, and at most at ``min(c_fb, c_max)``.
+    """Where the self-financed optimum lies, and why one solve finds it:
+    above the peak ``c_u`` of the band's upper edge at floor ``c``, ``u(c) =
+    (1 - c - prize(c)) / (1 - p(c))``, and at most at ``min(c_fb, c_max)``.
 
     The reduced welfare ``W = 1 - x0 + p(x0) A(c)``, with ``r(x0) = u(c)``
     and ``A(c) = (1 - c) / (1 - p(c))``, has slope ``h / (1 - c - h) x0' +
     p(x0) A'`` (``h`` the prize), and ``x0'`` has the sign of ``u'``; ``u``
     and ``A`` are single-peaked, at ``c_u`` and at the first best.  So ``W``
-    rises up to ``c_u`` and falls past ``c_fb``.  ``c_u`` is read from the
-    public band alone: the argmax of ``u`` on a log grid fine enough that
-    its upper neighbour lies below ``c_s``.  The slack ``1e-12`` covers the
-    two solves' tolerances where ``c_s`` and ``c_fb`` nearly meet."""
+    rises up to ``c_u`` and falls past ``c_fb``, and between them its slope
+    has the sign of ``L - Q``, ``L`` falling and ``Q`` rising (the proof in
+    ``self_financed_optimal``).  ``c_u`` is read from the public band
+    alone: the argmax of ``u`` on a log grid fine enough that its upper
+    neighbour lies below ``c_s``.  The slack ``1e-12`` covers the two
+    solves' tolerances where ``c_s`` and ``c_fb`` nearly meet."""
 
     RATES = {
         "sqrt_ratio": sqrt_ratio,
@@ -296,11 +318,28 @@ class TestSelfFinancedOptimumInterval:
         assert 0 < j < len(grid) - 1  # the peak lies inside the grid
         assert grid[j + 1] < c_s
 
+    @pytest.mark.parametrize("name", RATES)
+    def test_slope_has_the_sign_of_l_minus_q(self, name):
+        # on the tails of a 300-point grid inside (c_u, min(c_fb, c_max)),
+        # where u falls and A rises, L strictly falls, Q strictly rises, and
+        # the chain-rule slope of W, written as the program writes it, has
+        # the sign of L - Q: positive at the first, negative next to the end
+        sr = self.RATES[name]()
+        end = min(first_best_investment(sr), tail_limit(sr, Mode.SELF_FINANCED))
+        terms = [_proof_terms(sr, end * k / 301) for k in range(1, 301)]
+        inside = [t for t in terms if t[3] < 0.0 < t[4]]
+        assert len(inside) >= 30
+        ell, q, slope = ([t[j] for t in inside] for j in range(3))
+        assert all(a > b for a, b in zip(ell, ell[1:]))
+        assert all(a < b for a, b in zip(q, q[1:]))
+        assert [w > 0.0 for w in slope] == [a > b for a, b in zip(ell, q)]
+        assert slope[0] > 0.0 > _proof_terms(sr, end * (1.0 - 1e-9))[2]
+
     @pytest.mark.parametrize("name", [*RATES, "scaled_1e-6", "scaled_1-1e-6"])
     def test_in_the_full_scans_cell(self, name):
-        # the program scans only the grid points around [c_u, min(c_fb,
-        # c_max)]; the best of all 256 points, rebuilt here from the public
-        # band, must still be the cell the final solve starts from
+        # an independent reference for the one solve: the best of a full
+        # 256-point scan of (0, c_max), rebuilt here from the public band,
+        # lies in the cell pair around the program's tail
         caps = {"scaled_1e-6": 1e-6, "scaled_1-1e-6": 1.0 - 1e-6}
         sr = scaled_sqrt_ratio(caps[name]) if name in caps else self.RATES[name]()
         c_max = tail_limit(sr, Mode.SELF_FINANCED)
@@ -561,6 +600,44 @@ class TestCapsNearOne:
         flat = custom_rate("flat", lambda x: 0.5 * x / (1.0 + x), lambda x: 0.5 / (1.0 + x) ** 2)
         with pytest.raises(BracketError, match="steep-at-zero"):
             socially_optimal(flat)
+
+
+class TestDomainCapBelowOne:
+    """A cap below 1 bounds the brackets that start at the investment 1.
+
+    At cap 0.5 every answer of ``sqrt_ratio`` lies below the cap, and each
+    program matches its default-cap answer within its solve's ``xtol``.  At
+    cap 0.05, below the first best, the programs fail on their own
+    brackets, not on an evaluation of the rate at 1."""
+
+    PROGRAMS = {
+        "first_best_investment": (first_best_investment, 1e-12),
+        "tail_limit": (tail_limit, 1e-15),
+        "tail_limit_self_financed": (lambda sr: tail_limit(sr, Mode.SELF_FINANCED), 1e-15),
+        "initiator_optimal": (lambda sr: initiator_optimal(sr).profile.tail, 1e-14),
+        "self_financed_optimal": (lambda sr: self_financed_optimal(sr).profile.tail, 1e-13),
+        "region_curve_intersection": (region_curve_intersection, 1e-12),
+    }
+
+    @pytest.mark.parametrize("name", PROGRAMS)
+    def test_matches_the_default_cap(self, name):
+        solve, xtol = self.PROGRAMS[name]
+        assert solve(sqrt_ratio(domain_cap=0.5)) == pytest.approx(solve(sqrt_ratio()), rel=xtol)
+
+    @pytest.mark.parametrize("name", PROGRAMS)
+    def test_cap_below_the_answers_fails_on_its_bracket(self, name):
+        solve, _ = self.PROGRAMS[name]
+        with pytest.raises(SeqInvestError) as raised:
+            solve(sqrt_ratio(domain_cap=0.05))
+        assert "investment 1 " not in str(raised.value)
+
+    @pytest.mark.parametrize("cap", [0.5, 0.05])
+    def test_flatten_tail_matches_the_default_cap(self, cap):
+        # every investment of the profile, and so its flattened tail, lies
+        # below both caps
+        profile = ConstantTailProfile((0.04, 0.03), 0.02)
+        got = flatten_tail(sqrt_ratio(domain_cap=cap), profile, 0).tail
+        assert got == pytest.approx(flatten_tail(sqrt_ratio(), profile, 0).tail, rel=1e-12)
 
 
 class TestScaledRatePrograms:
