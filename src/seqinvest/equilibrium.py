@@ -20,7 +20,8 @@ faces a shifted copy of the same column against the same constant tail,
 so every later agent's check is bit-identical to the representative's.
 It reads each checked agent's column once, for the stay-put payment
 ``f(i, i)``, the continuation reward and the self-financed checks alike,
-and checks the tolerance once per call.
+and checks the tolerance once per call.  It reads its profile's ``p`` once
+for all agents, and ``p'`` once per agent, in its required return.
 
 The self-financed variant caps each agent's investment by their own
 stay-put payment (``x_i <= f(i, i) <= f(i, j)``): the money an agent can
@@ -74,7 +75,9 @@ from .rules import (
     Column,
     Mixture,
     StationaryColumnRule,
+    _agent_reward,
     _column_reward,
+    _column_series,
     _payoff,
     fixed_fraction_floor,
     flat_continuation,
@@ -238,19 +241,22 @@ def check_agent(
     """
     mode = _as_mode(mode)
     _check_tol(tol)
-    return _check_column(sr, x, x.at(i), rule.column(i), mode, tol)
+    xi = x.at(i)
+    col = rule.column(i)
+    pi, reward = _agent_reward(sr, x, col)
+    return _check_column(sr, xi, pi, col, reward, mode, tol)
 
 
 def _check_column(
-    sr: SuccessRate, x: ConstantTailProfile, xi: float, col: Column, mode: Mode, tol: float
+    sr: SuccessRate, xi: float, pi: float, col: Column, reward: float, mode: Mode, tol: float
 ) -> AgentCheck:
-    # check_agent for the agent whose column is ``col``, investing ``xi``;
-    # the one column gives both the stay-put payment and the reward
+    # check_agent for the agent whose column is ``col``, investing ``xi``
+    # with success probability ``pi``, given its continuation reward; the
+    # one column gives both the stay-put payment and the reward
     i = col.start
     fii = col.entries[0]
-    reward = _column_reward(sr, x, col)
     t = reward - fii
-    payoff = _payoff(sr, xi, fii, reward)
+    payoff = _payoff(pi, xi, fii, reward)
     ratio = sr.required_return(xi)
     if xi <= _ZERO_INVESTMENT:
         # the best response to a non-positive return is 0; a positive
@@ -281,7 +287,8 @@ def verify_equilibrium(
     fails its test.  ``mode`` is a :class:`Mode` or its value string, and
     the report holds the :class:`Mode`.  Raises :class:`DomainError` for
     any other mode and for a non-finite or negative ``tol``, each checked
-    once for all agents; each agent's column is read once.
+    once for all agents; each agent's column is read once, and the
+    profile's ``p`` once for all agents (module docstring).
     """
     mode = _as_mode(mode)
     _check_tol(tol)
@@ -291,12 +298,18 @@ def verify_equilibrium(
             f"{rule.label}: columns never stabilize; no constant-tail "
             "profile can be verified against this rule"
         )
-    first_tail = max(x.prefix_len, stationary)
+    m = len(x.prefix)
+    first_tail = max(m, stationary)
+    # p of the tail and of every prefix agent, once for all checked agents:
+    # agent i's walk takes the list past i, its payoff its own entry
+    pc = sr.probability(x.tail)
+    probs = [sr.probability(v) for v in x.prefix]
     checks = []
     failures: list[str] = []
     for i in range(first_tail + 1):
         col = rule.column(i)
-        chk = _check_column(sr, x, x.at(i), col, mode, tol)
+        xi, pi = (x.prefix[i], probs[i]) if i < m else (x.tail, pc)
+        chk = _check_column(sr, xi, pi, col, _column_series(col, m, probs[i + 1:], pc), mode, tol)
         checks.append(chk)
         # each test is written so that a NaN fails it
         if not chk.residual <= tol:

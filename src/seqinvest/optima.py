@@ -123,19 +123,30 @@ def _verified(
     return OptimumResult(name, profile, rule, objective, residuals, report)
 
 
+def _solve_below_cap(program: str, sr: SuccessRate, f, lo: float, **kwargs) -> float:
+    # a root of f from [lo, min(1, cap)]: a bracket with no sign change
+    # below the rate's domain cap has its answer above it, or nowhere
+    try:
+        return bisect(f, lo, min(1.0, sr.domain_cap), **kwargs)
+    except BracketError as exc:
+        raise BracketError(f"{program}: rate {sr.name} has no solution below "
+                           f"its domain cap {sr.domain_cap:g}") from exc
+
+
 def first_best_investment(sr: SuccessRate) -> float:
     """Constant investment maximizing welfare, support ignored.
 
     Unique root of ``(1 - c) / (1 - p(c)) = required_return(c)`` in
     ``(0, 1)``; the difference starts positive (welfare 1, return 0) and
-    ends negative at 1, or at the domain cap when it lies below 1.
+    ends negative at 1; a domain cap below the root raises
+    :class:`BracketError` naming the rate and its cap.
     """
 
     def gap(c: float) -> float:
         pc, ratio, _ = sr._band_at(c)
         return (1.0 - c) / (1.0 - pc) - ratio
 
-    return bisect(gap, 0.0, min(1.0, sr.domain_cap))
+    return _solve_below_cap("first_best_investment", sr, gap, 0.0)
 
 
 def socially_optimal(sr: SuccessRate) -> OptimumResult:
@@ -171,11 +182,14 @@ def tail_limit(sr: SuccessRate, mode: Mode | str = Mode.UNCONSTRAINED) -> float:
     Where the prize plus the mode's floor (``c`` when self-financed, else
     0) reaches 1; the floor is the only self-financed constraint applied.
     ``mode`` is a :class:`Mode` or its value string; any other value raises
-    :class:`DomainError`.
+    :class:`DomainError`; a domain cap below the limit raises
+    :class:`BracketError` naming the rate and its cap.
     """
     mode = _as_mode(mode)
-    return bisect(lambda c: _band_headroom(_floor(mode, c), sr.incentive_prize(c)), _EDGE,
-                  min(1.0, sr.domain_cap), limit=sr.domain_cap, xtol=1e-15)
+    return _solve_below_cap(
+        "tail_limit", sr, lambda c: _band_headroom(_floor(mode, c), sr.incentive_prize(c)), _EDGE,
+        limit=sr.domain_cap, xtol=1e-15,
+    )
 
 
 def _upper_edge_slope(sr: SuccessRate, mode: Mode, c: float) -> float:

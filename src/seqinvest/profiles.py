@@ -20,6 +20,11 @@ predecessors succeeded), the functionals are
 * ``incentive_cost``      ``G = sum_j reach(j) * prize(x_j)`` (aggregate
   gross prize needed to make the profile a best response everywhere).
 
+Each functional, and each continuation reward of :mod:`seqinvest.rules`,
+is a walk of one series kernel that takes the success probabilities of
+the agents it visits and reads no rate; its callers read ``p`` once per
+agent they walk.
+
 ``flatten_tail`` replaces everything from position ``k`` on with the
 constant ``c`` that preserves ``V``, the root of ``1 / (1 - p(c)) =
 V(x_k, x_{k+1}, ...)``; with ``p`` concave and the prize convex this
@@ -113,28 +118,49 @@ def _divergence(pc: float) -> DivergenceError:
     return DivergenceError(f"tail success probability {pc:g} >= 1; series diverges")
 
 
+def _walk(sr: SuccessRate, x: ConstantTailProfile, start: int, stop: int) -> tuple[list[float], float]:
+    # the tail's p, read first, and the prefix's from agent start up to
+    # stop, for one single walk of _reach_series: the list ends where the
+    # walk's reach hits 0, so no rate is evaluated past an unreachable agent
+    pc = sr.probability(x.tail)
+    probs: list[float] = []
+    reach = 1.0
+    for v in x.prefix[start:stop]:
+        pj = sr.probability(v)
+        probs.append(pj)
+        reach *= pj
+        if reach == 0.0:
+            break
+    return probs, pc
+
+
 def _reach_series(
-    sr: SuccessRate, x: ConstantTailProfile, start: int, stop: int, term,
+    probs: list[float], pc: float, prefix_len: int, start: int, stop: int, term,
     stops: bool = False, slope: float = 0.0,
 ) -> float:
     """The one reach-weighted series, with the one closure over the constant tail.
 
+    Reads no rate: ``probs[j - start]`` is ``p`` of prefix agent ``j <
+    prefix_len`` and ``pc`` that of the tail, every agent from ``prefix_len``
+    on; a list that stops before the walk does fails on its index.  Single
+    walks read them through ``_walk``, ``functionals`` once for its three
+    series, ``verify_equilibrium`` once for all the agents it checks.
+
     Sums ``reach * term(j)`` over agents ``j >= start``, ``reach`` being
     the chance that agents ``start .. j - 1`` all succeed; ``stops``
     weights each term by ``1 - p(x_j)``, as ``reach * (1 - p) * term``.
-    Agents before ``stop`` are summed one by one.  From ``stop`` on the
-    profile is at its tail, of success probability ``p_c``, and ``term``
-    is constant, or with ``stops`` affine, ``term(stop) + slope * (j - stop)``;
-    that rest closes as ``reach * term(stop) / (1 - p_c)``, or with
-    ``stops`` as ``reach * (term(stop) + slope * p_c / (1 - p_c))``.
+    Agents before ``stop`` are summed one by one, until the reach is 0.
+    From ``stop`` on the profile is at its tail and ``term`` is constant,
+    or with ``stops`` affine, ``term(stop) + slope * (j - stop)``; that
+    rest closes as ``reach * term(stop) / (1 - p_c)``, or with ``stops`` as
+    ``reach * (term(stop) + slope * p_c / (1 - p_c))``.
     """
-    pc = sr.probability(x.tail)
     if pc >= 1.0:
         raise _divergence(pc)
     total = 0.0
     reach = 1.0
     for j in range(start, stop):
-        pj = sr.probability(x.at(j))
+        pj = probs[j - start] if j < prefix_len else pc
         total += (reach * (1.0 - pj) if stops else reach) * term(j)
         reach *= pj
         if reach == 0.0:
@@ -144,31 +170,42 @@ def _reach_series(
     return total + reach * term(stop) / (1.0 - pc)
 
 
+def _profile_series(sr: SuccessRate, x: ConstantTailProfile, term) -> float:
+    # a series over the whole profile from agent 0, one read of p per agent
+    m = len(x.prefix)
+    probs, pc = _walk(sr, x, 0, m)
+    return _reach_series(probs, pc, m, 0, m, term)
+
+
 def expected_value(sr: SuccessRate, x: ConstantTailProfile) -> float:
-    return _reach_series(sr, x, 0, x.prefix_len, lambda _: 1.0)
+    return _profile_series(sr, x, lambda _: 1.0)
 
 
 def expected_investment(sr: SuccessRate, x: ConstantTailProfile) -> float:
-    return _reach_series(sr, x, 0, x.prefix_len, x.at)
+    return _profile_series(sr, x, x.at)
 
 
 def expected_welfare(sr: SuccessRate, x: ConstantTailProfile) -> float:
     # V - I in one pass over the profile
-    return _reach_series(sr, x, 0, x.prefix_len, lambda j: 1.0 - x.at(j))
+    return _profile_series(sr, x, lambda j: 1.0 - x.at(j))
 
 
 def incentive_cost(sr: SuccessRate, x: ConstantTailProfile) -> float:
-    return _reach_series(sr, x, 0, x.prefix_len, lambda j: sr.incentive_prize(x.at(j)))
+    return _profile_series(sr, x, lambda j: sr.incentive_prize(x.at(j)))
 
 
 def functionals(sr: SuccessRate, x: ConstantTailProfile) -> FunctionalValues:
-    value = expected_value(sr, x)
-    investment = expected_investment(sr, x)
+    # the three series from one read of the profile's p; each sums the
+    # terms its own function sums, in the same order
+    m = len(x.prefix)
+    probs, pc = _walk(sr, x, 0, m)
+    value = _reach_series(probs, pc, m, 0, m, lambda _: 1.0)
+    investment = _reach_series(probs, pc, m, 0, m, x.at)
     return FunctionalValues(
         value=value,
         investment=investment,
         welfare=value - investment,
-        incentive_cost=incentive_cost(sr, x),
+        incentive_cost=_reach_series(probs, pc, m, 0, m, lambda j: sr.incentive_prize(x.at(j))),
     )
 
 
@@ -198,7 +235,9 @@ def flatten_tail(sr: SuccessRate, x: ConstantTailProfile, k: int) -> ConstantTai
         reach *= sr.probability(v)
         if reach == 0.0:
             break
-    suffix = _reach_series(sr, x, k, x.prefix_len if reach else k, lambda _: 1.0)
+    stop = x.prefix_len if reach else k
+    probs, pc = _walk(sr, x, k, stop)
+    suffix = _reach_series(probs, pc, x.prefix_len, k, stop, lambda _: 1.0)
     if reach <= 1e-300:
         return ConstantTailProfile(head, 0.0)
 

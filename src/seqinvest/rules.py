@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .errors import DomainError, RuleConstructionError, _check_count, _index
-from .profiles import ConstantTailProfile, _reach_series
+from .profiles import ConstantTailProfile, _reach_series, _walk
 from .rates import SuccessRate
 
 _BALANCE_TOL = 1e-9  # rounding allowed on each row sum and entry sign
@@ -462,7 +462,17 @@ def continuation_reward(
 
 
 def _column_reward(sr: SuccessRate, x: ConstantTailProfile, col: Column) -> float:
-    # continuation reward of the agent whose column is ``col``; the terms
+    # continuation reward of the agent whose column is ``col``, reading p
+    # once for each agent its walk reaches: the prefix past the agent's own
+    m = len(x.prefix)
+    probs, pc = _walk(sr, x, col.start + 1, m)
+    return _column_series(col, m, probs, pc)
+
+
+def _column_series(col: Column, prefix_len: int, probs: list[float], pc: float) -> float:
+    # _column_reward against a profile of ``prefix_len`` prefix agents, from
+    # the success probabilities of those past the column's own agent
+    # (``probs``, from agent ``col.start + 1`` on) and of the tail; the terms
     # are ``col.value`` read from locals, because reading a tuple record's
     # field by name costs more than reading a local, once per explicit row
     start, entries, tail, slope = col
@@ -472,8 +482,9 @@ def _column_reward(sr: SuccessRate, x: ConstantTailProfile, col: Column) -> floa
         t = k - start
         return entries[t] if t < n else tail + slope * (t - n)
 
-    k_stable = max(start + n, x.prefix_len, start + 1)
-    return _reach_series(sr, x, start + 1, k_stable, term, stops=True, slope=slope)
+    # past the column's entries (at least its diagonal) and the prefix
+    k_stable = start + n if start + n > prefix_len else prefix_len
+    return _reach_series(probs, pc, prefix_len, start + 1, k_stable, term, True, slope)
 
 
 def expected_payoff(
@@ -483,12 +494,22 @@ def expected_payoff(
     continuation reward if succeeding, minus the sunk investment."""
     xi = x.at(i)
     col = rule.column(i)
-    return _payoff(sr, xi, col.entries[0], _column_reward(sr, x, col))
+    pi, reward = _agent_reward(sr, x, col)
+    return _payoff(pi, xi, col.entries[0], reward)
 
 
-def _payoff(sr: SuccessRate, xi: float, fii: float, reward: float) -> float:
-    # stay-put payment fii on failure, continuation reward on success
-    pi = sr.probability(xi)
+def _agent_reward(sr: SuccessRate, x: ConstantTailProfile, col: Column) -> tuple[float, float]:
+    # the success probability of the column's agent and its continuation
+    # reward, one read of p per agent: a tail agent's p is the tail's
+    m = len(x.prefix)
+    probs, pc = _walk(sr, x, col.start + 1, m)
+    pi = sr.probability(x.prefix[col.start]) if col.start < m else pc
+    return pi, _column_series(col, m, probs, pc)
+
+
+def _payoff(pi: float, xi: float, fii: float, reward: float) -> float:
+    # success probability pi: stay-put payment fii on failure, continuation
+    # reward on success
     return (1.0 - pi) * fii + pi * reward - xi
 
 
@@ -501,7 +522,10 @@ def implied_value(sr: SuccessRate, rule: StationaryColumnRule, x: ConstantTailPr
     terms are constant from the first pattern column past the prefix on.
     """
     j0 = max(len(rule.leading), x.prefix_len, 1)
-    return _reach_series(sr, x, 0, j0, lambda j: rule.value(j, j) + sr.incentive_prize(x.at(j)))
+    probs, pc = _walk(sr, x, 0, x.prefix_len)
+    return _reach_series(
+        probs, pc, x.prefix_len, 0, j0, lambda j: rule.value(j, j) + sr.incentive_prize(x.at(j))
+    )
 
 
 _RULE_KINDS = {

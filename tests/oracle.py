@@ -21,9 +21,10 @@ the property tests of ``test_oracle.py``, as :func:`optima` gives the
 optima.  The payoffs at ``c_star`` follow from the equal split's
 definition: the initiator receives 1 if their own step fails and 2
 otherwise, every later agent 0 and 1, so an agent investing ``c`` earns
-``1 + p(c) - c`` as the initiator and ``p(c) - c`` in the tail.  Not
-recomputed here: the three-tier equilibrium itself (``ex5_x0 .. ex5_x2``)
-and its payoffs, which need the rule programs.
+``1 + p(c) - c`` as the initiator and ``p(c) - c`` in the tail.  The
+three-tier equilibrium itself (``ex5_x0 .. ex5_x2``) and its payoffs are
+solved from the rule's rows by :func:`three_tier`.  Every constant but
+the cap ``eps_half_sqrt2``, an input, is recomputed here.
 """
 
 from __future__ import annotations
@@ -220,6 +221,35 @@ def optima(eps) -> dict[str, mp.mpf]:
         }
 
 
+def three_tier(r: Rate) -> dict[str, mp.mpf]:
+    """The three-tier rule's equilibrium and its payoffs, from its rows.
+
+    Rows ``[1], [2, 0], [0, 3, 0], [0, 2, 2, 0], [0, 2, 1, 2, 0], ...``:
+    the initiator receives 1 if their own step fails, 2 if agent 1's does
+    and 0 later; agent 1 receives 0, 3 and then 2; every later agent 0, 2
+    if the next step fails and 1 later.  Each agent's return on success
+    is its continuation reward less its stay-put payment, so the tail
+    ``c`` solves ``r(c) = 2 (1 - p(c)) + p(c) = 2 - p(c)``, agent 1's
+    ``r(x1) = 3 (1 - p(c)) + 2 p(c) = 3 - p(c)`` and the initiator's
+    ``r(x0) = 2 (1 - p(x1)) - 1``; each payoff is the stay-put payment on
+    failure plus the continuation reward on success, less the investment.
+    """
+    c = root(lambda x: r.required_return(x) - (2 - r.p(x)), "1e-6", 1)
+    pc = r.p(c)
+    x1 = investment_for(1 - r.scale, 3 - pc)
+    p1 = r.p(x1)
+    x0 = investment_for(1 - r.scale, 2 * (1 - p1) - 1)
+    p0 = r.p(x0)
+    return {
+        "ex5_x2": c,
+        "ex5_x1": x1,
+        "ex5_x0": x0,
+        "ex5_payoff0": (1 - p0) + 2 * p0 * (1 - p1) - x0,
+        "ex5_payoff1": p1 * (3 - pc) - x1,
+        "ex5_payoff2": pc * (2 - pc) - c,
+    }
+
+
 def constants() -> dict[str, mp.mpf]:
     with mp.workdps(DIGITS):
         # the frozen scaled-family constants use the exact cap sqrt(2)/2; at
@@ -285,6 +315,7 @@ def constants() -> dict[str, mp.mpf]:
             "c_cross": solved["c_cross"],
             # the self-financed optimum
             **{name: solved[name] for name in ("c_s", "x0_s", "welfare_s", "alpha_s")},
+            **three_tier(sr),
         }
 
 

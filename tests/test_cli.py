@@ -357,6 +357,18 @@ class TestConfigFile:
         assert (code, err) == (0, "")
         assert out == run(capsys, command)[1]
 
+    @pytest.mark.parametrize("command, program", [
+        ("optima", "first_best_investment"), ("region", "tail_limit"),
+    ])
+    def test_domain_cap_below_the_answers(self, capsys, tmp_path, command, program):
+        # the first best and the tail limit lie above a cap of 0.05: a usage
+        # error that names the solve, the rate and the cap
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[rate]\ndomain_cap = 0.05\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {program}: rate sqrt_ratio has no solution below its domain cap 0.05\n"
+
 
 class TestMalformedInput:
     """Malformed numbers and unwritable output are usage errors: exit 2, no traceback."""

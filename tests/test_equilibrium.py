@@ -160,6 +160,48 @@ class TestBestResponse:
         )
 
 
+def _counting_rate(sr, calls):
+    # sr's p and p' behind a custom rate that counts each evaluation
+    def counted(key, fn):
+        def f(x):
+            calls[key] += 1
+            return fn(x)
+        return f
+
+    return custom_rate("counting", counted("p", sr.probability), counted("p'", sr.marginal))
+
+
+def _transfer(beta, q):
+    # a balanced transfer between agents 0 and 1 of the equal split
+    return Perturbed(
+        equal_split(),
+        entries=(((0, 2), -beta * q), ((1, 2), beta * q)),
+        column_tails=((0, (3, beta * (1.0 - q))), (1, (3, -beta * (1.0 - q)))),
+    )
+
+
+class TestVerifyReadsOnce:
+    """A verification reads ``p`` once per agent of its profile, the tail
+    once, for all checked agents, and ``p'`` once per checked agent, in
+    that agent's required return."""
+
+    def test_three_tier_equilibrium(self, sr, ex5_rule, ex5_profile):
+        calls = {"p": 0, "p'": 0}
+        report = verify_equilibrium(_counting_rate(sr, calls), ex5_rule, ex5_profile)
+        assert report.supported and len(report.checks) == 3
+        assert calls == {"p": 3, "p'": 3}
+        assert report == verify_equilibrium(sr, ex5_rule, ex5_profile)
+
+    def test_c_star_under_a_transfer(self, sr, oracle):
+        rule = _transfer(0.5, sr.probability(oracle.c_star))
+        x = constant_profile(oracle.c_star)
+        calls = {"p": 0, "p'": 0}
+        report = verify_equilibrium(_counting_rate(sr, calls), rule, x)
+        assert report.supported
+        assert calls == {"p": 1, "p'": len(report.checks)}
+        assert report == verify_equilibrium(sr, rule, x)
+
+
 class TestVerify:
     def test_equal_split_supports_social_optimum(self, sr, oracle):
         report = verify_equilibrium(sr, equal_split(), constant_profile(oracle.c_star))
@@ -611,21 +653,13 @@ class TestSynthesize:
     def test_band_evaluated_once(self, sr):
         # the endpoint rules take the band the feasibility check computed,
         # the tail's required return included: p and p' once each at the
-        # tail, p' for the initiator's return, then p in the two endpoints'
-        # initiator returns; at (0.12, 0) the tail's required return is
-        # above 1, so the bonus pair is built
+        # tail, p' for the initiator's return, then the tail's p once in
+        # each endpoint's initiator return; at (0.12, 0) the tail's
+        # required return is above 1, so the bonus pair is built
         calls = {"p": 0, "p'": 0}
-
-        def counted(key, fn):
-            def f(x):
-                calls[key] += 1
-                return fn(x)
-            return f
-
-        rate = custom_rate("counting", counted("p", sr.probability), counted("p'", sr.marginal))
-        rule = synthesize_rule(rate, 0.06, 0.12, 0.0)
+        rule = synthesize_rule(_counting_rate(sr, calls), 0.06, 0.12, 0.0)
         assert rule.label.startswith("mix(") and "next_step_bonus" in rule.label
-        assert calls == {"p": 5, "p'": 2}
+        assert calls == {"p": 3, "p'": 2}
 
 
 class TestMixingClosure:

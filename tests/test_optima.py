@@ -12,7 +12,6 @@ from seqinvest import (
     ConstantTailProfile,
     DomainError,
     Mode,
-    SeqInvestError,
     UnboundedRatioError,
     constant_profile,
     constant_support_check,
@@ -223,9 +222,9 @@ class TestRateReadOncePerPoint:
     a step of the self-financed slope changes a count."""
 
     @pytest.mark.parametrize("solve, want", [
-        (socially_optimal, {"p": 6, "p'": 14}),
-        (initiator_optimal, {"p": 90, "p'": 123}),
-        (self_financed_optimal, {"p": 162, "p'": 373}),
+        (socially_optimal, {"p": 3, "p'": 14}),
+        (initiator_optimal, {"p": 88, "p'": 123}),
+        (self_financed_optimal, {"p": 158, "p'": 373}),
     ], ids=["socially_optimal", "initiator_optimal", "self_financed_optimal"])
     def test_counted_calls(self, sr, solve, want):
         calls = {"p": 0, "p'": 0}
@@ -626,10 +625,15 @@ class TestDomainCapBelowOne:
 
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_cap_below_the_answers_fails_on_its_bracket(self, name):
+        # the error names the solve whose bracket ran out, the rate and its
+        # cap: the first best for itself, the tail limit for the others
         solve, _ = self.PROGRAMS[name]
-        with pytest.raises(SeqInvestError) as raised:
+        program = "first_best_investment" if name == "first_best_investment" else "tail_limit"
+        with pytest.raises(BracketError) as raised:
             solve(sqrt_ratio(domain_cap=0.05))
-        assert "investment 1 " not in str(raised.value)
+        assert str(raised.value) == (
+            f"{program}: rate sqrt_ratio has no solution below its domain cap 0.05"
+        )
 
     @pytest.mark.parametrize("cap", [0.5, 0.05])
     def test_flatten_tail_matches_the_default_cap(self, cap):

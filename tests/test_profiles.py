@@ -26,6 +26,7 @@ from seqinvest import (
     scaled_sqrt_ratio,
     sqrt_ratio,
 )
+from seqinvest.profiles import _reach_series
 
 TRUNC = 200
 
@@ -94,6 +95,20 @@ class TestAgentIndex:
             got = ex5_profile.at(np.int64(j))
             assert type(got) is float and got == ex5_profile.at(j)
         assert ex5_profile.at(True) == ex5_profile.at(1)
+
+
+class TestSeriesKernel:
+    """The kernel takes the walk's success probabilities and reads no rate."""
+
+    def test_prefix_from_the_list_tail_from_pc(self):
+        # agents 1 .. 3 of a 4-entry prefix, then the tail at p = 0.2
+        got = _reach_series([0.5, 0.25, 0.5], 0.2, 4, 1, 4, lambda _: 1.0)
+        assert got == 1.0 + 0.5 + 0.125 + 0.0625 * 1.0 / (1.0 - 0.2)
+
+    def test_a_short_list_fails_on_its_index(self):
+        # agent 3 is a prefix agent: its p is never the tail's in its place
+        with pytest.raises(IndexError):
+            _reach_series([0.5, 0.25], 0.2, 4, 1, 4, lambda _: 1.0)
 
 
 class TestReachProbability:
@@ -177,6 +192,19 @@ class TestExpectedWelfare:
         two_pass = expected_value(sr, x) - expected_investment(sr, x)
         assert welfare == pytest.approx(two_pass, rel=1e-15, abs=0.0)
 
+    def test_functionals_read_the_profile_once(self, sr):
+        # one p per prefix entry and one for the tail, shared by the three
+        # series, plus one per prefix entry inside the custom rate's prize
+        calls = []
+        counting = custom_rate(
+            "counting", lambda x: calls.append(x) or sr.probability(x), sr.marginal
+        )
+        x = ConstantTailProfile((0.3, 0.01, 0.2, 0.05), 0.1)
+        f = functionals(counting, x)
+        assert len(calls) == 10
+        # bit for bit the three walks it shares its reads between
+        assert f == (expected_value(counting, x), expected_investment(counting, x),
+                     f.value - f.investment, incentive_cost(counting, x))
 
 class TestIncentiveCost:
     def test_zeros(self, sr):
