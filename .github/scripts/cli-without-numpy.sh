@@ -8,8 +8,8 @@
 # and simulate must fail as a usage error (exit 2, an `error:` line, no
 # traceback).
 # `rule print` must also start without loading the equilibrium layer or the
-# solvers, and `verify` without loading the solvers, as read from
-# `python -X importtime` on stderr.
+# solvers, and `verify`, `synthesize` and `dynamics` without loading the
+# solvers, as read from `python -X importtime` on stderr.
 # Usage, from the repository root: .github/scripts/cli-without-numpy.sh [python]
 set -euo pipefail
 work="$(mktemp -d)"
@@ -65,12 +65,18 @@ PYTHONPATH=src "$work/bare/bin/python" -X importtime -m seqinvest.cli \
   rule print --rule kind=jackpot --rows 8 > /dev/null 2> "$work/rule_print.imports"
 grep -Eq '\| +seqinvest\.rules$' "$work/rule_print.imports"
 if grep -E '\| +seqinvest\.(equilibrium|solvers)$' "$work/rule_print.imports"; then exit 1; fi
-# the modules verify imports: the equilibrium layer, and not the solvers,
-# since the built-in rates invert the required return in closed form
-PYTHONPATH=src "$work/bare/bin/python" -X importtime -m seqinvest.cli \
-  verify --rule kind=equal_split --profile tail=0.0883 --tol-eq 1e-4 > /dev/null 2> "$work/verify.imports"
-grep -Eq '\| +seqinvest\.equilibrium$' "$work/verify.imports"
-if grep -E '\| +seqinvest\.solvers$' "$work/verify.imports"; then exit 1; fi
+# the modules verify, synthesize and dynamics import: the equilibrium
+# layer, and not the solvers, since the built-in rates invert the required
+# return in closed form
+for command in "verify --rule kind=equal_split --profile tail=0.0883 --tol-eq 1e-4" \
+  "synthesize --x0 0.06 --c 0.12 --gamma 0" \
+  "dynamics --rule kind=jackpot --rate scaled_sqrt_ratio --epsilon 0.7071 --horizon 12"; do
+  read -r -a args <<< "$command"
+  PYTHONPATH=src "$work/bare/bin/python" -X importtime -m seqinvest.cli \
+    "${args[@]}" > /dev/null 2> "$work/${args[0]}.imports"
+  grep -Eq '\| +seqinvest\.equilibrium$' "$work/${args[0]}.imports"
+  if grep -E '\| +seqinvest\.solvers$' "$work/${args[0]}.imports"; then exit 1; fi
+done
 # demos 02 to 05 need no numpy: flattening, rules, equilibria, synthesis and
 # the optima, byte for byte against their transcripts, noise as one token
 for demo in 02_process_functionals 03_reward_rules 04_equilibria 05_optimal_programs; do

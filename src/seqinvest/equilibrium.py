@@ -51,7 +51,9 @@ Every result this module returns (:class:`AgentCheck`,
 :class:`NearConstantFeasibility`) is a ``typing.NamedTuple``: computed, not
 validated, so it unpacks and indexes like a tuple and is copied with
 ``._replace``.  A record holds no value it can read from another:
-:class:`BoundSchedule` is its rate alone, whose cap each bound reads.
+``supported`` and ``sweeps`` are properties of the fields that decide
+them, and :class:`BoundSchedule` is its rate alone, whose cap each bound
+reads.  ``feasible`` and ``converged`` apply a tolerance, so they are stored.
 """
 
 from __future__ import annotations
@@ -188,11 +190,14 @@ class AgentCheck(NamedTuple):
 class EquilibriumReport(NamedTuple):
     """Outcome of a support check: per-agent residuals and payoffs."""
 
-    supported: bool
     mode: Mode
     tol: float
     checks: tuple[AgentCheck, ...]
     failures: tuple[str, ...] = ()
+
+    @property
+    def supported(self) -> bool:
+        return not self.failures
 
     @property
     def verdict(self) -> str:
@@ -327,7 +332,6 @@ def verify_equilibrium(
                     f"stay-put payment (gap {gap:.3g})"
                 )
     return EquilibriumReport(
-        supported=not failures,
         mode=mode,
         tol=tol,
         checks=tuple(checks),
@@ -373,10 +377,14 @@ class DynamicsResult(NamedTuple):
 
     profile: ConstantTailProfile
     converged: bool
-    sweeps: int  # len(history), kept while the benchmark's tracer reads it
     max_change: float
     residuals: tuple[tuple[int, float], ...]
     history: tuple[tuple[float, ...], ...]
+
+    @property
+    def sweeps(self) -> int:
+        # len(history), kept while the benchmark's tracer reads it
+        return len(self.history)
 
     @property
     def max_residual(self) -> float:
@@ -425,7 +433,6 @@ def best_response_dynamics(
     return DynamicsResult(
         profile=final,
         converged=max_change <= _DYNAMICS_TOL,
-        sweeps=len(history),
         max_change=max_change,
         residuals=residuals,
         history=tuple(history),
@@ -435,10 +442,13 @@ def best_response_dynamics(
 class ConstantSupport(NamedTuple):
     """Support verdict for a constant profile, with witness or gap."""
 
-    supported: bool
     investment: float
     gap: float  # prize(c) - p(c); positive means unsupportable
     witness: StationaryColumnRule | None
+
+    @property
+    def supported(self) -> bool:
+        return self.witness is not None
 
     @property
     def verdict(self) -> str:
@@ -457,9 +467,9 @@ def constant_support_check(sr: SuccessRate, c: float) -> ConstantSupport:
     prob, ratio, prize = sr._band_at(c)  # ratio: prize / p, 0 at 0
     gap = prize - prob
     if gap > _SUPPORT_TOL:
-        return ConstantSupport(False, c, gap, None)
+        return ConstantSupport(c, gap, None)
     witness = fixed_fraction_floor(1.0, max(0.0, 1.0 - ratio))
-    return ConstantSupport(True, c, gap, witness)
+    return ConstantSupport(c, gap, witness)
 
 
 class NearConstantFeasibility(NamedTuple):

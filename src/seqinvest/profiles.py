@@ -109,8 +109,11 @@ class FunctionalValues(NamedTuple):
 
     value: float
     investment: float
-    welfare: float
     incentive_cost: float
+
+    @property
+    def welfare(self) -> float:
+        return self.value - self.investment
 
 
 def _divergence(pc: float) -> DivergenceError:
@@ -204,7 +207,6 @@ def functionals(sr: SuccessRate, x: ConstantTailProfile) -> FunctionalValues:
     return FunctionalValues(
         value=value,
         investment=investment,
-        welfare=value - investment,
         incentive_cost=_reach_series(probs, pc, m, 0, m, lambda j: sr.incentive_prize(x.at(j))),
     )
 

@@ -16,7 +16,8 @@ cost of one draw per step whatever the episode count.  Thinning runs for
 is then inside the constant tail, where its remaining length is an
 independent geometric variable with success probability ``p_tail``, so
 one geometric draw per survivor closes the histogram exactly: no episode
-is discarded or truncated, and ``discarded`` is always 0.  Only a tail
+is discarded or truncated, so :func:`terminal_histogram` returns the
+histogram alone and the summary's ``discarded`` is always 0.  Only a tail
 that never fails (``p_tail == 1``) or chains too long to tabulate raise
 :class:`ChainCapError`.
 
@@ -37,10 +38,12 @@ Randomness comes from counter-based Philox streams.  Shards draw from
 generators spawned off one seed sequence (``SeedSequence(seed).spawn``),
 so they are independent by construction without communication, and the
 merge -- summing histograms -- is associative and deterministic given
-the shard plan.  Identical seed and configuration reproduce summaries
-bit for bit with one numpy build on one machine: ``dot`` runs on the
-BLAS kernel chosen for the CPU, which fixes how its sums are blocked,
-and NEP 19 does not fix ``Generator`` streams across numpy versions.
+the shard plan: ``min(shards, episodes)`` shards, none empty, whose
+indexed children do not depend on the excess.  Identical seed and
+configuration reproduce summaries bit for bit with one numpy build on
+one machine: ``dot`` runs on the BLAS kernel chosen for the CPU, which
+fixes how its sums are blocked, and NEP 19 does not fix ``Generator``
+streams across numpy versions.
 
 numpy is imported on first use, inside the functions that draw or
 aggregate, so importing this module, as the first use of the package
@@ -135,17 +138,25 @@ class SimulationSummary(NamedTuple):
 
     Per-agent payoffs are conditional on the agent being reached, which
     is the interim expectation the payoff functional describes.  The
-    histogram counts episodes by terminal index.
+    histogram counts episodes by terminal index.  ``discarded`` is always
+    0, kept for the CLI's ``discarded`` line.
     """
 
-    episodes: int
     discarded: int
     terminal_index: Stat
-    total_value: Stat
     total_investment: Stat
     welfare: Stat
     payoffs: tuple[PayoffStat, ...]
     histogram: tuple[int, ...]
+
+    @property
+    def episodes(self) -> int:
+        return sum(self.histogram)
+
+    @property
+    def total_value(self) -> Stat:
+        # value k + 1 at terminal index k: the same spread, shifted by 1
+        return Stat(self.terminal_index.mean + 1.0, self.terminal_index.se)
 
 
 def _shard_histogram(
@@ -155,7 +166,8 @@ def _shard_histogram(
     rng: np.random.Generator,
     max_chain_length: int,
 ) -> tuple[np.ndarray, int]:
-    """Counts of episodes by terminal index, plus the discard count (0)."""
+    """Counts of episodes by terminal index, and 0: the pair is kept while
+    the benchmark reads it, as perfbench's tracer hook unpacks it."""
     import numpy as np
 
     p_tail = sr.probability(profile.tail)
@@ -189,48 +201,49 @@ def _shard_histogram(
 
 
 def _rngs(config: SimulationConfig) -> list[np.random.Generator]:
+    # one generator per planned shard: the root sequence for one shard,
+    # else its first min(shards, episodes) children, spawned by index
     import numpy as np
 
     root = np.random.SeedSequence(config.seed)
-    children = root.spawn(config.shards) if config.shards > 1 else [root]
+    children = root.spawn(min(config.shards, config.episodes)) if config.shards > 1 else [root]
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
 def _shard_sizes(episodes: int, shards: int) -> list[int]:
+    # episodes split over min(shards, episodes) shards, none of them empty
+    shards = min(shards, episodes)
     base, extra = divmod(episodes, shards)
     return [base + (1 if s < extra else 0) for s in range(shards)]
 
 
 def terminal_histogram(
     sr: SuccessRate, profile: ConstantTailProfile, config: SimulationConfig
-) -> tuple[np.ndarray, int]:
-    """Merged terminal-index histogram over all shards, plus discards (0)."""
+) -> np.ndarray:
+    """Merged terminal-index histogram over all shards."""
     import numpy as np
 
     sizes = _shard_sizes(config.episodes, config.shards)
     merged = np.zeros(0, dtype=np.int64)
-    discarded = 0
     for rng, size in zip(_rngs(config), sizes):
-        if size == 0:
-            continue
-        counts, dropped = _shard_histogram(
-            sr, profile, size, rng, config.max_chain_length
-        )
+        counts, _ = _shard_histogram(sr, profile, size, rng, config.max_chain_length)
         if counts.size > merged.size:
             counts[: merged.size] += merged
             merged = counts
         else:
             merged[: counts.size] += counts
-        discarded += dropped
-    return merged, discarded
+    return merged
 
 
 def _stat(weights: np.ndarray, values: np.ndarray, n: int) -> Stat:
     """Mean and standard error of ``values`` weighted by ``weights``, whose
     total is ``n``; ``values`` is left as it is."""
-    if n == 0:
-        return Stat(math.nan, math.nan)
-    # moments about values[-1], whose bin every histogram reaches (it ends
+    # n is at least 1, so no empty-histogram case: a config has at least one
+    # episode, every histogram ends at a non-empty bin (thinning stops with
+    # the last episode, the closure's bincount at the longest chain, a merge
+    # keeps the longer histogram's last bin), and summarize asks for agents
+    # only up to that bin.
+    # Moments about values[-1], whose bin every histogram reaches (it ends
     # at its longest chain): equal values then give their own value as the
     # mean and a standard error of exactly 0, not rounding noise
     anchor = values[-1]
@@ -254,7 +267,7 @@ def summarize(
     """Simulate and aggregate; deterministic given the configuration."""
     import numpy as np
 
-    hist, discarded = terminal_histogram(sr, profile, config)
+    hist = terminal_histogram(sr, profile, config)
     # reached[i]: episodes ending at agent i or later
     reached = np.cumsum(hist[::-1])[::-1]
     episodes = int(reached[0])
@@ -268,7 +281,6 @@ def summarize(
     )
 
     terminal = _stat(weights, ks, episodes)
-    value = Stat(terminal.mean + 1.0, terminal.se)
     investment = _stat(weights, investments, episodes)
     welfare = _stat(weights, ks + 1.0 - investments, episodes)
 
@@ -297,10 +309,8 @@ def summarize(
         payoffs.append(PayoffStat(i, n, stat.mean, stat.se))
 
     return SimulationSummary(
-        episodes=episodes,
-        discarded=discarded,
+        discarded=0,
         terminal_index=terminal,
-        total_value=value,
         total_investment=investment,
         welfare=welfare,
         payoffs=tuple(payoffs),

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from seqinvest import (
+    Column,
     ConstantTailProfile,
     DomainError,
     InfeasibleError,
     Mixture,
     Mode,
     Perturbed,
+    StationaryColumnRule,
     SuccessRate,
     TailShapeError,
     UnboundedRatioError,
@@ -343,6 +345,21 @@ class TestSelfFinancedVerify:
             in report.failures
         )
 
+    def test_falling_column_tail_fails(self, sr):
+        # a column tail that falls, however slowly, ends below any stay-put
+        # payment, though every entry it lists is above this one's
+        falling = Column(0, (1.0,), 2.0, slope=-4e-10)
+        rule = StationaryColumnRule(
+            "falling", leading=(falling,), repeating_entries=(0.0,), repeating_tail=1.0
+        )
+        report = verify_equilibrium(
+            sr, rule, constant_profile(0.0), mode=Mode.SELF_FINANCED, tol=1e-3
+        )
+        assert (
+            "agent 0: some continuation entry is below the stay-put payment (gap -inf)"
+            in report.failures
+        )
+
     def test_aggregate_inequality_at_sf_equilibrium(self, sr, oracle):
         rule = fixed_fraction_floor(
             sr.required_return(oracle.c_s) + oracle.c_s, oracle.c_s
@@ -556,6 +573,10 @@ class TestConstantSupport:
         assert not res.supported
         assert res.gap > 0.0
         assert res.witness is None
+
+    def test_verdict(self, sr, oracle):
+        assert constant_support_check(sr, 0.05).verdict == "Supported"
+        assert constant_support_check(sr, oracle.c_fb).verdict == "NotSupported"
 
 
 class TestNearConstantFeasibility:

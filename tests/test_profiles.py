@@ -4,6 +4,7 @@ Brute-force partial sums (truncated at 200 terms) serve as the
 independent oracle for the geometric closed forms throughout.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from seqinvest import (
     ConstantTailProfile,
     DivergenceError,
     DomainError,
+    InfeasibleError,
     constant_profile,
     custom_rate,
     expected_investment,
@@ -204,7 +206,7 @@ class TestExpectedWelfare:
         assert len(calls) == 10
         # bit for bit the three walks it shares its reads between
         assert f == (expected_value(counting, x), expected_investment(counting, x),
-                     f.value - f.investment, incentive_cost(counting, x))
+                     incentive_cost(counting, x))
 
 class TestIncentiveCost:
     def test_zeros(self, sr):
@@ -296,6 +298,20 @@ class TestFlatten:
         # position 1 is reached, but invests nothing: nothing after it adds value
         x = ConstantTailProfile((0.1, 0.0, 0.3), 0.2)
         assert flatten_tail(sr, x, 1) == ConstantTailProfile((0.1,), 0.0)
+
+    def test_unmatched_value_raises(self):
+        # p jumps from 0.2 * sqrt(x) to 0.6 at x = 0.5, so no tail attains
+        # p(c) = 0.496, what (0.6, 0.6, 0.1, ...) is worth: the solve ends
+        # at the jump and the value check refuses it
+        def p(x):
+            return 0.2 * math.sqrt(x) if x < 0.5 else 0.6
+
+        def p_prime(x):
+            return 0.0 if x >= 0.5 else 0.1 / math.sqrt(x) if x > 0.0 else math.inf
+
+        jump = custom_rate("jump", p, p_prime)
+        with pytest.raises(InfeasibleError, match="^flattening failed to match the expected value$"):
+            flatten_tail(jump, ConstantTailProfile((0.6, 0.6), 0.1), 0)
 
     def test_investment_reduction_spot(self, sr, ex5_profile, oracle):
         flat = flatten_tail(sr, ex5_profile, 1)

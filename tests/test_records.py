@@ -49,17 +49,17 @@ FIELDS = {
         {"worst_x": None, "worst_value": None},
     ),
     "ValidationReport": (("rate", "checks"), {}),
-    "FunctionalValues": (("value", "investment", "welfare", "incentive_cost"), {}),
+    "FunctionalValues": (("value", "investment", "incentive_cost"), {}),
     "AgentCheck": (
         ("agent", "investment", "net_return", "residual", "payoff", "corner"),
         {"corner": ""},
     ),
-    "EquilibriumReport": (("supported", "mode", "tol", "checks", "failures"), {"failures": ()}),
+    "EquilibriumReport": (("mode", "tol", "checks", "failures"), {"failures": ()}),
     "BoundSchedule": (("rate",), {}),
     "DynamicsResult": (
-        ("profile", "converged", "sweeps", "max_change", "residuals", "history"), {}
+        ("profile", "converged", "max_change", "residuals", "history"), {}
     ),
-    "ConstantSupport": (("supported", "investment", "gap", "witness"), {}),
+    "ConstantSupport": (("investment", "gap", "witness"), {}),
     "NearConstantFeasibility": (
         ("feasible", "x0", "c", "gamma", "ratio", "lower", "upper"), {}
     ),
@@ -69,8 +69,8 @@ FIELDS = {
     "PayoffStat": (("agent", "reached", "mean", "se"), {}),
     "SimulationSummary": (
         (
-            "episodes", "discarded", "terminal_index", "total_value", "total_investment",
-            "welfare", "payoffs", "histogram",
+            "discarded", "terminal_index", "total_investment", "welfare", "payoffs",
+            "histogram",
         ),
         {},
     ),
@@ -136,6 +136,60 @@ class TestComputedRecords:
         rec = records[name]
         inner = ", ".join(f"{f}={getattr(rec, f)!r}" for f in rec._fields)
         assert repr(rec) == f"{name}({inner})"
+
+
+# every value a record reads from its fields, not stores
+DERIVED = {
+    "FunctionalValues": ("welfare",),
+    "EquilibriumReport": ("supported",),
+    "DynamicsResult": ("sweeps",),
+    "ConstantSupport": ("supported",),
+    "SimulationSummary": ("episodes", "total_value"),
+}
+
+
+@pytest.mark.parametrize("name, attr", [(n, a) for n, attrs in DERIVED.items() for a in attrs])
+class TestDerivedValues:
+    def test_not_a_field(self, records, name, attr):
+        rec = records[name]
+        assert attr not in rec._fields
+        with pytest.raises(ValueError, match="unexpected field names"):
+            rec._replace(**{attr: getattr(rec, attr)})
+        with pytest.raises(AttributeError):
+            setattr(rec, attr, getattr(rec, attr))
+
+
+class TestDerivedValuesFollowTheirFields:
+    def test_welfare(self, records):
+        f = records["FunctionalValues"]
+        assert f.welfare == f.value - f.investment
+        assert f._replace(value=3.0, investment=0.5).welfare == 2.5
+
+    def test_report_supported(self):
+        report = verify_equilibrium(sqrt_ratio(), equal_split(), constant_profile(0.0883), tol=1e-4)
+        assert report.supported is True and report.verdict == "Supported"
+        failed = report._replace(failures=("agent 0: x",))
+        assert failed.supported is False and failed.verdict == "NotSupported"
+        assert failed._replace(failures=()).supported is True
+
+    def test_sweeps(self, records):
+        result = records["DynamicsResult"]
+        assert result.sweeps == len(result.history) == 2
+        assert result._replace(history=result.history[:1]).sweeps == 1
+
+    def test_constant_support(self, records):
+        res = records["ConstantSupport"]
+        assert res.supported is True and res.verdict == "Supported"
+        none = res._replace(witness=None)
+        assert none.supported is False and none.verdict == "NotSupported"
+
+    def test_summary(self, records):
+        summary = records["SimulationSummary"]
+        assert summary.episodes == 2_000 and type(summary.episodes) is int
+        terminal = summary.terminal_index
+        assert summary.total_value == Stat(terminal.mean + 1.0, terminal.se)
+        copy = summary._replace(histogram=(1, 2), terminal_index=Stat(0.5, 0.25))
+        assert copy.episodes == 3 and copy.total_value == Stat(1.5, 0.25)
 
 
 def test_pinned_reprs():

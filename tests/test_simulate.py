@@ -58,8 +58,8 @@ class TestGeometricLaw:
         # success probability p(c)
         config = SimulationConfig(episodes=200_000, seed=31)
         profile = constant_profile(oracle.c_star)
-        hist, discarded = terminal_histogram(sr, profile, config)
-        assert discarded == 0
+        hist = terminal_histogram(sr, profile, config)
+        assert hist.sum() == config.episodes
         p = sr.probability(oracle.c_star)
         n = hist.sum()
         # merge the far tail so expected counts stay comfortably large
@@ -130,7 +130,8 @@ class TestSharding:
 
         def samples(config):
             # the terminal index of every episode, expanded from the histogram
-            hist, _ = terminal_histogram(sr, profile, config)
+            hist = terminal_histogram(sr, profile, config)
+            assert hist.sum() == config.episodes
             return np.repeat(np.arange(hist.size), hist)
 
         single = samples(SimulationConfig(episodes=120_000, seed=41))
@@ -138,10 +139,24 @@ class TestSharding:
         result = stats.ks_2samp(single, sharded)
         assert result.pvalue > 0.001
 
+    @pytest.mark.parametrize("episodes, shards, fewer", [(3, 50, 3), (1, 7, 2)])
+    def test_no_generator_for_an_empty_shard(self, sr, oracle, monkeypatch, episodes, shards, fewer):
+        # more shards than episodes plan one shard of one episode each, and
+        # build a generator for each, children of the root even for one
+        # episode; children are indexed, so each shard keeps its stream
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda seed: built.append(seed) or philox(seed))
+        profile = constant_profile(oracle.c_star)
+        config = SimulationConfig(episodes=episodes, seed=8, shards=shards)
+        summary = summarize(sr, profile, equal_split(), config)
+        assert [seed.spawn_key for seed in built] == [(s,) for s in range(episodes)]
+        assert summary == summarize(sr, profile, equal_split(), config._replace(shards=fewer))
+
     def test_shard_counts_partition_episodes(self, sr, oracle):
         config = SimulationConfig(episodes=99_999, seed=3, shards=7)
-        hist, discarded = terminal_histogram(sr, constant_profile(oracle.c_star), config)
-        assert hist.sum() + discarded == config.episodes
+        hist = terminal_histogram(sr, constant_profile(oracle.c_star), config)
+        assert hist.sum() == config.episodes
 
 
 class TestDiscards:
@@ -282,7 +297,7 @@ class TestThinning:
             "counting", lambda x: seen.append(x) or sr.probability(x), sr.marginal
         )
         x = ConstantTailProfile((0.3, 0.0, 0.2, 0.05), 0.1)
-        hist, _ = terminal_histogram(counting, x, SimulationConfig(episodes=1000, seed=3))
+        hist = terminal_histogram(counting, x, SimulationConfig(episodes=1000, seed=3))
         assert hist.size == 2 and hist.sum() == 1000
         assert seen == [0.1, 0.3, 0.0]
 
