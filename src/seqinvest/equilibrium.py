@@ -21,7 +21,8 @@ so every later agent's check is bit-identical to the representative's.
 It reads each checked agent's column once, for the stay-put payment
 ``f(i, i)``, the continuation reward and the self-financed checks alike,
 and checks the tolerance once per call.  It reads its profile's ``p`` once
-for all agents, and ``p'`` once per agent, in its required return.
+for all agents, and ``p'`` once per entry, in its required return: the
+tail's once for every checked tail agent.
 
 The self-financed variant caps each agent's investment by their own
 stay-put payment (``x_i <= f(i, i) <= f(i, j)``): the money an agent can
@@ -51,9 +52,9 @@ Every result this module returns (:class:`AgentCheck`,
 :class:`NearConstantFeasibility`) is a ``typing.NamedTuple``: computed, not
 validated, so it unpacks and indexes like a tuple and is copied with
 ``._replace``.  A record holds no value it can read from another:
-``supported`` and ``sweeps`` are properties of the fields that decide
-them, and :class:`BoundSchedule` is its rate alone, whose cap each bound
-reads.  ``feasible`` and ``converged`` apply a tolerance, so they are stored.
+``supported``, ``sweeps``, ``converged`` and ``feasible`` are properties
+of the fields that decide them, and :class:`BoundSchedule` is its rate
+alone, whose cap each bound reads.
 """
 
 from __future__ import annotations
@@ -88,9 +89,6 @@ from .rules import (
 )
 
 TOL_EQ = 1e-8
-_ROOT_XTOL = 1e-12  # relative to the bracket
-_ZERO_INVESTMENT = 1e-12
-_DYNAMICS_TOL = 1e-10  # a pass that moves no investment by more has converged
 _SUPPORT_TOL = 1e-9  # slack on the support bounds of constant and near-constant profiles
 
 
@@ -126,10 +124,10 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
 
     Uses the rate's closed-form inverse when it has one (the built-in
     families), clipped to the domain cap against rounding; otherwise
-    bracket-doubles from ``[0, 1]`` and solves to ``1e-12`` relative to
-    the bracket, so a tiny target keeps its relative accuracy.  Raises
-    :class:`UnboundedRatioError` when ``t`` exceeds the ratio at the
-    rate's domain cap.
+    bracket-doubles from ``[0, 1]`` and solves to the solver's default
+    ``xtol`` (``1e-12``) relative to the bracket, so a tiny target keeps
+    its relative accuracy.  Raises :class:`UnboundedRatioError` when ``t``
+    exceeds the ratio at the rate's domain cap.
     """
     # one comparison accepts every attainable float target, and reads
     # max_return only for a positive one, from its field once it is set;
@@ -161,7 +159,7 @@ def investment_for_return(sr: SuccessRate, t: float) -> float:
     def gap(x: float) -> float:
         return sr.required_return(x) - t
 
-    return solvers.bisect(gap, 0.0, min(1.0, sr.domain_cap), limit=sr.domain_cap, xtol=_ROOT_XTOL)
+    return solvers.bisect(gap, 0.0, min(1.0, sr.domain_cap), limit=sr.domain_cap)
 
 
 def best_response(sr: SuccessRate, rule: StationaryColumnRule, x: ConstantTailProfile, i: int) -> float:
@@ -236,10 +234,10 @@ def check_agent(
     """Best-response residual of a single agent at the profile.
 
     Interior agents must satisfy the first-order condition; an investment
-    of at most ``_ZERO_INVESTMENT`` is at the zero corner, where the net
-    return, floored at 0, must match its required return (0 for an
-    investment of 0); in self-financed mode an investment at the budget
-    ``f(i, i)`` may leave excess return.
+    of exactly 0 is at the zero corner, the best response to any
+    non-positive net return, so its residual is the net return floored at
+    0; in self-financed mode an investment at the budget ``f(i, i)`` may
+    leave excess return.
     ``mode`` is a :class:`Mode` or its value string.  Raises
     :class:`DomainError` for any other mode and for a non-finite or
     negative ``tol``.
@@ -249,24 +247,22 @@ def check_agent(
     xi = x.at(i)
     col = rule.column(i)
     pi, reward = _agent_reward(sr, x, col)
-    return _check_column(sr, xi, pi, col, reward, mode, tol)
+    return _check_column(xi, pi, sr.required_return(xi), col, reward, mode, tol)
 
 
 def _check_column(
-    sr: SuccessRate, xi: float, pi: float, col: Column, reward: float, mode: Mode, tol: float
+    xi: float, pi: float, ratio: float, col: Column, reward: float, mode: Mode, tol: float
 ) -> AgentCheck:
     # check_agent for the agent whose column is ``col``, investing ``xi``
-    # with success probability ``pi``, given its continuation reward; the
-    # one column gives both the stay-put payment and the reward
+    # with success probability ``pi`` and required return ``ratio``, given
+    # its continuation reward; the one column gives both the stay-put
+    # payment and the reward
     i = col.start
     fii = col.entries[0]
     t = reward - fii
     payoff = _payoff(pi, xi, fii, reward)
-    ratio = sr.required_return(xi)
-    if xi <= _ZERO_INVESTMENT:
-        # the best response to a non-positive return is 0; a positive
-        # investment this small still has a required return (up to about
-        # 2e-6 for a rate as steep at zero as ``sqrt_ratio``)
+    if xi == 0.0:
+        # investment_for_return's answer to every non-positive return
         return AgentCheck(i, xi, t, abs(max(t, 0.0) - ratio), payoff, corner="zero")
     residual = abs(t - ratio)
     if mode is _SELF_FINANCED and residual > tol and abs(xi - fii) <= tol and t >= ratio - tol:
@@ -305,16 +301,18 @@ def verify_equilibrium(
         )
     m = len(x.prefix)
     first_tail = max(m, stationary)
-    # p of the tail and of every prefix agent, once for all checked agents:
-    # agent i's walk takes the list past i, its payoff its own entry
-    pc = sr.probability(x.tail)
+    # p and the required return of the tail and of every prefix agent, once
+    # for all checked agents: agent i's walk takes the list past i, its
+    # payoff and its check its own entry
+    pc, rc = sr.probability(x.tail), sr.required_return(x.tail)
     probs = [sr.probability(v) for v in x.prefix]
+    ratios = [sr.required_return(v) for v in x.prefix]
     checks = []
     failures: list[str] = []
     for i in range(first_tail + 1):
         col = rule.column(i)
-        xi, pi = (x.prefix[i], probs[i]) if i < m else (x.tail, pc)
-        chk = _check_column(sr, xi, pi, col, _column_series(col, m, probs[i + 1:], pc), mode, tol)
+        xi, pi, ri = (x.prefix[i], probs[i], ratios[i]) if i < m else (x.tail, pc, rc)
+        chk = _check_column(xi, pi, ri, col, _column_series(col, m, probs[i + 1:], pc), mode, tol)
         checks.append(chk)
         # each test is written so that a NaN fails it
         if not chk.residual <= tol:
@@ -376,10 +374,14 @@ class DynamicsResult(NamedTuple):
     """Outcome of best-response dynamics; ``sweeps`` counts the passes (1 or 2)."""
 
     profile: ConstantTailProfile
-    converged: bool
     max_change: float
     residuals: tuple[tuple[int, float], ...]
     history: tuple[tuple[float, ...], ...]
+
+    @property
+    def converged(self) -> bool:
+        # the last pass moved no investment: it confirmed what it started from
+        return self.max_change == 0.0
 
     @property
     def sweeps(self) -> int:
@@ -402,8 +404,8 @@ def best_response_dynamics(
     Agents at or beyond the horizon are frozen at the initial profile's
     values.  Agent ``i``'s continuation reward reads only its successors
     and the frozen tail, so one backward pass is exact and a second
-    confirms it (``max_change == 0``); a pass that moves no investment by
-    more than ``_DYNAMICS_TOL`` ends the run.  Only a confirming pass that
+    confirms it: a pass that moves no investment at all
+    (``max_change == 0``) ends the run.  Only a confirming pass that
     moves leaves the result non-converged, which is reported, never
     raised.  The residuals cover exactly the swept agents.  ``horizon``
     must be an integer (anything ``operator.index`` accepts) of at least 1,
@@ -424,7 +426,7 @@ def best_response_dynamics(
             max_change = max(max_change, abs(response - values[i]))
             values[i] = response
         history.append(tuple(values))
-        if max_change <= _DYNAMICS_TOL:
+        if max_change == 0.0:
             break
     final = ConstantTailProfile(tuple(values) + frozen, tail)
     residuals = tuple(
@@ -432,7 +434,6 @@ def best_response_dynamics(
     )
     return DynamicsResult(
         profile=final,
-        converged=max_change <= _DYNAMICS_TOL,
         max_change=max_change,
         residuals=residuals,
         history=tuple(history),
@@ -477,16 +478,21 @@ class NearConstantFeasibility(NamedTuple):
 
     ``lower`` is reported unclamped (it may be negative, in which case
     the binding lower bound is 0); ``ratio`` is the initiator's required
-    return.  Feasible iff ``max(lower, 0) <= ratio <= upper``.
+    return.  Feasible iff ``max(lower, 0) <= ratio <= upper``, each side
+    allowed ``_SUPPORT_TOL``.
     """
 
-    feasible: bool
     x0: float
     c: float
     gamma: float
     ratio: float
     lower: float
     upper: float
+
+    @property
+    def feasible(self) -> bool:
+        ratio = self.ratio
+        return max(self.lower, 0.0) <= ratio + _SUPPORT_TOL and ratio <= self.upper + _SUPPORT_TOL
 
     @property
     def verdict(self) -> str:
@@ -548,8 +554,7 @@ def _feasibility(
     # synthesis takes from the same evaluation of the band
     _, tail_ratio, _, lower, upper = _band(sr, c, gamma)
     ratio = sr.required_return(x0)
-    feasible = max(lower, 0.0) <= ratio + _SUPPORT_TOL and ratio <= upper + _SUPPORT_TOL
-    return NearConstantFeasibility(feasible, x0, c, gamma, ratio, lower, upper), tail_ratio
+    return NearConstantFeasibility(x0, c, gamma, ratio, lower, upper), tail_ratio
 
 
 def near_constant_feasibility(

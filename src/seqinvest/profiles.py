@@ -46,7 +46,6 @@ from typing import NamedTuple
 from .errors import DivergenceError, DomainError, InfeasibleError, _check_count, _index, _real
 from .rates import SuccessRate
 
-_FLATTEN_XTOL = 1e-12
 _FLATTEN_VTOL = 1e-10
 
 
@@ -249,8 +248,7 @@ def flatten_tail(sr: SuccessRate, x: ConstantTailProfile, k: int) -> ConstantTai
             raise _divergence(pc)
         return 1.0 / (1.0 - pc) - suffix
 
-    c = 0.0 if gap(0.0) >= 0.0 else bisect(gap, 0.0, min(1.0, sr.domain_cap),
-                                           limit=sr.domain_cap, xtol=_FLATTEN_XTOL)
+    c = 0.0 if gap(0.0) >= 0.0 else bisect(gap, 0.0, min(1.0, sr.domain_cap), limit=sr.domain_cap)
     # the value match, in units of the suffix's value
     if abs(gap(c)) > _FLATTEN_VTOL * suffix:
         raise InfeasibleError("flattening failed to match the expected value")

@@ -339,8 +339,12 @@ def rate_from_config(
 
     ``family`` is ``sqrt_ratio`` (cap 0, so ``epsilon`` must be 0) or
     ``scaled_sqrt_ratio``; a custom rate has no configuration form, so
-    pass the :func:`custom_rate` object.
+    pass the :func:`custom_rate` object.  ``epsilon`` and ``domain_cap``
+    are real numbers; text is refused, not parsed, with a
+    :class:`DomainError` that names the field.
     """
+    epsilon = _real("epsilon", epsilon)
+    domain_cap = _real("domain_cap", domain_cap)
     if family == "sqrt_ratio":
         if epsilon != 0.0:  # NaN included
             raise DomainError(f"sqrt_ratio has cap 0 and takes no epsilon, got {epsilon!r}")

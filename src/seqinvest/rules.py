@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import DomainError, RuleConstructionError, _check_count, _index
+from .errors import DomainError, RuleConstructionError, _check_count, _index, _real
 from .profiles import ConstantTailProfile, _reach_series, _walk
 from .rates import SuccessRate
 
@@ -540,7 +540,11 @@ _RULE_KINDS = {
 
 
 def rule_from_config(kind: str, params: Mapping[str, float] | None = None) -> StationaryColumnRule:
-    """Build a named rule from its ``kind`` and exactly that family's parameters."""
+    """Build a named rule from its ``kind`` and exactly that family's parameters.
+
+    Each parameter is a real number; text is refused, not parsed, with a
+    :class:`DomainError` that names the parameter.
+    """
     if kind not in _RULE_KINDS:
         raise DomainError(f"unknown rule kind {kind!r}")
     factory, names = _RULE_KINDS[kind]
@@ -549,4 +553,4 @@ def rule_from_config(kind: str, params: Mapping[str, float] | None = None) -> St
         raise DomainError(
             f"rule kind {kind!r} takes parameter(s) {list(names)}, got {sorted(params)}"
         )
-    return factory(*(float(params[n]) for n in names))
+    return factory(*(_real(f"rule parameter {n}", params[n]) for n in names))

@@ -184,8 +184,8 @@ def _transfer(beta, q):
 
 class TestVerifyReadsOnce:
     """A verification reads ``p`` once per agent of its profile, the tail
-    once, for all checked agents, and ``p'`` once per checked agent, in
-    that agent's required return."""
+    once, for all checked agents, and ``p'`` likewise, in each entry's
+    required return."""
 
     def test_three_tier_equilibrium(self, sr, ex5_rule, ex5_profile):
         calls = {"p": 0, "p'": 0}
@@ -199,8 +199,8 @@ class TestVerifyReadsOnce:
         x = constant_profile(oracle.c_star)
         calls = {"p": 0, "p'": 0}
         report = verify_equilibrium(_counting_rate(sr, calls), rule, x)
-        assert report.supported
-        assert calls == {"p": 1, "p'": len(report.checks)}
+        assert report.supported and len(report.checks) == 3
+        assert calls == {"p": 1, "p'": 1}
         assert report == verify_equilibrium(sr, rule, x)
 
 
@@ -214,6 +214,14 @@ class TestVerify:
     def test_equal_split_rejects_first_best(self, sr, oracle):
         report = verify_equilibrium(sr, equal_split(), constant_profile(oracle.c_fb))
         assert not report.supported
+
+    @pytest.mark.parametrize("offset, supported", [(4e-10, True), (4e-9, False)])
+    def test_equal_split_just_off_c_star(self, sr, oracle, offset, supported):
+        # each residual is about 8.26 times the offset: 3.3e-9 is within
+        # TOL_EQ, 3.3e-8 is not
+        report = verify_equilibrium(sr, equal_split(), constant_profile(oracle.c_star + offset))
+        assert report.max_residual == pytest.approx(8.26 * offset, rel=1e-3)
+        assert report.supported is supported
 
     def test_three_tier_supports_its_equilibrium(self, sr, ex5_rule, ex5_profile):
         report = verify_equilibrium(sr, ex5_rule, ex5_profile)
@@ -231,6 +239,16 @@ class TestVerify:
         report = verify_equilibrium(sr, rule, constant_profile(0.0))
         assert report.supported
         assert all(c.corner == "zero" for c in report.checks)
+
+    def test_only_zero_is_the_zero_corner(self, sr):
+        # the best response to the net return -0.6 is 0, the zero corner;
+        # 5e-13 is not 0, so its residual is its first-order gap
+        rule = flat_continuation(0.5, 0.1)
+        zero = check_agent(sr, rule, ConstantTailProfile((0.0,), 0.05), 0)
+        assert zero.corner == "zero" and zero.residual == 0.0
+        tiny = check_agent(sr, rule, ConstantTailProfile((5e-13,), 0.05), 0)
+        assert tiny.corner == "" and tiny.net_return == pytest.approx(-0.6, abs=1e-12)
+        assert tiny.residual == pytest.approx(0.6 + sr.required_return(5e-13), abs=1e-12)
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_nan_residual_is_no_support(self, sr, mode):
@@ -474,6 +492,16 @@ class TestDynamics:
                 assert result.sweeps == 2
                 assert result.max_change == 0.0
 
+    @pytest.mark.parametrize("offset, sweeps", [(0.0, 1), (1e-11, 2)])
+    def test_a_pass_that_moves_at_all_is_confirmed(self, sr, offset, sweeps):
+        # an init on the answer is confirmed by the first pass; one 1e-11
+        # off moves in it, so a second pass confirms
+        answer = best_response_dynamics(sr, equal_split(), 3).profile.at(0)
+        result = best_response_dynamics(sr, equal_split(), 3, constant_profile(answer + offset))
+        assert result.sweeps == sweeps
+        assert result.converged and result.max_change == 0.0
+        assert result.history[-1] == (answer,) * 3
+
     def test_moving_confirmation_reports_nonconvergence(self, drifting):
         # the confirming pass moves: reported, not raised
         result = best_response_dynamics(drifting, fixed_fraction(0.4), horizon=3)
@@ -578,6 +606,14 @@ class TestConstantSupport:
         assert constant_support_check(sr, 0.05).verdict == "Supported"
         assert constant_support_check(sr, oracle.c_fb).verdict == "NotSupported"
 
+    @pytest.mark.parametrize("offset, supported", [(1.6e-10, True), (1.6e-9, False)])
+    def test_gap_against_the_slack(self, sr, oracle, offset, supported):
+        # just past c_star the gap prize(c) - p(c) is about 1.89 times the
+        # offset: 3e-10 is within _SUPPORT_TOL, 3e-9 is not
+        res = constant_support_check(sr, oracle.c_star + offset)
+        assert res.gap == pytest.approx(1.89 * offset, rel=1e-2)
+        assert res.supported is supported
+
 
 class TestNearConstantFeasibility:
     def test_flattened_equilibrium_infeasible(self, sr, oracle):
@@ -609,11 +645,25 @@ class TestNearConstantFeasibility:
             assert tight.lower >= free.lower
             assert tight.upper <= free.upper
 
+    @pytest.mark.parametrize("offset, verdict", [(3e-10, "Feasible"), (3e-9, "Infeasible")])
+    def test_return_past_the_upper_edge(self, sr, offset, verdict):
+        # the initiator's return may exceed the upper edge by _SUPPORT_TOL
+        x0 = _past_the_upper_edge(sr, offset)
+        res = near_constant_feasibility(sr, x0, 0.05)
+        assert res.ratio - res.upper == pytest.approx(offset, rel=1e-6)
+        assert res.verdict == verdict
+
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -0.1])
     def test_floor_must_be_finite_and_non_negative(self, sr, gamma):
         # a NaN or infinite floor used to give an Infeasible verdict with NaN bounds
         with pytest.raises(DomainError, match="floor must be finite and >= 0"):
             near_constant_feasibility(sr, 0.06, 0.12, gamma)
+
+
+def _past_the_upper_edge(sr, offset):
+    # the initiator whose required return is ``offset`` past the upper edge
+    # of the band at the tail 0.05 and floor 0
+    return investment_for_return(sr, near_constant_feasibility(sr, 0.0, 0.05).upper + offset)
 
 
 class TestSynthesize:
@@ -670,6 +720,22 @@ class TestSynthesize:
     def test_infeasible_raises(self, sr, oracle):
         with pytest.raises(InfeasibleError):
             synthesize_rule(sr, oracle.ex5_x0, oracle.ex5_cbar, 0.0)
+
+    @pytest.mark.parametrize("offset, kind", [
+        (3e-9, None), (3e-10, "endpoint"), (-3e-10, "endpoint"), (-3e-9, "mixture"),
+    ])
+    def test_target_against_the_slack_of_the_upper_edge(self, sr, offset, kind):
+        # a target within _SUPPORT_TOL of the upper endpoint's return gets
+        # that endpoint rule; 3e-9 above it is infeasible, and 3e-9 below
+        # it gets a mixture
+        x0 = _past_the_upper_edge(sr, offset)
+        if kind is None:
+            with pytest.raises(InfeasibleError, match="is not supportable"):
+                synthesize_rule(sr, x0, 0.05)
+            return
+        rule = synthesize_rule(sr, x0, 0.05)
+        assert isinstance(rule, Mixture) is (kind == "mixture")
+        assert verify_equilibrium(sr, rule, ConstantTailProfile((x0,), 0.05)).supported
 
     def test_band_evaluated_once(self, sr):
         # the endpoint rules take the band the feasibility check computed,

@@ -222,7 +222,7 @@ class TestRateReadOncePerPoint:
     a step of the self-financed slope changes a count."""
 
     @pytest.mark.parametrize("solve, want", [
-        (socially_optimal, {"p": 3, "p'": 14}),
+        (socially_optimal, {"p": 3, "p'": 13}),
         (initiator_optimal, {"p": 88, "p'": 123}),
         (self_financed_optimal, {"p": 158, "p'": 373}),
     ], ids=["socially_optimal", "initiator_optimal", "self_financed_optimal"])
@@ -419,6 +419,21 @@ class TestTailLimit:
     def test_self_financed_floor(self, name, oracle):
         c = tail_limit(self.RATES[name](), Mode.SELF_FINANCED)
         assert c == pytest.approx(oracle.c_max_sf, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_limit_near_the_bracket_start(self, mode):
+        # p = x^(5e-12) / 2 has the prize 2e11 x, which reaches 1 at 5e-12,
+        # five times the solve's lower end _EDGE; the self-financed optimum
+        # below that limit still verifies
+        a = 2e11
+
+        def p(x):
+            return 0.5 * x ** (1.0 / a)
+
+        sr = custom_rate("steep", p, lambda x: math.inf if x == 0.0 else p(x) / (a * x))
+        want = 1.0 / a if mode is Mode.UNCONSTRAINED else 1.0 / (1.0 + a)
+        assert tail_limit(sr, mode) == pytest.approx(want, rel=1e-12)
+        assert self_financed_optimal(sr).report.supported
 
     @staticmethod
     def upper(sr, c, mode):

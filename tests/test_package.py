@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import seqinvest
+from mutate_tolerances import CONSTANTS, EXEMPT, float_constants
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -136,6 +137,18 @@ def test_every_export_has_a_caller():
     assert library and demos and bench
     read = set().union(*map(_reads, library + demos + bench))
     assert [name for name in seqinvest.__all__ if name not in read] == []
+
+
+def test_every_float_constant_is_in_the_mutation_table():
+    # each module-level float literal is a tolerance, to be moved 10-fold
+    # each way by tests/mutate_tolerances.py, or the one named domain
+    found = {
+        (path.stem, name)
+        for path in (ROOT / "src" / "seqinvest").glob("*.py")
+        for name in float_constants(path.read_text())
+        if name not in EXEMPT
+    }
+    assert found == set(CONSTANTS)
 
 
 def test_dir_lists_every_export():

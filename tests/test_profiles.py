@@ -313,11 +313,40 @@ class TestFlatten:
         with pytest.raises(InfeasibleError, match="^flattening failed to match the expected value$"):
             flatten_tail(jump, ConstantTailProfile((0.6, 0.6), 0.1), 0)
 
+    @pytest.mark.parametrize("miss, raises", [(3e-11, False), (3e-10, True)])
+    def test_value_mismatch_against_the_slack(self, sr, miss, raises):
+        # the tail may miss the suffix's value by _FLATTEN_VTOL of it
+        rate = _stepped_rate(sr, miss)
+        x = ConstantTailProfile((0.5,), 0.01)
+        if raises:
+            with pytest.raises(InfeasibleError, match="^flattening failed to match the expected value$"):
+                flatten_tail(rate, x, 0)
+            return
+        flat = flatten_tail(rate, x, 0)
+        assert expected_value(rate, flat) == pytest.approx(expected_value(rate, x), rel=4e-11)
+        assert expected_value(rate, flat) != expected_value(rate, x)
+
     def test_investment_reduction_spot(self, sr, ex5_profile, oracle):
         flat = flatten_tail(sr, ex5_profile, 1)
         assert expected_investment(sr, flat) == pytest.approx(
             oracle.ex5_invest_flat, abs=1e-10
         )
+
+
+def _stepped_rate(sr, miss):
+    # sqrt_ratio's p with a step up at c0, placed so that no tail attains
+    # the value of (0.5, 0.01, 0.01, ...): a tail on either side of the step
+    # misses it by ``miss`` of that value
+    pa, pb = sr.probability(0.5), sr.probability(0.01)
+    step = 2.0 * miss / (1.0 + pa / (1.0 - pb))
+    value = 1.0 + (pa + step) / (1.0 - pb)  # 0.5 is past the step
+    q = 1.0 - 1.0 / value - 0.5 * step  # p just below the step
+    c0 = (q / (1.0 - q)) ** 2  # sqrt_ratio's inverse
+
+    def p(x):
+        return sr.probability(x) + (step if x >= c0 else 0.0)
+
+    return custom_rate("stepped", p, sr.marginal)
 
 
 class TestFlatteningProperties:

@@ -456,6 +456,23 @@ class TestValidation:
             )
         assert validate(mirror).passed
 
+    @pytest.mark.parametrize("kink, passed", [(4e-9, True), (4e-8, False)])
+    def test_prize_convex_allows_rounding(self, kink, passed):
+        # a second difference of about -0.9 * kink is rounding within
+        # _TOL_CONVEX at 4e-9, a concave kink at 4e-8
+        check = _linear_prize_check(validate(_linear_prize_rate(kink=kink)), "prize_convex")
+        assert check.worst_value == pytest.approx(-0.9065 * kink, rel=1e-3)
+        assert check.passed is passed
+
+    @pytest.mark.parametrize("offset, passed", [(3e-7, True), (3e-6, False)])
+    def test_prize_at_zero_allows_rounding(self, offset, passed):
+        # the prize at the grid's first point, 1e-9, is 2e-9 + offset:
+        # within _TOL_LIMIT at 3e-7, a prize that does not vanish at 3e-6
+        check = _linear_prize_check(validate(_linear_prize_rate(offset=offset)),
+                                    "prize_vanishes_at_zero")
+        assert check.worst_value == pytest.approx(2e-9 + offset, rel=1e-12)
+        assert check.passed is passed
+
     def test_report_lines_render(self, sr):
         lines = validate(sr, points=64).lines()
         assert lines and all(line.startswith("pass") for line in lines)
@@ -467,6 +484,28 @@ class TestValidation:
         report = validate(custom_rate("broken", explode, explode), points=32)
         assert not report.passed
         assert {c.name for c in report.checks if not c.passed} >= {"evaluable", "increasing"}
+
+
+def _linear_prize_rate(kink=0.0, offset=0.0):
+    # p = sqrt(x) / 2 with p' chosen to make the prize 2x, less a slope
+    # drop of ``kink`` at 0.5, plus ``offset``; validate does not check
+    # that p' is the slope of p, so only the prize checks see the changes
+    def prize(x):
+        return 2.0 * x + offset - kink * max(0.0, x - 0.5)
+
+    def p(x):
+        return 0.5 * math.sqrt(x)
+
+    def p_prime(x):
+        return math.inf if x == 0.0 else p(x) / prize(x)
+
+    return custom_rate("linear_prize", p, p_prime, domain_cap=1.0)
+
+
+def _linear_prize_check(report, name):
+    # the named check, every other check passing
+    assert [c.name for c in report.checks if not c.passed] in ([], [name])
+    return next(c for c in report.checks if c.name == name)
 
 
 class TestValidationNaN:
@@ -654,6 +693,18 @@ class TestRegistry:
     def test_config_round_trip(self):
         assert rate_from_config("sqrt_ratio").name == "sqrt_ratio"
         assert rate_from_config("scaled_sqrt_ratio", 0.5).epsilon == 0.5
+
+    @pytest.mark.parametrize("family, epsilon, cap, field", [
+        ("sqrt_ratio", "0", 1e6, "epsilon"),
+        ("scaled_sqrt_ratio", "0.3", 1e6, "epsilon"),
+        ("scaled_sqrt_ratio", 0.3, "1e6", "domain_cap"),
+    ])
+    def test_text_is_not_a_field(self, family, epsilon, cap, field):
+        # text used to reach the family as is: a bare TypeError, or the
+        # sqrt_ratio message that "0" is an epsilon it does not take
+        got = epsilon if field == "epsilon" else cap
+        with pytest.raises(DomainError, match=f"^{field} must be a real number, got {got!r}$"):
+            rate_from_config(family, epsilon, domain_cap=cap)
 
     def test_unknown_rejected(self):
         with pytest.raises(DomainError):

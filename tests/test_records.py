@@ -56,13 +56,9 @@ FIELDS = {
     ),
     "EquilibriumReport": (("mode", "tol", "checks", "failures"), {"failures": ()}),
     "BoundSchedule": (("rate",), {}),
-    "DynamicsResult": (
-        ("profile", "converged", "max_change", "residuals", "history"), {}
-    ),
+    "DynamicsResult": (("profile", "max_change", "residuals", "history"), {}),
     "ConstantSupport": (("investment", "gap", "witness"), {}),
-    "NearConstantFeasibility": (
-        ("feasible", "x0", "c", "gamma", "ratio", "lower", "upper"), {}
-    ),
+    "NearConstantFeasibility": (("x0", "c", "gamma", "ratio", "lower", "upper"), {}),
     "OptimumResult": (("name", "profile", "rule", "objective", "residuals", "report"), {}),
     "RegionRow": (("c", "lower", "upper"), {}),
     "Stat": (("mean", "se"), {}),
@@ -142,8 +138,9 @@ class TestComputedRecords:
 DERIVED = {
     "FunctionalValues": ("welfare",),
     "EquilibriumReport": ("supported",),
-    "DynamicsResult": ("sweeps",),
+    "DynamicsResult": ("sweeps", "converged"),
     "ConstantSupport": ("supported",),
+    "NearConstantFeasibility": ("feasible",),
     "SimulationSummary": ("episodes", "total_value"),
 }
 
@@ -176,6 +173,17 @@ class TestDerivedValuesFollowTheirFields:
         result = records["DynamicsResult"]
         assert result.sweeps == len(result.history) == 2
         assert result._replace(history=result.history[:1]).sweeps == 1
+
+    def test_converged(self, records):
+        result = records["DynamicsResult"]
+        assert result.converged is True and result.max_change == 0.0
+        assert result._replace(max_change=1e-3).converged is False
+
+    def test_feasible(self, records):
+        feas = records["NearConstantFeasibility"]
+        assert feas.feasible is True and feas.verdict == "Feasible"
+        assert feas._replace(ratio=feas.upper + 1.0).verdict == "Infeasible"
+        assert feas._replace(ratio=-1.0).feasible is False
 
     def test_constant_support(self, records):
         res = records["ConstantSupport"]

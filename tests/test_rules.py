@@ -543,6 +543,12 @@ class TestConfigLookup:
         with pytest.raises(DomainError):
             rule_from_config("no_such_rule")
 
+    @pytest.mark.parametrize("value", ["0.5", "abc"])
+    def test_text_is_not_a_parameter(self, value):
+        # float() used to parse "0.5" and raise a bare ValueError for "abc"
+        with pytest.raises(DomainError, match=f"^rule parameter alpha must be a real number, got {value!r}$"):
+            rule_from_config("fixed_fraction", {"alpha": value})
+
     @pytest.mark.parametrize("kind, params", [
         ("equal_split", {"alpha": 0.3, "bogus": 7.0}),
         ("jackpot", {"gamma": 0.0}),
