@@ -20,9 +20,10 @@ faces a shifted copy of the same column against the same constant tail,
 so every later agent's check is bit-identical to the representative's.
 It reads each checked agent's column once, for the stay-put payment
 ``f(i, i)``, the continuation reward and the self-financed checks alike,
-and checks the tolerance once per call.  It reads its profile's ``p`` once
-for all agents, and ``p'`` once per entry, in its required return: the
-tail's once for every checked tail agent.
+and checks the tolerance once per call.  It reads ``p`` and the required
+return of each profile entry from one band read (``SuccessRate._band_at``),
+once for all agents: the tail's once for every checked tail agent.  Its
+records, computed and not checked, are packed from their fields.
 
 The self-financed variant caps each agent's investment by their own
 stay-put payment (``x_i <= f(i, i) <= f(i, j)``): the money an agent can
@@ -261,13 +262,14 @@ def _check_column(
     fii = col.entries[0]
     t = reward - fii
     payoff = _payoff(pi, xi, fii, reward)
+    # each record packed with all its fields, as it is computed, not checked
     if xi == 0.0:
         # investment_for_return's answer to every non-positive return
-        return AgentCheck(i, xi, t, abs(max(t, 0.0) - ratio), payoff, corner="zero")
+        return tuple.__new__(AgentCheck, (i, xi, t, abs(max(t, 0.0) - ratio), payoff, "zero"))
     residual = abs(t - ratio)
     if mode is _SELF_FINANCED and residual > tol and abs(xi - fii) <= tol and t >= ratio - tol:
-        return AgentCheck(i, xi, t, 0.0, payoff, corner="budget")
-    return AgentCheck(i, xi, t, residual, payoff)
+        return tuple.__new__(AgentCheck, (i, xi, t, 0.0, payoff, "budget"))
+    return tuple.__new__(AgentCheck, (i, xi, t, residual, payoff, ""))
 
 
 def verify_equilibrium(
@@ -288,8 +290,9 @@ def verify_equilibrium(
     fails its test.  ``mode`` is a :class:`Mode` or its value string, and
     the report holds the :class:`Mode`.  Raises :class:`DomainError` for
     any other mode and for a non-finite or negative ``tol``, each checked
-    once for all agents; each agent's column is read once, and the
-    profile's ``p`` once for all agents (module docstring).
+    once for all agents; each agent's column is read once, and each
+    profile entry's ``p`` and required return once for all agents (module
+    docstring).
     """
     mode = _as_mode(mode)
     _check_tol(tol)
@@ -301,12 +304,16 @@ def verify_equilibrium(
         )
     m = len(x.prefix)
     first_tail = max(m, stationary)
-    # p and the required return of the tail and of every prefix agent, once
-    # for all checked agents: agent i's walk takes the list past i, its
-    # payoff and its check its own entry
-    pc, rc = sr.probability(x.tail), sr.required_return(x.tail)
-    probs = [sr.probability(v) for v in x.prefix]
-    ratios = [sr.required_return(v) for v in x.prefix]
+    # p and the required return of the tail and of every prefix agent, one
+    # band read each for all checked agents: agent i's walk takes the list
+    # past i, its payoff and its check its own entry
+    band = sr._band_at
+    pc, rc, _ = band(x.tail)
+    probs, ratios = [], []
+    for v in x.prefix:
+        pv, rv, _ = band(v)
+        probs.append(pv)
+        ratios.append(rv)
     checks = []
     failures: list[str] = []
     for i in range(first_tail + 1):
@@ -329,12 +336,7 @@ def verify_equilibrium(
                     f"agent {i}: some continuation entry is below the "
                     f"stay-put payment (gap {gap:.3g})"
                 )
-    return EquilibriumReport(
-        mode=mode,
-        tol=tol,
-        checks=tuple(checks),
-        failures=tuple(failures),
-    )
+    return tuple.__new__(EquilibriumReport, (mode, tol, tuple(checks), tuple(failures)))
 
 
 class BoundSchedule(NamedTuple):

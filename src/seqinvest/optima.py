@@ -124,11 +124,16 @@ def _verified(
 
 
 def _solve_below_cap(program: str, sr: SuccessRate, f, lo: float, **kwargs) -> float:
-    # a root of f from [lo, min(1, cap)]: a bracket with no sign change
-    # below the rate's domain cap has its answer above it, or nowhere
+    # a root of f, positive at lo, from [lo, min(1, cap)]: a bracket with no
+    # sign change below the rate's domain cap has its answer above it, or,
+    # when f is already at most 0 at lo, below lo; f(lo) is read again on
+    # this error path only
     try:
         return bisect(f, lo, min(1.0, sr.domain_cap), **kwargs)
     except BracketError as exc:
+        if f(lo) <= 0.0:
+            raise BracketError(f"{program}: rate {sr.name} has no solution above "
+                               f"the lower end {lo:g} of its bracket") from exc
         raise BracketError(f"{program}: rate {sr.name} has no solution below "
                            f"its domain cap {sr.domain_cap:g}") from exc
 
@@ -183,7 +188,8 @@ def tail_limit(sr: SuccessRate, mode: Mode | str = Mode.UNCONSTRAINED) -> float:
     0) reaches 1; the floor is the only self-financed constraint applied.
     ``mode`` is a :class:`Mode` or its value string; any other value raises
     :class:`DomainError`; a domain cap below the limit raises
-    :class:`BracketError` naming the rate and its cap.
+    :class:`BracketError` naming the rate and its cap, and a limit below
+    the solve's lower end ``1e-12`` one naming that end.
     """
     mode = _as_mode(mode)
     return _solve_below_cap(

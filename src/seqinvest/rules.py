@@ -39,10 +39,12 @@ raise :class:`RuleConstructionError` with the offending row.
 
 A :class:`Column` is an immutable ``typing.NamedTuple`` record ``(start,
 entries, tail, slope)`` whose constructor checks that ``start`` is an
-integer and the diagonal entry exists; ``column(i)`` builds one per call
-for a pattern agent.  The balance check, ``value`` and ``row`` build
-none: they read each cell from these fields or the ``repeating_*`` ones,
-the balance check each column once.  Indices are integers, anything
+integer and the diagonal entry exists.  ``column(i)`` returns a leading
+column as stored; for a pattern agent it packs the column from the
+rule's fields, which construction checked (a non-empty pattern, a drift
+of its shape), without checking them again.  The balance check,
+``value`` and ``row`` build none: they read each cell from these fields or
+the ``repeating_*`` ones, the balance check each column once.  Indices are integers, anything
 ``operator.index`` accepts, or :class:`DomainError` names the index.  The
 rule classes stay frozen dataclasses, since construction checks balance.
 """
@@ -204,7 +206,9 @@ class StationaryColumnRule:
         entries = self.repeating_entries
         if self.repeating_drift:
             entries = tuple([e + d * i for e, d in zip(entries, self.repeating_drift)])
-        return Column(i, entries, self.repeating_tail, 0.0)
+        # construction checked the pattern (non-empty, drift of its shape)
+        # and i is checked above, so the column is packed, not re-checked
+        return tuple.__new__(Column, (i, entries, self.repeating_tail, 0.0))
 
     @property
     def stationary_from(self) -> int | None:

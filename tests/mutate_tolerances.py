@@ -1,6 +1,7 @@
 """Move each tolerance constant of the library 10-fold each way, and run tier-1.
 
-Run by hand from the repository root, with the standard library alone:
+Run from the repository root, by hand or in CI; the script itself needs
+the standard library alone:
 
     python tests/mutate_tolerances.py [NAME ...]
 
@@ -16,7 +17,10 @@ constant, the factor, and for each run its first failing test or
 
 Every constant, made 10-fold looser, must fail a test of the case it
 decides: an input whose verdict, chosen rule or value changes, not only a
-work-count pin, the answer ledger or a transcript.  ``tests/test_package.py``
+work-count pin, the answer ledger or a transcript.  The script exits 1
+when a 10-fold move leaves its constant's case without a failing test
+(passing, or selecting no test), 2 for a name not listed, else 0; the
+0.1-fold moves are reported, not judged.  ``tests/test_package.py``
 checks that every module-level name bound to a float literal in the
 library is listed here, ``DEFAULT_DOMAIN_CAP`` (a domain, not a tolerance)
 apart.  This file is not collected by tier-1.
@@ -47,7 +51,8 @@ CONSTANTS = {
     ("rules", "_BALANCE_TOL"): ("tests/test_rule_cells.py tests/test_equilibrium.py",
                                 "same_verdict_and_message or falling_column_tail_fails"),
 }
-FACTORS = (10.0, 0.1)
+LOOSER = 10.0  # the move each constant's case must fail
+FACTORS = (LOOSER, 0.1)
 EXEMPT = ("DEFAULT_DOMAIN_CAP",)
 
 
@@ -88,15 +93,24 @@ def _pytest(copy: Path, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def _first_failure(proc: subprocess.CompletedProcess) -> str:
+def _first_failure(proc: subprocess.CompletedProcess) -> str | None:
+    # the first failing test's id, or None when no test failed
     for line in proc.stdout.splitlines():
         if line.startswith(("FAILED ", "ERROR ")):
             return line.split(" ", 1)[1].split(" - ", 1)[0]
+    return None
+
+
+def _outcome(proc: subprocess.CompletedProcess) -> str:
+    first = _first_failure(proc)
+    if first is not None:
+        return first
     return "passes" if proc.returncode == 0 else f"exit {proc.returncode}"
 
 
-def move(module: str, name: str, factor: float) -> tuple[str, str]:
-    """The first failure of tier-1 and of the case's tests, with one constant moved."""
+def move(module: str, name: str, factor: float) -> tuple[str, str, bool]:
+    """The outcome of tier-1 and of the case's tests, with one constant moved,
+    and whether a test of the case failed."""
     files, expr = CONSTANTS[module, name]
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
@@ -104,8 +118,9 @@ def move(module: str, name: str, factor: float) -> tuple[str, str]:
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info"))
         path = copy / "src" / "seqinvest" / f"{module}.py"
         path.write_text(_mutated(path.read_text(), name, factor))
-        first = _first_failure(_pytest(copy, "-x"))
-        return first, _first_failure(_pytest(copy, *files.split(), "-k", expr))
+        first = _outcome(_pytest(copy, "-x"))
+        case = _pytest(copy, *files.split(), "-k", expr)
+        return first, _outcome(case), _first_failure(case) is not None
 
 
 def main(names: list[str]) -> int:
@@ -115,12 +130,19 @@ def main(names: list[str]) -> int:
         return 2
     print("| constant | factor | first tier-1 failure | first failure of its case |")
     print("| --- | --- | --- | --- |")
+    survivors = []
     for module, name in CONSTANTS:
         if names and name not in names:
             continue
         for factor in FACTORS:
-            first, case = move(module, name, factor)
+            first, case, killed = move(module, name, factor)
             print(f"| `{module}.{name}` | x{factor:g} | `{first}` | `{case}` |", flush=True)
+            if factor == LOOSER and not killed:
+                survivors.append(f"{module}.{name}")
+    if survivors:
+        print(f"no test of its own case fails with x{LOOSER:g}: {', '.join(survivors)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

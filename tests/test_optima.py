@@ -435,6 +435,26 @@ class TestTailLimit:
         assert tail_limit(sr, mode) == pytest.approx(want, rel=1e-12)
         assert self_financed_optimal(sr).report.supported
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_limit_below_the_bracket_start(self, mode):
+        # with a = 2e12 the limit is 5e-13, below the solve's lower end
+        # 1e-12: the error names that end, not the domain cap, and so do
+        # the programs that start from the limit
+        a = 2e12
+
+        def p(x):
+            return 0.5 * x ** (1.0 / a)
+
+        sr = custom_rate("steep", p, lambda x: math.inf if x == 0.0 else p(x) / (a * x))
+        message = "tail_limit: rate steep has no solution above the lower end 1e-12 of its bracket"
+        with pytest.raises(BracketError) as raised:
+            tail_limit(sr, mode)
+        assert str(raised.value) == message
+        solve = initiator_optimal if mode is Mode.UNCONSTRAINED else self_financed_optimal
+        with pytest.raises(BracketError) as raised:
+            solve(sr)
+        assert str(raised.value) == message
+
     @staticmethod
     def upper(sr, c, mode):
         # the band's upper edge at the mode's floor alone

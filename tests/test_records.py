@@ -19,20 +19,31 @@ from seqinvest import (
     Column,
     ConstantTailProfile,
     DomainError,
+    EquilibriumReport,
+    Mixture,
+    Mode,
+    Perturbed,
     RuleConstructionError,
     SimulationConfig,
     StationaryColumnRule,
     Stat,
     SuccessRate,
     best_response_dynamics,
+    check_agent,
     constant_profile,
     constant_support_check,
+    custom_rate,
     equal_split,
+    fixed_fraction,
     fixed_fraction_floor,
+    flat_continuation,
     functionals,
     investment_bounds,
+    investment_for_return,
     jackpot,
     near_constant_feasibility,
+    next_step_bonus,
+    next_step_bonus_zero_initiator,
     region_sweep,
     scaled_sqrt_ratio,
     socially_optimal,
@@ -322,3 +333,125 @@ class TestMaxResidual:
         rec = records[name]
         assert _with_residuals(name, rec, (0.1, 0.3, 0.2)).max_residual == 0.3
         assert _with_residuals(name, rec, ()).max_residual == 0.0
+
+
+def _transfer(beta):
+    # a balanced transfer between agents 0 and 1 of the equal split
+    return Perturbed(
+        equal_split(),
+        entries=(((0, 2), -beta * 0.25), ((1, 2), beta * 0.25)),
+        column_tails=((0, (3, beta * 0.75)), (1, (3, -beta * 0.75))),
+    )
+
+
+PACKED_RULES = [
+    equal_split(),
+    fixed_fraction(0.6),
+    fixed_fraction_floor(0.9, 0.07),
+    jackpot(),  # a drifting pattern
+    flat_continuation(0.6, 0.1),
+    next_step_bonus(0.5, 0.1),
+    next_step_bonus_zero_initiator(0.5, 0.1),
+    Mixture(0.3, next_step_bonus(0.5, 0.1), next_step_bonus_zero_initiator(0.5, 0.1)),
+    Mixture(0.4, jackpot(), equal_split()),
+    _transfer(0.5),
+]
+
+
+class TestPackedColumns:
+    """``column(i)`` packs a pattern agent's column from fields the rule's
+    construction checked; it equals the column the checked constructor
+    builds from the same cells."""
+
+    @staticmethod
+    def checked(rule, i):
+        if i < len(rule.leading):
+            return Column(*rule.leading[i])
+        n = len(rule.repeating_entries)
+        entries = tuple(rule.value(i, k) for k in range(i, i + n))
+        return Column(i, entries, rule.repeating_tail, 0.0)
+
+    @pytest.mark.parametrize("rule", PACKED_RULES, ids=lambda r: r.label)
+    def test_equals_the_checked_column(self, rule):
+        for i in range(len(rule.leading) + 6):
+            col, want = rule.column(i), self.checked(rule, i)
+            assert type(col) is Column and type(col.entries) is tuple
+            assert repr(col) == repr(want)
+            assert col == want and hash(col) == hash(want)
+            assert rule.column(i) == col  # a fresh column each call, equal
+            with pytest.raises(RuleConstructionError, match="diagonal entry"):
+                col._replace(entries=())
+            with pytest.raises(DomainError, match="column start"):
+                col._replace(start=i + 0.5)
+
+    @pytest.mark.parametrize("rule", PACKED_RULES, ids=lambda r: r.label)
+    @pytest.mark.parametrize("i, message", [
+        (2.5, "column index must be an integer, got 2.5"),
+        (-1, "column index must be >= 0, got -1"),
+        ("3", "column index must be an integer, got '3'"),
+    ])
+    def test_bad_index_named(self, rule, i, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            rule.column(i)
+
+
+def _nan_rate():
+    # p is NaN above 0.4, so every residual at c = 0.5 is NaN; custom_rate
+    # refuses the NaN where it enters, so the rate is built from unchecked closures
+    sr = sqrt_ratio()
+    return SuccessRate("nan_above", 0.0, sr.domain_cap,
+                       lambda x: math.nan if x > 0.4 else sr.probability(x), sr.marginal)
+
+
+def _packed_cases():
+    sr = sqrt_ratio()
+    custom = custom_rate("custom_sqrt", sr.probability, sr.marginal)
+    gamma = 0.02
+    budget = ConstantTailProfile((investment_for_return(sr, 1.0 - gamma),), gamma)
+    ex5 = ConstantTailProfile((0.06, 0.03), 0.0883)
+    return {
+        "equal_split": (sr, equal_split(), constant_profile(0.0883)),
+        "custom_three_agents": (custom, _transfer(0.5), ex5),
+        "zero_corner": (sr, fixed_fraction_floor(1.0, 1.0), constant_profile(0.0)),
+        "budget_corner": (sr, fixed_fraction_floor(1.0, gamma), budget),
+        "mixture": (sr, PACKED_RULES[7], ex5),
+        "nan_residual": (_nan_rate(), equal_split(), constant_profile(0.5)),
+    }
+
+
+PACKED_CASES = _packed_cases()
+
+
+class TestPackedRecords:
+    """``verify_equilibrium`` packs its records from their fields: each
+    check is the ``AgentCheck`` that ``check_agent`` gives, and the report
+    the ``EquilibriumReport`` its constructor builds.  ``repr`` compares
+    field for field and bit for bit, a NaN residual included."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("name", PACKED_CASES)
+    def test_checks_equal_check_agent(self, name, mode):
+        sr, rule, x = PACKED_CASES[name]
+        report = verify_equilibrium(sr, rule, x, mode)
+        assert [c.agent for c in report.checks] == list(range(len(report.checks)))
+        for chk in report.checks:
+            want = check_agent(sr, rule, x, chk.agent, mode)
+            assert type(chk) is AgentCheck and type(want) is AgentCheck
+            assert repr(chk) == repr(want)
+        built = EquilibriumReport(
+            mode=report.mode, tol=report.tol, checks=report.checks, failures=report.failures
+        )
+        assert type(report) is EquilibriumReport
+        assert type(report.checks) is tuple and type(report.failures) is tuple
+        assert repr(report) == repr(built)
+
+    def test_cases_reach_every_corner(self):
+        # the cases above cover both corners and a NaN residual
+        corners = {
+            name: {c.corner for c in verify_equilibrium(*case, Mode.SELF_FINANCED).checks}
+            for name, case in PACKED_CASES.items()
+        }
+        assert corners["zero_corner"] == {"zero"}
+        assert "budget" in corners["budget_corner"]
+        sr, rule, x = PACKED_CASES["nan_residual"]
+        assert all(math.isnan(c.residual) for c in verify_equilibrium(sr, rule, x).checks)
