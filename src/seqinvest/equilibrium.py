@@ -42,7 +42,9 @@ two endpoint rules attaining the bounds and mixes them with the weight
 that lands the initiator's net return exactly on ``r(x0)``.  Both edges
 and the tail's required return, which the endpoint rules read, come from
 one evaluation of ``p(c)``, ``r(c)`` and ``prize(c)`` in ``_band``, the
-one place either edge is formed, for every caller.  The two
+one place either edge is formed, for every caller; each endpoint's net
+return to the initiator is read against that same ``p(c)``, so synthesis
+evaluates ``p`` at the tail once.  The two
 bounds, and the constant-profile condition ``p(c) >= prize(c)``, are
 checked with one slack, ``_SUPPORT_TOL``; a return within it of an
 endpoint gets the endpoint rule itself.
@@ -551,12 +553,12 @@ def near_constant_bounds(
 
 def _feasibility(
     sr: SuccessRate, x0: float, c: float, gamma: float
-) -> tuple[NearConstantFeasibility, float]:
-    # near_constant_feasibility with the tail's required return, which
-    # synthesis takes from the same evaluation of the band
-    _, tail_ratio, _, lower, upper = _band(sr, c, gamma)
+) -> tuple[NearConstantFeasibility, float, float]:
+    # near_constant_feasibility with the tail's p and required return,
+    # which synthesis takes from the same evaluation of the band
+    pc, tail_ratio, _, lower, upper = _band(sr, c, gamma)
     ratio = sr.required_return(x0)
-    return NearConstantFeasibility(x0, c, gamma, ratio, lower, upper), tail_ratio
+    return NearConstantFeasibility(x0, c, gamma, ratio, lower, upper), pc, tail_ratio
 
 
 def near_constant_feasibility(
@@ -565,12 +567,6 @@ def near_constant_feasibility(
     """Both bounds, with the initiator's return allowed ``_SUPPORT_TOL``
     outside them."""
     return _feasibility(sr, x0, c, gamma)[0]
-
-
-def _initiator_return(sr: SuccessRate, rule: StationaryColumnRule, tail: ConstantTailProfile) -> float:
-    # net return the rule offers the initiator against a constant tail
-    col = rule.column(0)
-    return _column_reward(sr, tail, col) - col.entries[0]
 
 
 def _upper_endpoint_rule(tail_ratio: float, gamma: float, upper: float) -> StationaryColumnRule:
@@ -607,7 +603,7 @@ def synthesize_rule(sr: SuccessRate, x0: float, c: float, gamma: float = 0.0) ->
     slack feasibility allows, gets that endpoint rule itself.  Raises
     :class:`InfeasibleError` outside the feasible band.
     """
-    feas, tail_ratio = _feasibility(sr, x0, c, gamma)
+    feas, pc, tail_ratio = _feasibility(sr, x0, c, gamma)
     if not feas.feasible:
         raise InfeasibleError(
             f"(x0={x0:g}, c={c:g}, gamma={gamma:g}) is not supportable: "
@@ -615,9 +611,12 @@ def synthesize_rule(sr: SuccessRate, x0: float, c: float, gamma: float = 0.0) ->
             f"[{max(feas.lower, 0.0):.6g}, {feas.upper:.6g}]"
         )
     high, low = _endpoint_rules(tail_ratio, gamma, feas.upper)
-    tail = ConstantTailProfile((), c)
-    v_high = _initiator_return(sr, high, tail)
-    v_low = _initiator_return(sr, low, tail)
+    # each endpoint's net return to the initiator against the constant
+    # tail, whose p the band read
+    col = high.column(0)
+    v_high = _column_series(col, 0, [], pc) - col.entries[0]
+    col = low.column(0)
+    v_low = _column_series(col, 0, [], pc) - col.entries[0]
     target = feas.ratio
     if target >= v_high - _SUPPORT_TOL:
         return high

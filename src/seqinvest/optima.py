@@ -11,7 +11,8 @@ incentive cost:
   supportable (the prize strictly exceeds the probability there).
 * *socially optimal*: the welfare-maximizing supportable profile; the
   constant level where prize and probability meet, one inversion of the
-  required return, supported by the equal split.
+  required return, supported by the equal split: one instance, built at
+  import, supports every social optimum.
 * *initiator optimal*: the supportable profile maximizing the
   initiator's payoff; near-constant, with the tail maximizing
   ``(1 - prize(c)) / (1 - p(c))`` and the initiator saturating the upper
@@ -97,6 +98,9 @@ from .rules import StationaryColumnRule, equal_split, fixed_fraction
 from .solvers import bisect
 
 _EDGE = 1e-12
+# the one rule every social optimum returns: the equal split has no
+# parameters and a rule is immutable, so one checked instance serves all
+_EQUAL_SPLIT = equal_split()
 
 
 class OptimumResult(NamedTuple):
@@ -159,10 +163,12 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
 
     Welfare over constants rises through the whole supportable band
     ``[0, c_star]`` (the first best lies beyond it), so the boundary
-    point is the optimum, and the equal split supports it.  For ``p > 0``
-    the prize ``p / p'`` equals ``p`` exactly where ``p' = 1``, so
-    ``c_star`` is one inversion of the required return, at 1; no other
-    solve is needed.
+    point is the optimum, and the equal split supports it: every result
+    holds the same instance, since the rule has no parameters and is
+    immutable (:func:`~seqinvest.rules.equal_split` itself still builds a
+    new one per call).  For ``p > 0`` the prize ``p / p'`` equals ``p``
+    exactly where ``p' = 1``, so ``c_star`` is one inversion of the
+    required return, at 1; no other solve is needed.
     """
     c_star = investment_for_return(sr, 1.0)
     pc, _, prize = sr._band_at(c_star)
@@ -177,7 +183,7 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
     profile = constant_profile(c_star)
     residuals = (("prize_minus_probability", abs(residual)),)
     return _verified(
-        "socially_optimal", sr, profile, equal_split(), expected_welfare(sr, profile), residuals
+        "socially_optimal", sr, profile, _EQUAL_SPLIT, expected_welfare(sr, profile), residuals
     )
 
 

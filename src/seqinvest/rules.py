@@ -42,7 +42,8 @@ entries, tail, slope)`` whose constructor checks that ``start`` is an
 integer and the diagonal entry exists.  ``column(i)`` returns a leading
 column as stored; for a pattern agent it packs the column from the
 rule's fields, which construction checked (a non-empty pattern, a drift
-of its shape), without checking them again.  The balance check,
+of its shape), without checking them again, as :class:`Mixture` packs
+each mixed column from two checked ones.  The balance check,
 ``value`` and ``row`` build none: they read each cell from these fields or
 the ``repeating_*`` ones, the balance check each column once.  Indices are integers, anything
 ``operator.index`` accepts, or :class:`DomainError` names the index.  The
@@ -120,11 +121,13 @@ def _cells(col: tuple, stop: int) -> list[float]:
 
 def _combine_columns(w: float, v: float, a: Column, b: Column) -> Column:
     # ``w * a + v * b`` (``v = 1 - w``) on each row where either column is
-    # explicit and on the first tail row; both columns start at ``a.start``
+    # explicit and on the first tail row; both columns start at ``a.start``.
+    # Packed, not re-checked: both are checked columns with that integer
+    # start, and the cells before the tail row hold at least the diagonal
     start = a.start
     stop = start + max(len(a.entries), len(b.entries)) + 1
     cells = [w * x + v * y for x, y in zip(_cells(a, stop), _cells(b, stop))]
-    return Column(start, tuple(cells[:-1]), cells[-1], w * a.slope + v * b.slope)
+    return tuple.__new__(Column, (start, tuple(cells[:-1]), cells[-1], w * a.slope + v * b.slope))
 
 
 def validate_rule(rule: StationaryColumnRule, rows: int) -> None:

@@ -48,6 +48,7 @@ CONSTANTS = {
     ("profiles", "_FLATTEN_VTOL"): ("tests/test_profiles.py", "mismatch_against_the_slack"),
     ("rates", "_TOL_CONVEX"): ("tests/test_rates.py", "prize_convex_allows_rounding"),
     ("rates", "_TOL_LIMIT"): ("tests/test_rates.py", "prize_at_zero_allows_rounding"),
+    ("rates", "_SLOPE_STEP"): ("tests/test_twins.py", "prize_slope"),
     ("rules", "_BALANCE_TOL"): ("tests/test_rule_cells.py tests/test_equilibrium.py",
                                 "same_verdict_and_message or falling_column_tail_fails"),
 }

@@ -39,10 +39,13 @@ from seqinvest import (
     near_constant_profile,
     next_step_bonus,
     next_step_bonus_zero_initiator,
+    region_curve_intersection,
     scaled_sqrt_ratio,
+    sqrt_ratio,
     synthesize_rule,
     verify_equilibrium,
 )
+from seqinvest.equilibrium import _SUPPORT_TOL
 from conftest import three_tier_rule
 
 
@@ -737,16 +740,66 @@ class TestSynthesize:
         assert isinstance(rule, Mixture) is (kind == "mixture")
         assert verify_equilibrium(sr, rule, ConstantTailProfile((x0,), 0.05)).supported
 
-    def test_band_evaluated_once(self, sr):
-        # the endpoint rules take the band the feasibility check computed,
-        # the tail's required return included: p and p' once each at the
-        # tail, p' for the initiator's return, then the tail's p once in
-        # each endpoint's initiator return; at (0.12, 0) the tail's
-        # required return is above 1, so the bonus pair is built
+    @pytest.mark.parametrize("x0, c, pair", [
+        (0.06, 0.12, "next_step_bonus"), (0.01, 0.05, "fixed_fraction_floor"),
+    ])
+    def test_band_evaluated_once(self, sr, x0, c, pair):
+        # the one band evaluation at the tail, p and p' once each, gives the
+        # edges, the tail's required return the endpoint rules take, and
+        # the p each endpoint's initiator return reads; p' once more is the
+        # initiator's required return.  At (0.12, 0) the tail's required
+        # return is above 1, so the bonus pair is built; at (0.05, 0) it is
+        # below, so the fixed fraction with floor and the flat continuation
+        assert (sr.required_return(c) > 1.0) is (pair == "next_step_bonus")
         calls = {"p": 0, "p'": 0}
-        rule = synthesize_rule(_counting_rate(sr, calls), 0.06, 0.12, 0.0)
-        assert rule.label.startswith("mix(") and "next_step_bonus" in rule.label
-        assert calls == {"p": 3, "p'": 2}
+        rule = synthesize_rule(_counting_rate(sr, calls), x0, c, 0.0)
+        assert rule.label.startswith("mix(") and pair in rule.label
+        assert calls == {"p": 1, "p'": 2}
+
+
+LANDING_RATES = {
+    "sqrt": sqrt_ratio,
+    "eps0.3": lambda: scaled_sqrt_ratio(0.3),
+    "eps0.7071": lambda: scaled_sqrt_ratio(0.7071),
+    "custom": lambda: custom_rate("twin", sqrt_ratio().probability, sqrt_ratio().marginal),
+}
+
+
+class TestSynthesisLandsTheInitiator:
+    @pytest.mark.parametrize("name", LANDING_RATES)
+    def test_net_return_is_the_required_return(self, name):
+        # on a fixed grid of tails up to where the band closes, floors 0,
+        # 0.1 and the tail itself, and targets across the band: a mixture
+        # pays the initiator, by the public API, exactly the required
+        # return of x0, and an endpoint pays it within the slack that gave
+        # the endpoint
+        sr = LANDING_RATES[name]()
+        kinds = {"fixed_fraction_floor": 0, "next_step_bonus": 0, "endpoint": 0}
+        top = region_curve_intersection(sr)
+        for k in range(1, 20):
+            c = top * k / 20
+            for gamma in (0.0, 0.1, c):
+                feas = near_constant_feasibility(sr, 0.0, c, gamma)
+                lower = max(feas.lower, 0.0)
+                if feas.upper < lower:
+                    continue
+                for u in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+                    x0 = investment_for_return(sr, lower + u * (feas.upper - lower))
+                    rule = synthesize_rule(sr, x0, c, gamma)
+                    net = continuation_reward(sr, rule, constant_profile(c), 0) - rule.value(0, 0)
+                    want = sr.required_return(x0)
+                    if not isinstance(rule, Mixture):
+                        kinds["endpoint"] += 1
+                        assert abs(net - want) <= _SUPPORT_TOL, (c, gamma, u)
+                        continue
+                    kinds["next_step_bonus" if "next_step_bonus" in rule.label
+                          else "fixed_fraction_floor"] += 1
+                    # relative, but to at least 1: the net return is the
+                    # reward less a stay-put payment of 1, so at the zero
+                    # corner (target 0) it lands within rounding of 1
+                    assert abs(net - want) <= 1e-13 * max(want, 1.0), (c, gamma, u, rule.label)
+        # both endpoint pairs, and the endpoints themselves, are reached
+        assert min(kinds.values()) >= 10, kinds
 
 
 class TestMixingClosure:

@@ -16,6 +16,7 @@ from seqinvest import (
     constant_profile,
     constant_support_check,
     custom_rate,
+    equal_split,
     expected_welfare,
     first_best_investment,
     fixed_fraction,
@@ -77,6 +78,19 @@ class TestSociallyOptimal:
         assert res.rule.label == "equal_split"
         assert res.report.supported
         assert res.max_residual <= 1e-9
+
+    def test_one_equal_split_for_every_rate(self, sr):
+        # every optimum holds one checked equal split, which has no
+        # parameters and is immutable; rules compare by identity, so two
+        # results for one rate compare equal
+        a, b = socially_optimal(sr), socially_optimal(scaled_sqrt_ratio(0.3))
+        assert a.rule is b.rule
+        fresh = equal_split()
+        assert [a.rule.row(k) for k in range(10)] == [fresh.row(k) for k in range(10)]
+        assert repr(a.rule) == repr(fresh)
+        assert socially_optimal(sr) == a
+        # equal_split() itself still builds a new rule on each call
+        assert equal_split() is not fresh
 
     def test_no_first_best_solve(self, sr):
         # c* is one inversion of the required return; a first-best solve
@@ -219,12 +233,13 @@ class TestRateReadOncePerPoint:
     point through one call of the rate, and ``p'`` once: a counting custom
     rate pins the calls of its ``p`` and ``p'``, so a second read of
     ``p(c*)``, of ``p'`` at the initiator optimum, or of ``p`` or ``p'`` in
-    a step of the self-financed slope changes a count."""
+    a step of the self-financed slope changes a count.  Each prize slope
+    of a custom rate reads the prize, so ``p`` and ``p'``, four times."""
 
     @pytest.mark.parametrize("solve, want", [
         (socially_optimal, {"p": 3, "p'": 13}),
-        (initiator_optimal, {"p": 88, "p'": 123}),
-        (self_financed_optimal, {"p": 158, "p'": 373}),
+        (initiator_optimal, {"p": 121, "p'": 153}),
+        (self_financed_optimal, {"p": 206, "p'": 398}),
     ], ids=["socially_optimal", "initiator_optimal", "self_financed_optimal"])
     def test_counted_calls(self, sr, solve, want):
         calls = {"p": 0, "p'": 0}

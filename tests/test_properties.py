@@ -77,7 +77,6 @@ from seqinvest.equilibrium import (
     _SUPPORT_TOL,
     _column_floor_gap,
     _endpoint_rules,
-    _initiator_return,
 )
 from seqinvest.rules import Column, StationaryColumnRule
 from conftest import ORACLE, three_tier_rule
@@ -472,6 +471,12 @@ class TestOptimaOverCaps:
         assert res.report.supported, (eps, res.report.failures)
 
 
+def initiator_return(sr, rule, x):
+    # the net return the rule offers the initiator at the profile, from the
+    # public API: continuation reward less the stay-put payment
+    return continuation_reward(sr, rule, x, 0) - rule.value(0, 0)
+
+
 SQRT_CUSTOM = custom_rate("sqrt_custom", sqrt_ratio().probability, sqrt_ratio().marginal)
 band_positions = st.one_of(st.just(0.0), st.just(1.0), unit)
 
@@ -500,9 +505,9 @@ class TestSynthesizeThenVerify:
         high, low = _endpoint_rules(sr.required_return(c), gamma, upper)
         target, tail = sr.required_return(x0), ConstantTailProfile((), c)
         inside = (
-            _initiator_return(sr, low, tail) + _SUPPORT_TOL
+            initiator_return(sr, low, tail) + _SUPPORT_TOL
             < target
-            < _initiator_return(sr, high, tail) - _SUPPORT_TOL
+            < initiator_return(sr, high, tail) - _SUPPORT_TOL
         )
         assert isinstance(rule, Mixture) == inside, rule.label
 

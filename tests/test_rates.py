@@ -171,10 +171,14 @@ def _closure_value(sr, method, x):
     if method == "incentive_prize_slope":
         if sr._prize_slope is not None:
             return sr._prize_slope(x)
-        h = min(max(1e-6, 1e-6 * x), 0.5 * x)
-        if x + h > sr.domain_cap:
-            return (p(x) / d(x) - p(x - h) / d(x - h)) / h
-        return (p(x + h) / d(x + h) - p(x - h) / d(x - h)) / (2.0 * h)
+        def f(y):
+            return p(y) / d(y)
+
+        h = 1e-3 * x
+        if x + 2.0 * h > sr.domain_cap:
+            back = 25.0 * f(x) - 48.0 * f(x - h) + 36.0 * f(x - 2.0 * h)
+            return (back - 16.0 * f(x - 3.0 * h) + 3.0 * f(x - 4.0 * h)) / (12.0 * h)
+        return (8.0 * (f(x + h) - f(x - h)) - (f(x + 2.0 * h) - f(x - 2.0 * h))) / (12.0 * h)
     assert method == "required_return"
     return 0.0 if x == 0.0 else 1.0 / d(x)
 
@@ -187,10 +191,10 @@ class TestAcceptPath:
     @pytest.mark.parametrize("rate", ACCEPT_RATES)
     @pytest.mark.parametrize("x", [
         2, True, np.float64(0.3), np.float32(0.25), np.int64(3), 0.0, -0.0, 0.7, CAP,
-        # within one finite-difference step of the cap (h is 1 there; a
-        # custom rate's slope used to step past the cap and raise), and
-        # just outside that step
-        CAP - 0.1, CAP - 0.9, CAP - 2.0,
+        # within a custom rate's one-sided stretch below the cap (x + 2h
+        # past it, h = 1e-3 x; the slope once stepped past the cap and
+        # raised), and on either side of its start at CAP / 1.002
+        CAP - 0.1, CAP - 0.9, CAP - 2.0, 998_000.0, 998_010.0,
     ], ids=repr)
     def test_same_bits_as_closure_on_float(self, rate, method, x):
         sr = ACCEPT_RATES[rate]()
@@ -445,14 +449,15 @@ class TestValidation:
 
     def test_custom_wrapper_matches_builtin(self, sr):
         mirror = custom_rate("mirror", sr.probability, sr.marginal)
-        # the cap and a point within one step of it take the backward difference
-        for x in (0.02, 0.3, 4.0, CAP - 0.1, CAP):
+        # the cap and a point within two steps of it take the one-sided difference
+        for x in (1e-6, 0.02, 0.3, 4.0, CAP - 0.1, CAP):
             assert mirror.incentive_prize(x) == pytest.approx(
                 sr.incentive_prize(x), rel=1e-12
             )
-            # derived slope is a finite difference, so looser tolerance
+            # the derived slope is a fourth-order finite difference: within
+            # 5e-13 of the closed form centrally and 4e-12 one-sided
             assert mirror.incentive_prize_slope(x) == pytest.approx(
-                sr.incentive_prize_slope(x), rel=1e-6
+                sr.incentive_prize_slope(x), rel=1e-11
             )
         assert validate(mirror).passed
 
