@@ -34,7 +34,7 @@ import sys
 from typing import Iterable, Sequence
 
 from . import __version__
-from .errors import SeqInvestError
+from .errors import DomainError, SeqInvestError
 from .profiles import ConstantTailProfile
 from .rates import SuccessRate, rate_from_config, validate
 from .rules import StationaryColumnRule, rule_from_config
@@ -164,7 +164,11 @@ def _resolve_rate(args, cfg: Config) -> SuccessRate:
     cap = _number(section.get("domain_cap", "1e6"), "domain_cap")
     rate = rate_from_config(family, epsilon, domain_cap=cap)
     if not args.no_validate:
-        report = validate(rate, points=128)
+        try:
+            report = validate(rate, points=128)
+        except DomainError as exc:  # no grid to check on: advisory, so the command goes on
+            print(f"# rate {rate.name}: validation skipped: {exc}", file=sys.stderr)
+            return rate
         if report.passed:
             print(
                 f"# rate {rate.name}: validation passed ({len(report.checks)} checks)",

@@ -21,9 +21,10 @@ predecessors succeeded), the functionals are
   gross prize needed to make the profile a best response everywhere).
 
 Each functional, and each continuation reward of :mod:`seqinvest.rules`,
-is a walk of one series kernel that takes the success probabilities of
-the agents it visits and reads no rate; its callers read ``p`` once per
-agent they walk.
+is a walk of one series kernel that takes the values of the agents it
+visits, their success probabilities and their terms, and reads no rate
+and calls nothing; its callers read ``p`` once per agent they walk and
+hand over the terms they already hold, or map them lazily.
 
 ``flatten_tail`` replaces everything from position ``k`` on with the
 constant ``c`` that preserves ``V``, the root of ``1 / (1 - p(c)) =
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DivergenceError, DomainError, InfeasibleError, _check_count, _index, _real
 from .rates import SuccessRate
@@ -84,10 +85,9 @@ class ConstantTailProfile:
 
     def at(self, j: int) -> float:
         """Investment of agent ``j``, an integer of at least 0."""
-        # a non-negative int passes on one inline test, since this runs once
-        # per term of every series; anything else goes through the integer rule
-        if j.__class__ is not int or j < 0:
-            j = _check_count("agent index", j, 0)
+        # called by hand, not once per series term (the series take the
+        # stored investments), so every index goes through the integer rule
+        j = _check_count("agent index", j, 0)
         return self.prefix[j] if j < len(self.prefix) else self.tail
 
     def describe(self) -> str:
@@ -104,7 +104,10 @@ def near_constant_profile(x0: float, c: float) -> ConstantTailProfile:
 
 
 class FunctionalValues(NamedTuple):
-    """The four process functionals; ``welfare = value - investment``."""
+    """The four process functionals; ``welfare = value - investment``,
+    which can differ from :func:`expected_welfare`'s one-pass sum in its
+    last digits (by up to 9.2e-13 relative on 20,000 random profiles), and
+    is then mostly the farther of the two from the exact value."""
 
     value: float
     investment: float
@@ -122,8 +125,9 @@ def _divergence(pc: float) -> DivergenceError:
 
 def _walk(sr: SuccessRate, x: ConstantTailProfile, start: int, stop: int) -> tuple[list[float], float]:
     # the tail's p, read first, and the prefix's from agent start up to
-    # stop, for one single walk of _reach_series: the list ends where the
-    # walk's reach hits 0, so no rate is evaluated past an unreachable agent
+    # stop, the probs of one _reach_series walk from agent start: the list
+    # ends where the walk's reach hits 0, so no rate is evaluated past an
+    # unreachable agent
     pc = sr.probability(x.tail)
     probs: list[float] = []
     reach = 1.0
@@ -137,46 +141,43 @@ def _walk(sr: SuccessRate, x: ConstantTailProfile, start: int, stop: int) -> tup
 
 
 def _reach_series(
-    probs: list[float], pc: float, prefix_len: int, start: int, stop: int, term,
+    probs: list[float], n: int, pc: float, terms: Iterable[float], last: float,
     stops: bool = False, slope: float = 0.0,
 ) -> float:
     """The one reach-weighted series, with the one closure over the constant tail.
 
-    Reads no rate: ``probs[j - start]`` is ``p`` of prefix agent ``j <
-    prefix_len`` and ``pc`` that of the tail, every agent from ``prefix_len``
-    on; a list that stops before the walk does fails on its index.  Single
-    walks read them through ``_walk``, ``functionals`` once for its three
-    series, ``verify_equilibrium`` once for all the agents it checks.
-
-    Sums ``reach * term(j)`` over agents ``j >= start``, ``reach`` being
-    the chance that agents ``start .. j - 1`` all succeed; ``stops``
-    weights each term by ``1 - p(x_j)``, as ``reach * (1 - p) * term``.
-    Agents before ``stop`` are summed one by one, until the reach is 0.
-    From ``stop`` on the profile is at its tail and ``term`` is constant,
-    or with ``stops`` affine, ``term(stop) + slope * (j - stop)``; that
-    rest closes as ``reach * term(stop) / (1 - p_c)``, or with ``stops`` as
-    ``reach * (term(stop) + slope * p_c / (1 - p_c))``.
+    Walks agents ``0, 1, ...`` of its own and reads no rate: ``probs[j]``
+    is ``p`` of agent ``j < n``, a prefix agent, and ``pc`` that of every
+    later one; a list too short for the prefix fails on its index.  Sums
+    ``reach * terms[j]``, ``reach`` being the chance that agents ``0 .. j -
+    1`` all succeed, or with ``stops`` ``reach * (1 - p_j) * terms[j]``,
+    taking ``terms`` (any iterable) one per agent until the reach is 0.
+    After them the profile is at its tail and the term is ``last``, or with
+    ``stops`` affine, ``last + slope * t`` ``t`` agents on; that rest closes
+    as ``reach * last / (1 - p_c)``, or ``reach * (last + slope * p_c / (1 -
+    p_c))``.
     """
     if pc >= 1.0:
         raise _divergence(pc)
     total = 0.0
     reach = 1.0
-    for j in range(start, stop):
-        pj = probs[j - start] if j < prefix_len else pc
-        total += (reach * (1.0 - pj) if stops else reach) * term(j)
+    for j, term in enumerate(terms):
+        pj = probs[j] if j < n else pc
+        total += (reach * (1.0 - pj) if stops else reach) * term
         reach *= pj
         if reach == 0.0:
             break
     if stops:
-        return total + reach * (term(stop) + slope * pc / (1.0 - pc))
-    return total + reach * term(stop) / (1.0 - pc)
+        return total + reach * (last + slope * pc / (1.0 - pc))
+    return total + reach * last / (1.0 - pc)
 
 
 def _profile_series(sr: SuccessRate, x: ConstantTailProfile, term) -> float:
-    # a series over the whole profile from agent 0, one read of p per agent
+    # a series over the whole profile from agent 0, one read of p per
+    # agent, with term mapped lazily over the investments
     m = len(x.prefix)
     probs, pc = _walk(sr, x, 0, m)
-    return _reach_series(probs, pc, m, 0, m, term)
+    return _reach_series(probs, m, pc, map(term, x.prefix), term(x.tail))
 
 
 def expected_value(sr: SuccessRate, x: ConstantTailProfile) -> float:
@@ -184,16 +185,16 @@ def expected_value(sr: SuccessRate, x: ConstantTailProfile) -> float:
 
 
 def expected_investment(sr: SuccessRate, x: ConstantTailProfile) -> float:
-    return _profile_series(sr, x, x.at)
+    return _profile_series(sr, x, float)
 
 
 def expected_welfare(sr: SuccessRate, x: ConstantTailProfile) -> float:
     # V - I in one pass over the profile
-    return _profile_series(sr, x, lambda j: 1.0 - x.at(j))
+    return _profile_series(sr, x, lambda v: 1.0 - v)
 
 
 def incentive_cost(sr: SuccessRate, x: ConstantTailProfile) -> float:
-    return _profile_series(sr, x, lambda j: sr.incentive_prize(x.at(j)))
+    return _profile_series(sr, x, sr.incentive_prize)
 
 
 def functionals(sr: SuccessRate, x: ConstantTailProfile) -> FunctionalValues:
@@ -201,12 +202,11 @@ def functionals(sr: SuccessRate, x: ConstantTailProfile) -> FunctionalValues:
     # terms its own function sums, in the same order
     m = len(x.prefix)
     probs, pc = _walk(sr, x, 0, m)
-    value = _reach_series(probs, pc, m, 0, m, lambda _: 1.0)
-    investment = _reach_series(probs, pc, m, 0, m, x.at)
+    prize = sr.incentive_prize
     return FunctionalValues(
-        value=value,
-        investment=investment,
-        incentive_cost=_reach_series(probs, pc, m, 0, m, lambda j: sr.incentive_prize(x.at(j))),
+        value=_reach_series(probs, m, pc, [1.0] * m, 1.0),
+        investment=_reach_series(probs, m, pc, x.prefix, x.tail),
+        incentive_cost=_reach_series(probs, m, pc, map(prize, x.prefix), prize(x.tail)),
     )
 
 
@@ -216,8 +216,9 @@ def flatten_tail(sr: SuccessRate, x: ConstantTailProfile, k: int) -> ConstantTai
     Keeps ``x_0 .. x_{k-1}``; from ``k`` on a constant tail ``c`` is worth
     ``reach_k / (1 - p(c))``, so the tail solves ``1 / (1 - p(c)) = V(x_k,
     x_{k+1}, ...)``, the suffix's value walked once, by a bracketed solve
-    (the left side is strictly increasing in ``c``).  ``k`` is an integer
-    in ``[0, prefix_len]``, or :class:`DomainError` is raised.
+    (the left side is strictly increasing in ``c``); behind an agent whose
+    ``p`` is 0 the tail is 0.  ``k`` is an integer in ``[0, prefix_len]``,
+    or :class:`DomainError` is raised.
     """
     k = _index("flatten position", k)
     if k < 0 or k > x.prefix_len:
@@ -229,18 +230,13 @@ def flatten_tail(sr: SuccessRate, x: ConstantTailProfile, k: int) -> ConstantTai
     from .solvers import bisect
 
     head = x.prefix[:k]
-    # the chance that position k is reached; no rate is evaluated past an
-    # unreachable agent, where the suffix's walk only checks the tail
-    reach = 1.0
-    for v in head:
-        reach *= sr.probability(v)
-        if reach == 0.0:
-            break
-    stop = x.prefix_len if reach else k
-    probs, pc = _walk(sr, x, k, stop)
-    suffix = _reach_series(probs, pc, x.prefix_len, k, stop, lambda _: 1.0)
-    if reach <= 1e-300:
+    # past an agent who surely fails nothing adds value, and no rate is
+    # evaluated; a reach that is only tiny, or underflows, keeps the suffix
+    if not all(map(sr.probability, head)):
         return ConstantTailProfile(head, 0.0)
+    m = len(x.prefix)
+    probs, pc = _walk(sr, x, k, m)
+    suffix = _reach_series(probs, m - k, pc, [1.0] * (m - k), 1.0)
 
     def gap(c: float) -> float:
         pc = sr.probability(c)

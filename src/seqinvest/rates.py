@@ -189,7 +189,9 @@ class SuccessRate:
         branch is off by at most 4.9e-13 relative (median 1.0e-13) on 401
         log-spaced points of ``[1e-6, 1]``, and the one-sided branch by at
         most 4e-12 on 201 points of its range below caps of 1e-3, 0.5 and
-        1e6.  Requires ``x > 0``.
+        1e6.  Requires ``x > 0``; below about 2.5e-321, where the step
+        underflows to 0, a custom rate has no slope and raises
+        :class:`DomainError`.
         """
         if x.__class__ is not float or not 0.0 < x <= self.domain_cap:
             x = self._check(x, positive=True)
@@ -197,6 +199,8 @@ class SuccessRate:
             return self._prize_slope(x)
         f = self.incentive_prize
         h = _SLOPE_STEP * x
+        if h == 0.0:
+            raise DomainError(f"{self.name}: no prize slope at {x!r}, where its step underflows to 0")
         if x + 2.0 * h <= self.domain_cap:
             return (8.0 * (f(x + h) - f(x - h)) - (f(x + 2.0 * h) - f(x - 2.0 * h))) / (12.0 * h)
         back = 25.0 * f(x) - 48.0 * f(x - h) + 36.0 * f(x - 2.0 * h)

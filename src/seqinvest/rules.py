@@ -479,19 +479,19 @@ def _column_reward(sr: SuccessRate, x: ConstantTailProfile, col: Column) -> floa
 def _column_series(col: Column, prefix_len: int, probs: list[float], pc: float) -> float:
     # _column_reward against a profile of ``prefix_len`` prefix agents, from
     # the success probabilities of those past the column's own agent
-    # (``probs``, from agent ``col.start + 1`` on) and of the tail; the terms
-    # are ``col.value`` read from locals, because reading a tuple record's
-    # field by name costs more than reading a local, once per explicit row
+    # (``probs``, from agent ``col.start + 1`` on) and of the tail.  The
+    # terms are the rows past the diagonal, then the affine rows up to the
+    # prefix's end; the row there, ``t`` past the entries (``tail + slope *
+    # 0`` when the prefix ends inside them), closes the series.  Each row is
+    # computed as ``Column.value`` computes it, so a -0.0 tail reads 0.0
     start, entries, tail, slope = col
-    n = len(entries)
-
-    def term(k: int) -> float:
-        t = k - start
-        return entries[t] if t < n else tail + slope * (t - n)
-
-    # past the column's entries (at least its diagonal) and the prefix
-    k_stable = start + n if start + n > prefix_len else prefix_len
-    return _reach_series(probs, pc, prefix_len, start + 1, k_stable, term, True, slope)
+    extra = prefix_len - start - len(entries)  # affine rows inside the prefix
+    rows = [*entries[1:]]
+    t = 0
+    while t < extra:
+        rows.append(tail + slope * t)
+        t += 1
+    return _reach_series(probs, prefix_len - start - 1, pc, rows, tail + slope * t, True, slope)
 
 
 def expected_payoff(
@@ -528,11 +528,14 @@ def implied_value(sr: SuccessRate, rule: StationaryColumnRule, x: ConstantTailPr
     created); away from equilibrium the two can differ either way.  Both
     terms are constant from the first pattern column past the prefix on.
     """
-    j0 = max(len(rule.leading), x.prefix_len, 1)
-    probs, pc = _walk(sr, x, 0, x.prefix_len)
-    return _reach_series(
-        probs, pc, x.prefix_len, 0, j0, lambda j: rule.value(j, j) + sr.incentive_prize(x.at(j))
-    )
+    m = len(x.prefix)
+    j0 = max(len(rule.leading), m, 1)
+    probs, pc = _walk(sr, x, 0, m)
+    # the investments of agents 0 .. j0 - 1 and their prizes, mapped lazily
+    # so that no prize is read past an unreachable agent
+    xs = x.prefix + (x.tail,) * (j0 - m)
+    terms = map(lambda j, v: rule.value(j, j) + sr.incentive_prize(v), range(j0), xs)
+    return _reach_series(probs, m, pc, terms, rule.value(j0, j0) + sr.incentive_prize(x.tail))
 
 
 _RULE_KINDS = {

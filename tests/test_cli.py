@@ -357,6 +357,20 @@ class TestConfigFile:
         assert (code, err) == (0, "")
         assert out == run(capsys, command)[1]
 
+    def test_validation_without_a_grid_goes_on(self, capsys, tmp_path):
+        # validation's grid starts at 1e-9, so a cap of 1e-10 leaves none;
+        # validation is advisory, and the command used to exit 2 on it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[rate]\nfamily = sqrt_ratio\ndomain_cap = 1e-10\n")
+        argv = ["verify", "--config", str(cfg), "--rule", "kind=equal_split", "--profile", "tail=1e-11"]
+        code = main(argv)
+        validated = capsys.readouterr()
+        assert validated.err == (
+            "# rate sqrt_ratio: validation skipped: "
+            "validate: points 128 < 3 or domain_cap 1e-10 <= 1e-9\n"
+        )
+        assert (code, validated.out) == run(capsys, *argv)[:2] and code == 1
+
     @pytest.mark.parametrize("command, program", [
         ("optima", "first_best_investment"), ("region", "tail_limit"),
     ])

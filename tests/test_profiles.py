@@ -17,12 +17,16 @@ from seqinvest import (
     DomainError,
     InfeasibleError,
     constant_profile,
+    continuation_reward,
     custom_rate,
+    equal_split,
     expected_investment,
+    expected_payoff,
     expected_value,
     expected_welfare,
     flatten_tail,
     functionals,
+    implied_value,
     incentive_cost,
     near_constant_profile,
     scaled_sqrt_ratio,
@@ -100,17 +104,17 @@ class TestAgentIndex:
 
 
 class TestSeriesKernel:
-    """The kernel takes the walk's success probabilities and reads no rate."""
+    """The kernel takes the walk's success probabilities and terms and reads no rate."""
 
     def test_prefix_from_the_list_tail_from_pc(self):
         # agents 1 .. 3 of a 4-entry prefix, then the tail at p = 0.2
-        got = _reach_series([0.5, 0.25, 0.5], 0.2, 4, 1, 4, lambda _: 1.0)
+        got = _reach_series([0.5, 0.25, 0.5], 3, 0.2, [1.0] * 3, 1.0)
         assert got == 1.0 + 0.5 + 0.125 + 0.0625 * 1.0 / (1.0 - 0.2)
 
     def test_a_short_list_fails_on_its_index(self):
         # agent 3 is a prefix agent: its p is never the tail's in its place
         with pytest.raises(IndexError):
-            _reach_series([0.5, 0.25], 0.2, 4, 1, 4, lambda _: 1.0)
+            _reach_series([0.5, 0.25], 3, 0.2, [1.0] * 3, 1.0)
 
 
 class TestReachProbability:
@@ -299,6 +303,15 @@ class TestFlatten:
         x = ConstantTailProfile((0.1, 0.0, 0.3), 0.2)
         assert flatten_tail(sr, x, 1) == ConstantTailProfile((0.1,), 0.0)
 
+    @pytest.mark.parametrize("n", [50, 51, 60])
+    def test_tiny_reach_keeps_the_suffix_tail(self, sr, n):
+        # the tail solves 1 / (1 - p(c)) = V(0.5, 0.3, 0.1, ...) whatever
+        # the reach of the position: n agents at 1e-12 reach it with 1e-6
+        # each, and a reach of 1e-300 or less used to flatten it to 0
+        x = ConstantTailProfile((1e-12,) * n + (0.5, 0.3), 0.1)
+        near = ConstantTailProfile((1e-12,) * 49 + (0.5, 0.3), 0.1)
+        assert flatten_tail(sr, x, n).tail == flatten_tail(sr, near, 49).tail == 0.3686357739117253
+
     def test_unmatched_value_raises(self):
         # p jumps from 0.2 * sqrt(x) to 0.6 at x = 0.5, so no tail attains
         # p(c) = 0.496, what (0.6, 0.6, 0.1, ...) is worth: the solve ends
@@ -347,6 +360,37 @@ def _stepped_rate(sr, miss):
         return sr.probability(x) + (step if x >= c0 else 0.0)
 
     return custom_rate("stepped", p, sr.marginal)
+
+
+def _guarded(plain, unreachable):
+    # plain's p and p', which fail at the investments of unreachable agents
+    def checked(x):
+        assert x not in unreachable, f"rate read at {x} past an unreachable agent"
+        return x
+
+    return custom_rate(
+        "guarded", lambda x: plain.probability(checked(x)), lambda x: plain.marginal(checked(x))
+    )
+
+
+class TestNoRateReadPastAnUnreachableAgent:
+    """Agent 1 invests nothing, so agents 2 and 3 are never reached: no
+    consumer of the series kernel reads ``p`` or ``p'`` at their
+    investments, and each answers as the unguarded rate does; the tail's
+    own investment is read as always."""
+
+    X = ConstantTailProfile((0.5, 0.0, 0.3, 0.4), 0.7)
+
+    @pytest.mark.parametrize("consumer", [
+        expected_value, expected_investment, expected_welfare, incentive_cost, functionals,
+        pytest.param(lambda sr, x: continuation_reward(sr, equal_split(), x, 0), id="continuation_reward"),
+        pytest.param(lambda sr, x: expected_payoff(sr, equal_split(), x, 0), id="expected_payoff"),
+        pytest.param(lambda sr, x: implied_value(sr, equal_split(), x), id="implied_value"),
+    ])
+    def test_consumer(self, consumer):
+        plain = sqrt_ratio()
+        twin = custom_rate("twin", plain.probability, plain.marginal)
+        assert consumer(_guarded(plain, (0.3, 0.4)), self.X) == consumer(twin, self.X)
 
 
 class TestFlatteningProperties:

@@ -382,6 +382,16 @@ class TestCustomRateValues:
         evaluable = {c.name: c for c in validate(rate).checks}["evaluable"]
         assert not evaluable.passed and evaluable.worst_x > 4.0
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-321])
+    def test_prize_slope_where_its_step_underflows(self, sr, x):
+        # the step 1e-3 x is 0 below about 2.5e-321: the slope used to end
+        # in a bare ZeroDivisionError
+        twin = custom_rate("twin", sr.probability, sr.marginal)
+        with pytest.raises(DomainError, match=re.escape(f"twin: no prize slope at {x!r}, where its step underflows")):
+            twin.incentive_prize_slope(x)
+        # just above, the slope is the closed form's
+        assert twin.incentive_prize_slope(3e-321) == 2.0 == sr.incentive_prize_slope(3e-321)
+
     def test_prize_infinite_where_the_slope_vanishes(self):
         # p / p' used to end in a bare ZeroDivisionError
         rate = custom_rate("flat", lambda x: min(x, 0.5), lambda x: 1.0 if x < 0.5 else 0.0)
