@@ -160,9 +160,13 @@ def _resolve_rate(args, cfg: Config) -> SuccessRate:
     if unknown:
         raise UsageError(f"unknown config key {sorted(unknown)[0]!r} in [rate]")
     family = args.rate or section.get("family", "sqrt_ratio").strip('"')
-    epsilon = args.epsilon if args.epsilon is not None else _number(section.get("epsilon", "0"), "epsilon")
-    cap = _number(section.get("domain_cap", "1e6"), "domain_cap")
-    rate = rate_from_config(family, epsilon, domain_cap=cap)
+    # epsilon and the cap only where a flag or key gives them, else the
+    # library's defaults; the --epsilon flag takes precedence over its key
+    given = {} if args.epsilon is None else {"epsilon": args.epsilon}
+    for key in ("epsilon", "domain_cap"):
+        if key in section and key not in given:
+            given[key] = _number(section[key], key)
+    rate = rate_from_config(family, **given)
     if not args.no_validate:
         try:
             report = validate(rate, points=128)
@@ -331,13 +335,11 @@ def _cmd_simulate(args, cfg) -> tuple[Rows, int]:
     sr = _resolve_rate(args, cfg)
     rule = _parse_rule(_fields(args, cfg, "rule"))
     profile = _parse_profile(_fields(args, cfg, "profile"))
-    config = SimulationConfig(
-        episodes=args.episodes,
-        seed=args.seed,
-        max_chain_length=args.max_chain_length,
-        shards=args.shards,
-        payoff_horizon=args.payoff_horizon,
-    )
+    # the flags given, and SimulationConfig's defaults for the rest
+    config = SimulationConfig(**{
+        name: getattr(args, name) for name in SimulationConfig._fields
+        if getattr(args, name) is not None
+    })
     summary = summarize(sr, profile, rule, config)
     rows: Rows = [
         ("episodes", str(summary.episodes), ""),
@@ -431,12 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--rule", required=False)
     p.add_argument("--profile", required=False)
-    p.add_argument("--episodes", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--max-chain-length", type=int, default=10_000, dest="max_chain_length",
+    # no defaults here: a flag not given takes SimulationConfig's
+    p.add_argument("--episodes", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--shards", type=int)
+    p.add_argument("--max-chain-length", type=int, dest="max_chain_length",
                    help="thinning steps before the exact geometric closure")
-    p.add_argument("--payoff-horizon", type=int, default=8, dest="payoff_horizon")
+    p.add_argument("--payoff-horizon", type=int, dest="payoff_horizon")
     p.add_argument("--histogram", action="store_true")
     p.set_defaults(handler=_cmd_simulate)
 

@@ -209,11 +209,15 @@ class EquilibriumReport(NamedTuple):
         return _max_residual([c.residual for c in self.checks])
 
 
-def _check_tol(tol: float) -> None:
-    # every residual comparison against a NaN tolerance is false, which
-    # would pass any profile
+def _check_tol(tol: float) -> float:
+    # the tolerance as a float, a float costing one class test, as this runs
+    # per verification; every residual comparison against a NaN tolerance
+    # is false, which would pass any profile
+    if tol.__class__ is not float:
+        tol = _real("tolerance", tol)
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _column_floor_gap(col: Column) -> float:
@@ -246,7 +250,7 @@ def check_agent(
     negative ``tol``.
     """
     mode = _as_mode(mode)
-    _check_tol(tol)
+    tol = _check_tol(tol)
     xi = x.at(i)
     col = rule.column(i)
     pi, reward = _agent_reward(sr, x, col)
@@ -297,7 +301,7 @@ def verify_equilibrium(
     docstring).
     """
     mode = _as_mode(mode)
-    _check_tol(tol)
+    tol = _check_tol(tol)
     stationary = rule.stationary_from
     if stationary is None:
         raise TailShapeError(
@@ -357,20 +361,26 @@ class BoundSchedule(NamedTuple):
 
     def bound(self, i: int) -> float:
         i = _check_count("agent index", i, 0)
+        _check_capped(self.rate)  # a schedule can be built directly
         return investment_for_return(self.rate, i + 1.0 + 1.0 / self.rate.epsilon)
+
+
+def _check_capped(sr: SuccessRate) -> None:
+    if not sr.epsilon > 0.0:
+        raise DomainError(
+            "bounds need a positive cap parameter; this rate's success "
+            "probability is not bounded away from 1"
+        )
 
 
 def investment_bounds(sr: SuccessRate) -> BoundSchedule:
     """Bound schedule at the rate's own cap, which must be positive.
 
     A cap of zero (the unscaled square-root family) leaves the bound
-    undefined and is rejected.
+    undefined and is rejected, here and by each ``bound`` of a schedule
+    built directly.
     """
-    if not sr.epsilon > 0.0:
-        raise DomainError(
-            "bounds need a positive cap parameter; this rate's success "
-            "probability is not bounded away from 1"
-        )
+    _check_capped(sr)
     return BoundSchedule(sr)
 
 
@@ -548,6 +558,7 @@ def near_constant_bounds(
     sr: SuccessRate, c: float, gamma: float = 0.0
 ) -> tuple[float, float]:
     """Unclamped lower and upper required-return bounds for the initiator."""
+    gamma = gamma if gamma.__class__ is float else _real("floor", gamma)
     return _band(sr, c, gamma)[3:]
 
 
@@ -555,7 +566,9 @@ def _feasibility(
     sr: SuccessRate, x0: float, c: float, gamma: float
 ) -> tuple[NearConstantFeasibility, float, float]:
     # near_constant_feasibility with the tail's p and required return,
-    # which synthesis takes from the same evaluation of the band
+    # which synthesis takes from the same evaluation of the band; a float
+    # floor costs one class test (region_sweep calls _band with its own)
+    gamma = gamma if gamma.__class__ is float else _real("floor", gamma)
     pc, tail_ratio, _, lower, upper = _band(sr, c, gamma)
     ratio = sr.required_return(x0)
     return NearConstantFeasibility(x0, c, gamma, ratio, lower, upper), pc, tail_ratio

@@ -74,9 +74,11 @@ class ConstantTailProfile:
     def __post_init__(self) -> None:
         prefix = tuple(_check_entry(v, "profile entry") for v in self.prefix)
         tail = _check_entry(self.tail, "profile tail")
-        while prefix and prefix[-1] == tail:
-            prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
+        # entries equal to the tail are cut in one slice, not one by one
+        n = len(prefix)
+        while n and prefix[n - 1] == tail:
+            n -= 1
+        object.__setattr__(self, "prefix", prefix[:n])
         object.__setattr__(self, "tail", tail)
 
     @property
@@ -215,7 +217,7 @@ def flatten_tail(sr: SuccessRate, x: ConstantTailProfile, k: int) -> ConstantTai
 
     Keeps ``x_0 .. x_{k-1}``; from ``k`` on a constant tail ``c`` is worth
     ``reach_k / (1 - p(c))``, so the tail solves ``1 / (1 - p(c)) = V(x_k,
-    x_{k+1}, ...)``, the suffix's value walked once, by a bracketed solve
+    x_{k+1}, ...)``, the suffix's :func:`expected_value`, by a bracketed solve
     (the left side is strictly increasing in ``c``); behind an agent whose
     ``p`` is 0 the tail is 0.  ``k`` is an integer in ``[0, prefix_len]``,
     or :class:`DomainError` is raised.
@@ -234,9 +236,7 @@ def flatten_tail(sr: SuccessRate, x: ConstantTailProfile, k: int) -> ConstantTai
     # evaluated; a reach that is only tiny, or underflows, keeps the suffix
     if not all(map(sr.probability, head)):
         return ConstantTailProfile(head, 0.0)
-    m = len(x.prefix)
-    probs, pc = _walk(sr, x, k, m)
-    suffix = _reach_series(probs, m - k, pc, [1.0] * (m - k), 1.0)
+    suffix = expected_value(sr, ConstantTailProfile(x.prefix[k:], x.tail))
 
     def gap(c: float) -> float:
         pc = sr.probability(c)

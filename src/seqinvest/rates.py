@@ -122,7 +122,8 @@ class SuccessRate:
     _max_return: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.domain_cap) and self.domain_cap > 0.0):
+        cap = _real(f"{self.name}: domain_cap", self.domain_cap)
+        if not (math.isfinite(cap) and cap > 0.0):
             raise DomainError(
                 f"{self.name}: domain_cap must be finite and positive, got {self.domain_cap!r}"
             )
@@ -307,6 +308,7 @@ def scaled_sqrt_ratio(
     epsilon: float, domain_cap: float = DEFAULT_DOMAIN_CAP
 ) -> SuccessRate:
     """``p(x) = (1 - epsilon) sqrt(x) / (1 + sqrt(x))`` with cap ``epsilon``."""
+    epsilon = _real("epsilon", epsilon)
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon!r}")
     return _sqrt_family(f"scaled_sqrt_ratio(eps={epsilon:g})", epsilon, domain_cap)
@@ -325,16 +327,20 @@ def custom_rate(
     The prize and its slope are derived, so the caller's contract stays
     minimal; run :func:`validate` to diagnose assumption violations.  Each
     value is checked where it enters: a ``p`` that is NaN or outside
-    ``[0, 1]``, or a NaN ``p'``, raises :class:`DomainError` naming the
-    rate and ``x``.
+    ``[0, 1]``, a ``p`` above the cap ``1 - epsilon``, or a NaN ``p'``,
+    raises :class:`DomainError` naming the rate and ``x``.
     """
+    epsilon = _real("epsilon", epsilon)
     if not 0.0 <= epsilon < 1.0:
         raise DomainError(f"epsilon must be in [0, 1), got {epsilon!r}")
+    top = 1.0 - epsilon
 
     def checked_p(x: float) -> float:
         v = p(x)
-        if not 0.0 <= v <= 1.0:  # NaN included
-            raise DomainError(f"{name}: p({x!r}) = {v!r} is not a probability")
+        if not 0.0 <= v <= top:  # NaN included
+            if not 0.0 <= v <= 1.0:
+                raise DomainError(f"{name}: p({x!r}) = {v!r} is not a probability")
+            raise DomainError(f"{name}: p({x!r}) = {v!r} exceeds the cap 1 - epsilon = {top!r}")
         return v
 
     def checked_p_prime(x: float) -> float:

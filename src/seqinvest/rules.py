@@ -248,6 +248,8 @@ class Mixture(StationaryColumnRule):
     def __init__(
         self, weight: float, left: StationaryColumnRule, right: StationaryColumnRule
     ) -> None:
+        # a float costs one class test, as synthesis mixes on every call
+        weight = weight if weight.__class__ is float else _real("mixture weight", weight)
         if not 0.0 <= weight <= 1.0:
             raise RuleConstructionError(f"mixture weight must be in [0, 1], got {weight!r}")
         v = 1.0 - weight
@@ -315,11 +317,12 @@ class Perturbed(StationaryColumnRule):
         column_tails: tuple[tuple[int, tuple[int, float]], ...] = (),
     ) -> None:
         entries = tuple(
-            ((_index("entries column", i), _index("entries row", k)), float(v))
+            ((_index("entries column", i), _index("entries row", k)), _real("entries delta", v))
             for (i, k), v in entries
         )
         tails = tuple(
-            (_index("column_tails column", i), (_index("column_tails start", k0), float(v)))
+            (_index("column_tails column", i),
+             (_index("column_tails start", k0), _real("column_tails delta", v)))
             for i, (k0, v) in column_tails
         )
         cells: dict[int, list[tuple[int, float]]] = {}
@@ -361,6 +364,10 @@ def equal_split() -> StationaryColumnRule:
 def fixed_fraction(alpha: float) -> StationaryColumnRule:
     """Successful non-initiators earn ``alpha`` per step; residual to the
     initiator, whose stream grows linearly when ``alpha < 1``."""
+    # each factory converts a parameter that is not a float, so text fails
+    # naming it; a float costs one class test, as synthesis builds its
+    # endpoint rules with these factories on every call
+    alpha = alpha if alpha.__class__ is float else _real("alpha", alpha)
     if not 0.0 <= alpha <= 1.0:
         raise RuleConstructionError(f"alpha must be in [0, 1], got {alpha!r}")
     return StationaryColumnRule(
@@ -374,6 +381,8 @@ def fixed_fraction(alpha: float) -> StationaryColumnRule:
 def fixed_fraction_floor(alpha: float, gamma: float) -> StationaryColumnRule:
     """Fixed fraction plus a floor: every non-initiator keeps ``gamma``
     even when failing, with the fraction ``alpha`` once successful."""
+    alpha = alpha if alpha.__class__ is float else _real("alpha", alpha)
+    gamma = gamma if gamma.__class__ is float else _real("gamma", gamma)
     if not 0.0 <= alpha <= 1.0:
         raise RuleConstructionError(f"alpha must be in [0, 1], got {alpha!r}")
     if not 0.0 <= gamma <= 2.0:
@@ -413,6 +422,8 @@ def flat_continuation(alpha: float, gamma: float) -> StationaryColumnRule:
     response; used as the low endpoint when synthesizing supporting
     rules.
     """
+    alpha = alpha if alpha.__class__ is float else _real("alpha", alpha)
+    gamma = gamma if gamma.__class__ is float else _real("gamma", gamma)
     return StationaryColumnRule(
         f"flat_continuation(alpha={alpha:.6g}, gamma={gamma:.6g})",
         leading=(
@@ -431,6 +442,8 @@ def next_step_bonus(beta: float, gamma: float) -> StationaryColumnRule:
     success and 1 per step otherwise, with floor ``gamma``; the high
     endpoint when the tail requires returns above 1.
     """
+    beta = beta if beta.__class__ is float else _real("beta", beta)
+    gamma = gamma if gamma.__class__ is float else _real("gamma", gamma)
     return StationaryColumnRule(
         f"next_step_bonus(beta={beta:.6g}, gamma={gamma:.6g})",
         leading=(Column(0, (1.0, 2.0 - gamma), 2.0 - beta - gamma),),
@@ -445,6 +458,8 @@ def next_step_bonus_zero_initiator(beta: float, gamma: float) -> StationaryColum
     The initiator's net return is ``beta (1 - p) - 1``; the low endpoint
     when the tail requires returns above 1.
     """
+    beta = beta if beta.__class__ is float else _real("beta", beta)
+    gamma = gamma if gamma.__class__ is float else _real("gamma", gamma)
     return StationaryColumnRule(
         f"next_step_bonus_zero_initiator(beta={beta:.6g}, gamma={gamma:.6g})",
         leading=(

@@ -100,20 +100,14 @@ class SimulationConfig(_SimulationConfigFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        episodes: int = 1_000_000,
-        seed: int = 0,
-        max_chain_length: int = 10_000,
-        shards: int = 1,
-        payoff_horizon: int = 8,
-    ) -> SimulationConfig:
-        _check_count("episodes", episodes, 1)
-        _check_count("seed", seed, 0)
-        _check_count("max_chain_length", max_chain_length, 1)
-        _check_count("shards", shards, 1)
-        _check_count("payoff_horizon", payoff_horizon, 0)
-        return tuple.__new__(cls, (episodes, seed, max_chain_length, shards, payoff_horizon))
+    def __new__(cls, *args, **kwargs) -> SimulationConfig:
+        # the field tuple's own constructor fills in the defaults; each
+        # field is then checked, in order, against its least value and
+        # stored as given
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value, least in zip(cls._fields, self, (1, 0, 1, 1, 0)):
+            _check_count(name, value, least)
+        return self
 
     @classmethod
     def _make(cls, iterable) -> SimulationConfig:
@@ -200,21 +194,20 @@ def _shard_histogram(
     return np.concatenate([hist, np.bincount(tries - 1)]), 0
 
 
-def _rngs(config: SimulationConfig) -> list[np.random.Generator]:
-    # one generator per planned shard: the root sequence for one shard,
-    # else its first min(shards, episodes) children, spawned by index
+def _shard_plan(config: SimulationConfig) -> list[tuple[np.random.Generator, int]]:
+    # episodes split over min(shards, episodes) shards, none of them empty,
+    # each with its generator: the root sequence when one shard is asked
+    # for, else the root's children, spawned by index
     import numpy as np
 
+    shards = min(config.shards, config.episodes)
+    base, extra = divmod(config.episodes, shards)
     root = np.random.SeedSequence(config.seed)
-    children = root.spawn(min(config.shards, config.episodes)) if config.shards > 1 else [root]
-    return [np.random.Generator(np.random.Philox(child)) for child in children]
-
-
-def _shard_sizes(episodes: int, shards: int) -> list[int]:
-    # episodes split over min(shards, episodes) shards, none of them empty
-    shards = min(shards, episodes)
-    base, extra = divmod(episodes, shards)
-    return [base + (1 if s < extra else 0) for s in range(shards)]
+    seqs = root.spawn(shards) if config.shards > 1 else [root]
+    return [
+        (np.random.Generator(np.random.Philox(seq)), base + (1 if s < extra else 0))
+        for s, seq in enumerate(seqs)
+    ]
 
 
 def terminal_histogram(
@@ -223,9 +216,8 @@ def terminal_histogram(
     """Merged terminal-index histogram over all shards."""
     import numpy as np
 
-    sizes = _shard_sizes(config.episodes, config.shards)
     merged = np.zeros(0, dtype=np.int64)
-    for rng, size in zip(_rngs(config), sizes):
+    for rng, size in _shard_plan(config):
         counts, _ = _shard_histogram(sr, profile, size, rng, config.max_chain_length)
         if counts.size > merged.size:
             counts[: merged.size] += merged

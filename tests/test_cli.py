@@ -13,9 +13,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import seqinvest
-from seqinvest import BracketError, Mode, equilibrium, region_sweep, tail_limit
+from seqinvest import (
+    BracketError, Mode, SimulationConfig, cli, equilibrium, region_sweep, simulate, tail_limit,
+)
 from seqinvest.cli import _emit, build_parser, main
 from seqinvest.equilibrium import TOL_EQ
+from seqinvest.simulate import summarize
 
 
 def run(capsys, *argv):
@@ -257,6 +260,39 @@ class TestSimulate:
         )
         assert code == 0
         assert "chain_length_0" in out
+
+
+class TestLibraryDefaults:
+    """The CLI restates no library default: an absent flag or key is not passed on."""
+
+    def test_simulate_flags_have_no_default(self):
+        args = build_parser().parse_args(["simulate"])
+        assert [getattr(args, name) for name in SimulationConfig._fields] == [None] * 5
+
+    def test_simulate_passes_only_the_flags_given(self, capsys, monkeypatch, oracle):
+        configs = []
+        monkeypatch.setattr(simulate, "summarize", lambda sr, x, rule, config: configs.append(config)
+                            or summarize(sr, x, rule, config._replace(episodes=100)))
+        for flags in ([], ["--seed", "3", "--shards", "2"]):
+            code, _, _ = run(capsys, "simulate", "--rule", "kind=equal_split",
+                             "--profile", f"tail={oracle.c_star}", *flags)
+            assert code == 0
+        assert configs == [SimulationConfig(), SimulationConfig(seed=3, shards=2)]
+
+    @pytest.mark.parametrize("argv, section, given", [
+        ([], {}, {}),
+        ([], {"domain_cap": "5"}, {"domain_cap": 5.0}),
+        (["--epsilon", "0.3"], {"epsilon": "half", "domain_cap": "1e3"},
+         {"epsilon": 0.3, "domain_cap": 1e3}),
+        (["--epsilon", "0.3"], {}, {"epsilon": 0.3}),
+    ])
+    def test_rate_gets_only_what_a_flag_or_key_gives(self, monkeypatch, argv, section, given):
+        # a flag takes precedence over its key, which is then not parsed
+        calls = []
+        monkeypatch.setattr(cli, "rate_from_config", lambda *a, **k: calls.append((a, k)))
+        args = build_parser().parse_args(["optima", "--no-validate", *argv])
+        cli._resolve_rate(args, {"rate": section})
+        assert calls == [(("sqrt_ratio",), given)]
 
 
 class TestRulePrint:

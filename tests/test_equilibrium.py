@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from seqinvest import (
+    BoundSchedule,
     Column,
     ConstantTailProfile,
     DomainError,
@@ -437,6 +438,11 @@ class TestBounds:
     def test_uncapped_rate_rejected(self, sr):
         with pytest.raises(DomainError):
             investment_bounds(sr)
+
+    def test_uncapped_schedule_built_directly_rejected(self, sr):
+        # used to divide by the zero cap: a bare ZeroDivisionError
+        with pytest.raises(DomainError, match="^bounds need a positive cap parameter"):
+            BoundSchedule(sr).bound(0)
 
     def test_negative_agent_rejected(self, sr_scaled):
         with pytest.raises(DomainError, match=r"^agent index must be >= 0, got -1$"):

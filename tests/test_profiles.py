@@ -6,6 +6,7 @@ independent oracle for the geometric closed forms throughout.
 
 import math
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,13 @@ class TestRepresentation:
 
     def test_all_equal_has_empty_prefix(self):
         assert ConstantTailProfile((0.3, 0.3), 0.3).prefix == ()
+
+    def test_absorbing_a_long_run_is_linear(self):
+        # one slice per absorbed entry is quadratic: about a minute for this profile
+        start = time.perf_counter()
+        x = ConstantTailProfile((0.2,) + (0.1,) * 200_000, 0.1)
+        assert time.perf_counter() - start < 2.0
+        assert x.prefix == (0.2,)
 
     def test_bad_entries_rejected(self):
         with pytest.raises(DomainError):

@@ -382,6 +382,19 @@ class TestCustomRateValues:
         evaluable = {c.name: c for c in validate(rate).checks}["evaluable"]
         assert not evaluable.passed and evaluable.worst_x > 4.0
 
+    def test_probability_above_the_cap_fails_loudly(self, sr):
+        # p(1.5) = 0.5505 under a declared cap of 0.5 used to pass, though
+        # the cap is what the investment bounds divide by
+        rate = custom_rate("c", sr.probability, sr.marginal, epsilon=0.5)
+        assert rate.probability(1.0) == 0.5  # at the cap itself
+        with pytest.raises(DomainError, match=re.escape(
+                "c: p(1.5) = 0.5505102572168219 exceeds the cap 1 - epsilon = 0.5")):
+            rate.probability(1.5)
+        # past 1 the value is no probability at all, whatever the cap
+        steep = custom_rate("steep", lambda x: 2.0 * sr.probability(x), sr.marginal, epsilon=0.5)
+        with pytest.raises(DomainError, match=r"^steep: p\(4\.0\) = 1\.3333333333333333 is not a probability$"):
+            steep.probability(4.0)
+
     @pytest.mark.parametrize("x", [5e-324, 1e-321])
     def test_prize_slope_where_its_step_underflows(self, sr, x):
         # the step 1e-3 x is 0 below about 2.5e-321: the slope used to end
