@@ -38,7 +38,7 @@ if "numpy" in sys.modules:
 print(tail)
 '
 PYTHONPATH=src "$work/bare/bin/python" -c "$library" > "$work/library.out"
-test "$(cat "$work/library.out")" = 0.0883019903521997
+test "$(cat "$work/library.out")" = 0.08830199035219966
 
 # every CLI transcript in tests/golden, whole and byte for byte: its command
 # line, its stdout with a residual's rounding noise as one token (sum() of

@@ -98,6 +98,12 @@ from .rules import StationaryColumnRule, equal_split, fixed_fraction
 from .solvers import bisect
 
 _EDGE = 1e-12
+# each solve's stop, relative to its root, where the solver's default is too loose
+_TAIL_LIMIT_XTOL = 1e-15  # tail_limit
+_PEAK_XTOL = 1e-14  # the peak of the band's upper edge: the initiator's tail, and c_u
+_SELF_FINANCED_XTOL = 1e-13  # the self-financed tail
+_STEEP_TOL = 1e-9  # socially_optimal: prize over probability allowed at c_star, relative to p
+_BAND_END = 1e-9  # region_curve_intersection: its bracket's end below tail_limit, relative
 # the one rule every social optimum returns: the equal split has no
 # parameters and a rule is immutable, so one checked instance serves all
 _EQUAL_SPLIT = equal_split()
@@ -175,7 +181,7 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
     residual = prize - pc
     # without p' = 1 anywhere the inversion ends at the low end of its
     # bracket, where the prize p / p' still exceeds p
-    if not residual <= 1e-9 * pc:
+    if not residual <= _STEEP_TOL * pc:
         raise BracketError(
             "prize >= probability arbitrarily close to zero; the rate "
             "violates the steep-at-zero assumption"
@@ -188,7 +194,7 @@ def socially_optimal(sr: SuccessRate) -> OptimumResult:
 
 
 def tail_limit(sr: SuccessRate, mode: Mode | str = Mode.UNCONSTRAINED) -> float:
-    """Largest tail with a non-negative upper support bound, to ``1e-15``.
+    """Largest tail with a non-negative upper support bound, to ``1e-15`` relative.
 
     Where the prize plus the mode's floor (``c`` when self-financed, else
     0) reaches 1; the floor is the only self-financed constraint applied.
@@ -200,7 +206,7 @@ def tail_limit(sr: SuccessRate, mode: Mode | str = Mode.UNCONSTRAINED) -> float:
     mode = _as_mode(mode)
     return _solve_below_cap(
         "tail_limit", sr, lambda c: _band_headroom(_floor(mode, c), sr.incentive_prize(c)), _EDGE,
-        limit=sr.domain_cap, xtol=1e-15,
+        limit=sr.domain_cap, xtol=_TAIL_LIMIT_XTOL,
     )
 
 
@@ -215,7 +221,9 @@ def _upper_edge_peak(sr: SuccessRate, mode: Mode, d: float) -> float:
     # the tail at which the band's upper edge at the mode's floor peaks on
     # [0, d], d the mode's tail_limit: the edge's slope is positive next to
     # 0 and negative at d, and the lower end halves toward 0 until it changes sign
-    return bisect(lambda c: _upper_edge_slope(sr, mode, c), d, 0.5 * d, limit=0.0, xtol=1e-14)
+    return bisect(
+        lambda c: _upper_edge_slope(sr, mode, c), d, 0.5 * d, limit=0.0, xtol=_PEAK_XTOL
+    )
 
 
 def initiator_optimal(sr: SuccessRate) -> OptimumResult:
@@ -311,7 +319,7 @@ def self_financed_optimal(sr: SuccessRate) -> OptimumResult:
         return dx0 * dwelfare_dx0 + px0 * dwelfare_dc
 
     end = min(first_best_investment(sr), c_max - _EDGE)
-    c_s = bisect(slope, _upper_edge_peak(sr, mode, c_max), end, xtol=1e-13)
+    c_s = bisect(slope, _upper_edge_peak(sr, mode, c_max), end, xtol=_SELF_FINANCED_XTOL)
     # the band at c_s and floor c_s, once for the initiator, the residual and the rule
     _, r_s, _, _, upper_s = _band(sr, c_s, c_s)
     x0_s = investment_for_return(sr, upper_s)
@@ -412,7 +420,10 @@ def region_curve_intersection(sr: SuccessRate) -> float:
 
     Solves ``lower(c) = upper(c)``, equivalently
     ``required_return(c) = 3 - 2 p(c)``; beyond it no near-constant
-    profile with that tail is supportable.
+    profile with that tail is supportable.  The bracket ends a relative
+    ``1e-9`` below :func:`tail_limit` ``d``, since the gap at ``d`` itself
+    is rounding noise; a band that closes nearer ``d`` raises
+    :class:`BracketError`.
     """
 
     def gap(c: float) -> float:
@@ -420,7 +431,7 @@ def region_curve_intersection(sr: SuccessRate) -> float:
         return lower - upper
 
     d = tail_limit(sr)
-    hi = d * (1.0 - 1e-9)
+    hi = d * (1.0 - _BAND_END)
     if gap(hi) <= 0.0:
         raise BracketError("support band does not close below the prize-1 level")
     return bisect(gap, 0.0, hi)

@@ -34,11 +34,12 @@ Built-in families:
 Both built-in families also invert the required return in closed form:
 ``required_return(x) = 2 s (1 + s)^2 / (1 - eps)`` with ``s = sqrt(x)``,
 so the investment for a return ``t`` is the square of the one real root
-of ``s (1 + s)^2 = t (1 - eps) / 2`` (Cardano, then one Newton step,
-which leaves up to about 8 ulps of error), clipped to the domain cap
-against rounding.  That closure, ``_return_inverse``, is the whole
-inversion for a positive target the cap attains: callers that checked the
-target call it directly.  Custom rates invert by the bracketing solver.
+of ``s (1 + s)^2 = t (1 - eps) / 2`` (Cardano in a form that cancels
+nothing for any target, then one Newton step, which leaves up to about 4
+units of ``2^-52`` relative error), clipped to the domain cap against
+rounding.  That closure, ``_return_inverse``, is the whole inversion for
+a positive target the cap attains: callers that checked the target call
+it directly.  Custom rates invert by the bracketing solver.
 Like the closed-form prize, the inverse is trusted in place of ``p'``, so
 it must stay consistent with ``_p_prime``.
 
@@ -86,6 +87,7 @@ DEFAULT_DOMAIN_CAP = 1e6
 _TOL_CONVEX = 1e-8  # validate: rounding allowance on the prize's second differences
 _TOL_LIMIT = 1e-6  # validate: largest prize at the smallest grid point
 _SLOPE_STEP = 1e-3  # a custom rate's prize slope: finite-difference step relative to x
+_GRID_START = 1e-9  # validate: the grid's first point, a domain and not a tolerance
 
 
 def _sqrt_prize(x: float) -> float:
@@ -104,7 +106,8 @@ class SuccessRate:
     ``domain_cap`` is the largest investment the numeric evaluators are
     validated on; evaluations beyond it raise :class:`DomainError`, since
     no quantity the solvers produce requires larger arguments.  It must be
-    finite and positive, or construction raises :class:`DomainError`.
+    finite and positive, and ``epsilon`` a real number in ``[0, 1)``, or
+    construction raises :class:`DomainError`; both are stored as given.
     """
 
     name: str
@@ -122,6 +125,9 @@ class SuccessRate:
     _max_return: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        epsilon = _real(f"{self.name}: epsilon", self.epsilon)
+        if not 0.0 <= epsilon < 1.0:  # NaN included
+            raise DomainError(f"{self.name}: epsilon must be in [0, 1), got {self.epsilon!r}")
         cap = _real(f"{self.name}: domain_cap", self.domain_cap)
         if not (math.isfinite(cap) and cap > 0.0):
             raise DomainError(
@@ -264,19 +270,22 @@ def _sqrt_family(name: str, epsilon: float, domain_cap: float) -> SuccessRate:
         # the investment for a return t > 0, clipped to the domain cap
         # against rounding: x = s^2 where s (1 + s)^2 = k = t (1 - eps) / 2.
         # With u = 1 + s this is the cubic u^3 - u^2 - k = 0, whose one real
-        # root Cardano gives as 1/3 + a + 1 / (9 a).  That form cancels for
-        # small k, where s = k is already a close start instead.  One Newton
-        # step follows either start; it does not reach rounding level: on
-        # 4,000 draws against a 50-digit inverse the worst error was 7.93
-        # ulps, and 68% of them were above 1 ulp (ROADMAP.md item 14)
+        # root Cardano gives as 1/3 + a + 1 / (9 a), a^3 = 1/27 + q.  Then
+        # s = (3a - 1)^2 / (9 a), and 3a - 1 = 3 q / (a^2 + a / 3 + 1/9)
+        # cancels nothing for any k, so no start switch is needed; it is
+        # formed before any square, since q * q overflows for k above about
+        # 1e154.  One Newton step follows; it does not reach rounding
+        # level: on 10,800 log-uniform draws of k in [1e-150, 1e150] at eps
+        # 0, 0.3 and 0.99 against a 50-digit inverse the worst error was
+        # 3.83 units of 2^-52 relative, and 10% of them were above 1 unit
+        # (ROADMAP.md item 14)
         k = 0.5 * scale * t
-        if k < 1e-8:
-            s = k
-        else:
-            root_disc = math.sqrt(k) * math.sqrt(1.0 / 27.0 + 0.25 * k)
-            a = (1.0 / 27.0 + 0.5 * k + root_disc) ** (1.0 / 3.0)
-            s = a + 1.0 / (9.0 * a) - 2.0 / 3.0
-        s -= (s * (1.0 + s) ** 2 - k) / ((1.0 + s) * (1.0 + 3.0 * s))
+        q = 0.5 * k + math.sqrt(k) * math.sqrt(1.0 / 27.0 + 0.25 * k)
+        a = (1.0 / 27.0 + q) ** (1.0 / 3.0)
+        d = 3.0 * q / (a * a + a / 3.0 + 1.0 / 9.0)
+        s = d * d / (9.0 * a)
+        u = 1.0 + s
+        s -= (s * (u * u) - k) / (u * (1.0 + 3.0 * s))
         x = s * s
         return domain_cap if domain_cap < x else x
 
@@ -423,19 +432,21 @@ def validate(sr: SuccessRate, points: int = 512) -> ValidationReport:
 
     The grid is ``points`` floats from ``1e-9`` to ``domain_cap``, spaced
     as by ``numpy.geomspace`` but computed in plain Python.  Checks:
-    ``p(0) = 0``; ``p`` evaluable, strictly increasing and concave (divided
-    differences strictly decreasing); prize above investment (``p/p' > x``
-    for ``x > 0``); prize convex (second divided differences at least
-    ``-_TOL_CONVEX``); prize vanishing at zero (value at the smallest grid
-    point at most ``_TOL_LIMIT``).  Raises :class:`DomainError` only when
+    ``p(0) = 0`` exactly; ``p`` evaluable, strictly increasing and concave
+    (divided differences strictly decreasing); prize above investment
+    (``p/p' > x`` for ``x > 0``); prize convex (second divided differences
+    at least ``-_TOL_CONVEX``); prize vanishing at zero (value at the
+    smallest grid point at most ``_TOL_LIMIT``).  Raises :class:`DomainError` only when
     ``points`` is not an integer or there is no grid of 3 distinct points;
     pathological rates are reported, never raised, so they can be diagnosed.
     """
     points = _index("points", points)
-    if points < 3 or not sr.domain_cap > 1e-9:
+    if points < 3 or not sr.domain_cap > _GRID_START:
         raise DomainError(f"validate: points {points} < 3 or domain_cap {sr.domain_cap!r} <= 1e-9")
-    step = (math.log10(sr.domain_cap) + 9.0) / (points - 1)
-    grid = [1e-9, *(10.0 ** (i * step - 9.0) for i in range(1, points - 1)), float(sr.domain_cap)]
+    low = math.log10(_GRID_START)  # -9.0 exactly, so the grid keeps its bits
+    step = (math.log10(sr.domain_cap) - low) / (points - 1)
+    grid = [_GRID_START, *(10.0 ** (i * step + low) for i in range(1, points - 1)),
+            float(sr.domain_cap)]
     widths = _diff(grid)
     if 0.0 in widths:  # a cap within rounding of 1e-9 repeats grid points
         raise DomainError(f"domain_cap {sr.domain_cap!r} is too close to 1e-9 for {points} points")
@@ -445,7 +456,7 @@ def validate(sr: SuccessRate, points: int = 512) -> ValidationReport:
 
     try:
         p0 = sr.probability(0.0)
-        checks.append(CheckResult("starts_at_zero", bool(abs(p0) <= 1e-12), 0.0, p0))
+        checks.append(CheckResult("starts_at_zero", p0 == 0.0, 0.0, p0))
     except Exception:  # pragma: no cover - defensive
         checks.append(CheckResult("starts_at_zero", False, 0.0, None))
 

@@ -84,6 +84,8 @@ class Column(_ColumnFields):
     ) -> Column:
         if start.__class__ is not int:
             start = _index("column start", start)
+        if entries.__class__ is not tuple:  # a copy, so later edits of a list cannot reach it
+            entries = tuple(entries)
         if not entries:
             raise RuleConstructionError("a column needs at least its diagonal entry")
         return tuple.__new__(cls, (start, entries, tail, slope))
@@ -182,6 +184,15 @@ class StationaryColumnRule:
     repeating_drift: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        # tuples, copied from anything else, so that later edits of a list
+        # given here cannot unbalance the checked rule; a tuple costs one
+        # class test, as synthesis builds two or three rules per call
+        if self.leading.__class__ is not tuple:
+            object.__setattr__(self, "leading", tuple(self.leading))
+        if self.repeating_entries.__class__ is not tuple:
+            object.__setattr__(self, "repeating_entries", tuple(self.repeating_entries))
+        if self.repeating_drift.__class__ is not tuple:
+            object.__setattr__(self, "repeating_drift", tuple(self.repeating_drift))
         k = len(self.leading) + len(self.repeating_entries)  # K, module docstring
         for i, col in enumerate(self.leading):
             if col.start != i:

@@ -16,6 +16,7 @@ from typing import Callable
 from .errors import BracketError, DomainError
 
 _MAX_STEPS = 200  # bracket moves, and then ITP steps
+_XTOL = 1e-12  # bisect's default stop: bracket width relative to its larger end
 
 
 def _nan_error(x: float) -> DomainError:
@@ -33,7 +34,7 @@ def bisect(
     hi: float,
     *,
     limit: float | None = None,
-    xtol: float = 1e-12,
+    xtol: float = _XTOL,
 ) -> float:
     """Root of ``f`` on a sign-changing interval, to ``xtol`` relative to the bracket.
 

@@ -22,8 +22,9 @@ when a 10-fold move leaves its constant's case without a failing test
 (passing, or selecting no test), 2 for a name not listed, else 0; the
 0.1-fold moves are reported, not judged.  ``tests/test_package.py``
 checks that every module-level name bound to a float literal in the
-library is listed here, ``DEFAULT_DOMAIN_CAP`` (a domain, not a tolerance)
-apart.  This file is not collected by tier-1.
+library is listed here, the domains in ``EXEMPT`` apart, and that no float
+literal below 1e-3 sits anywhere else in it.  This file is not collected by
+tier-1.
 """
 
 import ast
@@ -45,16 +46,22 @@ CONSTANTS = {
         "gap_against_the_slack or past_the_upper_edge or slack_of_the_upper_edge",
     ),
     ("optima", "_EDGE"): ("tests/test_optima.py", "near_the_bracket_start"),
+    ("optima", "_TAIL_LIMIT_XTOL"): ("tests/test_optima.py", "prize_jumping_past_one"),
+    ("optima", "_PEAK_XTOL"): ("tests/test_oracle.py", "TestOptimaAgainstOracle"),
+    ("optima", "_SELF_FINANCED_XTOL"): ("tests/test_oracle.py", "TestOptimaAgainstOracle"),
+    ("optima", "_STEEP_TOL"): ("tests/test_optima.py", "not_steep_at_zero and barely"),
+    ("optima", "_BAND_END"): ("tests/test_optima.py", "band_closing_just_below"),
     ("profiles", "_FLATTEN_VTOL"): ("tests/test_profiles.py", "mismatch_against_the_slack"),
     ("rates", "_TOL_CONVEX"): ("tests/test_rates.py", "prize_convex_allows_rounding"),
     ("rates", "_TOL_LIMIT"): ("tests/test_rates.py", "prize_at_zero_allows_rounding"),
     ("rates", "_SLOPE_STEP"): ("tests/test_twins.py", "prize_slope"),
     ("rules", "_BALANCE_TOL"): ("tests/test_rule_cells.py tests/test_equilibrium.py",
                                 "same_verdict_and_message or falling_column_tail_fails"),
+    ("solvers", "_XTOL"): ("tests/test_oracle.py", "TestOptimaAgainstOracle"),
 }
 LOOSER = 10.0  # the move each constant's case must fail
 FACTORS = (LOOSER, 0.1)
-EXEMPT = ("DEFAULT_DOMAIN_CAP",)
+EXEMPT = ("DEFAULT_DOMAIN_CAP", "_GRID_START")  # domains, not tolerances
 
 
 def float_constants(source: str) -> dict[str, ast.Constant]:

@@ -302,6 +302,17 @@ class TestRulePrint:
         rows = [line.split("\t") for line in out.strip().splitlines()]
         assert rows[3] == ["1.0", "0.0", "3.0", "0.0"]
 
+    def test_csv_rows(self, capsys):
+        code, out, _ = run(capsys, "rule", "print", "--rule", "kind=jackpot", "--rows", "4",
+                           "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[3] == "1.0,0.0,3.0,0.0"
+
+    def test_trailing_comma_in_the_rule(self, capsys):
+        # the empty item after the comma is dropped, not read as a key
+        want = run(capsys, "rule", "print", "--rule", "kind=equal_split", "--rows", "3")
+        assert run(capsys, "rule", "print", "--rule", "kind=equal_split,", "--rows", "3") == want
+
     @pytest.mark.parametrize("rows", ["0", "-1"])
     def test_bad_rows_exit_two(self, capsys, rows):
         code, out, err = run(capsys, "rule", "print", "--rule", "kind=jackpot", "--rows", rows)
@@ -448,6 +459,17 @@ class TestMalformedInput:
         self.assert_usage_error(
             capsys, "verify", "--rule", "kind=equal_split", "--profile", "prefix=[0.1, x],tail=0.1"
         )
+
+    @pytest.mark.parametrize("fields, message", [
+        (("--rule", "kind=equal_split", "--profile", "prefix=[0.1]"),
+         "profile needs a tail value (tail=...)"),
+        (("--rule", "kind=equal_split", "--profile", "prefix=0.1,tail=0.1"),
+         "profile prefix must look like prefix=[a, b, ...]"),
+        (("--rule", "alpha=0.4", "--profile", "tail=0.1"), "rule needs a kind (kind=...)"),
+        (("--profile", "tail=0.1"), "no rule given (use --rule or a [rule] section)"),
+    ])
+    def test_missing_or_malformed_field(self, capsys, fields, message):
+        assert run(capsys, "verify", *fields) == (2, "", f"error: {message}\n")
 
     def test_non_numeric_config_epsilon(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -430,6 +430,18 @@ class TestTailLimit:
         c = tail_limit(self.RATES[name]())
         assert c == pytest.approx(oracle.prize_one_level, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("x0", [0.2, 0.21, 0.25, 0.3])
+    def test_prize_jumping_past_one(self, x0):
+        # p' halves at x0, so the prize doubles there, from below 1 to above
+        # it: the solve meets a jump, not a smooth root, and only its stop
+        # rule sets how near x0 it ends; on the smooth rates above it
+        # converges far inside 1e-15 whatever the stop
+        sr = sqrt_ratio()
+        jump = custom_rate(
+            "jump", sr.probability, lambda x: sr.marginal(x) * (0.5 if x >= x0 else 1.0)
+        )
+        assert tail_limit(jump) == pytest.approx(x0, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("name", RATES)
     def test_self_financed_floor(self, name, oracle):
         c = tail_limit(self.RATES[name](), Mode.SELF_FINANCED)
@@ -515,6 +527,41 @@ class TestRegion:
         assert c == pytest.approx(oracle.c_cross, abs=1e-9)
         # the crossing satisfies required_return = 3 - 2 p
         assert abs(sr.required_return(c) - (3.0 - 2.0 * sr.probability(c))) <= 1e-6
+
+    @staticmethod
+    def _scaled_sqrt(a: float):
+        # p = a sqrt(x) / (1 + sqrt(x)) on [0, 4], a probability for a < 1.5
+        def p_prime(x):
+            return math.inf if x == 0.0 else a / (2.0 * math.sqrt(x) * (1.0 + math.sqrt(x)) ** 2)
+
+        return custom_rate(
+            f"sqrt_times_{a}", lambda x: a * math.sqrt(x) / (1.0 + math.sqrt(x)), p_prime,
+            domain_cap=4.0,
+        )
+
+    def test_band_closing_just_below_the_prize_one_level(self):
+        # at this a the band closes a relative 5e-9 below tail_limit d:
+        # inside the bracket, which ends 1e-9 below d
+        sr = self._scaled_sqrt(1.3846461629844689)
+        d = tail_limit(sr)
+        c = region_curve_intersection(sr)
+        assert 4e-9 < (d - c) / d < 6e-9
+        crossing = 3.0 - 2.0 * sr.probability(c)
+        assert sr.required_return(c) == pytest.approx(crossing, rel=1e-9, abs=0.0)
+
+    def test_band_that_does_not_close_raises(self):
+        # at a = 1.4 the band is still open at tail_limit
+        with pytest.raises(BracketError, match="^support band does not close below the prize-1 level$"):
+            region_curve_intersection(self._scaled_sqrt(1.4))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_unbounded_max_return_gives_the_same_rows(self, mode):
+        # at cap 1e300 the return the cap attains overflows to inf, so every
+        # edge goes through investment_for_return rather than the closure
+        sr = sqrt_ratio(domain_cap=1e300)
+        assert sr.max_return == math.inf
+        grid = [0.001, 0.02, 0.1, 0.2, 0.25]
+        assert region_sweep(sr, grid, mode) == region_sweep(sqrt_ratio(), grid, mode)
 
     def test_self_financed_inside_unconstrained(self, sr, oracle):
         grid = np.linspace(oracle.c_max_sf / 257, oracle.c_max_sf, 256, endpoint=False)
@@ -644,11 +691,17 @@ class TestCapsNearOne:
         crossing = 3.0 - 2.0 * sr.probability(c)
         assert sr.required_return(c) == pytest.approx(crossing, rel=1e-9, abs=0.0)
 
-    def test_rate_not_steep_at_zero_rejected(self):
-        # p'(0) = 1/2: the prize exceeds the probability at every c > 0
-        flat = custom_rate("flat", lambda x: 0.5 * x / (1.0 + x), lambda x: 0.5 / (1.0 + x) ** 2)
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 3e-9], ids=["flat", "barely"])
+    def test_rate_not_steep_at_zero_rejected(self, scale):
+        # p'(0) = 1 / scale < 1: the prize exceeds the probability at every
+        # c > 0; barely, by a relative 3e-9 next to 0, past the 1e-9 the
+        # check allows, as no tail has p' = 1 and the inversion ends at the
+        # low end of its bracket
+        rate = custom_rate(
+            "flat", lambda x: x / (scale * (1.0 + x)), lambda x: 1.0 / (scale * (1.0 + x) ** 2)
+        )
         with pytest.raises(BracketError, match="steep-at-zero"):
-            socially_optimal(flat)
+            socially_optimal(rate)
 
 
 class TestDomainCapBelowOne:

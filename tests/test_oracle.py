@@ -9,7 +9,9 @@ magnitudes, each inversion of the library's own edge within ``2e-15``
 relative.  The optima, both tail limits and the band's crossing match
 ``optima`` over derandomized draws of the cap, each within the relative
 ``xtol`` its solve states, and each investment the closed-form inversion
-gives within ``2e-15`` relative.
+gives within ``2e-15`` relative.  So does ``investment_for_return`` on
+the built-in families for returns spread log-uniformly over 300 orders of
+magnitude.
 """
 
 import math
@@ -26,6 +28,7 @@ from seqinvest import (  # noqa: E402
     Mode,
     first_best_investment,
     initiator_optimal,
+    investment_for_return,
     near_constant_bounds,
     region_curve_intersection,
     region_sweep,
@@ -132,3 +135,15 @@ class TestOptimaAgainstOracle:
         limit_sf = tail_limit(sr, Mode.SELF_FINANCED)
         assert _rel_error(limit_sf, want["c_max_sf"]) <= XTOL["tail_limit"]
         assert _rel_error(region_curve_intersection(sr), want["c_cross"]) <= XTOL["c_cross"]
+
+
+class TestInverseAgainstOracle:
+    """The closed-form inversion, across 300 orders of magnitude of
+    ``k = t (1 - eps) / 2``, under a cap of 1e200 that none of them reaches."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(eps=st.sampled_from([0.0, 0.3, 0.99]), log_k=st.floats(-150.0, 150.0))
+    def test_investment_for_return(self, eps, log_k):
+        sr = sqrt_ratio(1e200) if eps == 0.0 else scaled_sqrt_ratio(eps, 1e200)
+        t = 2.0 * 10.0 ** log_k / (1.0 - eps)
+        assert _rel_error(investment_for_return(sr, t), investment_for(eps, t)) <= INVERSION_TOL

@@ -334,6 +334,16 @@ class TestFlatten:
         with pytest.raises(InfeasibleError, match="^flattening failed to match the expected value$"):
             flatten_tail(jump, ConstantTailProfile((0.6, 0.6), 0.1), 0)
 
+    def test_tail_solve_reaching_certain_success_raises(self):
+        # p = min(1, 2 sqrt(x)) is 1 from x = 0.25 on: the solve's first
+        # read of its bracket end, 1, meets a tail whose series diverges
+        def p_prime(x):
+            return math.inf if x == 0.0 else 0.0 if x >= 0.25 else 1.0 / math.sqrt(x)
+
+        capped = custom_rate("capped", lambda x: min(1.0, 2.0 * math.sqrt(x)), p_prime)
+        with pytest.raises(DivergenceError, match="^tail success probability 1 >= 1; series diverges$"):
+            flatten_tail(capped, ConstantTailProfile((0.1,), 0.2), 0)
+
     @pytest.mark.parametrize("miss, raises", [(3e-11, False), (3e-10, True)])
     def test_value_mismatch_against_the_slack(self, sr, miss, raises):
         # the tail may miss the suffix's value by _FLATTEN_VTOL of it

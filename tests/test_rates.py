@@ -117,6 +117,21 @@ class TestDomain:
             with pytest.raises(DomainError, match="domain_cap"):
                 build(cap)
 
+    @pytest.mark.parametrize("eps, message", [
+        ("0.5", "epsilon must be a real number, got '0.5'"),
+        (math.nan, "epsilon must be in [0, 1), got nan"),
+        (1.5, "epsilon must be in [0, 1), got 1.5"),
+    ])
+    def test_direct_construction_checks_epsilon(self, sr, eps, message):
+        # built directly, a text epsilon used to pass and fail later as a
+        # bare TypeError in investment_bounds
+        with pytest.raises(DomainError, match=f"^{re.escape('x: ' + message)}$"):
+            SuccessRate("x", eps, 1e6, sr.probability, sr.marginal)
+
+    def test_direct_construction_keeps_epsilon_as_given(self, sr):
+        eps = np.float64(0.25)
+        assert SuccessRate("x", eps, 1e6, sr.probability, sr.marginal).epsilon is eps
+
     def test_sqrt_ratio_takes_no_epsilon(self):
         assert rate_from_config("sqrt_ratio", 0.0).epsilon == 0.0
         for eps in (0.5, math.nan, 1.0, -0.5):

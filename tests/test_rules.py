@@ -196,6 +196,22 @@ class TestConstruction:
             with pytest.raises(RuleConstructionError, match="alpha"):
                 fixed_fraction_floor(alpha, 0.5)
 
+    def test_lists_are_copied(self):
+        # a rule or column built from lists used to hold them, so that a
+        # later edit unbalanced the checked rule
+        lead, entries, drift = [Column(0, (1.0,), 2.0)], [0.0, 1.0], [0.0, 0.0]
+        rule = StationaryColumnRule("e", lead, entries, 1.0, drift)
+        rows = [rule.row(k) for k in range(4)]
+        cells = [1.0]
+        col = Column(0, cells, 2.0)
+        lead[0], entries[1], drift[1] = Column(0, (7.0,), 9.0), 5.0, 3.0
+        cells[0] = 7.0
+        assert [rule.row(k) for k in range(4)] == rows
+        assert (rule.leading, rule.repeating_entries, rule.repeating_drift) == (
+            (Column(0, (1.0,), 2.0),), (0.0, 1.0), ())
+        assert col.entries == (1.0,)
+        assert hash(col) == hash(Column(0, (1.0,), 2.0))
+
     def test_malformed_form_rejected(self):
         with pytest.raises(RuleConstructionError, match="diagonal entry"):
             Column(0, (), 2.0)
